@@ -53,7 +53,7 @@
 use std::time::Duration;
 
 use bench::experiments;
-use bench::Scale;
+use bench::{Gates, Scale};
 
 fn usage() -> ! {
     eprintln!(
@@ -162,13 +162,15 @@ fn main() {
         "shard-scale" => bench::shardbench::shard_scale(&scale, &out_path),
         "batch-scale" => bench::batchbench::batch_scale(&scale, &out_path),
         "obs-report" => bench::obsbench::obs_report(&scale, &out_path, assert_overhead),
-        "contention-scale" => bench::contbench::contention_scale(&scale, &out_path),
-        "cache-scale" => bench::cachebench::cache_scale(&scale, &out_path),
-        "varkey-scale" => bench::varbench::varkey_scale(&scale, &out_path),
-        "leaf-scale" => bench::leafbench::leaf_scale(&scale, &out_path),
-        "trace-scale" => bench::tracebench::trace_scale(&scale, &out_path, assert_overhead),
+        "contention-scale" => bench::contbench::contention_scale(&scale, &out_path, Gates::Enforce),
+        "cache-scale" => bench::cachebench::cache_scale(&scale, &out_path, Gates::Enforce),
+        "varkey-scale" => bench::varbench::varkey_scale(&scale, &out_path, Gates::Enforce),
+        "leaf-scale" => bench::leafbench::leaf_scale(&scale, &out_path, Gates::Enforce),
+        "trace-scale" => {
+            bench::tracebench::trace_scale(&scale, &out_path, assert_overhead, Gates::Enforce)
+        }
         "trace-report" => bench::tracebench::trace_report(&scale, assert_overhead),
-        "group-scale" => bench::combench::group_scale(&scale, &out_path),
+        "group-scale" => bench::combench::group_scale(&scale, &out_path, Gates::Enforce),
         "bench-index" => {
             bench::trendbench::bench_index(std::path::Path::new("."), &out_path)
         }

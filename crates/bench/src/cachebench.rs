@@ -43,7 +43,7 @@ use rntree::{RnConfig, RnTree};
 use ycsb::{run_closed_loop, KeyDist, WorkloadSpec};
 
 use crate::contbench::{median, sign_test_p, wins};
-use crate::harness::{pool_for, warm, Scale, TreeKind};
+use crate::harness::{pool_for, warm, Gates, Scale, TreeKind};
 use crate::report::{fmt_tput, Table};
 
 /// Interleaved measurement rounds per cell (peak kept per point).
@@ -169,7 +169,9 @@ fn detectably_better(rs: &[f64]) -> bool {
 
 /// Runs the sweep, prints per-regime tables, asserts both acceptance
 /// criteria, and writes the JSON report.
-pub fn cache_scale(scale: &Scale, out_path: &str) {
+///
+/// Timing gates panic only under [`Gates::Enforce`]; see [`Gates`].
+pub fn cache_scale(scale: &Scale, out_path: &str, gates: Gates) {
     let spec = WorkloadSpec::ycsb_b(KeyDist::Uniform { n: scale.warm_n });
     let mut json_points: Vec<String> = Vec::new();
 
@@ -238,28 +240,30 @@ pub fn cache_scale(scale: &Scale, out_path: &str) {
             let p_better = sign_test_p(rs.len() - w, rs.len());
             if threads >= 2 {
                 if regime == "resident" {
-                    assert!(
-                        detectably_better(rs),
-                        "cached descent is not detectably better on a cache-resident \
-                         working set: {regime} {threads} thr — {w}/{} pairs favour \
-                         cached (p_better {:.4}), median pair ratio {:.3} \
-                         (peaks: cached {:.0} ops/s, uncached {:.0} ops/s)",
-                        rs.len(),
-                        p_better,
-                        med,
-                        peak[0][ti].mops,
-                        peak[1][ti].mops
-                    );
+                    gates.check(detectably_better(rs), || {
+                        format!(
+                            "cached descent is not detectably better on a cache-resident \
+                             working set: {regime} {threads} thr — {w}/{} pairs favour \
+                             cached (p_better {:.4}), median pair ratio {:.3} \
+                             (peaks: cached {:.0} ops/s, uncached {:.0} ops/s)",
+                            rs.len(),
+                            p_better,
+                            med,
+                            peak[0][ti].mops,
+                            peak[1][ti].mops
+                        )
+                    });
                 } else {
-                    assert!(
-                        p_worse >= 0.05,
-                        "cached descent fell off a cliff past the frame budget: \
-                         {regime} {threads} thr — only {w}/{} pairs favour cached \
-                         (sign-test p {:.4}), median pair ratio {:.3}",
-                        rs.len(),
-                        p_worse,
-                        med
-                    );
+                    gates.check(p_worse >= 0.05, || {
+                        format!(
+                            "cached descent fell off a cliff past the frame budget: \
+                             {regime} {threads} thr — only {w}/{} pairs favour cached \
+                             (sign-test p {:.4}), median pair ratio {:.3}",
+                            rs.len(),
+                            p_worse,
+                            med
+                        )
+                    });
                 }
             }
             let dist = rs.iter().map(|r| format!("{r:.4}")).collect::<Vec<_>>().join(", ");
@@ -331,7 +335,7 @@ mod tests {
         };
         let path = std::env::temp_dir().join("cache_scale_smoke.json");
         let path = path.to_str().unwrap();
-        cache_scale(&scale, path);
+        cache_scale(&scale, path, Gates::Report);
         let body = std::fs::read_to_string(path).unwrap();
         assert!(body.contains("\"bench\": \"pr6-cache-scale\""));
         assert!(body.contains("\"regime\": \"resident\""));

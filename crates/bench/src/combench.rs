@@ -63,7 +63,7 @@ use rntree::{RnConfig, RnTree};
 use ycsb::{run_closed_loop, run_open_loop_arrivals, Arrivals, KeyDist, Mix, WorkloadSpec};
 
 use crate::contbench::{median, sign_test_p, wins};
-use crate::harness::{pool_for, warm, Scale, TreeKind};
+use crate::harness::{pool_for, warm, Gates, Scale, TreeKind};
 use crate::report::{fmt_tput, Table};
 
 /// Interleaved measurement rounds per cell (peak kept per point).
@@ -220,7 +220,9 @@ fn write_heavy(warm_n: u64) -> WorkloadSpec {
 /// slot-served op costs its publisher a scheduler round-trip (on the
 /// paper's multi-core NVM testbed those publishers spin in parallel
 /// and the avoided fences are the dominant term).
-pub fn group_scale(scale: &Scale, out_path: &str) {
+///
+/// Timing gates panic only under [`Gates::Enforce`]; see [`Gates`].
+pub fn group_scale(scale: &Scale, out_path: &str, gates: Gates) {
     // Always measure an 8-thread point — epoch sizes only grow past a
     // handful of concurrent publishers, and the persist-economics gate
     // needs a full-width pile to judge (persists/op is a structural
@@ -325,18 +327,19 @@ pub fn group_scale(scale: &Scale, out_path: &str) {
             if point_asserted {
                 // Same two-part gate as PR 5: reject only when the deficit
                 // is statistically significant AND materially large.
-                assert!(
-                    p >= 0.01 || med >= 0.95,
-                    "group commit is materially worse than direct writes at an asserted \
-                     point: {wname} {threads} thr — {w}/{} back-to-back pairs favour \
-                     coalescing (sign-test p {:.4}), median pair ratio {:.3} (peaks: \
-                     coalesced {:.0} ops/s, direct {:.0} ops/s)",
-                    rs.len(),
-                    p,
-                    med,
-                    peak[0][ti].mops,
-                    peak[1][ti].mops
-                );
+                gates.check(p >= 0.01 || med >= 0.95, || {
+                    format!(
+                        "group commit is materially worse than direct writes at an asserted \
+                         point: {wname} {threads} thr — {w}/{} back-to-back pairs favour \
+                         coalescing (sign-test p {:.4}), median pair ratio {:.3} (peaks: \
+                         coalesced {:.0} ops/s, direct {:.0} ops/s)",
+                        rs.len(),
+                        p,
+                        med,
+                        peak[0][ti].mops,
+                        peak[1][ti].mops
+                    )
+                });
             }
             // The persist gate judges the widest write-heavy point
             // measured, whether or not its sign test is asserted.
@@ -393,13 +396,15 @@ pub fn group_scale(scale: &Scale, out_path: &str) {
         "direct write-heavy persists/op should be ~2, got {:.3}",
         dir.persists_per_op
     );
-    assert!(
-        coal.persists_per_op < 0.95 * dir.persists_per_op,
-        "coalescing did not measurably cut persists/op at {t} threads: \
-         coalesced {:.3} vs direct {:.3}",
-        coal.persists_per_op,
-        dir.persists_per_op
-    );
+    // How much coalesces depends on how publishers overlap in time, so
+    // this is a timing gate; the direct ~2 above is structural.
+    gates.check(coal.persists_per_op < 0.95 * dir.persists_per_op, || {
+        format!(
+            "coalescing did not measurably cut persists/op at {t} threads: \
+             coalesced {:.3} vs direct {:.3}",
+            coal.persists_per_op, dir.persists_per_op
+        )
+    });
 
     // Bounded-latency gate: bursty open-loop arrivals at moderate load
     // through the coalesced tree. The deadline governs the combining
@@ -448,11 +453,12 @@ pub fn group_scale(scale: &Scale, out_path: &str) {
         }
     }
     let (slot_p99_ns, p99_ns, queue_p99_ns, open_ops) = best.unwrap();
-    assert!(
-        slot_p99_ns < deadline_ns,
-        "slot-wait p99 {slot_p99_ns} ns breaches the {deadline_ns} ns flush deadline \
-         at moderate load on every attempt ({open_ops} ops)"
-    );
+    gates.check(slot_p99_ns < deadline_ns, || {
+        format!(
+            "slot-wait p99 {slot_p99_ns} ns breaches the {deadline_ns} ns flush deadline \
+             at moderate load on every attempt ({open_ops} ops)"
+        )
+    });
 
     let json = format!(
         "{{\n  \"bench\": \"pr10-group-scale\",\n  \
@@ -495,7 +501,7 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn group_scale_smoke_emits_json_and_passes_own_assertions() {
+    fn group_scale_smoke_emits_well_formed_json() {
         // Keep `Scale::quick()`'s 140 ns simulated NVM write latency: a
         // zero-latency pool makes avoided persists free, which inverts
         // the very economics the gates assert.
@@ -511,7 +517,7 @@ mod tests {
         };
         let path = std::env::temp_dir().join("group_scale_smoke.json");
         let path = path.to_str().unwrap();
-        group_scale(&scale, path);
+        group_scale(&scale, path, Gates::Report);
         let body = std::fs::read_to_string(path).unwrap();
         assert!(body.contains("\"bench\": \"pr10-group-scale\""));
         assert!(body.contains("\"workload\": \"write-heavy\""));

@@ -72,7 +72,7 @@ use index_common::PersistentIndex;
 use rntree::{RnConfig, RnTree};
 use ycsb::{run_closed_loop, KeyDist, WorkloadSpec};
 
-use crate::harness::{pool_for, warm, Scale, TreeKind};
+use crate::harness::{pool_for, warm, Gates, Scale, TreeKind};
 use crate::report::{fmt_tput, Table};
 
 /// Interleaved measurement rounds per cell (peak kept per point).
@@ -264,7 +264,9 @@ fn variant_json(p: &Point) -> String {
 
 /// Runs the sweep, prints per-cell tables, asserts the striped tier never
 /// loses a contended high-skew point, and writes the JSON report.
-pub fn contention_scale(scale: &Scale, out_path: &str) {
+///
+/// Timing gates panic only under [`Gates::Enforce`]; see [`Gates`].
+pub fn contention_scale(scale: &Scale, out_path: &str, gates: Gates) {
     // Always measure an 8-thread point: stripe collisions are a
     // birthday-bound effect and barely register below ~8 concurrent
     // fallback takers (ROADMAP item 4 baseline data).
@@ -382,18 +384,19 @@ pub fn contention_scale(scale: &Scale, out_path: &str) {
                     // (like the per-read subscription tax PR 5 caught)
                     // drags every pair below 1: p ≈ 5e-7 and median ≈ 0.9
                     // still reject instantly.
-                    assert!(
-                        p >= 0.01 || med >= 0.95,
-                        "striped fallback is materially worse at a contended point: \
-                         {wname} θ={theta} {threads} thr — {w}/{} back-to-back pairs \
-                         favour striped (sign-test p {:.4}), median pair ratio {:.3} \
-                         (peaks: striped {:.0} ops/s, global {:.0} ops/s)",
-                        rs.len(),
-                        p,
-                        med,
-                        peak[0][ti].mops,
-                        peak[1][ti].mops
-                    );
+                    gates.check(p >= 0.01 || med >= 0.95, || {
+                        format!(
+                            "striped fallback is materially worse at a contended point: \
+                             {wname} θ={theta} {threads} thr — {w}/{} back-to-back pairs \
+                             favour striped (sign-test p {:.4}), median pair ratio {:.3} \
+                             (peaks: striped {:.0} ops/s, global {:.0} ops/s)",
+                            rs.len(),
+                            p,
+                            med,
+                            peak[0][ti].mops,
+                            peak[1][ti].mops
+                        )
+                    });
                 }
                 let dist = rs
                     .iter()
@@ -451,7 +454,7 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn contention_scale_smoke_emits_json_and_passes_own_assertion() {
+    fn contention_scale_smoke_emits_well_formed_json() {
         let scale = Scale {
             warm_n: 3_000,
             duration: Duration::from_millis(40),
@@ -461,7 +464,7 @@ mod tests {
         };
         let path = std::env::temp_dir().join("contention_scale_smoke.json");
         let path = path.to_str().unwrap();
-        contention_scale(&scale, path);
+        contention_scale(&scale, path, Gates::Report);
         let body = std::fs::read_to_string(path).unwrap();
         assert!(body.contains("\"bench\": \"pr5-contention-scale\""));
         assert!(body.contains("\"workload\": \"colliding-stripe\""));

@@ -121,6 +121,34 @@ pub fn warm(tree: &dyn PersistentIndex, n: u64, seed: u64) {
     tree.load_sorted(&pairs).expect("warm bulk load failed");
 }
 
+/// Whether a bench enforces its timing-dependent gates.
+///
+/// Sign tests, effect-size floors, latency deadlines and contention-driven
+/// rankings depend on the host. The `repro` subcommands (and their CI
+/// steps) run with [`Gates::Enforce`]; unit smokes run the same code with
+/// [`Gates::Report`], so `cargo test` checks only the JSON schema and
+/// structural counters and passes on any host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gates {
+    /// A gate that does not hold panics.
+    Enforce,
+    /// A gate that does not hold is printed and the run goes on.
+    Report,
+}
+
+impl Gates {
+    /// Checks one gate: `msg` describes the failure when `held` is false.
+    pub fn check(self, held: bool, msg: impl FnOnce() -> String) {
+        if held {
+            return;
+        }
+        match self {
+            Gates::Enforce => panic!("{}", msg()),
+            Gates::Report => println!("gate not met (reported, not enforced): {}", msg()),
+        }
+    }
+}
+
 /// Run-scale knobs shared by every experiment.
 #[derive(Debug, Clone)]
 pub struct Scale {

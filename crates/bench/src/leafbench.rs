@@ -40,7 +40,7 @@ use rntree::{LeafPolicy, RnConfig, RnTree};
 use ycsb::{run_closed_loop, KeyDist, WorkloadSpec};
 
 use crate::contbench::{median, sign_test_p, wins};
-use crate::harness::{pool_for, warm, Scale, TreeKind};
+use crate::harness::{pool_for, warm, Gates, Scale, TreeKind};
 use crate::report::{fmt_tput, Table};
 
 /// Interleaved measurement rounds per cell (peak kept per point).
@@ -170,6 +170,7 @@ fn report_paired_cell(
     peak: &[Vec<f64>; 2],
     ratios: &[Vec<f64>],
     gate: bool,
+    gates: Gates,
     json_points: &mut Vec<String>,
 ) {
     let mut header = vec!["layout".to_string()];
@@ -190,17 +191,18 @@ fn report_paired_cell(
         // hash win is not luck.
         let p_sorted = sign_test_p(rs.len() - w, rs.len());
         if gate {
-            assert!(
-                med > 1.0 && p_sorted < 0.05,
-                "hash leaf does not beat sorted on {label}: {threads} thr — {w}/{} pairs \
-                 favour hash (sign-test p {:.4} that sorted holds), median pair ratio {:.3} \
-                 (peaks: sorted {:.0} ops/s, hash {:.0} ops/s)",
-                rs.len(),
-                p_sorted,
-                med,
-                peak[0][ti],
-                peak[1][ti]
-            );
+            gates.check(med > 1.0 && p_sorted < 0.05, || {
+                format!(
+                    "hash leaf does not beat sorted on {label}: {threads} thr — {w}/{} pairs \
+                     favour hash (sign-test p {:.4} that sorted holds), median pair ratio \
+                     {:.3} (peaks: sorted {:.0} ops/s, hash {:.0} ops/s)",
+                    rs.len(),
+                    p_sorted,
+                    med,
+                    peak[0][ti],
+                    peak[1][ti]
+                )
+            });
         }
         let dist = rs.iter().map(|r| format!("{r:.4}")).collect::<Vec<_>>().join(", ");
         json_points.push(format!(
@@ -226,6 +228,7 @@ fn adaptive_cell(
     label: &str,
     spec: &WorkloadSpec,
     expect_hash_leaves: bool,
+    gates: Gates,
     json_points: &mut Vec<String>,
 ) {
     let threads = *scale.threads.iter().max().unwrap();
@@ -280,13 +283,13 @@ fn adaptive_cell(
     table.print();
 
     let best_static = peaks[0].max(peaks[1]);
-    assert!(
-        peaks[2] >= ADAPTIVE_NOISE_FLOOR * best_static,
-        "{label}: adaptive ({:.0} ops/s) fell below {ADAPTIVE_NOISE_FLOOR}x the best \
-         static layout ({:.0} ops/s)",
-        peaks[2],
-        best_static
-    );
+    gates.check(peaks[2] >= ADAPTIVE_NOISE_FLOOR * best_static, || {
+        format!(
+            "{label}: adaptive ({:.0} ops/s) fell below {ADAPTIVE_NOISE_FLOOR}x the best \
+             static layout ({:.0} ops/s)",
+            peaks[2], best_static
+        )
+    });
     let ad = &census[2];
     if expect_hash_leaves {
         assert!(
@@ -320,7 +323,9 @@ fn adaptive_cell(
 
 /// Runs the sweep, prints the tables, asserts the gates, and writes the
 /// JSON report.
-pub fn leaf_scale(scale: &Scale, out_path: &str) {
+///
+/// Timing gates panic only under [`Gates::Enforce`]; see [`Gates`].
+pub fn leaf_scale(scale: &Scale, out_path: &str, gates: Gates) {
     let mut json_points: Vec<String> = Vec::new();
 
     // ---------------------------------------------------- point gate
@@ -340,21 +345,21 @@ pub fn leaf_scale(scale: &Scale, out_path: &str) {
         }
     );
     let (peak, ratios) = paired_cell(scale, &spec_c, &dyn_sorted, &dyn_hash, gate);
-    report_paired_cell(scale, "ycsb-c", &peak, &ratios, gate, &mut json_points);
+    report_paired_cell(scale, "ycsb-c", &peak, &ratios, gate, gates, &mut json_points);
 
     let window = HOT_WINDOW.min(scale.warm_n);
     let spec_hot = WorkloadSpec::point_hot_window(scale.warm_n, window);
     println!("\n## leaf-scale — hot-window point lookups (window {window}), sorted vs hash leaf\n");
     let (peak, ratios) = paired_cell(scale, &spec_hot, &dyn_sorted, &dyn_hash, false);
-    report_paired_cell(scale, "hot-window", &peak, &ratios, false, &mut json_points);
+    report_paired_cell(scale, "hot-window", &peak, &ratios, false, gates, &mut json_points);
     sorted.verify_invariants().expect("sorted tree invariants after point cells");
     hash.verify_invariants().expect("hash tree invariants after point cells");
     drop((sorted, hash, dyn_sorted, dyn_hash));
 
     // ---------------------------------------------------- adaptive cells
-    adaptive_cell(scale, "adaptive-point", &spec_hot, true, &mut json_points);
+    adaptive_cell(scale, "adaptive-point", &spec_hot, true, gates, &mut json_points);
     let spec_scan = WorkloadSpec::ycsb_e(KeyDist::Uniform { n: scale.warm_n }, 50);
-    adaptive_cell(scale, "adaptive-scan", &spec_scan, false, &mut json_points);
+    adaptive_cell(scale, "adaptive-scan", &spec_scan, false, gates, &mut json_points);
 
     let json = format!(
         "{{\n  \"bench\": \"pr8-leaf-scale\",\n  \
@@ -400,7 +405,7 @@ mod tests {
         };
         let path = std::env::temp_dir().join("leaf_scale_smoke.json");
         let path = path.to_str().unwrap();
-        leaf_scale(&scale, path);
+        leaf_scale(&scale, path, Gates::Report);
         let body = std::fs::read_to_string(path).unwrap();
         assert!(body.contains("\"bench\": \"pr8-leaf-scale\""));
         assert!(body.contains("\"cell\": \"ycsb-c\""));

@@ -38,4 +38,4 @@ pub mod tracebench;
 pub mod trendbench;
 pub mod varbench;
 
-pub use harness::{build_tree, pool_for, warm, Scale, TreeKind};
+pub use harness::{build_tree, pool_for, warm, Gates, Scale, TreeKind};

@@ -36,7 +36,7 @@ use rntree::{RnConfig, RnTree};
 use ycsb::{run_closed_loop, run_closed_loop_k, KeyDist, KeyShape, WorkloadSpec};
 
 use crate::contbench::{median, sign_test_p, wins};
-use crate::harness::{pool_for, warm, Scale, TreeKind};
+use crate::harness::{pool_for, warm, Gates, Scale, TreeKind};
 use crate::report::{fmt_tput, Table};
 
 /// Interleaved measurement rounds per cell (peak kept per point).
@@ -95,7 +95,9 @@ fn oracle_check(tree: &RnTree, shape: KeyShape, n: u64, label: &str) {
 
 /// Runs the sweep, prints the tables, asserts the u64 gate, and writes
 /// the JSON report.
-pub fn varkey_scale(scale: &Scale, out_path: &str) {
+///
+/// Timing gates panic only under [`Gates::Enforce`]; see [`Gates`].
+pub fn varkey_scale(scale: &Scale, out_path: &str, gates: Gates) {
     let spec = WorkloadSpec::ycsb_b(KeyDist::Uniform { n: scale.warm_n });
     let n_points = scale.threads.len();
     let mut json_points: Vec<String> = Vec::new();
@@ -172,17 +174,18 @@ pub fn varkey_scale(scale: &Scale, out_path: &str) {
         let w = wins(rs);
         let p_worse = sign_test_p(w, rs.len());
         let med = median(rs);
-        assert!(
-            p_worse >= 0.05,
-            "the byte-key layer regressed u64 throughput: {threads} thr — only {w}/{} \
-             pairs favour the codec path (sign-test p {:.4}), median pair ratio {:.3} \
-             (peaks: native {:.0} ops/s, codec {:.0} ops/s)",
-            rs.len(),
-            p_worse,
-            med,
-            peak[0][ti],
-            peak[1][ti]
-        );
+        gates.check(p_worse >= 0.05, || {
+            format!(
+                "the byte-key layer regressed u64 throughput: {threads} thr — only {w}/{} \
+                 pairs favour the codec path (sign-test p {:.4}), median pair ratio {:.3} \
+                 (peaks: native {:.0} ops/s, codec {:.0} ops/s)",
+                rs.len(),
+                p_worse,
+                med,
+                peak[0][ti],
+                peak[1][ti]
+            )
+        });
         let dist = rs.iter().map(|r| format!("{r:.4}")).collect::<Vec<_>>().join(", ");
         json_points.push(format!(
             "    {{\"cell\": \"u64-gate\", \"threads\": {threads}, \
@@ -293,7 +296,7 @@ mod tests {
         };
         let path = std::env::temp_dir().join("varkey_scale_smoke.json");
         let path = path.to_str().unwrap();
-        varkey_scale(&scale, path);
+        varkey_scale(&scale, path, Gates::Report);
         let body = std::fs::read_to_string(path).unwrap();
         assert!(body.contains("\"bench\": \"pr7-varkey-scale\""));
         assert!(body.contains("\"cell\": \"u64-gate\""));

@@ -708,6 +708,14 @@ impl<T: PersistentIndex> GroupCommit<T> {
     /// epoch.
     fn drain(&self, si: usize) {
         let sh = &self.shards[si];
+        // A writer that crashed on the solo path (or an earlier leader)
+        // sets `crashed` before releasing the flag this election just
+        // acquired, so the crash is visible here. Its leaf lock may be
+        // stranded: executing would spin on it forever. Step down and let
+        // the publisher loop propagate the crash instead.
+        if self.crashed.load(Ordering::Acquire) {
+            return;
+        }
         // Gather one epoch: claim every published slot, re-scanning
         // while new ops keep arriving, up to the epoch cap.
         let mut batch: Vec<(Key, Value, WriteOp)> = Vec::new();

@@ -5,7 +5,7 @@
 //! *across* trees. [`ShardedIndex`] is that layer: it hash-partitions the
 //! key space over `N` inner [`PersistentIndex`] instances (one per pool
 //! shard, see `nvm::PoolSet`), forwards point operations to the owning
-//! shard, and stitches range scans back together with a k-way merge so the
+//! shard, and stitches range scans back together with a merge so the
 //! output is globally key-ordered.
 //!
 //! Because every shard is a complete tree with its own persistent pool, its
@@ -26,9 +26,23 @@
 //! The function is pure and stable, so a key's home shard never changes for
 //! the life of a set — rebalancing is an explicit higher-level migration,
 //! exactly as in a sharded service.
+//!
+//! ## Range scans
+//!
+//! A scan asks every shard for its first `n` pairs ≥ `start`; the global
+//! first `n` are contained in their union. The first shard scans straight
+//! into the caller's `out`. Each further shard scans into one per-thread
+//! staging buffer, and that sorted run is merged into `out` from the back
+//! (the tail of `out` is free room, so nothing is overwritten before it is
+//! read), then `out` is cut to `n`. Nothing is allocated per scan once
+//! `out` and the staging buffer have grown: there is no per-shard vector,
+//! no cursor array and no heap. The staging buffer is taken out of its
+//! thread-local for the duration of the scan, so a nested `ShardedIndex`
+//! shard finds the slot empty and stages in a buffer of its own. A buffer
+//! that grew past `STAGING_KEEP` pairs (a full-tree scan) is dropped
+//! instead of being put back, so no thread pins megabytes after one.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,6 +91,70 @@ pub fn shard_of_bytes(key: KeyRef<'_>, shards: usize) -> usize {
         h = h.wrapping_mul(0x100_0000_01B3);
     }
     shard_of(h, shards)
+}
+
+/// Largest staging buffer, in pairs, a thread keeps between scans.
+///
+/// Point-range scans (tens to hundreds of pairs) stay far below it and
+/// reuse their buffer forever; a full-tree scan's buffer is released.
+const STAGING_KEEP: usize = 4096;
+
+thread_local! {
+    static STAGING: Cell<Vec<(Key, Value)>> = const { Cell::new(Vec::new()) };
+    static STAGING_K: Cell<Vec<(KeyBuf, Value)>> = const { Cell::new(Vec::new()) };
+}
+
+/// The globally ordered first `n` pairs of `shards`, where `scan(shard,
+/// buf)` fills `buf` with that shard's first `n` pairs in key order. One
+/// shard's run lands in `out` directly; the others go through `staging`
+/// and [`merge_run`] (see the module docs).
+fn merged_scan<T, K: Ord + Copy>(
+    shards: &[T],
+    n: usize,
+    out: &mut Vec<(K, Value)>,
+    staging: &'static std::thread::LocalKey<Cell<Vec<(K, Value)>>>,
+    scan: impl Fn(&T, &mut Vec<(K, Value)>) -> usize,
+) -> usize {
+    out.clear();
+    if n == 0 {
+        return 0;
+    }
+    let (first, rest) = shards.split_first().expect("ShardedIndex has at least one shard");
+    scan(first, out);
+    if rest.is_empty() {
+        return out.len();
+    }
+    let mut run = staging.take();
+    for shard in rest {
+        scan(shard, &mut run);
+        merge_run(out, &run, n);
+    }
+    if run.capacity() <= STAGING_KEEP {
+        staging.set(run);
+    }
+    out.len()
+}
+
+/// Merges the sorted `run` into the sorted `out` in place, then keeps the
+/// first `n` pairs. `out` is extended by `run.len()` and filled from the
+/// back, largest key first, so every slot is read before it is written.
+/// Keys are unique across shards (one home per key), so order among equal
+/// keys never matters.
+fn merge_run<K: Ord + Copy>(out: &mut Vec<(K, Value)>, run: &[(K, Value)], n: usize) {
+    let mut i = out.len();
+    let mut j = run.len();
+    out.extend_from_slice(run);
+    while j > 0 {
+        // `out[i + j - 1]` is the next slot to fill, from the back.
+        if i > 0 && out[i - 1].0 > run[j - 1].0 {
+            out[i + j - 1] = out[i - 1];
+            i -= 1;
+        } else {
+            out[i + j - 1] = run[j - 1];
+            j -= 1;
+        }
+    }
+    out.truncate(n);
 }
 
 /// N independent persistent trees composed into one [`PersistentIndex`].
@@ -245,41 +323,10 @@ impl<T: PersistentIndex> PersistentIndex for ShardedIndex<T> {
         self.shard_for(key).find(key)
     }
 
-    /// Globally key-ordered scan. Each shard returns its first `n` pairs
-    /// with key ≥ `start` (already sorted); since the global first `n`
-    /// pairs are contained in the union of the per-shard first `n`, a
-    /// k-way merge of those streams truncated to `n` is exact.
+    /// Globally key-ordered scan: each shard's first `n` pairs ≥ `start`,
+    /// merged through the per-thread staging buffer (module docs).
     fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
-        out.clear();
-        if n == 0 {
-            return 0;
-        }
-        let k = self.shards.len();
-        let mut bufs: Vec<Vec<(Key, Value)>> = Vec::with_capacity(k);
-        for s in &self.shards {
-            let mut buf = Vec::new();
-            s.scan_n(start, n, &mut buf);
-            bufs.push(buf);
-        }
-        // K-way merge on a min-heap of (next key, shard). Keys are unique
-        // across shards (each key has exactly one home), so ties cannot
-        // occur and the merge is trivially stable.
-        let mut pos = vec![0usize; k];
-        let mut heap: BinaryHeap<Reverse<(Key, usize)>> = BinaryHeap::with_capacity(k);
-        for (i, buf) in bufs.iter().enumerate() {
-            if let Some(&(key, _)) = buf.first() {
-                heap.push(Reverse((key, i)));
-            }
-        }
-        while out.len() < n {
-            let Some(Reverse((_, i))) = heap.pop() else { break };
-            out.push(bufs[i][pos[i]]);
-            pos[i] += 1;
-            if let Some(&(key, _)) = bufs[i].get(pos[i]) {
-                heap.push(Reverse((key, i)));
-            }
-        }
-        out.len()
+        merged_scan(&self.shards, n, out, &STAGING, |s, buf| s.scan_n(start, n, buf))
     }
 
     /// Partitions the pairs by home shard and bulk-loads every non-empty
@@ -412,38 +459,10 @@ impl<T: PersistentIndex> PersistentIndex for ShardedIndex<T> {
         self.shard_for_bytes(key).find_k(key)
     }
 
-    /// Byte-key analogue of [`ShardedIndex::scan_n`]'s k-way merge: each
-    /// shard contributes its first `n` pairs ≥ `start` in lexicographic
-    /// order, merged on a min-heap of owned [`KeyBuf`]s. Keys stay unique
-    /// across shards (one home per key), so ties cannot occur.
+    /// Byte-key analogue of [`ShardedIndex::scan_n`]: the same staged
+    /// merge over lexicographically ordered shard runs.
     fn scan_k(&self, start: KeyRef<'_>, n: usize, out: &mut Vec<(KeyBuf, Value)>) -> usize {
-        out.clear();
-        if n == 0 {
-            return 0;
-        }
-        let k = self.shards.len();
-        let mut bufs: Vec<Vec<(KeyBuf, Value)>> = Vec::with_capacity(k);
-        for s in &self.shards {
-            let mut buf = Vec::new();
-            s.scan_k(start, n, &mut buf);
-            bufs.push(buf);
-        }
-        let mut pos = vec![0usize; k];
-        let mut heap: BinaryHeap<Reverse<(KeyBuf, usize)>> = BinaryHeap::with_capacity(k);
-        for (i, buf) in bufs.iter().enumerate() {
-            if let Some(&(key, _)) = buf.first() {
-                heap.push(Reverse((key, i)));
-            }
-        }
-        while out.len() < n {
-            let Some(Reverse((_, i))) = heap.pop() else { break };
-            out.push(bufs[i][pos[i]]);
-            pos[i] += 1;
-            if let Some(&(key, _)) = bufs[i].get(pos[i]) {
-                heap.push(Reverse((key, i)));
-            }
-        }
-        out.len()
+        merged_scan(&self.shards, n, out, &STAGING_K, |s, buf| s.scan_k(start, n, buf))
     }
 
     /// Byte-key bulk load: partitions by [`shard_of_bytes`] and loads the

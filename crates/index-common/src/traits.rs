@@ -284,7 +284,7 @@ pub trait PersistentIndex: Send + Sync {
                 None => return 0,
             }
         };
-        let mut tmp = Vec::with_capacity(n);
+        let mut tmp = Vec::new();
         self.scan_n(from, n, &mut tmp);
         out.extend(tmp.into_iter().map(|(k, v)| (U64Key::encode(k), v)));
         out.len()
@@ -587,5 +587,18 @@ mod tests {
         long[..8].copy_from_slice(U64Key::encode(6).as_slice());
         assert_eq!(t.scan_k(&long[..], 10, &mut out), 1);
         assert_eq!(out[0].0, U64Key::encode(7));
+    }
+
+    #[test]
+    fn default_scan_k_accepts_the_full_range_idiom() {
+        // `n` is an upper bound, never a reservation: this used to panic
+        // with `capacity overflow`.
+        let t = Toy(std::sync::Mutex::new(Default::default()));
+        for k in 0..100 {
+            t.insert(k, k).unwrap();
+        }
+        let mut out = Vec::new();
+        assert_eq!(t.scan_k(b"", usize::MAX >> 1, &mut out), 100);
+        assert_eq!(out[99], (U64Key::encode(99), 99));
     }
 }

@@ -571,7 +571,7 @@ impl index_common::RecoverableIndex for RnTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use index_common::PersistentIndex;
+    use index_common::{KeyCodec, PersistentIndex, U64Key};
     use nvm::PmemConfig;
 
     fn new_pool(bytes: usize) -> Arc<PmemPool> {
@@ -676,6 +676,54 @@ mod tests {
         assert_eq!(out.last().unwrap().0, 600);
         // Empty range.
         assert_eq!(tree.scan_n(601, 5, &mut out), 0);
+    }
+
+    /// A 300-key tree (even keys 2..=600, several leaves) per leaf encoding.
+    fn trees_of_every_encoding() -> Vec<RnTree> {
+        let hash = RnConfig { leaf_policy: LeafPolicy::Hash, ..cfg() };
+        let var = RnConfig { varlen_leaves: true, ..cfg() };
+        [cfg(), hash, var]
+            .into_iter()
+            .map(|c| {
+                let tree = RnTree::create(new_pool(1 << 22), c);
+                for k in 1..=300u64 {
+                    tree.insert(k * 2, k).unwrap();
+                }
+                tree
+            })
+            .collect()
+    }
+
+    // `n` bounds a scan and is never a reservation: the full-range idiom
+    // `usize::MAX >> 1` used to panic with `capacity overflow` on the
+    // var-leaf `scan_n` path and on the u64 `scan_k` path.
+
+    #[test]
+    fn scan_n_agrees_across_leaf_encodings_up_to_the_full_range() {
+        for tree in trees_of_every_encoding() {
+            let mut out = Vec::new();
+            assert_eq!(tree.scan_n(0, usize::MAX >> 1, &mut out), 300);
+            let want: Vec<(u64, u64)> = (1..=300u64).map(|k| (k * 2, k)).collect();
+            assert_eq!(out, want);
+            // Starts and cuts inside and across leaves.
+            for start in [0u64, 1, 77, 250, 599] {
+                for n in [1usize, 5, 63, 64, 130] {
+                    let want: Vec<(u64, u64)> =
+                        want.iter().copied().filter(|p| p.0 >= start).take(n).collect();
+                    assert_eq!(tree.scan_n(start, n, &mut out), want.len());
+                    assert_eq!(out, want, "scan_n({start}, {n})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_k_takes_the_full_range_idiom() {
+        for tree in trees_of_every_encoding() {
+            let mut out = Vec::new();
+            assert_eq!(tree.scan_k(b"", usize::MAX >> 1, &mut out), 300);
+            assert_eq!(out[299], (U64Key::encode(600), 300));
+        }
     }
 
     #[test]

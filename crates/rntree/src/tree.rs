@@ -1040,10 +1040,6 @@ impl RnTree {
             return 0;
         }
         let mut cursor = start;
-        // Per-leaf staging buffer, reused across every leaf this scan
-        // visits (and across validation retries): the capacity sticks, so
-        // only the first leaf of a cold scan ever allocates.
-        let mut tmp: Vec<(Key, Value)> = Vec::new();
         'traverse: loop {
             let mut leaf_off = self.traverse(cursor);
             loop {
@@ -1067,7 +1063,10 @@ impl RnTree {
                     self.note_retry();
                     continue 'traverse;
                 }
-                tmp.clear();
+                // The leaf's pairs are appended straight into `out` and
+                // cut back to `mark` if the version re-check fails, so a
+                // scan through a reused `out` never allocates.
+                let mark = out.len();
                 if layout == LAYOUT_HASH {
                     // The directory keeps no order: materialize the whole
                     // leaf's in-range entries, validate, then sort (pure
@@ -1075,33 +1074,30 @@ impl RnTree {
                     for e in HashDir::from_slot(slot).iter() {
                         let k = leaf.read_key(e);
                         if k >= cursor {
-                            tmp.push((k, leaf.read_value(e)));
+                            out.push((k, leaf.read_value(e)));
                         }
                     }
                 } else {
                     let from = match leaf.search(&slot, cursor) {
                         Ok(p) | Err(p) => p,
                     };
-                    for pos in from..slot.len() {
+                    let to = slot.len().min(from + (n - mark));
+                    for pos in from..to {
                         let e = slot.entry(pos);
-                        tmp.push((leaf.read_key(e), leaf.read_value(e)));
+                        out.push((leaf.read_key(e), leaf.read_value(e)));
                     }
                 }
                 if leaf.stable_version(self.reader_waits_lock()) != v1 {
                     self.note_retry();
+                    out.truncate(mark);
                     continue 'traverse;
                 }
                 if layout == LAYOUT_HASH {
-                    tmp.sort_unstable_by_key(|p| p.0);
+                    out[mark..].sort_unstable_by_key(|p| p.0);
+                    out.truncate(n);
                 }
                 self.note_scan(&leaf);
-                for &kv in &tmp {
-                    out.push(kv);
-                    if out.len() == n {
-                        return n;
-                    }
-                }
-                if next == 0 || fence == u64::MAX {
+                if out.len() == n || next == 0 || fence == u64::MAX {
                     return out.len();
                 }
                 cursor = fence + 1;
@@ -1930,7 +1926,7 @@ impl PersistentIndex for RnTree {
             // Non-8-byte keys (possible in a mixed tree) are skipped: they
             // have no u64 spelling. A u64 workload never stores any.
             out.clear();
-            let mut tmp: Vec<(KeyBuf, Value)> = Vec::with_capacity(n);
+            let mut tmp: Vec<(KeyBuf, Value)> = Vec::new();
             self.vscan(U64Key::encode(start).as_slice(), n, &mut tmp);
             out.extend(tmp.iter().filter_map(|(k, v)| Some((U64Key::decode(k.as_slice())?, *v))));
             return out.len();
@@ -2039,7 +2035,7 @@ impl PersistentIndex for RnTree {
                 None => return 0,
             }
         };
-        let mut tmp = Vec::with_capacity(n);
+        let mut tmp = Vec::new();
         self.scan_impl(from, n, &mut tmp);
         out.extend(tmp.into_iter().map(|(k, v)| (U64Key::encode(k), v)));
         out.len()

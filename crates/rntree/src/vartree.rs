@@ -451,7 +451,6 @@ impl RnTree {
         } else {
             KeyBuf::from_slice(start)
         };
-        let mut tmp: Vec<(KeyBuf, Value)> = Vec::new();
         'traverse: loop {
             let mut leaf_off = self.vtraverse(cursor.as_slice());
             loop {
@@ -468,20 +467,21 @@ impl RnTree {
                 let from = match leaf.search_k(&slot, cursor.as_slice(), &self.leaf_head_ties) {
                     Ok(p) | Err(p) => p,
                 };
-                tmp.clear();
-                for pos in from..slot.len() {
+                // Append in place, cut back on a failed re-check (as
+                // `scan_impl` does for u64 leaves).
+                let mark = out.len();
+                let to = slot.len().min(from + (n - mark));
+                for pos in from..to {
                     let e = slot.entry(pos);
-                    tmp.push((leaf.key_of_entry(e), leaf.read_value_entry(e)));
+                    out.push((leaf.key_of_entry(e), leaf.read_value_entry(e)));
                 }
                 if leaf.stable_version(self.reader_waits_lock()) != v1 {
                     self.note_retry();
+                    out.truncate(mark);
                     continue 'traverse;
                 }
-                for kv in &tmp {
-                    out.push(*kv);
-                    if out.len() == n {
-                        return n;
-                    }
+                if out.len() == n {
+                    return n;
                 }
                 let Some(hf) = hf else {
                     return out.len(); // rightmost (+∞) leaf

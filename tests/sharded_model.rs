@@ -3,15 +3,20 @@
 //! `scan_n`, whose output must be globally key-ordered even though every
 //! shard only sees a hash-scattered subset of the keys.
 //!
-//! The scan cases are chosen to stress the k-way merge:
+//! The scan cases are chosen to stress the cross-shard merge:
 //! * starts landing mid-shard (an arbitrary present/absent key),
 //! * spans crossing every shard many times (hash routing interleaves
 //!   neighbouring keys across shards by design),
-//! * requests longer than the whole data set.
+//! * requests longer than the whole data set,
+//! * scans racing an inserter that splits leaves under them,
+//! * a sharded index whose shards are themselves sharded (the merge's
+//!   per-thread staging buffer is reentered on the same thread).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
 
-use index_common::{OpError, PersistentIndex, ShardedIndex};
+use index_common::{KeyCodec, OpError, PersistentIndex, ShardedIndex, U64Key};
 use nvm::{PmemConfig, PoolSet, SplitMix64};
 use rntree::{RnConfig, RnTree};
 
@@ -21,7 +26,7 @@ fn fresh(shards: usize) -> (PoolSet, ShardedIndex<RnTree>) {
     (set, idx)
 }
 
-fn assert_scans_match(idx: &ShardedIndex<RnTree>, model: &BTreeMap<u64, u64>, starts: &[u64]) {
+fn assert_scans_match(idx: &impl PersistentIndex, model: &BTreeMap<u64, u64>, starts: &[u64]) {
     let mut out = Vec::new();
     for &start in starts {
         for n in [0usize, 1, 3, 17, 256, model.len() + 1000] {
@@ -125,5 +130,103 @@ fn per_shard_trees_stay_internally_consistent() {
         for (k, _) in out {
             assert_eq!(index_common::shard_of(k, 3), i, "key {k} on wrong shard {i}");
         }
+    }
+}
+
+#[test]
+fn scans_stay_exact_while_an_inserter_splits_leaves() {
+    // Even keys are loaded up front and never removed; one thread inserts
+    // the odd keys in between (splitting every leaf) while two threads scan
+    // just behind its insertion front, where the leaves are changing.
+    // Each scan must be strictly ascending, pair every key with its value,
+    // skip no loaded key inside its range, and return `n` pairs whenever
+    // the loaded keys alone provide that many.
+    const LOADED: u64 = 4_000;
+    const N: usize = 50;
+    let value = |k: u64| k * 3 + 1;
+    for shards in [2usize, 3] {
+        let (_set, idx) = fresh(shards);
+        let load: Vec<(u64, u64)> = (1..=LOADED).map(|i| (2 * i, value(2 * i))).collect();
+        idx.load_sorted(&load).unwrap();
+        let done = AtomicBool::new(false);
+        let front = AtomicU64::new(0); // a start hint only: publishes no data
+        let go = Barrier::new(3);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (idx, done, front, go) = (&idx, &done, &front, &go);
+                s.spawn(move || {
+                    go.wait();
+                    let mut rng = SplitMix64::new(0x5CA7 + t + shards as u64);
+                    let mut out = Vec::new();
+                    let mut scans = 0u32;
+                    while !done.load(Ordering::Acquire) || scans < 200 {
+                        let start =
+                            front.load(Ordering::Relaxed).saturating_sub(rng.next_below(80));
+                        let got = idx.scan_n(start, N, &mut out);
+                        assert_eq!(got, out.len());
+                        let loaded_from_start = LOADED + 1 - start.div_ceil(2).clamp(1, LOADED + 1);
+                        if loaded_from_start >= N as u64 {
+                            assert_eq!(got, N, "short scan from {start}");
+                        }
+                        for w in out.windows(2) {
+                            assert!(w[0].0 < w[1].0, "scan from {start} not strictly ascending");
+                        }
+                        for &(k, v) in &out {
+                            assert!(k >= start);
+                            assert_eq!(v, value(k), "key {k} carries another key's value");
+                        }
+                        if let (Some(&(lo, _)), Some(&(hi, _))) = (out.first(), out.last()) {
+                            let evens = out.iter().filter(|p| p.0 % 2 == 0).count() as u64;
+                            let want = (hi / 2).saturating_sub(lo.div_ceil(2)) + 1;
+                            assert_eq!(evens, want, "scan from {start} skipped a loaded key");
+                        }
+                        scans += 1;
+                    }
+                });
+            }
+            go.wait();
+            for i in 0..LOADED {
+                let k = 2 * i + 1;
+                idx.insert(k, value(k)).unwrap();
+                front.store(k, Ordering::Relaxed);
+            }
+            done.store(true, Ordering::Release);
+        });
+        for i in 0..shards {
+            idx.shard(i).verify_invariants().unwrap_or_else(|e| panic!("shard {i}: {e}"));
+        }
+    }
+}
+
+#[test]
+fn nested_sharded_index_scans_match_oracle() {
+    // A shard that is itself sharded reenters the merge on the same
+    // thread: the inner scan must not see (or clobber) the outer staging.
+    let set = PoolSet::new(PmemConfig::for_testing(6 << 22), 6);
+    let pools = set.handles();
+    let inner = |range: std::ops::Range<usize>| {
+        ShardedIndex::from_shards(
+            pools[range].iter().map(|p| RnTree::create(p.clone(), RnConfig::default())).collect(),
+        )
+    };
+    let idx = ShardedIndex::from_shards(vec![inner(0..3), inner(3..6)]);
+    let mut model = BTreeMap::new();
+    let mut rng = SplitMix64::new(0xE57);
+    for step in 0..4_000u64 {
+        let k = rng.next_below(20_000);
+        idx.upsert(k, step).unwrap();
+        model.insert(k, step);
+    }
+    let mut starts = vec![0u64, 1, 9_999, 19_999, 20_000];
+    starts.extend(model.keys().copied().step_by(397));
+    assert_scans_match(&idx, &model, &starts);
+
+    let mut out = Vec::new();
+    for &start in &starts {
+        let got = idx.scan_k(U64Key::encode(start).as_slice(), 40, &mut out);
+        let want: Vec<_> =
+            model.range(start..).take(40).map(|(&k, &v)| (U64Key::encode(k), v)).collect();
+        assert_eq!(got, want.len());
+        assert_eq!(out, want, "scan_k from {start}");
     }
 }
