@@ -3,13 +3,13 @@
 //!
 //! Emits a JSON file (default `BENCH_PR1.json`) with single-thread Mops/s
 //! for find/insert/update/remove/mixed per tree. The RNTree variants are
-//! measured twice: **before** disables the fingerprint probe, the leaf
-//! prefetching and the async KV flush
-//! (`RnConfig::fingerprints/leaf_prefetch/async_flush = false`, restoring
-//! the plain binary-search leaf lookup with a synchronous flush-then-lock
-//! modify sequence) and switches the quiescent descent back to the seed's
-//! (`RnConfig::legacy_seq_descent`, a per-tree flag) — i.e. the seed's
-//! single-thread hot path; **after** is the current default. The STM
+//! measured twice: **before** disables the fingerprint probe
+//! (`RnConfig::fingerprints = false`, restoring the plain binary-search
+//! leaf lookup) and switches the quiescent descent back to the seed's
+//! (`RnConfig::legacy_seq_descent`, a per-tree flag); **after** is the
+//! current default. Leaf prefetching and the overlapped KV flush are
+//! always on now, so neither arm measures them: the seed's numbers for
+//! the full before/after delta stay recorded in `BENCH_PR1.json`. The STM
 //! small-set changes are not part of the delta (the single-thread
 //! benchmarks bypass the STM entirely); the baselines are reported once
 //! for context.
@@ -181,11 +181,10 @@ pub fn measure(scale: &Scale, mk: &dyn Fn(u64) -> Arc<dyn PersistentIndex>) -> O
     }
 }
 
-/// `optimized = false` builds the seed's configuration (no fingerprint
-/// probe, no leaf prefetching, synchronous KV flush, legacy descent —
-/// `legacy_seq_descent` is a per-tree `RnConfig` flag now, so measuring a
-/// "before" tree cannot perturb any co-resident "after" tree); `true` is
-/// the current default.
+/// `optimized = false` builds the "before" configuration (no fingerprint
+/// probe, legacy descent — `legacy_seq_descent` is a per-tree `RnConfig`
+/// flag, so measuring a "before" tree cannot perturb any co-resident
+/// "after" tree); `true` is the current default.
 fn rn_factory<'a>(scale: &'a Scale, dual: bool, optimized: bool) -> impl Fn(u64) -> Arc<dyn PersistentIndex> + 'a {
     let kind = if dual { TreeKind::RnTreeDs } else { TreeKind::RnTree };
     move |extra| {
@@ -196,8 +195,6 @@ fn rn_factory<'a>(scale: &'a Scale, dual: bool, optimized: bool) -> impl Fn(u64)
                 dual_slot: dual,
                 seq_traversal: true,
                 fingerprints: optimized,
-                leaf_prefetch: optimized,
-                async_flush: optimized,
                 legacy_seq_descent: !optimized,
                 ..RnConfig::default()
             },

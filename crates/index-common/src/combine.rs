@@ -342,6 +342,11 @@ pub struct GroupCommit<T> {
     /// immediately instead of deadlocking on them — exactly the "whole
     /// process dies" semantics a real crash would have.
     crashed: AtomicBool,
+    /// Test hook run by a publisher after its crash check and right
+    /// before its leader CAS: the window in which a solo-path crash can
+    /// land unseen, which `drain`'s own crash re-check must catch.
+    #[cfg(test)]
+    before_election: Option<Box<dyn Fn() + Send + Sync>>,
 }
 
 /// Timeline tick granularity for the queue-depth series.
@@ -382,6 +387,8 @@ impl<T: PersistentIndex> GroupCommit<T> {
             epoch_start: Instant::now(),
             last_tick_ms: AtomicU64::new(0),
             crashed: AtomicBool::new(false),
+            #[cfg(test)]
+            before_election: None,
         }
     }
 
@@ -607,6 +614,10 @@ impl<T: PersistentIndex> GroupCommit<T> {
                 let defer = !gatherer
                     && spins < DEFER_SPINS
                     && sh.gathering.load(Ordering::Relaxed) != 0;
+                #[cfg(test)]
+                if let (true, Some(hook)) = (patience_done && !defer, &self.before_election) {
+                    hook();
+                }
                 if patience_done
                     && !defer
                     && sh
@@ -1083,10 +1094,18 @@ mod tests {
 
     /// MapIndex whose `write_batch` blocks while the gate is closed, so a
     /// test can hold a leader mid-epoch while other writers publish.
+    /// With `crash_at_gate` set, the op blocked at the gate panics when
+    /// the gate opens instead — a simulated crash that, in a real index,
+    /// would strand the leaf lock it held.
     struct GatedIndex {
         inner: MapIndex,
         gate_open: std::sync::atomic::AtomicBool,
         executing: std::sync::atomic::AtomicBool,
+        crash_at_gate: std::sync::atomic::AtomicBool,
+        crashed: std::sync::atomic::AtomicBool,
+        /// Executor entries after the simulated crash: each one would spin
+        /// forever on the stranded lock.
+        entries_after_crash: AtomicU64,
     }
 
     impl GatedIndex {
@@ -1095,6 +1114,9 @@ mod tests {
                 inner: MapIndex::new(),
                 gate_open: std::sync::atomic::AtomicBool::new(false),
                 executing: std::sync::atomic::AtomicBool::new(false),
+                crash_at_gate: std::sync::atomic::AtomicBool::new(false),
+                crashed: std::sync::atomic::AtomicBool::new(false),
+                entries_after_crash: AtomicU64::new(0),
             }
         }
 
@@ -1102,9 +1124,16 @@ mod tests {
         /// shared by `write_batch` and `insert`, because a singleton
         /// epoch dispatches through the single-op entry point.
         fn wait_at_gate(&self) {
+            if self.crashed.load(Ordering::Acquire) {
+                self.entries_after_crash.fetch_add(1, Ordering::Relaxed);
+            }
             self.executing.store(true, Ordering::Release);
             while !self.gate_open.load(Ordering::Acquire) {
                 std::thread::yield_now();
+            }
+            if self.crash_at_gate.load(Ordering::Acquire) {
+                self.crashed.store(true, Ordering::Release);
+                panic!("simulated crash inside the inner index");
             }
         }
     }
@@ -1186,6 +1215,65 @@ mod tests {
             gc.epoch_histogram().max() >= 3,
             "blocked leader failed to coalesce the waiting writers: {s:?}"
         );
+    }
+
+    /// Regression test for the crash re-check in `drain`. Writer A runs
+    /// solo and blocks inside the inner index; writer B publishes (A holds
+    /// the leader flag) and is parked by the hook right before its
+    /// election, after its own crash check passed. A then crashes, which
+    /// poisons the layer and releases the flag, and B wins the election.
+    /// B must step down — without executing anything on the inner index
+    /// whose lock A stranded — and propagate the crash.
+    #[test]
+    fn leader_elected_after_a_solo_crash_steps_down() {
+        use std::sync::atomic::AtomicBool;
+        let b_at_election = Arc::new(AtomicBool::new(false));
+        let a_crashed = Arc::new(AtomicBool::new(false));
+        let mut gc = GroupCommit::new(GatedIndex::new(), GroupCommitConfig {
+            max_wait: Duration::from_secs(600),
+            ..GroupCommitConfig::default()
+        });
+        // Ticket 0 is a gather candidate, never solo: spend it while the
+        // gate is open, then close the gate for writer A.
+        gc.inner().gate_open.store(true, Ordering::Release);
+        gc.insert(0, 0).unwrap();
+        gc.inner().gate_open.store(false, Ordering::Release);
+        gc.inner().executing.store(false, Ordering::Release);
+        let (at, crashed) = (Arc::clone(&b_at_election), Arc::clone(&a_crashed));
+        gc.before_election = Some(Box::new(move || {
+            at.store(true, Ordering::Release);
+            while !crashed.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        }));
+        let gc = Arc::new(gc);
+        std::thread::scope(|s| {
+            let a = {
+                let gc = Arc::clone(&gc);
+                s.spawn(move || gc.insert(1, 10))
+            };
+            while !gc.inner().executing.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            assert_eq!(gc.commit_stats().ops_solo, 1, "writer A must be on the solo path");
+            let b = {
+                let gc = Arc::clone(&gc);
+                s.spawn(move || gc.insert(2, 20))
+            };
+            while !b_at_election.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            gc.inner().crash_at_gate.store(true, Ordering::Release);
+            gc.inner().gate_open.store(true, Ordering::Release);
+            assert!(a.join().is_err(), "writer A must crash");
+            a_crashed.store(true, Ordering::Release);
+            let err = b.join().expect_err("writer B must propagate the crash");
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("poisoned"), "writer B panicked with {msg:?}");
+        });
+        assert_eq!(gc.inner().entries_after_crash.load(Ordering::Relaxed), 0);
+        assert_eq!(gc.commit_stats().leader_elections, 2, "B must have won an election");
+        assert_eq!(gc.shards[0].leader.load(Ordering::Acquire), 0, "B must step down");
     }
 
     #[test]

@@ -158,6 +158,13 @@ impl AsRef<[u8]> for KeyBuf {
     }
 }
 
+// Sound because equality, ordering and hashing all delegate to the slice.
+impl std::borrow::Borrow<[u8]> for KeyBuf {
+    fn borrow(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
 impl From<&[u8]> for KeyBuf {
     fn from(bytes: &[u8]) -> Self {
         KeyBuf::from_slice(bytes)

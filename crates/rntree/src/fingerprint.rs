@@ -24,6 +24,9 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
+use std::sync::atomic::AtomicU64;
+
+use crate::format::LeafFormat;
 use crate::layout::LEAF_CAPACITY;
 use crate::leaf::Leaf;
 use crate::slots::SlotBuf;
@@ -98,22 +101,15 @@ impl FpTable {
     /// (fingerprint equality has no false negatives for a validated
     /// snapshot, so a miss needs zero key reads).
     #[inline]
-    pub(crate) fn probe(&self, leaf: &Leaf<'_>, slot: &SlotBuf, key: u64) -> Option<usize> {
-        self.probe_with(leaf.off(), slot, fp_hash(key), |e| leaf.read_key(e) == key)
-    }
-
-    /// The probe loop with an arbitrary key-equality check on the entry
-    /// index — the variable-length leaf confirms hits by reconstructing
-    /// the stored key from its heap instead of one `read_key` word.
-    #[inline]
-    pub(crate) fn probe_with(
+    pub(crate) fn probe<F: LeafFormat>(
         &self,
-        leaf_off: u64,
+        leaf: Leaf<'_>,
         slot: &SlotBuf,
-        want: u8,
-        key_eq: impl Fn(usize) -> bool,
+        key: &F::Key,
+        ties: &AtomicU64,
     ) -> Option<usize> {
-        let base = self.idx(leaf_off, 0);
+        let want = F::fp(key);
+        let base = self.idx(leaf.off(), 0);
         let fps: &[AtomicU8; LEAF_CAPACITY] = self.bytes[base..base + LEAF_CAPACITY]
             .try_into()
             .expect("leaf fingerprint stripe");
@@ -122,7 +118,7 @@ impl FpTable {
             // Masked index: entries are < LEAF_CAPACITY by leaf invariant,
             // and the fixed-size array + mask lets the scan run without a
             // bounds-check branch per probe.
-            if fps[e & (LEAF_CAPACITY - 1)].load(Ordering::Relaxed) == want && key_eq(e) {
+            if fps[e & (LEAF_CAPACITY - 1)].load(Ordering::Relaxed) == want && F::key_eq(leaf, e, key, ties) {
                 return Some(pos);
             }
         }
@@ -164,11 +160,14 @@ impl FpTable {
         self.bytes.is_empty()
     }
 
-    /// Re-derives the fingerprints of every entry referenced by `slot`
-    /// (recovery path: the table is transient and starts zeroed).
-    pub(crate) fn rebuild_leaf(&self, leaf: &Leaf<'_>, slot: &SlotBuf) {
-        for e in slot.iter() {
-            self.set(leaf.off(), e, fp_hash(leaf.read_key(e)));
+    /// Re-derives the fingerprints of the given live entries (recovery
+    /// path: the table is transient and starts zeroed).
+    pub(crate) fn rebuild_leaf<F: LeafFormat>(&self, leaf: Leaf<'_>, entries: impl Iterator<Item = usize>) {
+        if self.is_disabled() {
+            return;
+        }
+        for e in entries {
+            self.set(leaf.off(), e, F::fp(std::borrow::Borrow::borrow(&F::read_key(leaf, e))));
         }
     }
 }
@@ -176,6 +175,7 @@ impl FpTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::U64Format;
     use crate::layout::LEAF_BLOCK;
     use nvm::{PmemConfig, PmemPool};
 
@@ -203,12 +203,13 @@ mod tests {
         slot.insert_at(1, 0);
         slot.insert_at(2, 1);
         let t = FpTable::new(0, 1 << 16, LEAF_BLOCK, true);
-        t.rebuild_leaf(&leaf, &slot);
-        assert_eq!(t.probe(&leaf, &slot, 10), Some(0));
-        assert_eq!(t.probe(&leaf, &slot, 20), Some(1));
-        assert_eq!(t.probe(&leaf, &slot, 30), Some(2));
-        assert_eq!(t.probe(&leaf, &slot, 15), None);
-        assert_eq!(t.probe(&leaf, &slot, 0), None);
+        let ties = AtomicU64::new(0);
+        t.rebuild_leaf::<U64Format>(leaf, slot.iter());
+        assert_eq!(t.probe::<U64Format>(leaf, &slot, &10, &ties), Some(0));
+        assert_eq!(t.probe::<U64Format>(leaf, &slot, &20, &ties), Some(1));
+        assert_eq!(t.probe::<U64Format>(leaf, &slot, &30, &ties), Some(2));
+        assert_eq!(t.probe::<U64Format>(leaf, &slot, &15, &ties), None);
+        assert_eq!(t.probe::<U64Format>(leaf, &slot, &0, &ties), None);
     }
 
     #[test]
@@ -224,12 +225,13 @@ mod tests {
             slot.insert_at(i, i);
         }
         let t = FpTable::new(0, 1 << 16, LEAF_BLOCK, true);
+        let ties = AtomicU64::new(0);
         let clash = fp_hash(7);
         for e in 0..3 {
             t.set(0, e, clash);
         }
-        assert_eq!(t.probe(&leaf, &slot, 7), Some(1));
-        assert_eq!(t.probe(&leaf, &slot, 6), None);
+        assert_eq!(t.probe::<U64Format>(leaf, &slot, &7, &ties), Some(1));
+        assert_eq!(t.probe::<U64Format>(leaf, &slot, &6, &ties), None);
     }
 
     #[test]

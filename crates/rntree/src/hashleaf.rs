@@ -160,12 +160,13 @@ impl HashDir {
         true
     }
 
-    /// Redirects the bucket found by [`Self::find`] at a new log entry
-    /// (update in place: the key keeps its bucket, the data moves to a
-    /// fresh log entry — the hash twin of `SlotBuf::set_entry`).
+    /// Redirects bucket `b` (a `Probe::bucket` found by [`Self::find`])
+    /// at a new log entry (update in place: the key keeps its bucket, the
+    /// data moves to a fresh log entry — the hash twin of
+    /// `SlotBuf::set_entry`).
     #[inline]
-    pub fn set_probe(&mut self, p: Probe, entry: usize) {
-        self.set_bucket(p.bucket, Some(entry));
+    pub fn redirect(&mut self, b: usize, entry: usize) {
+        self.set_bucket(b, Some(entry));
     }
 
     /// Removes the entry in bucket `b` and backward-shifts the collision
@@ -297,7 +298,7 @@ mod tests {
         // Data for key 200 moves to fresh log entry 7.
         ks.resize(8, 0);
         ks[7] = 200;
-        d.set_probe(p, 7);
+        d.redirect(p.bucket, 7);
         assert_eq!(lookup(&d, &ks, 200), Some(7));
         assert_eq!(d.len(), 3);
     }

@@ -108,9 +108,9 @@ pub mod varlen {
     pub const VAR_MAX_LIVE: usize = super::MAX_LIVE;
 
     /// Byte offsets of var-leaf fields within the block. `LOCKVER`,
-    /// `PLOGS`, `NEXT`, `PSLOT` and `TSLOT` sit at the *same* offsets as
-    /// the u64 layout on purpose: the lock/version/slot protocol of
-    /// `leaf.rs` is reused verbatim.
+    /// `PLOGS`, `NEXT`, `LAYOUT`, `PSLOT` and `TSLOT` sit at the *same*
+    /// offsets as the u64 layout on purpose: the lock/version/slot
+    /// protocol of `leaf.rs` serves both.
     pub mod vfield {
         /// Combined lock/splitting/version/nlogs word (shared protocol).
         pub const LOCKVER: u64 = 0;
@@ -171,9 +171,9 @@ pub mod varlen {
         vfield::DIR + (i as u64) * 8
     }
 
-    // The var leaf reuses `leaf.rs`'s lock/version/slot machinery verbatim
-    // (`varleaf.rs` delegates); that is only sound while the shared words
-    // sit at the same offsets in both layouts.
+    // One `leaf.rs` lock/version/slot protocol serves both block families
+    // (`format.rs`); that is only sound while the shared words sit at the
+    // same offsets in both layouts.
     const _: () = {
         assert!(vfield::LOCKVER == super::field::LOCKVER);
         assert!(vfield::PLOGS == super::field::PLOGS);

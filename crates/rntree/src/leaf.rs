@@ -57,6 +57,11 @@ impl<'p> Leaf<'p> {
         self.off
     }
 
+    /// The pool this leaf lives in.
+    pub(crate) fn pool(&self) -> &'p PmemPool {
+        self.pool
+    }
+
     // ---- lock / version protocol (Figure 2) ------------------------------
 
     fn lockver(&self) -> &std::sync::atomic::AtomicU64 {
@@ -265,28 +270,6 @@ impl<'p> Leaf<'p> {
         self.pool.store_u64(self.off + kv_off(entry) + 8, value);
     }
 
-    /// Persistent instruction #1 of a modify operation: flush the KV entry
-    /// (one line; issued *outside* the leaf lock).
-    pub(crate) fn persist_kv(&self, entry: usize) {
-        debug_assert!(!htm::in_transaction(), "flush inside an HTM transaction");
-        self.pool.persist(self.off + kv_off(entry), 16);
-    }
-
-    /// Asynchronous variant of [`Leaf::persist_kv`]: issues the CLWB and
-    /// returns immediately so the caller can overlap the media latency with
-    /// the locked phase (§4.2). Must be completed with [`Leaf::drain_kv`]
-    /// before the slot line is persisted — KV-before-slot durability order.
-    pub(crate) fn flush_kv_async(&self, entry: usize) -> nvm::FlushHandle {
-        debug_assert!(!htm::in_transaction(), "flush inside an HTM transaction");
-        self.pool.flush_async(self.off + kv_off(entry), 16)
-    }
-
-    /// The fence paired with [`Leaf::flush_kv_async`].
-    pub(crate) fn drain_kv(&self, h: nvm::FlushHandle) {
-        debug_assert!(!htm::in_transaction(), "fence inside an HTM transaction");
-        self.pool.drain(h);
-    }
-
     // ---- slot arrays -------------------------------------------------------
 
     fn slot_word(&self, which: WhichSlot, i: usize) -> &'p TmWord {
@@ -342,9 +325,10 @@ impl<'p> Leaf<'p> {
         self.pool.persist(self.off + field::LOCKVER, 64);
     }
 
-    /// Persists the entire block (split/compaction tail).
-    pub(crate) fn persist_all(&self) {
-        self.pool.persist(self.off, LEAF_BLOCK);
+    /// Persists the first `len` bytes of the block: the whole node for a
+    /// split, compaction or morph tail (`len` is the format's block size).
+    pub(crate) fn persist_block(&self, len: u64) {
+        self.pool.persist(self.off, len);
     }
 
     // ---- prefetch ----------------------------------------------------------
@@ -400,45 +384,13 @@ impl<'p> Leaf<'p> {
         self.write_slot_seq(WhichSlot::Transient, &SlotBuf::new());
         self.pool.persist(self.off, field::TSLOT); // header + pslot lines
     }
-
-    /// Formats this block with `pairs` stored densely in key order under
-    /// the given layout tag (`LAYOUT_SORTED` → identity slot array,
-    /// `LAYOUT_HASH` → rebuilt hash directory) and persists the whole node.
-    /// Used for the right half of a split while the node is still private
-    /// to the splitting thread.
-    pub(crate) fn init_from_pairs(&self, pairs: &[(u64, u64)], fence: u64, next: u64, layout: u64) {
-        debug_assert!(pairs.len() <= crate::layout::MAX_LIVE);
-        self.reset_lockver();
-        for (i, &(k, v)) in pairs.iter().enumerate() {
-            self.write_kv(i, k, v);
-        }
-        let slot = if layout == crate::layout::LAYOUT_HASH {
-            let fps: Vec<u8> = pairs.iter().map(|&(k, _)| crate::fingerprint::fp_hash(k)).collect();
-            crate::hashleaf::HashDir::build(&fps).to_slot()
-        } else {
-            SlotBuf::identity(pairs.len())
-        };
-        self.write_slot_seq(WhichSlot::Persistent, &slot);
-        self.write_slot_seq(WhichSlot::Transient, &slot);
-        self.set_nlogs(pairs.len() as u64);
-        self.set_plogs(pairs.len() as u64);
-        debug_assert_eq!(self.nlogs(), pairs.len() as u64);
-        self.set_next(next);
-        self.set_fence(fence);
-        self.set_layout(layout);
-        self.persist_all();
-    }
-
-    /// Collects the live `(key, value)` pairs in key order (callers hold
-    /// the lock or run during recovery).
-    pub(crate) fn collect_pairs(&self, slot: &SlotBuf) -> Vec<(u64, u64)> {
-        slot.iter().map(|e| (self.read_key(e), self.read_value(e))).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::{init_from_pairs, sorted_pairs, U64Format};
+    use crate::layout::{LAYOUT_HASH, LAYOUT_SORTED};
     use nvm::PmemConfig;
 
     fn pool() -> PmemPool {
@@ -489,7 +441,7 @@ mod tests {
         let l = Leaf::at(&p, 1024);
         l.init_empty(u64::MAX, 0);
         l.write_kv(3, 77, 770);
-        l.persist_kv(3);
+        p.persist(1024 + kv_off(3), 16);
         p.simulate_crash();
         assert_eq!(l.read_key(3), 77);
         assert_eq!(l.read_value(3), 770);
@@ -515,7 +467,7 @@ mod tests {
         assert_eq!(l.search(&r, 15), Err(1));
         assert_eq!(l.search(&r, 35), Err(3));
         assert_eq!(l.search(&r, 5), Err(0));
-        assert_eq!(l.collect_pairs(&r), vec![(10, 1), (20, 2), (30, 3)]);
+        assert_eq!(sorted_pairs::<U64Format>(l, LAYOUT_SORTED), vec![(10, 1), (20, 2), (30, 3)]);
     }
 
     #[test]
@@ -548,17 +500,18 @@ mod tests {
         let p = pool();
         let l = Leaf::at(&p, 2048);
         let pairs: Vec<(u64, u64)> = (0..10).map(|i| (i * 5 + 5, i)).collect();
-        l.init_from_pairs(&pairs, 999, 4096, crate::layout::LAYOUT_SORTED);
+        init_from_pairs::<U64Format>(l, &pairs, &0, &999, 4096, LAYOUT_SORTED);
         let s = l.read_slot_seq(WhichSlot::Persistent);
         assert_eq!(s.len(), 10);
-        assert_eq!(l.collect_pairs(&s), pairs);
+        assert_eq!(sorted_pairs::<U64Format>(l, LAYOUT_SORTED), pairs);
         assert_eq!(l.fence(), 999);
         assert_eq!(l.next(), 4096);
         assert_eq!(l.nlogs(), 10);
         // Fully durable.
         p.simulate_crash();
         let s = l.read_slot_seq(WhichSlot::Persistent);
-        assert_eq!(l.collect_pairs(&s), pairs);
+        assert_eq!(s.len(), pairs.len());
+        assert_eq!(sorted_pairs::<U64Format>(l, LAYOUT_SORTED), pairs);
     }
 
     #[test]
@@ -567,8 +520,8 @@ mod tests {
         let p = pool();
         let l = Leaf::at(&p, 2048);
         let pairs: Vec<(u64, u64)> = (0..10).map(|i| (i * 5 + 5, i)).collect();
-        l.init_from_pairs(&pairs, 999, 4096, crate::layout::LAYOUT_HASH);
-        assert_eq!(l.layout(), crate::layout::LAYOUT_HASH);
+        init_from_pairs::<U64Format>(l, &pairs, &0, &999, 4096, LAYOUT_HASH);
+        assert_eq!(l.layout(), LAYOUT_HASH);
         let d = HashDir::from_slot(l.read_slot_seq(WhichSlot::Persistent));
         assert_eq!(d.len(), 10);
         for (e, &(k, v)) in pairs.iter().enumerate() {
@@ -581,6 +534,6 @@ mod tests {
         }
         // Tag survives a crash (it sits in the persisted header line).
         p.simulate_crash();
-        assert_eq!(l.layout(), crate::layout::LAYOUT_HASH);
+        assert_eq!(l.layout(), LAYOUT_HASH);
     }
 }

@@ -55,6 +55,7 @@
 #![deny(missing_docs)]
 
 mod fingerprint;
+mod format;
 mod hashleaf;
 mod journal;
 mod layout;
@@ -64,7 +65,6 @@ mod report;
 mod slots;
 mod tree;
 mod varleaf;
-mod vartree;
 mod version;
 
 pub use hashleaf::HashDir;

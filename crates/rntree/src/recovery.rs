@@ -20,19 +20,17 @@
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
 
-use index_common::{leaf_ref, InnerIndex, Key, KeyBuf};
-use nvm::{PageCache, PmemPool, RootTable};
+use index_common::{leaf_ref, InnerIndex};
+use nvm::{BlockAllocator, PageCache, PmemPool, RootTable};
 use obs::{EventKind, PhaseTimers};
 
-use crate::fingerprint::{fp_hash, fp_hash_bytes, FpTable};
-use crate::hashleaf::HashDir;
-use crate::layout::varlen::{round8, vfield};
+use crate::fingerprint::FpTable;
+use crate::format::{live_entries, LeafFormat, U64Format};
+use crate::journal::SplitJournal;
 use crate::layout::{LAYOUT_HASH, LEAF_CAPACITY};
 use crate::leaf::{Leaf, WhichSlot};
-use crate::slots::SlotBuf;
 use crate::tree::{roots, LeafPolicy, OpMix, RnConfig, RnTree, MAGIC};
-use crate::varleaf::VarLeaf;
-use crate::vartree::KEY_TOP;
+use crate::varleaf::{VarFormat, VarLeaf};
 
 /// A pool/config disagreement detected while opening or formatting a
 /// pool: the layout-affecting `RnConfig` flags are recorded in the pool's
@@ -157,12 +155,30 @@ impl RnTree {
         RootTable::set_volatile(&pool, roots::CLEAN, 0);
         RootTable::persist(&pool);
 
-        let fps = FpTable::new(Self::leaf_region_start(&cfg), pool.len(), Self::leaf_block(&cfg), cfg.fingerprints);
+        let fps = Self::make_fps(&pool, &cfg);
         let index = if cfg.varlen_leaves {
-            InnerIndex::new_bytes(leaf_ref(first))
+            Self::build_index::<VarFormat>(&pool, &cfg, first, &[])
         } else {
-            InnerIndex::new(leaf_ref(first))
+            Self::build_index::<U64Format>(&pool, &cfg, first, &[])
         };
+        Ok(Self::assemble(pool, cfg, alloc, journal, fps, index, first))
+    }
+
+    /// The transient fingerprint table, empty (and unallocated) when the
+    /// config disables fingerprints.
+    fn make_fps(pool: &PmemPool, cfg: &RnConfig) -> FpTable {
+        FpTable::new(Self::leaf_region_start(cfg), pool.len(), Self::leaf_block(cfg), cfg.fingerprints)
+    }
+
+    /// A fresh inner index over `F`'s separators, bulk-built from `routes`
+    /// when there are any.
+    fn build_index<F: LeafFormat>(
+        pool: &PmemPool,
+        cfg: &RnConfig,
+        leftmost: u64,
+        routes: &[(F::Owned, u64)],
+    ) -> InnerIndex {
+        let index = F::new_index(leaf_ref(leftmost));
         index.set_legacy_seq_descent(cfg.legacy_seq_descent);
         index.domain().set_striped_fallback(cfg.striped_fallback);
         if cfg.cache_frames > 0 {
@@ -170,15 +186,32 @@ impl RnTree {
             // recovery must never trust (or rebuild from) its contents.
             index.attach_cache(Arc::new(PageCache::new(cfg.cache_frames, Some(pool.events_handle()))));
         }
+        if !routes.is_empty() {
+            F::bulk_build(&index, routes);
+        }
+        index
+    }
+
+    /// The volatile tree over a formatted or recovered pool, counters
+    /// zeroed.
+    fn assemble(
+        pool: Arc<PmemPool>,
+        cfg: RnConfig,
+        alloc: BlockAllocator,
+        journal: SplitJournal,
+        fps: FpTable,
+        index: InnerIndex,
+        leftmost: u64,
+    ) -> RnTree {
         let opmix = Self::make_opmix(&pool, &cfg);
-        Ok(RnTree {
+        RnTree {
             pool,
             alloc,
             index,
             journal,
             cfg,
             fps,
-            leftmost: first,
+            leftmost,
             splits: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -192,7 +225,7 @@ impl RnTree {
             probe_hist: obs::AtomicHistogram::new(),
             timers: PhaseTimers::new(),
             heat: crate::tree::LeafHeat::default(),
-        })
+        }
     }
 
     /// Flag combinations with no on-pool representation: the 4096-byte
@@ -240,42 +273,6 @@ impl RnTree {
         Ok(())
     }
 
-    /// Reads a u64 leaf's persistent slot line and interprets it per the
-    /// leaf's layout tag: yields the raw line (for the tslot copy), the
-    /// recomputed `nlogs` (max referenced log index + 1, paper §6.2.6 —
-    /// entries above it were never acknowledged and are safely reusable)
-    /// and the maximum live key (the leaf's index route), re-deriving the
-    /// transient fingerprints along the way. Shared by crash recovery and
-    /// clean reopen.
-    fn scan_u64_leaf(pool: &PmemPool, fps: &FpTable, off: u64) -> (SlotBuf, u64, Option<u64>) {
-        let leaf = Leaf::at(pool, off);
-        let slot = leaf.read_slot_seq(WhichSlot::Persistent);
-        if leaf.layout() == LAYOUT_HASH {
-            // Hash directory: entries live wherever their fingerprint
-            // probed to, so both `nlogs` and the max key need a full walk.
-            let mut nlogs = 0u64;
-            let mut max_key = None;
-            for e in HashDir::from_slot(slot).iter() {
-                nlogs = nlogs.max(e as u64 + 1);
-                let k = leaf.read_key(e);
-                if max_key.is_none_or(|m| k > m) {
-                    max_key = Some(k);
-                }
-                if !fps.is_disabled() {
-                    fps.set(off, e, fp_hash(k));
-                }
-            }
-            (slot, nlogs, max_key)
-        } else {
-            let nlogs = slot.iter().map(|e| e as u64 + 1).max().unwrap_or(0);
-            if !fps.is_disabled() {
-                fps.rebuild_leaf(&leaf, &slot);
-            }
-            let max_key = (!slot.is_empty()).then(|| leaf.read_key(slot.entry(slot.len() - 1)));
-            (slot, nlogs, max_key)
-        }
-    }
-
     /// Crash recovery: journal replay + full per-leaf scratch reset +
     /// index and allocator rebuild.
     ///
@@ -299,133 +296,7 @@ impl RnTree {
             pool.events().record(EventKind::JournalRollback, leaf_off, 0);
         }
         pool.events().record(EventKind::RecoveryJournal, rolled_back.len() as u64, 0);
-
-        let fps = FpTable::new(Self::leaf_region_start(&cfg), pool.len(), Self::leaf_block(&cfg), cfg.fingerprints);
-        let leftmost = RootTable::get(&pool, roots::LEFTMOST);
-        let mut reachable = Vec::new();
-        let mut pairs: Vec<(Key, u64)> = Vec::new();
-        let mut routes: Vec<(KeyBuf, u64)> = Vec::new();
-        let mut off = leftmost;
-        while off != 0 {
-            reachable.push(off);
-            if cfg.varlen_leaves {
-                Self::recover_var_leaf(&pool, &fps, off, &mut routes);
-                off = VarLeaf::at(&pool, off).next();
-                continue;
-            }
-            let leaf = Leaf::at(&pool, off);
-            leaf.reset_lockver();
-            // The fingerprint table is transient scratch like the tslot:
-            // the scan re-derives it from the recovered persistent line.
-            let (slot, nlogs, max_key) = Self::scan_u64_leaf(&pool, &fps, off);
-            debug_assert!(nlogs <= LEAF_CAPACITY as u64);
-            leaf.set_nlogs(nlogs);
-            leaf.set_plogs(nlogs);
-            leaf.write_slot_seq(WhichSlot::Transient, &slot);
-            if let Some(max_key) = max_key {
-                pairs.push((max_key, leaf_ref(off)));
-            }
-            off = leaf.next();
-        }
-        let entries: u64 = (pairs.len() + routes.len()) as u64;
-        pool.events().record(EventKind::RecoveryLeafChain, reachable.len() as u64, entries);
-        alloc.rebuild(&reachable);
-        pool.events().record(EventKind::RecoveryAlloc, reachable.len() as u64, 0);
-        RootTable::set(&pool, roots::CLEAN, 0);
-
-        let index = if cfg.varlen_leaves {
-            InnerIndex::new_bytes(leaf_ref(leftmost))
-        } else {
-            InnerIndex::new(leaf_ref(leftmost))
-        };
-        index.set_legacy_seq_descent(cfg.legacy_seq_descent);
-        index.domain().set_striped_fallback(cfg.striped_fallback);
-        if cfg.cache_frames > 0 {
-            // Always a fresh, empty cache: the DRAM tier is transient and
-            // recovery must never trust (or rebuild from) its contents.
-            index.attach_cache(Arc::new(PageCache::new(cfg.cache_frames, Some(pool.events_handle()))));
-        }
-        if !routes.is_empty() {
-            index.bulk_build_k(&routes);
-        } else if !pairs.is_empty() {
-            index.bulk_build(&pairs);
-        }
-        pool.events().record(EventKind::RecoveryIndex, entries, 0);
-        let opmix = Self::make_opmix(&pool, &cfg);
-        Ok(RnTree {
-            pool,
-            alloc,
-            index,
-            journal,
-            cfg,
-            fps,
-            leftmost,
-            splits: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            wasted: AtomicU64::new(0),
-            pool_exhausted: AtomicBool::new(false),
-            leaf_head_ties: AtomicU64::new(0),
-            opmix,
-            morphs_to_hash: AtomicU64::new(0),
-            morphs_to_sorted: AtomicU64::new(0),
-            morphs_skipped: AtomicU64::new(0),
-            probe_hist: obs::AtomicHistogram::new(),
-            timers: PhaseTimers::new(),
-            heat: crate::tree::LeafHeat::default(),
-        })
-    }
-
-    /// Per-leaf crash-recovery reset for the variable-length layout: the
-    /// same scratch rebuild as the u64 path (lock word, `nlogs`/`plogs`
-    /// from the persistent slot array, transient slot copy, fingerprints)
-    /// plus a `heap_used` recompute — heap reservations are plain DRAM-side
-    /// counter bumps, so after a crash the durable word may still count
-    /// reservations whose records never published; the high-water mark of
-    /// the *referenced* records (floored at the fence region) is the
-    /// correct value and reclaims every unpublished reservation.
-    ///
-    /// Routing is by the **high fence**, and *empty* leaves are included:
-    /// a var leaf's keys are prefix-truncated against its own fence
-    /// metadata, so lookups must land on exactly the leaf whose range
-    /// covers the key, not merely one whose max stored key is close. The
-    /// rightmost (+∞-fenced) leaf routes under [`KEY_TOP`], the maximum
-    /// representable key.
-    fn recover_var_leaf(pool: &PmemPool, fps: &FpTable, off: u64, routes: &mut Vec<(KeyBuf, u64)>) {
-        let leaf = VarLeaf::at(pool, off);
-        leaf.reset_lockver();
-        let slot = leaf.read_slot_seq(WhichSlot::Persistent);
-        let nlogs = slot.iter().map(|e| e as u64 + 1).max().unwrap_or(0);
-        leaf.set_nlogs(nlogs);
-        leaf.set_plogs(nlogs);
-        leaf.write_slot_seq(WhichSlot::Transient, &slot);
-        let lf = leaf.low_fence();
-        let hf = leaf.high_fence();
-        let mut used = round8(lf.len() as u64) + hf.as_ref().map_or(0, |h| round8(h.len() as u64));
-        for e in slot.iter() {
-            let (_, rec_rel, suffix_len) = VarLeaf::decode_dir(leaf.dir_word(e));
-            used = used.max(rec_rel - vfield::HEAP + 8 + round8(suffix_len as u64));
-            if !fps.is_disabled() {
-                fps.set(off, e, fp_hash_bytes(leaf.key_of_entry(e).as_slice()));
-            }
-        }
-        leaf.set_heap_used(used);
-        routes.push((hf.unwrap_or(KeyBuf::from_slice(&KEY_TOP)), leaf_ref(off)));
-    }
-
-    /// As [`RnTree::recover_var_leaf`] but trusting the persisted header
-    /// (clean shutdown): only the transient scraps — tslot, fingerprints —
-    /// are rebuilt, and the same fence-based route is emitted.
-    fn reopen_var_leaf(pool: &PmemPool, fps: &FpTable, off: u64, routes: &mut Vec<(KeyBuf, u64)>) {
-        let leaf = VarLeaf::at(pool, off);
-        let slot = leaf.read_slot_seq(WhichSlot::Persistent);
-        leaf.write_slot_seq(WhichSlot::Transient, &slot);
-        if !fps.is_disabled() {
-            for e in slot.iter() {
-                fps.set(off, e, fp_hash_bytes(leaf.key_of_entry(e).as_slice()));
-            }
-        }
-        routes.push((leaf.high_fence().unwrap_or(KeyBuf::from_slice(&KEY_TOP)), leaf_ref(off)));
+        Ok(Self::open(pool, cfg, alloc, journal, true))
     }
 
     /// Reconstruction after a clean shutdown ([`RnTree::close`]): trusts
@@ -447,70 +318,85 @@ impl RnTree {
             return Err(ConfigError::NotCleanlyClosed);
         }
         let (alloc, journal) = Self::make_parts(&pool, &cfg);
+        Ok(Self::open(pool, cfg, alloc, journal, false))
+    }
 
-        let fps = FpTable::new(Self::leaf_region_start(&cfg), pool.len(), Self::leaf_block(&cfg), cfg.fingerprints);
+    /// Walks the leaf chain of a validated pool, rebuilding every leaf's
+    /// DRAM state, then the allocator and the inner index. `crashed`
+    /// distrusts the leaf headers (crash recovery); otherwise they were
+    /// persisted by [`RnTree::close`].
+    fn open(pool: Arc<PmemPool>, cfg: RnConfig, alloc: BlockAllocator, journal: SplitJournal, crashed: bool) -> RnTree {
+        if cfg.varlen_leaves {
+            Self::open_chain::<VarFormat>(pool, cfg, alloc, journal, crashed)
+        } else {
+            Self::open_chain::<U64Format>(pool, cfg, alloc, journal, crashed)
+        }
+    }
+
+    fn open_chain<F: LeafFormat>(
+        pool: Arc<PmemPool>,
+        cfg: RnConfig,
+        alloc: BlockAllocator,
+        journal: SplitJournal,
+        crashed: bool,
+    ) -> RnTree {
+        let fps = Self::make_fps(&pool, &cfg);
         let leftmost = RootTable::get(&pool, roots::LEFTMOST);
         let mut reachable = Vec::new();
-        let mut pairs: Vec<(Key, u64)> = Vec::new();
-        let mut routes: Vec<(KeyBuf, u64)> = Vec::new();
+        let mut routes: Vec<(F::Owned, u64)> = Vec::new();
         let mut off = leftmost;
         while off != 0 {
             reachable.push(off);
-            if cfg.varlen_leaves {
-                Self::reopen_var_leaf(&pool, &fps, off, &mut routes);
-                off = VarLeaf::at(&pool, off).next();
-                continue;
-            }
             let leaf = Leaf::at(&pool, off);
-            let (slot, _nlogs, max_key) = Self::scan_u64_leaf(&pool, &fps, off);
-            leaf.write_slot_seq(WhichSlot::Transient, &slot);
-            if let Some(max_key) = max_key {
-                pairs.push((max_key, leaf_ref(off)));
+            if let Some(route) = Self::rebuild_leaf::<F>(leaf, &fps, crashed) {
+                routes.push((route, leaf_ref(off)));
             }
             off = leaf.next();
         }
+        if crashed {
+            pool.events().record(EventKind::RecoveryLeafChain, reachable.len() as u64, routes.len() as u64);
+        }
         alloc.rebuild(&reachable);
+        if crashed {
+            pool.events().record(EventKind::RecoveryAlloc, reachable.len() as u64, 0);
+        }
         RootTable::set(&pool, roots::CLEAN, 0);
+        let index = Self::build_index::<F>(&pool, &cfg, leftmost, &routes);
+        if crashed {
+            pool.events().record(EventKind::RecoveryIndex, routes.len() as u64, 0);
+        }
+        Self::assemble(pool, cfg, alloc, journal, fps, index, leftmost)
+    }
 
-        let index = if cfg.varlen_leaves {
-            InnerIndex::new_bytes(leaf_ref(leftmost))
-        } else {
-            InnerIndex::new(leaf_ref(leftmost))
-        };
-        index.set_legacy_seq_descent(cfg.legacy_seq_descent);
-        index.domain().set_striped_fallback(cfg.striped_fallback);
-        if cfg.cache_frames > 0 {
-            // Always a fresh, empty cache: the DRAM tier is transient and
-            // recovery must never trust (or rebuild from) its contents.
-            index.attach_cache(Arc::new(PageCache::new(cfg.cache_frames, Some(pool.events_handle()))));
+    /// Rebuilds one leaf's DRAM state — the transient slot copy and the
+    /// fingerprints, both re-derived from the persistent slot line — and
+    /// returns the key the index routes it under (see
+    /// [`LeafFormat::route`]). After a crash it also resets the scratch
+    /// the headers cannot be trusted for: the lock word, and
+    /// `nlogs`/`plogs` recomputed from the slot line ("scan the slot
+    /// array to find the max index of log entries": entries above it were
+    /// never acknowledged and are safely reusable).
+    fn rebuild_leaf<F: LeafFormat>(leaf: Leaf<'_>, fps: &FpTable, crashed: bool) -> Option<F::Owned> {
+        if crashed {
+            leaf.reset_lockver();
         }
-        if !routes.is_empty() {
-            index.bulk_build_k(&routes);
-        } else if !pairs.is_empty() {
-            index.bulk_build(&pairs);
+        let slot = leaf.read_slot_seq(WhichSlot::Persistent);
+        let hashed = F::layout(leaf) == LAYOUT_HASH;
+        fps.rebuild_leaf::<F>(leaf, live_entries(&slot, hashed));
+        if crashed {
+            let nlogs = live_entries(&slot, hashed).map(|e| e as u64 + 1).max().unwrap_or(0);
+            debug_assert!(nlogs <= LEAF_CAPACITY as u64);
+            leaf.set_nlogs(nlogs);
+            leaf.set_plogs(nlogs);
+            F::recover_scratch(leaf, &slot);
         }
-        let opmix = Self::make_opmix(&pool, &cfg);
-        Ok(RnTree {
-            pool,
-            alloc,
-            index,
-            journal,
-            cfg,
-            fps,
-            leftmost,
-            splits: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            wasted: AtomicU64::new(0),
-            pool_exhausted: AtomicBool::new(false),
-            leaf_head_ties: AtomicU64::new(0),
-            opmix,
-            morphs_to_hash: AtomicU64::new(0),
-            morphs_to_sorted: AtomicU64::new(0),
-            morphs_skipped: AtomicU64::new(0),
-            probe_hist: obs::AtomicHistogram::new(),
-            timers: PhaseTimers::new(),
-            heat: crate::tree::LeafHeat::default(),
+        leaf.write_slot_seq(WhichSlot::Transient, &slot);
+        F::route(leaf, || {
+            if hashed {
+                live_entries(&slot, true).map(|e| F::read_key(leaf, e)).max()
+            } else {
+                (!slot.is_empty()).then(|| F::read_key(leaf, slot.entry(slot.len() - 1)))
+            }
         })
     }
 

@@ -24,25 +24,32 @@
 //! lock — applied, rejected by a conditional write, rejected by a full slot
 //! array, or abandoned by the fence check — and `plogs` counts decisions,
 //! so the split trigger cannot starve.
+//!
+//! This protocol exists once. Every operation below is generic over a
+//! [`LeafFormat`] (`format.rs`) — the fixed u64 leaf or the var-key leaf —
+//! and monomorphised per format; the `PersistentIndex` methods pick the
+//! format from `RnConfig::varlen_leaves`.
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use htm::HtmStatsSnapshot;
 use index_common::{
     leaf_ref, InnerIndex, Key, KeyBuf, KeyCodec, KeyRef, OpError, PersistentIndex, TreeStats,
-    U64Key, Value, WriteOp,
+    U64Key, Value, WriteOp, MAX_KEY_LEN,
 };
 use nvm::{BlockAllocator, PmemPool, RootTable};
 use obs::{EventKind, HeatSketch, ObsSource, Phase, PhaseTimers, Section};
 
-use crate::fingerprint::{fp_hash, FpTable};
-use crate::hashleaf::HashDir;
+use crate::fingerprint::FpTable;
+use crate::format::{init_from_pairs, live_entries, slot_image, sorted_pairs, LeafFormat, U64Format};
+use crate::hashleaf::{HashDir, Probe};
 use crate::journal::SplitJournal;
-use crate::layout::varlen::VAR_LEAF_BLOCK;
-use crate::layout::{field, kv_off, LAYOUT_HASH, LAYOUT_SORTED, LEAF_BLOCK, LEAF_CAPACITY, MAX_LIVE};
+use crate::layout::{LAYOUT_HASH, LAYOUT_SORTED, LEAF_CAPACITY, MAX_LIVE};
 use crate::leaf::{Leaf, WhichSlot};
 use crate::slots::SlotBuf;
+use crate::varleaf::VarFormat;
 
 /// Pool magic identifying an RNTree layout.
 pub(crate) const MAGIC: u64 = 0x524E_5452_4545_0001;
@@ -139,20 +146,6 @@ pub struct RnConfig {
     /// and recovery rebuilds the table. Off reproduces the paper's plain
     /// binary-search leaves (useful as an ablation baseline).
     pub fingerprints: bool,
-    /// Issue prefetch hints for a leaf's header/slot/KV lines (and its
-    /// fingerprint stripe) as soon as the target leaf is known, so the
-    /// misses overlap the persist spin or lock acquisition. Hints only —
-    /// no semantic effect; off restores the seed's memory behaviour for
-    /// before/after benchmarking.
-    pub leaf_prefetch: bool,
-    /// Overlap a modify's KV-entry flush with the locked phase (§4.2):
-    /// issue the CLWB before taking the leaf lock and fence only right
-    /// before the slot line is persisted, so the lock/search/slot-edit
-    /// work runs while the line drains to media. Durability order (KV
-    /// entry before slot line) and the Table 1 persist counts are
-    /// unchanged; off restores the seed's synchronous flush-then-lock
-    /// sequence for before/after benchmarking.
-    pub async_flush: bool,
     /// Run the pre-rewrite (branchy, prefetch-free) sequential descent in
     /// this tree's [`InnerIndex`]. Benchmark-only before/after switch; a
     /// per-tree config field (not a process global) so co-resident trees —
@@ -201,8 +194,6 @@ impl Default for RnConfig {
             seq_traversal: false,
             journal_slots: 64,
             fingerprints: true,
-            leaf_prefetch: true,
-            async_flush: true,
             legacy_seq_descent: false,
             striped_fallback: true,
             cache_frames: 1024,
@@ -451,7 +442,7 @@ impl RnTree {
     /// (racy under concurrent splits — meant for correlating heat-table
     /// keys with planted workloads, not for navigation).
     pub fn leaf_of(&self, key: Key) -> u64 {
-        self.traverse(key)
+        self.descend::<U64Format>(&key).off()
     }
 
     /// Restart taxonomy of the cached optimistic descent (zeros when the
@@ -460,14 +451,12 @@ impl RnTree {
         self.index.descent_stats()
     }
 
-    fn traverse(&self, key: Key) -> u64 {
-        if self.cfg.seq_traversal {
-            self.index.traverse_seq(key)
-        } else {
-            // Cached optimistic descent when a page cache is attached
-            // (cfg.cache_frames > 0); identical to traverse_tm otherwise.
-            self.index.traverse_cached(key)
-        }
+    fn leaf(&self, off: u64) -> Leaf<'_> {
+        Leaf::at(&self.pool, off)
+    }
+
+    fn descend<F: LeafFormat>(&self, key: &F::Key) -> Leaf<'_> {
+        self.leaf(F::descend(&self.index, key, self.cfg.seq_traversal))
     }
 
     pub(crate) fn read_slot_kind(&self) -> WhichSlot {
@@ -486,7 +475,8 @@ impl RnTree {
 
     // ---------------------------------------------------------------- modify
 
-    fn modify(&self, key: Key, value: Value, mode: WriteMode) -> Result<(), OpError> {
+    /// Algorithm 1 over any leaf format: the one modify path.
+    fn modify<F: LeafFormat>(&self, key: &F::Key, value: Value, mode: WriteMode) -> Result<(), OpError> {
         // Consecutive full-leaf retries; see `starved` for how this turns a
         // hopeless retry loop (full leaf + exhausted pool) into an error.
         let mut starved = 0u32;
@@ -494,14 +484,14 @@ impl RnTree {
             // Phase breakdown (obs): one relaxed load when disabled; on a
             // sampled op, one timestamp per phase boundary.
             let mut clock = self.timers.clock();
-            let leaf = Leaf::at(&self.pool, self.traverse(key));
+            let leaf = self.descend::<F>(key);
             clock.lap(&self.timers, Phase::Descent);
 
             let Some(entry) = leaf.alloc_entry() else {
                 // Log area exhausted: help the split along (Algorithm 1
                 // line 5 re-traverses "hoping the split completes"; the
                 // nlogs==plogs guard means someone must actually run it).
-                self.help_split(leaf);
+                self.help_split::<F>(leaf);
                 if self.starved(&mut starved) {
                     return Err(OpError::PoolExhausted);
                 }
@@ -510,32 +500,45 @@ impl RnTree {
             };
 
             // Warm the lines the locked phase will touch (slot arrays, the
-            // live KV entries a search may compare, the fingerprint stripe)
+            // live records a search may compare, the fingerprint stripe)
             // while the persist below spins out the media latency.
-            if self.cfg.leaf_prefetch {
-                leaf.prefetch_hot(entry);
-                self.fps.prefetch_stripe(leaf.off());
-            }
+            F::prefetch(leaf, entry);
+            self.fps.prefetch_stripe(leaf.off());
 
-            // Steps 2–3 of §4.2: write and flush the log entry with no lock
+            // Steps 2–3 of §4.2: write and flush the record with no lock
             // held. Parallel writers flush concurrently. The fingerprint is
             // a plain DRAM store (no persist) recorded before the entry can
             // be published through the slot array.
-            leaf.write_kv(entry, key, value);
+            let Some(extent) = F::write_record(leaf, entry, key, value) else {
+                // No room for the record: decide the entry wasted under the
+                // lock. The failed reservation implies heap pressure, so
+                // the decision triggers the split.
+                leaf.lock();
+                self.decide::<F>(leaf, 1);
+                leaf.unlock(false);
+                self.wasted.fetch_add(1, Ordering::Relaxed);
+                if self.starved(&mut starved) {
+                    return Err(OpError::PoolExhausted);
+                }
+                self.note_retry();
+                continue;
+            };
             if self.cfg.fingerprints {
-                self.fps.set(leaf.off(), entry, fp_hash(key));
+                self.fps.set(leaf.off(), entry, F::fp(key));
             }
-            // §4.2's flush/work overlap, applied literally: issue the CLWB
+            // Persistent instruction #1. Where the record is one line,
+            // §4.2's flush/work overlap applies literally: issue the CLWB
             // now and let the lock acquisition and slot search run while
-            // the line drains to media; the fence (`drain_kv` below) only
+            // the line drains to media; the fence (the drain below) only
             // spins out whatever latency is left. The entry is exclusively
             // ours and never rewritten before the fence, so the durable
             // value is well-defined (see `PmemPool::flush_async`).
-            let kv_flush = if self.cfg.async_flush {
-                Some(leaf.flush_kv_async(entry))
+            let kv_flush = if F::OVERLAP_FLUSH {
+                let (at, len) = extent.as_ref()[0];
+                Some(self.pool.flush_async(at, len))
             } else {
                 clock.mark();
-                leaf.persist_kv(entry);
+                self.pool.persist_many(extent.as_ref());
                 clock.lap(&self.timers, Phase::LogFlush);
                 None
             };
@@ -549,11 +552,11 @@ impl RnTree {
             // shrunk this leaf's range. The entry itself cannot be stale
             // (no split completes while it is undecided), so it is simply
             // wasted and counted as decided.
-            if key > leaf.fence() {
+            if F::above(key, &F::high_fence(leaf)) {
                 if let Some(h) = kv_flush {
-                    leaf.drain_kv(h);
+                    self.pool.drain(h);
                 }
-                self.decide_and_maybe_split(leaf, false);
+                self.decide::<F>(leaf, 1);
                 leaf.unlock(false);
                 self.wasted.fetch_add(1, Ordering::Relaxed);
                 self.note_retry();
@@ -561,50 +564,25 @@ impl RnTree {
             }
 
             // htmLeafUpdate: the slot line is edited inside a hardware
-            // transaction, making the 64-byte line the atomic write unit
-            // (§4.1) — as a sorted array or a hash directory per the
+            // transaction — as a sorted array or a hash directory per the
             // leaf's layout tag (stable under the lock we hold).
-            // Conditional-write checks ride along for free either way. In
-            // single-threaded (`seq_traversal`) mode the slot is edited
-            // with plain stores instead — see `edit_slot` for why this is
-            // faithful.
+            // Conditional-write checks ride along for free either way.
             // Heat attribution: the thread-local abort/fallback counters
             // are read before and after the slot-line sections; any delta
             // happened while this op held *this* leaf, so the leaf gets
             // the blame. Free on the no-abort path (two TLS reads).
             obs::note_leaf(leaf.off());
             let sm = obs::section_mark();
+            let hashed = F::layout(leaf) == LAYOUT_HASH;
+            let decision = self.update_pslot(leaf, |slot| self.edit::<F>(leaf, slot, key, entry, mode, hashed));
 
-            let hashed = leaf.layout() == LAYOUT_HASH;
-            let decision = if self.cfg.seq_traversal {
-                let mut slot = leaf.read_slot_seq(WhichSlot::Persistent);
-                match self.edit_any(&leaf, &mut slot, key, entry, mode, hashed) {
-                    Decision::Applied(s) => {
-                        leaf.write_slot_seq(WhichSlot::Persistent, &s);
-                        Decision::Applied(s)
-                    }
-                    other => other,
-                }
-            } else {
-                self.index.domain().atomic(|txn| {
-                    let mut slot = leaf.read_slot_in(txn, WhichSlot::Persistent)?;
-                    match self.edit_any(&leaf, &mut slot, key, entry, mode, hashed) {
-                        Decision::Applied(s) => {
-                            leaf.write_slot_in(txn, WhichSlot::Persistent, &s)?;
-                            Ok(Decision::Applied(s))
-                        }
-                        other => Ok(other),
-                    }
-                })
-            };
-
-            // The fence for persistent instruction #1: the KV entry must be
+            // The fence for persistent instruction #1: the record must be
             // durable before the slot line can be (publication order). On
             // the reject paths this is where the wasted entry's flush is
-            // accounted, exactly like the seed's synchronous persist.
+            // accounted, exactly like a synchronous persist.
             if let Some(h) = kv_flush {
                 clock.mark();
-                leaf.drain_kv(h);
+                self.pool.drain(h);
                 clock.lap(&self.timers, Phase::LogFlush);
             }
 
@@ -615,19 +593,7 @@ impl RnTree {
                 clock.mark();
                 leaf.persist_pslot();
                 clock.lap(&self.timers, Phase::SlotPersist);
-                if self.cfg.dual_slot {
-                    // htmLeafCopySlot: publish to readers only now, after
-                    // the flush — readers can never return un-persisted
-                    // data (§4.4).
-                    let slot = *slot;
-                    if self.cfg.seq_traversal {
-                        leaf.write_slot_seq(WhichSlot::Transient, &slot);
-                    } else {
-                        self.index
-                            .domain()
-                            .atomic(|txn| leaf.write_slot_in(txn, WhichSlot::Transient, &slot));
-                    }
-                }
+                self.publish(leaf, slot);
                 true
             } else {
                 self.wasted.fetch_add(1, Ordering::Relaxed);
@@ -639,7 +605,7 @@ impl RnTree {
                 self.heat.conflicts.record(leaf.off(), d.aborts + d.fallbacks);
             }
 
-            let did_split = self.decide_and_maybe_split(leaf, applied);
+            let did_split = self.decide::<F>(leaf, 1);
             // Single-slot variant: version bump per modification (§5.2.2);
             // the split already bumped if it ran.
             leaf.unlock(!self.cfg.dual_slot && applied && !did_split);
@@ -647,7 +613,7 @@ impl RnTree {
 
             match decision {
                 Decision::Applied(_) => {
-                    self.note_point(&leaf);
+                    self.note_point::<F>(leaf);
                     return Ok(());
                 }
                 Decision::Exists => return Err(OpError::AlreadyExists),
@@ -663,142 +629,221 @@ impl RnTree {
         }
     }
 
-    /// The slot-array edit shared by the transactional (`htmLeafUpdate`)
-    /// and sequential paths. The sequential path exists because the
-    /// simulator's software TM costs hundreds of nanoseconds where real
-    /// RTM costs tens; in single-threaded benchmark mode we model the HTM
-    /// section as near-free plain stores. Crash atomicity is unaffected in
-    /// the simulation: the slot line reaches the durable image only
-    /// through the (atomic, line-granular) flush that follows. Sequential
-    /// mode therefore must not be combined with eviction-injection crash
+    /// `htmLeafUpdate` (paper Table 2): runs `edit` on the persistent slot
+    /// line inside one hardware transaction, making the 64-byte line the
+    /// atomic write unit (§4.1), and writes an `Applied` image back in the
+    /// same transaction.
+    ///
+    /// In single-threaded (`seq_traversal`) mode the line is edited with
+    /// plain stores instead: the simulator's software TM costs hundreds of
+    /// nanoseconds where real RTM costs tens, so single-thread benchmarks
+    /// model the section as near-free stores. Crash atomicity is
+    /// unaffected in the simulation — the line reaches the durable image
+    /// only through the (atomic, line-granular) flush that follows — so
+    /// sequential mode must not be combined with eviction-injection crash
     /// tests, which is exactly the real-HTM hazard the transactional path
     /// exists to prevent.
-    fn edit_slot(&self, leaf: &Leaf<'_>, slot: &mut SlotBuf, key: Key, entry: usize, mode: WriteMode) -> Decision {
-        // With fingerprints the hit/miss question is answered by the probe
-        // (no key reads on a miss); the sorted insertion position is only
-        // computed when an insert actually happens. Strict inserts skip the
-        // probe: they need the binary search for the insertion point anyway,
-        // and its duplicate check rides along for free (§3.3). Without
-        // fingerprints, one binary search answers both questions, exactly as
-        // in the paper.
-        let found: Result<usize, Option<usize>> = if self.cfg.fingerprints && mode != WriteMode::InsertStrict {
-            self.fps.probe(leaf, slot, key).ok_or(None)
+    fn update_pslot(&self, leaf: Leaf<'_>, edit: impl Fn(&mut SlotBuf) -> Decision) -> Decision {
+        if self.cfg.seq_traversal {
+            let mut slot = leaf.read_slot_seq(WhichSlot::Persistent);
+            let d = edit(&mut slot);
+            if let Decision::Applied(s) = &d {
+                leaf.write_slot_seq(WhichSlot::Persistent, s);
+            }
+            d
         } else {
-            leaf.search(slot, key).map_err(Some)
-        };
-        match found {
-            Ok(pos) => {
+            self.index.domain().atomic(|txn| {
+                let mut slot = leaf.read_slot_in(txn, WhichSlot::Persistent)?;
+                let d = edit(&mut slot);
+                if let Decision::Applied(s) = &d {
+                    leaf.write_slot_in(txn, WhichSlot::Persistent, s)?;
+                }
+                Ok(d)
+            })
+        }
+    }
+
+    /// Writes a whole slot line — transactionally even under the lock:
+    /// readers snapshot the line optimistically and must never observe a
+    /// torn one (plain stores in `seq_traversal` mode).
+    fn write_slot(&self, leaf: Leaf<'_>, which: WhichSlot, slot: &SlotBuf) {
+        if self.cfg.seq_traversal {
+            leaf.write_slot_seq(which, slot);
+        } else {
+            self.index.domain().atomic(|txn| leaf.write_slot_in(txn, which, slot));
+        }
+    }
+
+    /// `htmLeafCopySlot`: with the dual slot array, publish the new line to
+    /// readers only now, after its persist — readers can never return
+    /// un-persisted data (§4.4).
+    fn publish(&self, leaf: Leaf<'_>, slot: &SlotBuf) {
+        if self.cfg.dual_slot {
+            self.write_slot(leaf, WhichSlot::Transient, slot);
+        }
+    }
+
+    /// The slot-line edit of a modify. `hashed` is the leaf's layout tag,
+    /// read once under the lock (a morph needs the lock, so the tag cannot
+    /// change while an edit runs). With fingerprints the hit/miss question
+    /// is answered by the probe (no key reads on a miss); the sorted
+    /// insertion position is only computed when an insert actually
+    /// happens. Strict inserts skip the probe: they need the binary search
+    /// for the insertion point anyway, and its duplicate check rides along
+    /// for free (§3.3). A full directory reports `Overfull` exactly like a
+    /// full sorted array — the split trigger is shared.
+    fn edit<F: LeafFormat>(
+        &self,
+        leaf: Leaf<'_>,
+        slot: &mut SlotBuf,
+        key: &F::Key,
+        entry: usize,
+        mode: WriteMode,
+        hashed: bool,
+    ) -> Decision {
+        let probe = self.cfg.fingerprints && mode != WriteMode::InsertStrict;
+        match self.locate::<F>(leaf, slot, key, hashed, probe) {
+            Ok(spot) => {
                 if mode == WriteMode::InsertStrict {
                     return Decision::Exists;
                 }
-                slot.set_entry(pos, entry);
+                Self::set_at(slot, hashed, spot, entry);
             }
-            Err(ins_pos) => {
+            Err(pos) => {
                 if mode == WriteMode::UpdateStrict {
                     return Decision::Missing;
                 }
                 if slot.len() == MAX_LIVE {
                     return Decision::Overfull;
                 }
-                let pos = ins_pos.unwrap_or_else(|| match leaf.search(slot, key) {
-                    Ok(p) | Err(p) => p,
-                });
-                slot.insert_at(pos, entry);
+                self.insert_at::<F>(leaf, slot, hashed, key, pos, entry);
             }
         }
         Decision::Applied(*slot)
     }
 
-    /// Layout dispatch for the under-lock slot edit: `hashed` is the
-    /// leaf's layout tag, read once under the lock (a morph needs the
-    /// lock, so the tag cannot change while an edit runs).
+    // ------------------------------------------------------ slot images
+    //
+    // A slot line is a sorted array or a hash directory per the leaf's
+    // layout tag; these helpers are the only code that tells them apart.
+    // A *spot* is a sorted position or a directory bucket.
+
+    /// Hash-directory probe for `key`: the fingerprint table (when
+    /// enabled) filters candidate buckets before the key compare.
+    fn probe_dir<F: LeafFormat>(&self, leaf: Leaf<'_>, slot: &SlotBuf, key: &F::Key, steps: &mut u32) -> Option<Probe> {
+        let fp = F::fp(key);
+        HashDir::from_slot(*slot).find(
+            fp,
+            |e| self.fps.check(leaf.off(), e, fp) && F::key_eq(leaf, e, key, &self.leaf_head_ties),
+            steps,
+        )
+    }
+
+    /// Read-path lookup: `(spot, entry)` of `key` in `slot`. Sorted images
+    /// take the fingerprint probe when enabled and a binary search
+    /// otherwise; hash probes record their length.
     #[inline]
-    fn edit_any(
-        &self,
-        leaf: &Leaf<'_>,
-        slot: &mut SlotBuf,
-        key: Key,
-        entry: usize,
-        mode: WriteMode,
-        hashed: bool,
-    ) -> Decision {
+    fn lookup<F: LeafFormat>(&self, leaf: Leaf<'_>, slot: &SlotBuf, key: &F::Key, hashed: bool) -> Option<(usize, usize)> {
         if hashed {
-            self.edit_hash(leaf, slot, key, entry, mode)
+            let mut steps = 0u32;
+            let hit = self.probe_dir::<F>(leaf, slot, key, &mut steps);
+            self.probe_hist.record(steps as u64);
+            hit.map(|p| (p.bucket, p.entry))
         } else {
-            self.edit_slot(leaf, slot, key, entry, mode)
+            let pos = if self.cfg.fingerprints {
+                self.fps.probe::<F>(leaf, slot, key, &self.leaf_head_ties)
+            } else {
+                F::search(leaf, slot, key, &self.leaf_head_ties).ok()
+            };
+            pos.map(|p| (p, slot.entry(p)))
         }
     }
 
-    /// The hash-directory twin of `edit_slot`: same slot-line-in,
-    /// slot-line-out contract (so the persist counts are identical by
-    /// construction), but the edit is an O(1)-expected bucket probe
-    /// instead of a sorted insert. A full directory reports `Overfull`
-    /// exactly like a full sorted array — the split trigger is shared.
-    fn edit_hash(&self, leaf: &Leaf<'_>, slot: &mut SlotBuf, key: Key, entry: usize, mode: WriteMode) -> Decision {
-        let fp = fp_hash(key);
-        let mut dir = HashDir::from_slot(*slot);
-        let mut steps = 0u32;
-        let hit = dir.find(
-            fp,
-            |e| self.fps.check(leaf.off(), e, fp) && leaf.read_key(e) == key,
-            &mut steps,
-        );
-        match hit {
-            Some(p) => {
-                if mode == WriteMode::InsertStrict {
-                    return Decision::Exists;
-                }
-                dir.set_probe(p, entry);
-            }
-            None => {
-                if mode == WriteMode::UpdateStrict {
-                    return Decision::Missing;
-                }
-                if !dir.insert(fp, entry) {
-                    return Decision::Overfull;
-                }
-            }
-        }
-        *slot = dir.to_slot();
-        Decision::Applied(*slot)
-    }
-
-    /// Point-lookup position of `key` in `slot`: fingerprint probe when
-    /// enabled, plain binary search otherwise.
+    /// Write-path locate: `Ok(spot)` when `key` is present, else `Err`
+    /// carrying its sorted insertion position when already known. With
+    /// `probe`, sorted hit/miss comes from the fingerprint table and the
+    /// position is left to [`Self::insert_at`].
     #[inline]
-    fn lookup_pos(&self, leaf: &Leaf<'_>, slot: &SlotBuf, key: Key) -> Option<usize> {
-        if self.cfg.fingerprints {
-            self.fps.probe(leaf, slot, key)
+    fn locate<F: LeafFormat>(
+        &self,
+        leaf: Leaf<'_>,
+        slot: &SlotBuf,
+        key: &F::Key,
+        hashed: bool,
+        probe: bool,
+    ) -> Result<usize, Option<usize>> {
+        if hashed {
+            self.probe_dir::<F>(leaf, slot, key, &mut 0).map(|p| p.bucket).ok_or(None)
+        } else if probe {
+            self.fps.probe::<F>(leaf, slot, key, &self.leaf_head_ties).ok_or(None)
         } else {
-            leaf.search(slot, key).ok()
+            F::search(leaf, slot, key, &self.leaf_head_ties).map_err(Some)
         }
     }
 
-    /// Point lookup in a hash-directory slot line; records the probe
-    /// length. The fingerprint table (when enabled) filters candidate
-    /// buckets before the key compare, exactly as it filters sorted
-    /// positions in `lookup_pos`.
-    #[inline]
-    fn lookup_hash(&self, leaf: &Leaf<'_>, slot: &SlotBuf, key: Key) -> Option<crate::hashleaf::Probe> {
-        let fp = fp_hash(key);
-        let dir = HashDir::from_slot(*slot);
-        let mut steps = 0u32;
-        let hit = dir.find(
-            fp,
-            |e| self.fps.check(leaf.off(), e, fp) && leaf.read_key(e) == key,
-            &mut steps,
-        );
-        self.probe_hist.record(steps as u64);
-        hit
+    /// Points a present key's spot at a fresh log entry (the old entry
+    /// becomes garbage the next compaction reclaims).
+    fn set_at(slot: &mut SlotBuf, hashed: bool, spot: usize, entry: usize) {
+        if hashed {
+            let mut dir = HashDir::from_slot(*slot);
+            dir.redirect(spot, entry);
+            *slot = dir.to_slot();
+        } else {
+            slot.set_entry(spot, entry);
+        }
     }
 
-    /// Counts one decided log entry and runs the (possibly deferred) split
-    /// when the log area is consumed and quiescent. Lock must be held.
-    /// Returns true if a split/compaction ran.
-    fn decide_and_maybe_split(&self, leaf: Leaf<'_>, _applied: bool) -> bool {
-        let plogs = leaf.plogs() + 1;
+    /// Adds an absent key's entry; the caller has checked the image is not
+    /// full.
+    fn insert_at<F: LeafFormat>(
+        &self,
+        leaf: Leaf<'_>,
+        slot: &mut SlotBuf,
+        hashed: bool,
+        key: &F::Key,
+        pos: Option<usize>,
+        entry: usize,
+    ) {
+        if hashed {
+            let mut dir = HashDir::from_slot(*slot);
+            let ok = dir.insert(F::fp(key), entry);
+            debug_assert!(ok, "directory had room");
+            *slot = dir.to_slot();
+        } else {
+            let pos = pos.unwrap_or_else(|| match F::search(leaf, slot, key, &self.leaf_head_ties) {
+                Ok(p) | Err(p) => p,
+            });
+            slot.insert_at(pos, entry);
+        }
+    }
+
+    /// Drops a present key's spot. Remove edits only the slot line
+    /// (§5.2.3) — in both layouts, since the directory's backward shift
+    /// stays inside the same 64-byte line.
+    fn remove_at<F: LeafFormat>(leaf: Leaf<'_>, slot: &mut SlotBuf, hashed: bool, spot: usize) {
+        if hashed {
+            let mut dir = HashDir::from_slot(*slot);
+            // Home buckets for the backward shift come from rehashing the
+            // stored keys — correct even with the fingerprint table
+            // disabled (the directory always hashes, only the *filter* is
+            // optional).
+            dir.remove_at(spot, |e| HashDir::home(F::fp(F::read_key(leaf, e).borrow())));
+            *slot = dir.to_slot();
+        } else {
+            slot.remove_at(spot);
+        }
+    }
+
+    // ---------------------------------------------------------------- split
+
+    /// Counts `n` decided log entries and runs the (possibly deferred)
+    /// split when they consumed the log area (or the format reports heap
+    /// pressure) and the log is quiescent. Lock must be held. Returns true
+    /// if a split/compaction ran.
+    fn decide<F: LeafFormat>(&self, leaf: Leaf<'_>, n: u64) -> bool {
+        let plogs = leaf.plogs() + n;
         leaf.set_plogs(plogs);
-        if plogs < (LEAF_CAPACITY - 1) as u64 {
+        if plogs < (LEAF_CAPACITY - 1) as u64 && !F::heap_low(leaf) {
             return false;
         }
         // Freeze allocation first (splitting bit and allocation counter
@@ -806,7 +851,7 @@ impl RnTree {
         // `nlogs` cannot move, so the check cannot race a late allocation.
         leaf.set_split();
         if leaf.nlogs() == plogs {
-            self.split_or_compact(leaf);
+            self.split_or_compact::<F>(leaf);
             true
         } else {
             // In-flight entries remain; their owners will re-trigger.
@@ -815,18 +860,18 @@ impl RnTree {
         }
     }
 
-    /// Allocation-failure path: take the lock and split if the log area is
-    /// exhausted *and* quiescent; otherwise just back off (in-flight
+    /// Allocation-failure path: take the lock and split if the leaf is
+    /// consumed *and* quiescent; otherwise just back off (in-flight
     /// writers will decide their entries and trigger the split).
-    fn help_split(&self, leaf: Leaf<'_>) {
+    fn help_split<F: LeafFormat>(&self, leaf: Leaf<'_>) {
         leaf.lock();
         let nlogs = leaf.nlogs();
-        if nlogs >= LEAF_CAPACITY as u64 && nlogs == leaf.plogs() {
+        if (nlogs >= LEAF_CAPACITY as u64 || F::heap_low(leaf)) && nlogs == leaf.plogs() {
             leaf.set_split();
             // The freeze cannot race new allocations (the counter is full
             // anyway), so the re-check under the frozen word is exact.
             if leaf.nlogs() == leaf.plogs() {
-                self.split_or_compact(leaf);
+                self.split_or_compact::<F>(leaf);
             } else {
                 leaf.unset_split_nobump();
             }
@@ -861,42 +906,33 @@ impl RnTree {
         *count >= 4 && self.pool_exhausted.load(Ordering::Relaxed) && !self.alloc.has_free()
     }
 
-    // ---------------------------------------------------------------- split
-
     /// Splits (or, when mostly obsolete, compacts) the leaf. Caller holds
     /// the lock, has set the splitting bit (freezing allocation), and has
     /// verified `nlogs == plogs` (quiescent log area). Clears the
     /// splitting bit (with a version bump) before returning.
-    fn split_or_compact(&self, leaf: Leaf<'_>) {
+    fn split_or_compact<F: LeafFormat>(&self, leaf: Leaf<'_>) {
         debug_assert_eq!(leaf.nlogs(), leaf.plogs());
         let jslot = self.journal.acquire();
         // Undo-log the whole node (Algorithm 3 line 2).
         self.journal.log(&self.pool, jslot, leaf.off());
 
-        // Both layouts split through this one path: gather the live pairs
-        // in key order (hash leaves sort on gather), rewrite densely, and
-        // rebuild the slot line in the leaf's own layout — splits and
+        // Both slot layouts split through this one path: gather the live
+        // pairs in key order (hash leaves sort on gather), rewrite densely,
+        // and rebuild the slot line in the leaf's own layout — splits and
         // compactions preserve the tag, only morphs change it.
-        let layout = leaf.layout();
-        let pairs = self.collect_sorted_pairs(&leaf, layout);
+        let layout = F::layout(leaf);
+        let pairs = sorted_pairs::<F>(leaf, layout);
         let live = pairs.len();
+        let (low, high) = (F::low_fence(leaf), F::high_fence(leaf));
 
         if live < LEAF_CAPACITY / 2 {
             // Mostly obsolete entries (update/remove churn): recycle the
-            // log area by compacting in place (§5.2.3's special-purpose
-            // split), journal-protected like a real split.
-            for (i, &(k, v)) in pairs.iter().enumerate() {
-                leaf.write_kv(i, k, v);
-                if self.cfg.fingerprints {
-                    self.fps.set(leaf.off(), i, fp_hash(k));
-                }
-            }
-            let id = Self::slot_image(&pairs, layout);
-            self.index.domain().atomic(|txn| {
-                leaf.write_slot_in(txn, WhichSlot::Persistent, &id)?;
-                leaf.write_slot_in(txn, WhichSlot::Transient, &id)
-            });
-            leaf.persist_all();
+            // log area by compacting in place under the same fences
+            // (§5.2.3's special-purpose split), journal-protected like a
+            // real split.
+            let img = self.rewrite::<F>(leaf, &pairs, &low, &high, layout);
+            self.install_slots(leaf, &img);
+            leaf.persist_block(F::BLOCK);
             leaf.set_nlogs(live as u64);
             leaf.set_plogs(live as u64);
             self.journal.clear(&self.pool, jslot);
@@ -917,38 +953,25 @@ impl RnTree {
         };
 
         // Algorithm 3: divide the pairs; left keeps the lower half with
-        // separator = its new maximum key.
+        // separator = its new maximum key — a real stored key, so both
+        // halves' fences stay real keys.
         let mid = live / 2;
         debug_assert!(mid >= 1);
         let sep = pairs[mid - 1].0;
-        let right = Leaf::at(&self.pool, right_off);
 
         // Build and persist the new right sibling first (it is private
         // until linked; a crash before the link leaks only the block,
         // which allocator rebuild reclaims). It inherits the layout tag.
-        right.init_from_pairs(&pairs[mid..], leaf.fence(), leaf.next(), layout);
-        if self.cfg.fingerprints {
-            for (i, &(k, _)) in pairs[mid..].iter().enumerate() {
-                self.fps.set(right_off, i, fp_hash(k));
-            }
-        }
+        let right = self.leaf(right_off);
+        init_from_pairs::<F>(right, &pairs[mid..], &sep, &high, leaf.next(), layout);
+        self.set_fps::<F>(right, &pairs[mid..]);
 
         // Rewrite the left half in place, then link and persist. A crash
         // anywhere in here is undone by the journal image.
-        for (i, &(k, v)) in pairs[..mid].iter().enumerate() {
-            leaf.write_kv(i, k, v);
-            if self.cfg.fingerprints {
-                self.fps.set(leaf.off(), i, fp_hash(k));
-            }
-        }
-        let id = Self::slot_image(&pairs[..mid], layout);
-        self.index.domain().atomic(|txn| {
-            leaf.write_slot_in(txn, WhichSlot::Persistent, &id)?;
-            leaf.write_slot_in(txn, WhichSlot::Transient, &id)
-        });
-        leaf.set_fence(sep);
+        let img = self.rewrite::<F>(leaf, &pairs[..mid], &low, &F::fence_at(sep), layout);
+        self.install_slots(leaf, &img);
         leaf.set_next(right_off);
-        leaf.persist_all();
+        leaf.persist_block(F::BLOCK);
         leaf.set_nlogs(mid as u64);
         leaf.set_plogs(mid as u64);
         self.journal.clear(&self.pool, jslot);
@@ -956,18 +979,52 @@ impl RnTree {
         // htmTreeUpdate — before clearing the splitting bit, so readers
         // spin until the volatile index routes the moved keys (this
         // closes the lost-key window between Algorithm 3's lines 15/16).
-        self.index.tree_update(sep, leaf_ref(right_off));
+        F::route_split(&self.index, &sep, leaf_ref(right_off));
         self.splits.fetch_add(1, Ordering::Relaxed);
         self.heat.splits.record(leaf.off(), 1);
         self.pool.events().record(EventKind::Split, leaf.off(), right_off);
         leaf.unset_split_bump();
     }
 
+    /// Dense rewrite of a private or split-frozen leaf: records at entries
+    /// `0..n` under `(low, high]`, the layout tag and the fingerprints.
+    /// Returns the slot-line image for the caller to install.
+    fn rewrite<F: LeafFormat>(
+        &self,
+        leaf: Leaf<'_>,
+        pairs: &[(F::Owned, Value)],
+        low: &F::Owned,
+        high: &F::Fence,
+        layout: u64,
+    ) -> SlotBuf {
+        F::write_pairs(leaf, pairs, low, high);
+        leaf.set_layout(layout);
+        self.set_fps::<F>(leaf, pairs);
+        slot_image::<F>(pairs, layout)
+    }
+
+    /// Fingerprints for pairs stored densely at entries `0..n`.
+    fn set_fps<F: LeafFormat>(&self, leaf: Leaf<'_>, pairs: &[(F::Owned, Value)]) {
+        if self.cfg.fingerprints {
+            for (i, (k, _)) in pairs.iter().enumerate() {
+                self.fps.set(leaf.off(), i, F::fp(k.borrow()));
+            }
+        }
+    }
+
+    /// Installs a rewritten image in both slot lines in one transaction.
+    fn install_slots(&self, leaf: Leaf<'_>, img: &SlotBuf) {
+        self.index.domain().atomic(|txn| {
+            leaf.write_slot_in(txn, WhichSlot::Persistent, img)?;
+            leaf.write_slot_in(txn, WhichSlot::Transient, img)
+        });
+    }
+
     // ---------------------------------------------------------------- read
 
     /// `htmLeafSnapshot`, with the sequential-mode fast path (see
-    /// `edit_slot` for the rationale).
-    fn snapshot_slot(&self, leaf: &Leaf<'_>, kind: WhichSlot) -> SlotBuf {
+    /// `update_pslot` for the rationale).
+    fn snapshot_slot(&self, leaf: Leaf<'_>, kind: WhichSlot) -> SlotBuf {
         if self.cfg.seq_traversal {
             leaf.read_slot_seq(kind)
         } else {
@@ -983,18 +1040,17 @@ impl RnTree {
         }
     }
 
-    fn find_impl(&self, key: Key) -> Option<Value> {
+    /// Algorithm 4 over any leaf format.
+    fn find_impl<F: LeafFormat>(&self, key: &F::Key) -> Option<Value> {
         loop {
-            let leaf = Leaf::at(&self.pool, self.traverse(key));
+            let leaf = self.descend::<F>(key);
             // Overlap the slot-array and fingerprint-stripe misses with the
             // header load that `stable_version` is about to issue.
-            if self.cfg.leaf_prefetch {
-                leaf.prefetch_hot(0);
-                self.fps.prefetch_stripe(leaf.off());
-            }
+            F::prefetch(leaf, 0);
+            self.fps.prefetch_stripe(leaf.off());
             // Algorithm 4: stable version before, snapshot, validate after.
             let v1 = leaf.stable_version(self.reader_waits_lock());
-            if key > leaf.fence() {
+            if F::above(key, &F::high_fence(leaf)) {
                 self.note_retry();
                 continue; // stale route (split won the race); re-traverse
             }
@@ -1004,9 +1060,8 @@ impl RnTree {
             // search is a DRAM byte-probe that touches at most a handful of
             // keys; validity of whatever it reads is established by the
             // version re-check below, exactly as for the binary search.
-            let layout = leaf.layout();
-            let kind = self.read_slot_kind();
-            let slot = self.snapshot_slot(&leaf, kind);
+            let layout = F::layout(leaf);
+            let slot = self.snapshot_slot(leaf, self.read_slot_kind());
             // Adaptive pools only: a morph may have committed between the
             // tag load above and the snapshot, leaving a line whose
             // encoding disagrees with `layout` — decoding it could chase a
@@ -1019,41 +1074,38 @@ impl RnTree {
                 self.note_retry();
                 continue;
             }
-            let result = if layout == LAYOUT_HASH {
-                self.lookup_hash(&leaf, &slot, key).map(|p| leaf.read_value(p.entry))
-            } else {
-                self.lookup_pos(&leaf, &slot, key)
-                    .map(|pos| leaf.read_value(slot.entry(pos)))
-            };
+            let result = self
+                .lookup::<F>(leaf, &slot, key, layout == LAYOUT_HASH)
+                .map(|(_, e)| F::read_value(leaf, e));
             if leaf.stable_version(self.reader_waits_lock()) != v1 {
                 self.note_retry();
                 continue;
             }
-            self.note_point(&leaf);
+            self.note_point::<F>(leaf);
             return result;
         }
     }
 
-    fn scan_impl(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
+    /// Range scan over any leaf format: up to `n` pairs from `start` on.
+    fn scan_impl<F: LeafFormat>(&self, start: F::Owned, n: usize, out: &mut Vec<(F::Owned, Value)>) -> usize {
         out.clear();
         if n == 0 {
             return 0;
         }
         let mut cursor = start;
         'traverse: loop {
-            let mut leaf_off = self.traverse(cursor);
+            let mut leaf_off = F::descend(&self.index, cursor.borrow(), self.cfg.seq_traversal);
             loop {
-                let leaf = Leaf::at(&self.pool, leaf_off);
+                let leaf = self.leaf(leaf_off);
                 let v1 = leaf.stable_version(self.reader_waits_lock());
-                let fence = leaf.fence();
-                if cursor > fence {
+                let fence = F::high_fence(leaf);
+                if F::above(cursor.borrow(), &fence) {
                     self.note_retry();
                     continue 'traverse;
                 }
                 let next = leaf.next();
-                let layout = leaf.layout();
-                let kind = self.read_slot_kind();
-                let slot = self.snapshot_slot(&leaf, kind);
+                let layout = F::layout(leaf);
+                let slot = self.snapshot_slot(leaf, self.read_slot_kind());
                 // Same pre-interpretation revalidation as `find_impl`:
                 // only adaptive pools can have the tag and the snapshot
                 // disagree, and only until the version moves.
@@ -1072,19 +1124,19 @@ impl RnTree {
                     // leaf's in-range entries, validate, then sort (pure
                     // DRAM work on an already-validated snapshot).
                     for e in HashDir::from_slot(slot).iter() {
-                        let k = leaf.read_key(e);
+                        let k = F::read_key(leaf, e);
                         if k >= cursor {
-                            out.push((k, leaf.read_value(e)));
+                            out.push((k, F::read_value(leaf, e)));
                         }
                     }
                 } else {
-                    let from = match leaf.search(&slot, cursor) {
+                    let from = match F::search(leaf, &slot, cursor.borrow(), &self.leaf_head_ties) {
                         Ok(p) | Err(p) => p,
                     };
                     let to = slot.len().min(from + (n - mark));
                     for pos in from..to {
                         let e = slot.entry(pos);
-                        out.push((leaf.read_key(e), leaf.read_value(e)));
+                        out.push((F::read_key(leaf, e), F::read_value(leaf, e)));
                     }
                 }
                 if leaf.stable_version(self.reader_waits_lock()) != v1 {
@@ -1096,11 +1148,15 @@ impl RnTree {
                     out[mark..].sort_unstable_by_key(|p| p.0);
                     out.truncate(n);
                 }
-                self.note_scan(&leaf);
-                if out.len() == n || next == 0 || fence == u64::MAX {
+                self.note_scan::<F>(leaf);
+                if out.len() == n || next == 0 {
                     return out.len();
                 }
-                cursor = fence + 1;
+                // Resume past this leaf's inclusive upper bound.
+                let Some(succ) = F::successor(&fence) else {
+                    return out.len();
+                };
+                cursor = succ;
                 leaf_off = next;
             }
         }
@@ -1108,92 +1164,38 @@ impl RnTree {
 
     // ---------------------------------------------------------------- remove
 
-    fn remove_impl(&self, key: Key) -> Result<(), OpError> {
+    fn remove_impl<F: LeafFormat>(&self, key: &F::Key) -> Result<(), OpError> {
         loop {
-            let leaf = Leaf::at(&self.pool, self.traverse(key));
+            let leaf = self.descend::<F>(key);
             // Overlap the slot-array and fingerprint-stripe misses with the
             // lock RMW on the (also likely cold) header line.
-            if self.cfg.leaf_prefetch {
-                leaf.prefetch_hot(0);
-                self.fps.prefetch_stripe(leaf.off());
-            }
+            F::prefetch(leaf, 0);
+            self.fps.prefetch_stripe(leaf.off());
             leaf.lock();
-            if key > leaf.fence() {
+            if F::above(key, &F::high_fence(leaf)) {
                 leaf.unlock(false);
                 self.note_retry();
                 continue;
             }
             // Remove only edits the slot array (§5.2.3): one persistent
-            // instruction — in both layouts (the hash directory's
-            // backward shift stays inside the same 64-byte line).
-            let hashed = leaf.layout() == LAYOUT_HASH;
-            let removed = if self.cfg.seq_traversal {
-                let mut slot = leaf.read_slot_seq(WhichSlot::Persistent);
-                if self.remove_in_slot(&leaf, &mut slot, key, hashed) {
-                    leaf.write_slot_seq(WhichSlot::Persistent, &slot);
-                    Some(slot)
-                } else {
-                    None
+            // instruction.
+            let hashed = F::layout(leaf) == LAYOUT_HASH;
+            let decision = self.update_pslot(leaf, |slot| match self.lookup::<F>(leaf, slot, key, hashed) {
+                None => Decision::Missing,
+                Some((spot, _)) => {
+                    Self::remove_at::<F>(leaf, slot, hashed, spot);
+                    Decision::Applied(*slot)
                 }
-            } else {
-                self.index.domain().atomic(|txn| {
-                    let mut slot = leaf.read_slot_in(txn, WhichSlot::Persistent)?;
-                    if self.remove_in_slot(&leaf, &mut slot, key, hashed) {
-                        leaf.write_slot_in(txn, WhichSlot::Persistent, &slot)?;
-                        Ok(Some(slot))
-                    } else {
-                        Ok(None)
-                    }
-                })
+            });
+            let Decision::Applied(slot) = decision else {
+                leaf.unlock(false);
+                return Err(OpError::NotFound);
             };
-            return match removed {
-                None => {
-                    leaf.unlock(false);
-                    Err(OpError::NotFound)
-                }
-                Some(slot) => {
-                    leaf.persist_pslot();
-                    if self.cfg.dual_slot {
-                        if self.cfg.seq_traversal {
-                            leaf.write_slot_seq(WhichSlot::Transient, &slot);
-                        } else {
-                            self.index
-                                .domain()
-                                .atomic(|txn| leaf.write_slot_in(txn, WhichSlot::Transient, &slot));
-                        }
-                    }
-                    leaf.unlock(!self.cfg.dual_slot);
-                    self.note_point(&leaf);
-                    Ok(())
-                }
-            };
-        }
-    }
-
-    /// Removes `key` from the in-register slot-line image, layout-aware.
-    /// Returns whether the key was present (callers write the image back
-    /// and persist on `true`). Runs under the leaf lock.
-    fn remove_in_slot(&self, leaf: &Leaf<'_>, slot: &mut SlotBuf, key: Key, hashed: bool) -> bool {
-        if hashed {
-            let Some(p) = self.lookup_hash(leaf, slot, key) else {
-                return false;
-            };
-            let mut dir = HashDir::from_slot(*slot);
-            // Home buckets for the backward shift come from rehashing the
-            // stored keys — correct even with the fingerprint table
-            // disabled (the directory always hashes, only the *filter* is
-            // optional).
-            dir.remove_at(p.bucket, |e| HashDir::home(fp_hash(leaf.read_key(e))));
-            *slot = dir.to_slot();
-            true
-        } else {
-            match self.lookup_pos(leaf, slot, key) {
-                None => false,
-                Some(pos) => {
-                    slot.remove_at(pos);
-                    true
-                }
-            }
+            leaf.persist_pslot();
+            self.publish(leaf, &slot);
+            leaf.unlock(!self.cfg.dual_slot);
+            self.note_point::<F>(leaf);
+            return Ok(());
         }
     }
 
@@ -1203,24 +1205,24 @@ impl RnTree {
     /// morphs the leaf when a window closes on a different layout wish.
     /// No-op (one empty-table check) outside `LeafPolicy::Adaptive`.
     #[inline]
-    fn note_point(&self, leaf: &Leaf<'_>) {
+    fn note_point<F: LeafFormat>(&self, leaf: Leaf<'_>) {
         if let Some(target) = self.opmix.record_point(leaf.off()) {
-            self.maybe_morph(leaf, target);
+            self.maybe_morph::<F>(leaf, target);
         }
     }
 
     /// Scan twin of [`Self::note_point`], counted once per leaf visited.
     #[inline]
-    fn note_scan(&self, leaf: &Leaf<'_>) {
+    fn note_scan<F: LeafFormat>(&self, leaf: Leaf<'_>) {
         if let Some(target) = self.opmix.record_scan(leaf.off()) {
-            self.maybe_morph(leaf, target);
+            self.maybe_morph::<F>(leaf, target);
         }
     }
 
     /// Opportunistic morph trigger: a single `try_lock` attempt, never a
     /// spin — a read-path caller would rather skip the morph than queue
     /// behind a writer. Skips (and counts the skip) on contention.
-    fn maybe_morph(&self, leaf: &Leaf<'_>, target: u64) {
+    fn maybe_morph<F: LeafFormat>(&self, leaf: Leaf<'_>, target: u64) {
         if leaf.layout() == target {
             return;
         }
@@ -1228,7 +1230,7 @@ impl RnTree {
             self.morphs_skipped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        self.morph_locked(*leaf, target);
+        self.morph_locked::<F>(leaf, target);
         leaf.unlock(false);
     }
 
@@ -1247,14 +1249,14 @@ impl RnTree {
         );
         let target = if to_hash { LAYOUT_HASH } else { LAYOUT_SORTED };
         loop {
-            let leaf = Leaf::at(&self.pool, self.traverse(key));
+            let leaf = self.descend::<U64Format>(&key);
             leaf.lock();
             if key > leaf.fence() {
                 leaf.unlock(false);
                 self.note_retry();
                 continue;
             }
-            let did = self.morph_locked(leaf, target);
+            let did = self.morph_locked::<U64Format>(leaf, target);
             leaf.unlock(false);
             return did;
         }
@@ -1262,14 +1264,14 @@ impl RnTree {
 
     /// Rewrites the leaf into `target` layout as a crash-atomic journaled
     /// rewrite — the same undo-journal discipline as a split: journal the
-    /// whole node, rewrite KVs densely in key order, swap both slot lines
-    /// transactionally, flip the tag, persist the block, clear the
+    /// whole node, rewrite records densely in key order, swap both slot
+    /// lines transactionally, flip the tag, persist the block, clear the
     /// journal. Caller holds the lock; requires log-area quiescence
     /// (`nlogs == plogs`), else the morph is skipped (counted), exactly
     /// like a deferred split. Clears the splitting bit (with a version
     /// bump, invalidating every in-flight reader snapshot) when it ran.
-    fn morph_locked(&self, leaf: Leaf<'_>, target: u64) -> bool {
-        let source = leaf.layout();
+    fn morph_locked<F: LeafFormat>(&self, leaf: Leaf<'_>, target: u64) -> bool {
+        let source = F::layout(leaf);
         if source == target {
             return false;
         }
@@ -1284,15 +1286,9 @@ impl RnTree {
         let jslot = self.journal.acquire();
         self.journal.log(&self.pool, jslot, leaf.off());
 
-        let pairs = self.collect_sorted_pairs(&leaf, source);
+        let pairs = sorted_pairs::<F>(leaf, source);
         let live = pairs.len();
-        for (i, &(k, v)) in pairs.iter().enumerate() {
-            leaf.write_kv(i, k, v);
-            if self.cfg.fingerprints {
-                self.fps.set(leaf.off(), i, fp_hash(k));
-            }
-        }
-        let img = Self::slot_image(&pairs, target);
+        let img = self.rewrite::<F>(leaf, &pairs, &F::low_fence(leaf), &F::high_fence(leaf), target);
         // A whole-node rewrite touches both slot lines plus the staged
         // buffers: a capacity-class body that an optimistic HTM attempt
         // cannot commit — go straight to the serialized fallback tier.
@@ -1300,8 +1296,7 @@ impl RnTree {
             leaf.write_slot_in(txn, WhichSlot::Persistent, &img)?;
             leaf.write_slot_in(txn, WhichSlot::Transient, &img)
         });
-        leaf.set_layout(target);
-        leaf.persist_all();
+        leaf.persist_block(F::BLOCK);
         leaf.set_nlogs(live as u64);
         leaf.set_plogs(live as u64);
         self.journal.clear(&self.pool, jslot);
@@ -1316,34 +1311,6 @@ impl RnTree {
         true
     }
 
-    /// Live `(key, value)` pairs of the leaf in key order regardless of
-    /// layout (hash leaves gather their buckets and sort). Lock held or
-    /// recovery quiescence.
-    fn collect_sorted_pairs(&self, leaf: &Leaf<'_>, layout: u64) -> Vec<(u64, u64)> {
-        let slot = leaf.read_slot_seq(WhichSlot::Persistent);
-        if layout == LAYOUT_HASH {
-            let mut v: Vec<(u64, u64)> = HashDir::from_slot(slot)
-                .iter()
-                .map(|e| (leaf.read_key(e), leaf.read_value(e)))
-                .collect();
-            v.sort_unstable_by_key(|p| p.0);
-            v
-        } else {
-            leaf.collect_pairs(&slot)
-        }
-    }
-
-    /// Slot-line image for `pairs` stored densely at entries `0..n` in key
-    /// order: identity array (sorted layout) or rebuilt hash directory.
-    fn slot_image(pairs: &[(u64, u64)], layout: u64) -> SlotBuf {
-        if layout == LAYOUT_HASH {
-            let fps: Vec<u8> = pairs.iter().map(|&(k, _)| fp_hash(k)).collect();
-            HashDir::build(&fps).to_slot()
-        } else {
-            SlotBuf::identity(pairs.len())
-        }
-    }
-
     // ---------------------------------------------------------------- batch
 
     /// Bulk-loads `pairs` into an **empty** tree, building full leaves
@@ -1355,9 +1322,9 @@ impl RnTree {
     /// `upsert` would produce.
     ///
     /// Persistence cost is 2 persistent instructions per **leaf** — one
-    /// coalesced [`nvm::PmemPool::persist_many`] over the dirtied KV lines
-    /// plus the header line, then the slot-array line, in the same
-    /// KV-before-slot publication order as the per-op path — plus a
+    /// coalesced [`nvm::PmemPool::persist_many`] over the header line and
+    /// the written records, then the slot-array line, in the same
+    /// record-before-slot publication order as the per-op path — plus a
     /// constant 3 for the undo journal, instead of 2 per *key*.
     ///
     /// Crash safety: the pre-image of the (empty) head leaf is undo-logged
@@ -1376,7 +1343,15 @@ impl RnTree {
     /// Panics if the tree is not empty. Quiescent phases only (warm-up,
     /// initial fill): the caller must guarantee no concurrent operations.
     pub fn load_sorted(&self, pairs: &[(Key, Value)]) -> Result<(), OpError> {
-        let head = Leaf::at(&self.pool, self.leftmost);
+        if self.cfg.varlen_leaves {
+            let kp: Vec<(KeyBuf, Value)> = pairs.iter().map(|&(k, v)| (U64Key::encode(k), v)).collect();
+            return self.bulk_load::<VarFormat>(&kp);
+        }
+        self.bulk_load::<U64Format>(pairs)
+    }
+
+    fn bulk_load<F: LeafFormat>(&self, pairs: &[(F::Owned, Value)]) -> Result<(), OpError> {
+        let head = self.leaf(self.leftmost);
         assert!(
             head.read_slot_seq(WhichSlot::Persistent).is_empty() && head.next() == 0,
             "load_sorted requires an empty tree"
@@ -1384,7 +1359,7 @@ impl RnTree {
         if pairs.is_empty() {
             return Ok(());
         }
-        let mut sorted: Vec<(Key, Value)> = pairs.to_vec();
+        let mut sorted: Vec<(F::Owned, Value)> = pairs.to_vec();
         sorted.sort_by_key(|p| p.0); // stable: equal keys keep input order
         sorted.dedup_by(|later, earlier| {
             if later.0 == earlier.0 {
@@ -1394,7 +1369,13 @@ impl RnTree {
                 false
             }
         });
-        let chunks: Vec<&[(Key, Value)]> = sorted.chunks(MAX_LIVE).collect();
+        let mut chunks: Vec<&[(F::Owned, Value)]> = Vec::new();
+        let mut rest = &sorted[..];
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(F::chunk_len(rest));
+            chunks.push(chunk);
+            rest = tail;
+        }
         let mut blocks: Vec<u64> = Vec::with_capacity(chunks.len());
         blocks.push(self.leftmost);
         for _ in 1..chunks.len() {
@@ -1415,54 +1396,49 @@ impl RnTree {
         // restores an empty (chain-cut) tree.
         let jslot = self.journal.acquire();
         self.journal.log(&self.pool, jslot, self.leftmost);
+        let max_of = |c: &[(F::Owned, Value)]| c.last().expect("chunks are non-empty").0;
         for i in (0..chunks.len()).rev() {
+            // Chunk boundaries double as fences: chunk `i`'s low fence is
+            // chunk `i-1`'s maximum key.
             let last = i == chunks.len() - 1;
-            let max_key = chunks[i].last().expect("chunks are non-empty").0;
-            let fence = if last { u64::MAX } else { max_key };
+            let low = if i == 0 { F::MIN } else { max_of(chunks[i - 1]) };
+            let high = if last { F::TOP } else { F::fence_at(max_of(chunks[i])) };
             let next = if last { 0 } else { blocks[i + 1] };
-            self.init_leaf_batched(Leaf::at(&self.pool, blocks[i]), chunks[i], fence, next);
+            self.init_leaf_batched::<F>(self.leaf(blocks[i]), chunks[i], &low, &high, next);
         }
         self.journal.clear(&self.pool, jslot);
-        let routes: Vec<(Key, u64)> = chunks
-            .iter()
-            .zip(&blocks)
-            .map(|(c, &b)| (c.last().expect("chunks are non-empty").0, leaf_ref(b)))
-            .collect();
-        self.index.bulk_build(&routes);
+        let routes: Vec<(F::Owned, u64)> =
+            chunks.iter().zip(&blocks).map(|(c, &b)| (max_of(c), leaf_ref(b))).collect();
+        F::bulk_build(&self.index, &routes);
         Ok(())
     }
 
     /// Formats `leaf` with `pairs` stored densely in key order using
     /// exactly two persistent instructions: one coalesced flush of the
-    /// header line + dirtied KV lines, then the slot-array line. The leaf
+    /// header line + written records, then the slot-array line. The leaf
     /// must be private to the caller (bulk load under the quiescence
     /// contract).
-    fn init_leaf_batched(&self, leaf: Leaf<'_>, pairs: &[(Key, Value)], fence: u64, next: u64) {
+    fn init_leaf_batched<F: LeafFormat>(
+        &self,
+        leaf: Leaf<'_>,
+        pairs: &[(F::Owned, Value)],
+        low: &F::Owned,
+        high: &F::Fence,
+        next: u64,
+    ) {
         debug_assert!(!pairs.is_empty() && pairs.len() <= MAX_LIVE);
-        let layout = self.natal_layout();
         leaf.reset_lockver();
-        for (i, &(k, v)) in pairs.iter().enumerate() {
-            leaf.write_kv(i, k, v);
-            if self.cfg.fingerprints {
-                self.fps.set(leaf.off(), i, fp_hash(k));
-            }
-        }
+        let slot = self.rewrite::<F>(leaf, pairs, low, high, self.natal_layout());
         leaf.set_nlogs(pairs.len() as u64);
         leaf.set_plogs(pairs.len() as u64);
         leaf.set_next(next);
-        leaf.set_fence(fence);
-        leaf.set_layout(layout);
         // Persistent instruction #1: one CLWB batch + one fence covering
-        // the header line (layout tag included) and every dirtied KV line.
-        self.pool.persist_many(&[
-            (leaf.off() + field::LOCKVER, 64),
-            (leaf.off() + field::KV, pairs.len() as u64 * 16),
-        ]);
-        let slot = Self::slot_image(pairs, layout);
+        // the header line (layout tag included) and every written record.
+        F::persist_image(leaf, pairs.len());
         leaf.write_slot_seq(WhichSlot::Persistent, &slot);
         leaf.write_slot_seq(WhichSlot::Transient, &slot);
         // Persistent instruction #2: the slot line, published only after
-        // the KV entries it references are durable.
+        // the records it references are durable.
         leaf.persist_pslot();
     }
 
@@ -1477,7 +1453,7 @@ impl RnTree {
     /// as the caller observes the slice after the call returns.
     ///
     /// Each run executes under a single leaf lock with a single slot-array
-    /// persist (preceded by one coalesced KV-line persist), so a run of
+    /// persist (preceded by one coalesced record persist), so a run of
     /// `r` fresh keys costs 2 persistent instructions instead of `2r`.
     /// When a run overflows its leaf, the applied prefix commits, the leaf
     /// splits through the normal journal-protected path, and the remainder
@@ -1488,11 +1464,10 @@ impl RnTree {
     /// reported key is durable when the call returns. A crash mid-batch
     /// recovers to a run-granular prefix of the sorted batch.
     pub fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
-        // Route through the mixed-class executor: a pure-insert batch takes
-        // exactly the historical path (same runs, same persist shape). Both
-        // sorts are stable by key over the same initial order, so copying
-        // the sorted ops back gives the caller the permutation the contract
-        // promises, with results aligned index-for-index.
+        // Route through the mixed-class executor: both sorts are stable by
+        // key over the same initial order, so copying the sorted ops back
+        // gives the caller the permutation the contract promises, with
+        // results aligned index-for-index.
         let mut ops: Vec<(Key, Value, WriteOp)> =
             batch.iter().map(|&(k, v)| (k, v, WriteOp::Insert)).collect();
         let results = RnTree::write_batch(self, &mut ops);
@@ -1505,31 +1480,42 @@ impl RnTree {
     /// Batched mixed-class write ([`PersistentIndex::write_batch`]
     /// semantics): sorts the batch stably in place, then walks it in
     /// same-leaf runs exactly like [`RnTree::insert_batch`] — one leaf
-    /// lock, one coalesced KV-line persist (when any op dirtied a KV
-    /// line), one slot-line persist per touched leaf, whatever mix of
-    /// inserts, updates, upserts and removes the run carries. Elements
-    /// sharing a key compose in submission order against the in-register
-    /// slot image, so an insert+remove pair in one batch leaves the key
-    /// absent and both report `Ok`.
+    /// lock, one coalesced record persist (when any op wrote a record),
+    /// one slot-line persist per touched leaf, whatever mix of inserts,
+    /// updates, upserts and removes the run carries. Elements sharing a
+    /// key compose in submission order against the in-register slot image,
+    /// so an insert+remove pair in one batch leaves the key absent and
+    /// both report `Ok`.
     ///
-    /// A run containing **only** removes dirties no KV lines and commits
+    /// A run containing **only** removes writes no records and commits
     /// with a *single* persistent instruction (the slot-line persist):
     /// `r` coalesced removes on one leaf cost 1 persist where the per-op
     /// path costs `r`.
     pub fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
+        if self.cfg.varlen_leaves {
+            // Sort the caller's slice as the contract promises; the
+            // encoding preserves order, so results align index-for-index.
+            batch.sort_by_key(|p| p.0);
+            let mut kb: Vec<(KeyBuf, Value, WriteOp)> =
+                batch.iter().map(|&(k, v, op)| (U64Key::encode(k), v, op)).collect();
+            return self.run_batch::<VarFormat>(&mut kb);
+        }
+        self.run_batch::<U64Format>(batch)
+    }
+
+    fn run_batch<F: LeafFormat>(&self, batch: &mut [(F::Owned, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
         batch.sort_by_key(|p| p.0);
         let mut results: Vec<Result<(), OpError>> = vec![Ok(()); batch.len()];
         let mut i = 0usize;
         let mut starved = 0u32;
         while i < batch.len() {
             let key = batch[i].0;
-            let leaf = Leaf::at(&self.pool, self.traverse(key));
-            if self.cfg.leaf_prefetch {
-                leaf.prefetch_hot(0);
-                self.fps.prefetch_stripe(leaf.off());
-            }
+            let leaf = self.descend::<F>(key.borrow());
+            F::prefetch(leaf, 0);
+            self.fps.prefetch_stripe(leaf.off());
             leaf.lock();
-            if key > leaf.fence() {
+            let fence = F::high_fence(leaf);
+            if F::above(key.borrow(), &fence) {
                 leaf.unlock(false);
                 self.note_retry();
                 continue; // stale route (split won the race); re-traverse
@@ -1537,10 +1523,8 @@ impl RnTree {
             // Run formation: the maximal prefix of remaining keys covered
             // by this leaf's range. The traversal put `key` here, so every
             // following key up to the fence belongs here too.
-            let fence = leaf.fence();
-            let run_len = batch[i..].partition_point(|p| p.0 <= fence);
-            let consumed =
-                self.apply_run(leaf, &batch[i..i + run_len], &mut results[i..i + run_len]);
+            let run_len = batch[i..].partition_point(|p| !F::above(p.0.borrow(), &fence));
+            let consumed = self.apply_run::<F>(leaf, &batch[i..i + run_len], &mut results[i..i + run_len]);
             if consumed > 0 {
                 starved = 0;
                 i += consumed;
@@ -1550,7 +1534,7 @@ impl RnTree {
             // allocation-starved) split along, and fail the key instead of
             // spinning forever when the pool is exhausted — exactly the
             // per-op `modify` policy.
-            self.help_split(leaf);
+            self.help_split::<F>(leaf);
             if self.starved(&mut starved) {
                 results[i] = Err(OpError::PoolExhausted);
                 i += 1;
@@ -1566,179 +1550,96 @@ impl RnTree {
     /// of elements consumed (applied or rejected by their conditional);
     /// on overflow the remainder is left for the caller to retry after
     /// the split this run triggers.
-    fn apply_run(
+    fn apply_run<F: LeafFormat>(
         &self,
         leaf: Leaf<'_>,
-        run: &[(Key, Value, WriteOp)],
+        run: &[(F::Owned, Value, WriteOp)],
         results: &mut [Result<(), OpError>],
     ) -> usize {
-        // Layout dispatch, same shape as `edit_any`: the tag is stable
-        // under the lock. In hash mode the run edits a directory image and
-        // re-encodes it once at write-back.
-        let hashed = leaf.layout() == LAYOUT_HASH;
+        // The layout tag is stable under the lock, and so is whatever
+        // fence metadata record writes read.
+        let hashed = F::layout(leaf) == LAYOUT_HASH;
         let mut slot = leaf.read_slot_seq(WhichSlot::Persistent);
-        let mut dir = HashDir::from_slot(slot);
         let mut dirty: Vec<(u64, u64)> = Vec::with_capacity(run.len());
         let mut decided = 0u64;
         let mut consumed = 0usize;
         let mut changed = false;
         for (ri, &(k, v, op)) in run.iter().enumerate() {
+            let key: &F::Key = k.borrow();
             // Locate `k` in the in-register image. Edits land in that image
             // before the next element is examined, so elements sharing a
             // key compose in submission (stable-sort) order.
-            let mut hit_probe = None;
-            let mut hit_pos = None;
-            let mut ins_pos = None;
-            if hashed {
-                let fp = fp_hash(k);
-                let mut steps = 0u32;
-                hit_probe = dir.find(
-                    fp,
-                    |e| self.fps.check(leaf.off(), e, fp) && leaf.read_key(e) == k,
-                    &mut steps,
-                );
-            } else {
-                match leaf.search(&slot, k) {
-                    Ok(p) => hit_pos = Some(p),
-                    Err(p) => ins_pos = Some(p),
-                }
-            }
-            let present = hit_probe.is_some() || hit_pos.is_some();
-            match op {
-                WriteOp::Remove => {
-                    // Slot-image-only edit: no log entry, no KV line. A run
+            let spot = self.locate::<F>(leaf, &slot, key, hashed, false);
+            match (op, spot) {
+                (WriteOp::Remove, Ok(spot)) => {
+                    // Slot-image-only edit: no log entry, no record. A run
                     // of removes shares the single slot-line persist below.
-                    if present {
-                        if hashed {
-                            let p = hit_probe.expect("hashed hit carries a probe");
-                            dir.remove_at(p.bucket, |e| HashDir::home(fp_hash(leaf.read_key(e))));
-                        } else {
-                            slot.remove_at(hit_pos.expect("sorted hit carries a position"));
-                        }
-                        changed = true;
-                    } else {
-                        results[ri] = Err(OpError::NotFound);
+                    Self::remove_at::<F>(leaf, &mut slot, hashed, spot);
+                    changed = true;
+                }
+                (WriteOp::Remove | WriteOp::Update, Err(_)) => results[ri] = Err(OpError::NotFound),
+                // Present in the leaf (or earlier in this run): strict
+                // insert rejects without consuming a log entry.
+                (WriteOp::Insert, Ok(_)) => results[ri] = Err(OpError::AlreadyExists),
+                (WriteOp::Insert | WriteOp::Upsert, Err(_)) if slot.len() == MAX_LIVE => {
+                    // Slot array full. Deliberately waste one log entry:
+                    // `plogs` counts decisions and decisions drive the
+                    // split trigger, exactly like the per-op Overfull path
+                    // — without this a full leaf whose log area still has
+                    // room would never split.
+                    if leaf.alloc_entry().is_some() {
+                        decided += 1;
+                        self.wasted.fetch_add(1, Ordering::Relaxed);
                     }
-                    consumed += 1;
+                    break;
                 }
-                WriteOp::Insert if present => {
-                    // Present in the leaf (or earlier in this run): strict
-                    // insert rejects without consuming a log entry.
-                    results[ri] = Err(OpError::AlreadyExists);
-                    consumed += 1;
-                }
-                WriteOp::Update if !present => {
-                    results[ri] = Err(OpError::NotFound);
-                    consumed += 1;
-                }
-                WriteOp::Update | WriteOp::Upsert if present => {
-                    // Overwrite through a fresh log entry, exactly the
-                    // per-op `modify` shape (the old entry becomes garbage
-                    // the next compaction reclaims).
+                (_, spot) => {
+                    // A fresh log entry: an overwrite of a present key (the
+                    // per-op `modify` shape; the old entry becomes garbage)
+                    // or a fresh insert.
                     let Some(entry) = leaf.alloc_entry() else {
                         break; // log area exhausted; split, then retry
                     };
                     decided += 1;
-                    leaf.write_kv(entry, k, v);
-                    if self.cfg.fingerprints {
-                        self.fps.set(leaf.off(), entry, fp_hash(k));
-                    }
-                    dirty.push((leaf.off() + kv_off(entry), 16));
-                    if hashed {
-                        dir.set_probe(hit_probe.expect("hashed hit carries a probe"), entry);
-                    } else {
-                        slot.set_entry(hit_pos.expect("sorted hit carries a position"), entry);
-                    }
-                    changed = true;
-                    consumed += 1;
-                }
-                WriteOp::Insert | WriteOp::Upsert => {
-                    // Absent: fresh insert.
-                    let full = if hashed { dir.len() == MAX_LIVE } else { slot.len() == MAX_LIVE };
-                    if full {
-                        // Slot array full. Deliberately waste one log entry:
-                        // `plogs` counts decisions and decisions drive the
-                        // split trigger, exactly like the per-op Overfull
-                        // path — without this a full leaf whose log area
-                        // still has room would never split.
-                        if leaf.alloc_entry().is_some() {
-                            decided += 1;
-                            self.wasted.fetch_add(1, Ordering::Relaxed);
-                        }
+                    let Some(extent) = F::write_record(leaf, entry, key, v) else {
+                        // No room for the record: the entry is decided
+                        // wasted, and the heap-pressure trigger below runs
+                        // the split.
+                        self.wasted.fetch_add(1, Ordering::Relaxed);
                         break;
-                    }
-                    let Some(entry) = leaf.alloc_entry() else {
-                        break; // log area exhausted; split, then retry
                     };
-                    decided += 1;
-                    leaf.write_kv(entry, k, v);
                     if self.cfg.fingerprints {
-                        self.fps.set(leaf.off(), entry, fp_hash(k));
+                        self.fps.set(leaf.off(), entry, F::fp(key));
                     }
-                    dirty.push((leaf.off() + kv_off(entry), 16));
-                    if hashed {
-                        let ok = dir.insert(fp_hash(k), entry);
-                        debug_assert!(ok, "directory had room");
-                    } else {
-                        slot.insert_at(ins_pos.expect("sorted path carries a position"), entry);
+                    dirty.extend_from_slice(extent.as_ref());
+                    match spot {
+                        Ok(spot) => Self::set_at(&mut slot, hashed, spot, entry),
+                        Err(pos) => self.insert_at::<F>(leaf, &mut slot, hashed, key, pos, entry),
                     }
                     changed = true;
-                    consumed += 1;
                 }
-                WriteOp::Update => unreachable!("guarded arms above cover update"),
             }
-        }
-        if hashed {
-            slot = dir.to_slot();
+            consumed += 1;
         }
         if changed {
-            // Persistent instruction #1 for the whole run: the dirtied KV
-            // lines, coalesced (entries sharing a line flush once), durable
-            // strictly before the slot line below (publication order).
-            // A pure-remove run dirties no KV lines and skips straight to
-            // the slot persist — one persistent instruction total.
+            // Persistent instruction #1 for the whole run: the written
+            // records, coalesced (records sharing a line flush once),
+            // durable strictly before the slot line below (publication
+            // order). A pure-remove run writes no records and skips
+            // straight to the slot persist — one persistent instruction.
             if !dirty.is_empty() {
                 self.pool.persist_many(&dirty);
             }
-            // One slot-array edit for the whole run. Transactional even
-            // under the lock: single-slot readers snapshot this line
-            // optimistically and must never observe a torn buffer.
-            if self.cfg.seq_traversal {
-                leaf.write_slot_seq(WhichSlot::Persistent, &slot);
-            } else {
-                self.index
-                    .domain()
-                    .atomic(|txn| leaf.write_slot_in(txn, WhichSlot::Persistent, &slot));
-            }
+            // One slot-array edit for the whole run.
+            self.write_slot(leaf, WhichSlot::Persistent, &slot);
             // Persistent instruction #2: the run commits here, atomically.
             leaf.persist_pslot();
-            if self.cfg.dual_slot {
-                if self.cfg.seq_traversal {
-                    leaf.write_slot_seq(WhichSlot::Transient, &slot);
-                } else {
-                    self.index
-                        .domain()
-                        .atomic(|txn| leaf.write_slot_in(txn, WhichSlot::Transient, &slot));
-                }
-            }
+            self.publish(leaf, &slot);
         }
         // Count the run's decisions in one step and run the (possibly
-        // deferred) split when they consumed the log area — the same
-        // trigger and quiescence check as the per-op path.
-        let mut did_split = false;
-        if decided > 0 {
-            let plogs = leaf.plogs() + decided;
-            leaf.set_plogs(plogs);
-            if plogs >= (LEAF_CAPACITY - 1) as u64 {
-                leaf.set_split();
-                if leaf.nlogs() == plogs {
-                    self.split_or_compact(leaf);
-                    did_split = true;
-                } else {
-                    leaf.unset_split_nobump();
-                }
-            }
-        }
+        // deferred) split — the same trigger and quiescence check as the
+        // per-op path.
+        let did_split = decided > 0 && self.decide::<F>(leaf, decided);
         leaf.unlock(!self.cfg.dual_slot && changed && !did_split);
         consumed
     }
@@ -1749,176 +1650,132 @@ impl RnTree {
     /// a description of the first violation. Quiescent phases only.
     pub fn verify_invariants(&self) -> Result<(), String> {
         if self.cfg.varlen_leaves {
-            return self.vverify_invariants();
+            self.verify::<VarFormat>()
+        } else {
+            self.verify::<U64Format>()
         }
+    }
+
+    fn verify<F: LeafFormat>(&self) -> Result<(), String> {
         let mut off = self.leftmost;
-        let mut last_key: Option<Key> = None;
-        let mut last_fence = 0u64;
-        let mut leaves = 0u64;
+        let mut last_key: Option<F::Owned> = None;
+        let mut prev_fence: Option<F::Fence> = None;
         while off != 0 {
-            leaves += 1;
-            let leaf = Leaf::at(&self.pool, off);
+            let leaf = self.leaf(off);
             let slot = leaf.read_slot_seq(WhichSlot::Persistent);
             if slot.len() > MAX_LIVE {
                 return Err(format!("leaf {off}: slot count {} > {MAX_LIVE}", slot.len()));
             }
-            let hashed = leaf.layout() == LAYOUT_HASH;
-            if hashed {
-                // Hash leaf: no intra-leaf order, but every key must sit
-                // strictly between the previous leaf's maximum and this
-                // leaf's fence, the directory's count byte must equal its
-                // occupied buckets, and a probe must find every live key.
-                let dir = HashDir::from_slot(slot);
-                let prev_leaf_max = last_key;
-                let mut seen = [false; LEAF_CAPACITY];
-                let mut count = 0usize;
-                for e in dir.iter() {
-                    count += 1;
-                    if seen[e] {
-                        return Err(format!("leaf {off}: duplicate directory entry {e}"));
-                    }
-                    seen[e] = true;
-                    if e as u64 >= leaf.nlogs() {
-                        return Err(format!(
-                            "leaf {off}: directory references unallocated entry {e} (nlogs={})",
-                            leaf.nlogs()
-                        ));
-                    }
-                    let k = leaf.read_key(e);
-                    if let Some(prev) = prev_leaf_max {
-                        if k <= prev {
-                            return Err(format!("leaf {off}: key {k} not > previous leaf max {prev}"));
-                        }
-                    }
-                    if k > leaf.fence() {
-                        return Err(format!("leaf {off}: key {k} above fence {}", leaf.fence()));
-                    }
-                    if last_key.is_none_or(|m| k > m) {
-                        last_key = Some(k);
-                    }
-                    let mut steps = 0u32;
-                    let found = dir.find(fp_hash(k), |c| leaf.read_key(c) == k, &mut steps);
-                    if found.map(|p| p.entry) != Some(e) {
-                        return Err(format!("leaf {off}: directory probe misses live key {k}"));
-                    }
-                    let routed = self.index.traverse_seq(k);
-                    if routed != off {
-                        return Err(format!("index routes key {k} to {routed}, expected {off}"));
-                    }
+            F::check_leaf(leaf, &mut prev_fence, !slot.is_empty())?;
+            let high = F::high_fence(leaf);
+            // A hash leaf keeps no intra-leaf order: its keys need only sit
+            // above the previous leaf's maximum.
+            let hashed = F::layout(leaf) == LAYOUT_HASH;
+            let prev_leaf_max = last_key;
+            let mut seen = [false; LEAF_CAPACITY];
+            let mut count = 0usize;
+            for (pos, e) in live_entries(&slot, hashed).enumerate() {
+                count += 1;
+                if e >= LEAF_CAPACITY {
+                    return Err(format!("leaf {off}: slot entry {e} out of range"));
                 }
-                if count != dir.len() {
+                if seen[e] {
+                    return Err(format!("leaf {off}: duplicate slot entry {e}"));
+                }
+                seen[e] = true;
+                if e as u64 >= leaf.nlogs() {
                     return Err(format!(
-                        "leaf {off}: directory count byte {} != occupied buckets {count}",
-                        dir.len()
+                        "leaf {off}: slot references unallocated entry {e} (nlogs={})",
+                        leaf.nlogs()
                     ));
                 }
-            } else {
-                let mut seen = [false; LEAF_CAPACITY];
-                for pos in 0..slot.len() {
-                    let e = slot.entry(pos);
-                    if e >= LEAF_CAPACITY {
-                        return Err(format!("leaf {off}: slot entry {e} out of range"));
+                let k = F::read_key(leaf, e);
+                let floor = if hashed { prev_leaf_max } else { last_key };
+                if let Some(prev) = floor {
+                    if k <= prev {
+                        return Err(format!("leaf {off}: key {k:?} not > previous {prev:?}"));
                     }
-                    if seen[e] {
-                        return Err(format!("leaf {off}: duplicate slot entry {e}"));
-                    }
-                    seen[e] = true;
-                    if e as u64 >= leaf.nlogs() {
-                        return Err(format!(
-                            "leaf {off}: slot references unallocated entry {e} (nlogs={})",
-                            leaf.nlogs()
-                        ));
-                    }
-                    let k = leaf.read_key(e);
-                    if let Some(prev) = last_key {
-                        if k <= prev {
-                            return Err(format!("leaf {off}: key {k} not > previous {prev}"));
-                        }
-                    }
-                    if k > leaf.fence() {
-                        return Err(format!("leaf {off}: key {k} above fence {}", leaf.fence()));
-                    }
+                }
+                F::check_key(leaf, &k, &high)?;
+                if last_key.is_none_or(|m| k > m) {
                     last_key = Some(k);
-                    // The fingerprint table may never produce a false negative
-                    // for a live key (collisions only cost extra compares).
-                    if self.cfg.fingerprints && self.fps.probe(&leaf, &slot, k) != Some(pos) {
-                        return Err(format!("leaf {off}: fingerprint probe misses live key {k}"));
-                    }
-                    // The volatile index must route this key here.
-                    let routed = self.index.traverse_seq(k);
-                    if routed != off {
-                        return Err(format!("index routes key {k} to {routed}, expected {off}"));
-                    }
+                }
+                // A probe may never produce a false negative for a live key
+                // (fingerprint collisions only cost extra compares).
+                let found = if hashed {
+                    self.probe_dir::<F>(leaf, &slot, k.borrow(), &mut 0).map(|p| p.entry) == Some(e)
+                } else {
+                    !self.cfg.fingerprints
+                        || self.fps.probe::<F>(leaf, &slot, k.borrow(), &self.leaf_head_ties) == Some(pos)
+                };
+                if !found {
+                    return Err(format!("leaf {off}: probe misses live key {k:?}"));
+                }
+                // The volatile index must route this key here.
+                let routed = F::descend(&self.index, k.borrow(), true);
+                if routed != off {
+                    return Err(format!("index routes key {k:?} to {routed}, expected {off}"));
                 }
             }
-            if self.cfg.dual_slot {
-                let t = leaf.read_slot_seq(WhichSlot::Transient);
-                if t != slot {
-                    return Err(format!("leaf {off}: transient slot diverges from persistent"));
-                }
+            if count != slot.len() {
+                return Err(format!("leaf {off}: count byte {} != live entries {count}", slot.len()));
             }
-            // Fence monotonicity holds across non-empty leaves. Empty
-            // leaves keep stale fences: recovery excludes them from the
-            // volatile index, so a neighbour can later absorb (part of)
-            // their old range and split with a smaller fence — harmless,
-            // because nothing ever routes to an index-excluded leaf.
-            if !slot.is_empty() {
-                if leaf.fence() < last_fence {
-                    return Err(format!(
-                        "leaf {off}: fence {} < predecessor {last_fence}",
-                        leaf.fence()
-                    ));
-                }
-                last_fence = leaf.fence();
+            if self.cfg.dual_slot && leaf.read_slot_seq(WhichSlot::Transient) != slot {
+                return Err(format!("leaf {off}: transient slot diverges from persistent"));
             }
-            let next = leaf.next();
-            if next == 0 && leaf.fence() != u64::MAX {
-                return Err(format!("last leaf {off} has fence {} != MAX", leaf.fence()));
-            }
-            off = next;
+            off = leaf.next();
         }
-        let _ = leaves;
         Ok(())
+    }
+
+    /// The u64 API's write entry: a var tree runs the byte-key path on the
+    /// key's order-preserving 8-byte encoding ([`U64Key`]), so u64 order
+    /// and byte order agree and scans return the same sequences.
+    fn modify_u64(&self, key: Key, value: Value, mode: WriteMode) -> Result<(), OpError> {
+        if self.cfg.varlen_leaves {
+            return self.modify::<VarFormat>(U64Key::encode(key).as_slice(), value, mode);
+        }
+        self.modify::<U64Format>(&key, value, mode)
+    }
+
+    /// The byte-key API's write entry: a u64 tree serves only keys with an
+    /// 8-byte encoding.
+    fn modify_k(&self, key: KeyRef<'_>, value: Value, mode: WriteMode) -> Result<(), OpError> {
+        if self.cfg.varlen_leaves {
+            if key.len() > MAX_KEY_LEN {
+                return Err(OpError::UnsupportedKey);
+            }
+            return self.modify::<VarFormat>(key, value, mode);
+        }
+        self.modify::<U64Format>(&U64Key::decode(key).ok_or(OpError::UnsupportedKey)?, value, mode)
     }
 }
 
 impl PersistentIndex for RnTree {
-    // The u64 API works on both layouts: in varlen mode a u64 key is its
-    // 8-byte big-endian encoding ([`U64Key`] is order-preserving, so u64
-    // order and byte order agree and scans return the same sequences).
     fn insert(&self, key: Key, value: Value) -> Result<(), OpError> {
-        if self.cfg.varlen_leaves {
-            return self.vmodify(U64Key::encode(key).as_slice(), value, WriteMode::InsertStrict);
-        }
-        self.modify(key, value, WriteMode::InsertStrict)
+        self.modify_u64(key, value, WriteMode::InsertStrict)
     }
 
     fn update(&self, key: Key, value: Value) -> Result<(), OpError> {
-        if self.cfg.varlen_leaves {
-            return self.vmodify(U64Key::encode(key).as_slice(), value, WriteMode::UpdateStrict);
-        }
-        self.modify(key, value, WriteMode::UpdateStrict)
+        self.modify_u64(key, value, WriteMode::UpdateStrict)
     }
 
     fn upsert(&self, key: Key, value: Value) -> Result<(), OpError> {
-        if self.cfg.varlen_leaves {
-            return self.vmodify(U64Key::encode(key).as_slice(), value, WriteMode::Upsert);
-        }
-        self.modify(key, value, WriteMode::Upsert)
+        self.modify_u64(key, value, WriteMode::Upsert)
     }
 
     fn remove(&self, key: Key) -> Result<(), OpError> {
         if self.cfg.varlen_leaves {
-            return self.vremove(U64Key::encode(key).as_slice());
+            return self.remove_impl::<VarFormat>(U64Key::encode(key).as_slice());
         }
-        self.remove_impl(key)
+        self.remove_impl::<U64Format>(&key)
     }
 
     fn find(&self, key: Key) -> Option<Value> {
         if self.cfg.varlen_leaves {
-            return self.vfind(U64Key::encode(key).as_slice());
+            return self.find_impl::<VarFormat>(U64Key::encode(key).as_slice());
         }
-        self.find_impl(key)
+        self.find_impl::<U64Format>(&key)
     }
 
     fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
@@ -1927,54 +1784,22 @@ impl PersistentIndex for RnTree {
             // have no u64 spelling. A u64 workload never stores any.
             out.clear();
             let mut tmp: Vec<(KeyBuf, Value)> = Vec::new();
-            self.vscan(U64Key::encode(start).as_slice(), n, &mut tmp);
+            self.scan_impl::<VarFormat>(U64Key::encode(start), n, &mut tmp);
             out.extend(tmp.iter().filter_map(|(k, v)| Some((U64Key::decode(k.as_slice())?, *v))));
             return out.len();
         }
-        self.scan_impl(start, n, out)
+        self.scan_impl::<U64Format>(start, n, out)
     }
 
     fn load_sorted(&self, pairs: &[(Key, Value)]) -> Result<(), OpError> {
-        if self.cfg.varlen_leaves {
-            let kp: Vec<(KeyBuf, Value)> =
-                pairs.iter().map(|&(k, v)| (U64Key::encode(k), v)).collect();
-            return self.vload_sorted(&kp);
-        }
         RnTree::load_sorted(self, pairs)
     }
 
     fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
-        if self.cfg.varlen_leaves {
-            // Sort the caller's slice the way the contract promises, then
-            // run the (already sorted — the encoding is order-preserving)
-            // byte-key batch; results align index-for-index.
-            batch.sort_by_key(|p| p.0);
-            let mut kb: Vec<(KeyBuf, Value)> =
-                batch.iter().map(|&(k, v)| (U64Key::encode(k), v)).collect();
-            return self.vinsert_batch(&mut kb);
-        }
         RnTree::insert_batch(self, batch)
     }
 
     fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
-        if self.cfg.varlen_leaves {
-            // Var leaves have no mixed-class run executor yet: sort (the
-            // contract) and dispatch each element through the byte-key
-            // point paths in order.
-            batch.sort_by_key(|p| p.0);
-            return batch
-                .iter()
-                .map(|&(k, v, op)| {
-                    let kb = U64Key::encode(k);
-                    match op {
-                        WriteOp::Insert => self.vmodify(kb.as_slice(), v, WriteMode::InsertStrict),
-                        WriteOp::Update => self.vmodify(kb.as_slice(), v, WriteMode::UpdateStrict),
-                        WriteOp::Upsert => self.vmodify(kb.as_slice(), v, WriteMode::Upsert),
-                        WriteOp::Remove => self.vremove(kb.as_slice()),
-                    }
-                })
-                .collect();
-        }
         RnTree::write_batch(self, batch)
     }
 
@@ -1983,43 +1808,54 @@ impl PersistentIndex for RnTree {
     }
 
     fn insert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        if self.cfg.varlen_leaves {
-            return self.vmodify(key, value, WriteMode::InsertStrict);
-        }
-        self.modify(U64Key::decode(key).ok_or(OpError::UnsupportedKey)?, value, WriteMode::InsertStrict)
+        self.modify_k(key, value, WriteMode::InsertStrict)
     }
 
     fn update_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        if self.cfg.varlen_leaves {
-            return self.vmodify(key, value, WriteMode::UpdateStrict);
-        }
-        self.modify(U64Key::decode(key).ok_or(OpError::UnsupportedKey)?, value, WriteMode::UpdateStrict)
+        self.modify_k(key, value, WriteMode::UpdateStrict)
     }
 
     fn upsert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        if self.cfg.varlen_leaves {
-            return self.vmodify(key, value, WriteMode::Upsert);
-        }
-        self.modify(U64Key::decode(key).ok_or(OpError::UnsupportedKey)?, value, WriteMode::Upsert)
+        self.modify_k(key, value, WriteMode::Upsert)
     }
 
     fn remove_k(&self, key: KeyRef<'_>) -> Result<(), OpError> {
         if self.cfg.varlen_leaves {
-            return self.vremove(key);
+            if key.len() > MAX_KEY_LEN {
+                return Err(OpError::UnsupportedKey);
+            }
+            return self.remove_impl::<VarFormat>(key);
         }
-        self.remove_impl(U64Key::decode(key).ok_or(OpError::UnsupportedKey)?)
+        self.remove_impl::<U64Format>(&U64Key::decode(key).ok_or(OpError::UnsupportedKey)?)
     }
 
     fn find_k(&self, key: KeyRef<'_>) -> Option<Value> {
         if self.cfg.varlen_leaves {
-            return self.vfind(key);
+            if key.len() > MAX_KEY_LEN {
+                return None;
+            }
+            return self.find_impl::<VarFormat>(key);
         }
-        self.find_impl(U64Key::decode(key)?)
+        self.find_impl::<U64Format>(&U64Key::decode(key)?)
     }
 
     fn scan_k(&self, start: KeyRef<'_>, n: usize, out: &mut Vec<(KeyBuf, Value)>) -> usize {
         if self.cfg.varlen_leaves {
-            return self.vscan(start, n, out);
+            // Clamp over-long start keys: for any storable key `k` (≤ 64 B),
+            // `k ≥ start ⟺ k ≥ successor(start[..64])` — `start` is longer
+            // than its own 64-byte prefix, so nothing storable sits between.
+            let cursor = if start.len() > MAX_KEY_LEN {
+                match KeyBuf::from_slice(&start[..MAX_KEY_LEN]).successor() {
+                    Some(s) => s,
+                    None => {
+                        out.clear();
+                        return 0;
+                    }
+                }
+            } else {
+                KeyBuf::from_slice(start)
+            };
+            return self.scan_impl::<VarFormat>(cursor, n, out);
         }
         out.clear();
         // The u64-backed round-up from the trait default: smallest u64
@@ -2036,14 +1872,14 @@ impl PersistentIndex for RnTree {
             }
         };
         let mut tmp = Vec::new();
-        self.scan_impl(from, n, &mut tmp);
+        self.scan_impl::<U64Format>(from, n, &mut tmp);
         out.extend(tmp.into_iter().map(|(k, v)| (U64Key::encode(k), v)));
         out.len()
     }
 
     fn load_sorted_k(&self, pairs: &[(KeyBuf, Value)]) -> Result<(), OpError> {
         if self.cfg.varlen_leaves {
-            return self.vload_sorted(pairs);
+            return self.bulk_load::<VarFormat>(pairs);
         }
         // 8-byte-only index: decode the whole batch up front (failing
         // cleanly on an unrepresentable key) and take the bulk-load path
@@ -2052,12 +1888,20 @@ impl PersistentIndex for RnTree {
         for (k, v) in pairs {
             kp.push((U64Key::decode(k.as_slice()).ok_or(OpError::UnsupportedKey)?, *v));
         }
-        RnTree::load_sorted(self, &kp)
+        self.bulk_load::<U64Format>(&kp)
     }
 
     fn insert_batch_k(&self, batch: &mut [(KeyBuf, Value)]) -> Vec<Result<(), OpError>> {
         if self.cfg.varlen_leaves {
-            return self.vinsert_batch(batch);
+            // Strict inserts through the run executor; both sorts are
+            // stable by key, so copying back aligns results with `batch`.
+            let mut ops: Vec<(KeyBuf, Value, WriteOp)> =
+                batch.iter().map(|&(k, v)| (k, v, WriteOp::Insert)).collect();
+            let results = self.run_batch::<VarFormat>(&mut ops);
+            for (dst, src) in batch.iter_mut().zip(&ops) {
+                *dst = (src.0, src.1);
+            }
+            return results;
         }
         batch.sort_by_key(|p| p.0);
         if let Ok(mut kp) = batch
@@ -2103,7 +1947,7 @@ impl PersistentIndex for RnTree {
         let mut entries = 0u64;
         let mut off = self.leftmost;
         while off != 0 {
-            let leaf = Leaf::at(&self.pool, off);
+            let leaf = self.leaf(off);
             leaves += 1;
             entries += leaf.read_slot_seq(WhichSlot::Persistent).len() as u64;
             off = leaf.next();
@@ -2294,9 +2138,9 @@ impl RnTree {
     /// The leaf block size this config's layout uses.
     pub(crate) fn leaf_block(cfg: &RnConfig) -> u64 {
         if cfg.varlen_leaves {
-            VAR_LEAF_BLOCK
+            VarFormat::BLOCK
         } else {
-            LEAF_BLOCK
+            U64Format::BLOCK
         }
     }
 

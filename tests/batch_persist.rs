@@ -15,6 +15,10 @@
 //! * Crashing at every persist boundary inside `load_sorted` recovers to
 //!   an **empty** tree (all-or-nothing: the journaled head-leaf pre-image
 //!   rolls the whole load back).
+//!
+//! The crash sweeps run over every leaf encoding — sorted u64 leaves,
+//! hash-directory leaves and variable-length leaves — through the same
+//! u64 API, which routes var trees into their byte-key batch paths.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -22,7 +26,7 @@ use std::sync::Arc;
 
 use index_common::PersistentIndex;
 use nvm::{PmemConfig, PmemPool};
-use rntree::{RnConfig, RnTree};
+use rntree::{LeafPolicy, RnConfig, RnTree};
 
 /// Keys per leaf built by the bulk loader (layout MAX_LIVE).
 const LEAF_FILL: u64 = 63;
@@ -33,6 +37,15 @@ fn persists(pool: &PmemPool) -> u64 {
 
 fn seq_pairs(lo: u64, hi: u64) -> Vec<(u64, u64)> {
     (lo..=hi).map(|k| (k, k * 10 + 1)).collect()
+}
+
+/// One config per leaf encoding: sorted u64, hash directory, var keys.
+fn every_encoding() -> [RnConfig; 3] {
+    [
+        RnConfig::default(),
+        RnConfig { leaf_policy: LeafPolicy::Hash, ..RnConfig::default() },
+        RnConfig { varlen_leaves: true, ..RnConfig::default() },
+    ]
 }
 
 #[test]
@@ -132,63 +145,66 @@ fn crash_mid_insert_batch_recovers_a_sorted_prefix() {
     let mut sorted_batch = batch_template.clone();
     sorted_batch.sort_by_key(|p| p.0);
 
-    // How many persists does the whole batch take, uninterrupted?
-    let total = {
-        let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 23)));
-        let tree = RnTree::create(Arc::clone(&pool), RnConfig::default());
-        tree.load_sorted(&old_keys).unwrap();
-        let before = persists(&pool);
-        let mut batch = batch_template.clone();
-        assert!(tree.insert_batch(&mut batch).into_iter().all(|r| r.is_ok()));
-        persists(&pool) - before
-    };
-    assert!(total >= 4, "want a multi-persist batch, got {total}");
+    for cfg in every_encoding() {
+        let tag = format!("varlen={} policy={:?}", cfg.varlen_leaves, cfg.leaf_policy);
+        // How many persists does the whole batch take, uninterrupted?
+        let total = {
+            let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 23)));
+            let tree = RnTree::create(Arc::clone(&pool), cfg);
+            tree.load_sorted(&old_keys).unwrap();
+            let before = persists(&pool);
+            let mut batch = batch_template.clone();
+            assert!(tree.insert_batch(&mut batch).into_iter().all(|r| r.is_ok()), "{tag}");
+            persists(&pool) - before
+        };
+        assert!(total >= 4, "want a multi-persist batch, got {total} ({tag})");
 
-    for nth in 1..=total {
-        let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 23)));
-        let cfg = RnConfig::default();
-        let tree = RnTree::create(Arc::clone(&pool), cfg);
-        tree.load_sorted(&old_keys).unwrap();
+        for nth in 1..=total {
+            let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 23)));
+            let tree = RnTree::create(Arc::clone(&pool), cfg);
+            tree.load_sorted(&old_keys).unwrap();
 
-        pool.arm_persist_trap(nth);
-        let mut batch = batch_template.clone();
-        let crashed = catch_unwind(AssertUnwindSafe(|| {
-            let _ = tree.insert_batch(&mut batch);
-        }))
-        .is_err();
-        pool.disarm_persist_trap();
-        assert!(crashed, "trap {nth}/{total} must fire mid-batch");
-        drop(tree);
-        pool.simulate_crash();
+            pool.arm_persist_trap(nth);
+            let mut batch = batch_template.clone();
+            let crashed = catch_unwind(AssertUnwindSafe(|| {
+                let _ = tree.insert_batch(&mut batch);
+            }))
+            .is_err();
+            pool.disarm_persist_trap();
+            assert!(crashed, "trap {nth}/{total} must fire mid-batch ({tag})");
+            drop(tree);
+            pool.simulate_crash();
 
-        let tree = RnTree::recover(Arc::clone(&pool), cfg);
-        tree.verify_invariants()
-            .unwrap_or_else(|e| panic!("trap {nth}: {e}"));
-        for &(k, v) in &old_keys {
-            assert_eq!(tree.find(k), Some(v), "trap {nth}: pre-batch key {k} lost");
-        }
-        // Batch keys present after recovery must be a prefix of the sorted
-        // batch: once one is missing, all later ones must be missing too.
-        let mut missing_seen = false;
-        let mut applied = 0u64;
-        for &(k, v) in &sorted_batch {
-            match tree.find(k) {
-                Some(got) => {
-                    assert!(
-                        !missing_seen,
-                        "trap {nth}: key {k} present after an earlier batch key was lost"
-                    );
-                    assert_eq!(got, v, "trap {nth}: key {k} has a torn value");
-                    applied += 1;
-                }
-                None => missing_seen = true,
+            let tree = RnTree::recover(Arc::clone(&pool), cfg);
+            tree.verify_invariants()
+                .unwrap_or_else(|e| panic!("trap {nth} ({tag}): {e}"));
+            for &(k, v) in &old_keys {
+                assert_eq!(tree.find(k), Some(v), "trap {nth} ({tag}): pre-batch key {k} lost");
             }
+            // Batch keys present after recovery must be a prefix of the
+            // sorted batch: once one is missing, all later ones must be
+            // missing too.
+            let mut missing_seen = false;
+            let mut applied = 0u64;
+            for &(k, v) in &sorted_batch {
+                match tree.find(k) {
+                    Some(got) => {
+                        assert!(
+                            !missing_seen,
+                            "trap {nth} ({tag}): key {k} present after an earlier batch key was lost"
+                        );
+                        assert_eq!(got, v, "trap {nth} ({tag}): key {k} has a torn value");
+                        applied += 1;
+                    }
+                    None => missing_seen = true,
+                }
+            }
+            assert_eq!(
+                tree.stats().entries,
+                old_keys.len() as u64 + applied,
+                "trap {nth} ({tag}): recovered entry count"
+            );
         }
-        assert_eq!(
-            tree.stats().entries,
-            old_keys.len() as u64 + applied,
-            "trap {nth}: recovered entry count"
-        );
     }
 }
 
@@ -197,44 +213,47 @@ fn crash_mid_insert_batch_recovers_a_sorted_prefix() {
 #[test]
 fn crash_mid_load_sorted_recovers_empty() {
     let pairs = seq_pairs(1, 150); // 3 leaves -> 2*3+3 = 9 persists
-    let total = {
-        let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 23)));
-        let tree = RnTree::create(Arc::clone(&pool), RnConfig::default());
-        let before = persists(&pool);
-        tree.load_sorted(&pairs).unwrap();
-        persists(&pool) - before
-    };
-    assert_eq!(total, 9, "3-leaf load must take 2*3+3 persists");
+    for cfg in every_encoding() {
+        let tag = format!("varlen={} policy={:?}", cfg.varlen_leaves, cfg.leaf_policy);
+        let total = {
+            let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 23)));
+            let tree = RnTree::create(Arc::clone(&pool), cfg);
+            let before = persists(&pool);
+            tree.load_sorted(&pairs).unwrap();
+            persists(&pool) - before
+        };
+        assert_eq!(total, 9, "3-leaf load must take 2*3+3 persists ({tag})");
 
-    for nth in 1..=total {
-        let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 23)));
-        let cfg = RnConfig::default();
-        let tree = RnTree::create(Arc::clone(&pool), cfg);
+        for nth in 1..=total {
+            let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 23)));
+            let tree = RnTree::create(Arc::clone(&pool), cfg);
 
-        pool.arm_persist_trap(nth);
-        let crashed = catch_unwind(AssertUnwindSafe(|| {
-            let _ = tree.load_sorted(&pairs);
-        }))
-        .is_err();
-        pool.disarm_persist_trap();
-        assert!(crashed, "trap {nth}/{total} must fire mid-load");
-        drop(tree);
-        pool.simulate_crash();
+            pool.arm_persist_trap(nth);
+            let crashed = catch_unwind(AssertUnwindSafe(|| {
+                let _ = tree.load_sorted(&pairs);
+            }))
+            .is_err();
+            pool.disarm_persist_trap();
+            assert!(crashed, "trap {nth}/{total} must fire mid-load ({tag})");
+            drop(tree);
+            pool.simulate_crash();
 
-        let tree = RnTree::recover(Arc::clone(&pool), cfg);
-        tree.verify_invariants()
-            .unwrap_or_else(|e| panic!("trap {nth}: {e}"));
-        assert_eq!(tree.stats().entries, 0, "trap {nth}: load must be all-or-nothing");
-        for &(k, _) in &pairs {
-            assert_eq!(tree.find(k), None, "trap {nth}: key {k} leaked");
+            let tree = RnTree::recover(Arc::clone(&pool), cfg);
+            tree.verify_invariants()
+                .unwrap_or_else(|e| panic!("trap {nth} ({tag}): {e}"));
+            assert_eq!(tree.stats().entries, 0, "trap {nth} ({tag}): load must be all-or-nothing");
+            for &(k, _) in &pairs {
+                assert_eq!(tree.find(k), None, "trap {nth} ({tag}): key {k} leaked");
+            }
+            // The rolled-back tree must still be fully usable — including
+            // the blocks the aborted load had claimed, which recovery
+            // reclaims.
+            tree.load_sorted(&pairs).unwrap();
+            for &(k, v) in &pairs {
+                assert_eq!(tree.find(k), Some(v), "trap {nth} ({tag}): post-recovery reload");
+            }
+            tree.verify_invariants().unwrap();
         }
-        // The rolled-back tree must still be fully usable — including the
-        // blocks the aborted load had claimed, which recovery reclaims.
-        tree.load_sorted(&pairs).unwrap();
-        for &(k, v) in &pairs {
-            assert_eq!(tree.find(k), Some(v), "trap {nth}: post-recovery reload");
-        }
-        tree.verify_invariants().unwrap();
     }
 }
 
@@ -244,9 +263,8 @@ fn crash_mid_load_sorted_recovers_empty() {
 fn batched_and_per_op_trees_recover_identically() {
     let keys: Vec<(u64, u64)> = (1..=400u64).map(|k| (k * 7, k)).collect();
 
-    let recover_set = |batched: bool| -> BTreeSet<(u64, u64)> {
+    let recover_set = |cfg: RnConfig, batched: bool| -> BTreeSet<(u64, u64)> {
         let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 23)));
-        let cfg = RnConfig::default();
         let tree = RnTree::create(Arc::clone(&pool), cfg);
         if batched {
             let mut batch = keys.clone();
@@ -265,5 +283,15 @@ fn batched_and_per_op_trees_recover_identically() {
         out.into_iter().collect()
     };
 
-    assert_eq!(recover_set(true), recover_set(false));
+    for cfg in every_encoding() {
+        let batched = recover_set(cfg, true);
+        assert_eq!(batched.len(), keys.len(), "varlen={} policy={:?}", cfg.varlen_leaves, cfg.leaf_policy);
+        assert_eq!(
+            batched,
+            recover_set(cfg, false),
+            "varlen={} policy={:?}",
+            cfg.varlen_leaves,
+            cfg.leaf_policy
+        );
+    }
 }

@@ -1,12 +1,11 @@
 //! Table 1 regression tests: RNTree's modify operations must keep their
 //! exact persistent-instruction counts — insert 2, update 2, remove 1,
-//! find 0 — with the fingerprint probe enabled or disabled, with the KV
-//! flush synchronous or overlapped (async), in both slot variants, and
-//! with the DRAM page cache enabled or disabled. The fingerprint table
-//! and the page cache are DRAM-only and the async flush still ends in
-//! exactly one fence, so all three must be invisible to the persist
-//! counters; these tests pin that down op-by-op (the Table 1 experiment
-//! only reports batch minima).
+//! find 0 — with the fingerprint probe enabled or disabled, in both slot
+//! variants, and with the DRAM page cache enabled or disabled. The
+//! fingerprint table and the page cache are DRAM-only and the overlapped
+//! KV flush still ends in exactly one fence, so all of them must be
+//! invisible to the persist counters; these tests pin that down op-by-op
+//! (the Table 1 experiment only reports batch minima).
 //!
 //! Also covers the transient-rebuild rule: after a crash or a clean
 //! reopen, the fingerprint table must be re-derived from the persistent
@@ -27,47 +26,42 @@ fn persists(pool: &PmemPool) -> u64 {
 fn modify_persist_counts_are_exact_in_every_variant() {
     for fingerprints in [true, false] {
         for dual in [true, false] {
-            for async_flush in [true, false] {
-                for cache_frames in [0usize, 64] {
-                    let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
-                    let cfg = RnConfig {
-                        dual_slot: dual,
-                        fingerprints,
-                        async_flush,
-                        journal_slots: 2,
-                        cache_frames,
-                        ..RnConfig::default()
-                    };
-                    let tree = RnTree::create(Arc::clone(&pool), cfg);
-                    let tag = format!(
-                        "dual={dual} fp={fingerprints} async={async_flush} cache={cache_frames}"
-                    );
+            for cache_frames in [0usize, 64] {
+                let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
+                let cfg = RnConfig {
+                    dual_slot: dual,
+                    fingerprints,
+                    journal_slots: 2,
+                    cache_frames,
+                    ..RnConfig::default()
+                };
+                let tree = RnTree::create(Arc::clone(&pool), cfg);
+                let tag = format!("dual={dual} fp={fingerprints} cache={cache_frames}");
 
-                    // 20 inserts + 10 updates + 5 removes allocate 30 log entries
-                    // in one 63-entry leaf: no split/compaction can fire, so every
-                    // op must show its exact steady-state cost.
-                    for k in 1..=20u64 {
-                        let before = persists(&pool);
-                        tree.insert(k, k * 3).unwrap();
-                        assert_eq!(persists(&pool) - before, 2, "insert {k} ({tag})");
-                    }
-                    for k in 1..=10u64 {
-                        let before = persists(&pool);
-                        tree.update(k, k * 3 + 1).unwrap();
-                        assert_eq!(persists(&pool) - before, 2, "update {k} ({tag})");
-                    }
-                    for k in 16..=20u64 {
-                        let before = persists(&pool);
-                        tree.remove(k).unwrap();
-                        assert_eq!(persists(&pool) - before, 1, "remove {k} ({tag})");
-                    }
+                // 20 inserts + 10 updates + 5 removes allocate 30 log entries
+                // in one 63-entry leaf: no split/compaction can fire, so every
+                // op must show its exact steady-state cost.
+                for k in 1..=20u64 {
                     let before = persists(&pool);
-                    assert_eq!(tree.find(5), Some(16));
-                    assert_eq!(tree.find(12), Some(36));
-                    assert_eq!(tree.find(18), None);
-                    assert_eq!(persists(&pool) - before, 0, "find persisted ({tag})");
-                    tree.verify_invariants().unwrap();
+                    tree.insert(k, k * 3).unwrap();
+                    assert_eq!(persists(&pool) - before, 2, "insert {k} ({tag})");
                 }
+                for k in 1..=10u64 {
+                    let before = persists(&pool);
+                    tree.update(k, k * 3 + 1).unwrap();
+                    assert_eq!(persists(&pool) - before, 2, "update {k} ({tag})");
+                }
+                for k in 16..=20u64 {
+                    let before = persists(&pool);
+                    tree.remove(k).unwrap();
+                    assert_eq!(persists(&pool) - before, 1, "remove {k} ({tag})");
+                }
+                let before = persists(&pool);
+                assert_eq!(tree.find(5), Some(16));
+                assert_eq!(tree.find(12), Some(36));
+                assert_eq!(tree.find(18), None);
+                assert_eq!(persists(&pool) - before, 0, "find persisted ({tag})");
+                tree.verify_invariants().unwrap();
             }
         }
     }
@@ -396,7 +390,8 @@ fn varlen_failed_conditionals_do_not_touch_the_slot_line() {
 }
 
 /// Mixed-class batch runs (`write_batch`) keep the coalesced contract in
-/// both leaf layouts and both slot variants:
+/// every leaf encoding (sorted, hash, variable-length) and both slot
+/// variants:
 ///
 /// * a **pure-remove run** edits only the slot image — no log entries, no
 ///   dirty KV lines — so it costs exactly **1 persist per touched leaf**;
@@ -408,17 +403,19 @@ fn varlen_failed_conditionals_do_not_touch_the_slot_line() {
 #[test]
 fn write_batch_remove_runs_cost_one_persist_per_leaf() {
     use index_common::WriteOp;
-    for policy in [LeafPolicy::Sorted, LeafPolicy::Hash] {
+    let encodings = [(LeafPolicy::Sorted, false), (LeafPolicy::Hash, false), (LeafPolicy::Sorted, true)];
+    for (policy, varlen_leaves) in encodings {
         for dual in [true, false] {
             let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
             let cfg = RnConfig {
                 leaf_policy: policy,
+                varlen_leaves,
                 dual_slot: dual,
                 journal_slots: 2,
                 ..RnConfig::default()
             };
             let tree = RnTree::create(Arc::clone(&pool), cfg);
-            let tag = format!("policy={policy:?} dual={dual}");
+            let tag = format!("policy={policy:?} varlen={varlen_leaves} dual={dual}");
             // Seed one leaf well below capacity so no split can fire.
             for k in 1..=30u64 {
                 tree.insert(k, k * 2).unwrap();
