@@ -15,14 +15,11 @@
 //! `obs-report` (unified observability snapshot: per-op latency
 //! quantiles, HTM abort taxonomy, phase breakdown, crash forensics, and
 //! the instrumentation-overhead measurement, written to `BENCH_PR4.json`
-//! plus a sibling `.prom` Prometheus file), and `contention-scale`
-//! (striped vs global HTM fallback under plain-Zipfian skew, YCSB-A/B at
-//! θ ∈ {0.7, 0.9, 0.99}; asserts the striped tier never loses a
-//! contended high-skew point; written to `BENCH_PR5.json` or `--out
-//! PATH`), and `cache-scale` (DRAM page-cache descent vs the
-//! all-transactional descent across cache-resident and overflow working
-//! sets; asserts a detectable win when resident and no cliff when
-//! overflowing; written to `BENCH_PR6.json` or `--out PATH`), and
+//! plus a sibling `.prom` Prometheus file), and `cache-scale` (DRAM
+//! page-cache descent vs the all-transactional descent across
+//! cache-resident and overflow working sets; asserts a detectable win
+//! when resident and no cliff when overflowing; written to
+//! `BENCH_PR6.json` or `--out PATH`), and
 //! `varkey-scale` (variable-length string-key workloads: asserts the
 //! `U64Key` codec path is not detectably slower than the native u64 API,
 //! and reports oracle-checked string-cell throughput with head-tie
@@ -45,6 +42,9 @@
 //! `--assert-overhead PCT` for the CI gate), and `bench-index`
 //! (cross-PR trend table harvested from every committed
 //! `BENCH_PR*.json`, written to `BENCH_TRAJECTORY.md` or `--out PATH`).
+//! `BENCH_PR5.json` has no subcommand: it is the kept record of the
+//! striped-vs-global fallback comparison, whose global-only arm no
+//! longer exists.
 //! Options: `--quick` (small smoke run), `--warm N`, `--duration-ms N`,
 //! `--threads a,b,c`, `--latency-ns N`, `--workers N`, `--seed N`,
 //! `--out PATH`, `--assert-overhead PCT` (obs-report only: fail the run
@@ -57,7 +57,7 @@ use bench::{Gates, Scale};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|breakdown|bench-json|shard-scale|batch-scale|obs-report|contention-scale|cache-scale|varkey-scale|leaf-scale|trace-scale|trace-report|group-scale|bench-index|all> \
+        "usage: repro <table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|breakdown|bench-json|shard-scale|batch-scale|obs-report|cache-scale|varkey-scale|leaf-scale|trace-scale|trace-report|group-scale|bench-index|all> \
          [--quick] [--warm N] [--duration-ms N] [--threads a,b,c] \
          [--latency-ns N] [--workers N] [--seed N] [--out PATH] [--assert-overhead PCT]"
     );
@@ -75,7 +75,6 @@ fn main() {
         "shard-scale" => "BENCH_PR2.json",
         "batch-scale" => "BENCH_PR3.json",
         "obs-report" => "BENCH_PR4.json",
-        "contention-scale" => "BENCH_PR5.json",
         "cache-scale" => "BENCH_PR6.json",
         "varkey-scale" => "BENCH_PR7.json",
         "leaf-scale" => "BENCH_PR8.json",
@@ -162,7 +161,6 @@ fn main() {
         "shard-scale" => bench::shardbench::shard_scale(&scale, &out_path),
         "batch-scale" => bench::batchbench::batch_scale(&scale, &out_path),
         "obs-report" => bench::obsbench::obs_report(&scale, &out_path, assert_overhead),
-        "contention-scale" => bench::contbench::contention_scale(&scale, &out_path, Gates::Enforce),
         "cache-scale" => bench::cachebench::cache_scale(&scale, &out_path, Gates::Enforce),
         "varkey-scale" => bench::varbench::varkey_scale(&scale, &out_path, Gates::Enforce),
         "leaf-scale" => bench::leafbench::leaf_scale(&scale, &out_path, Gates::Enforce),

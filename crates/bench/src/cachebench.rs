@@ -17,12 +17,9 @@
 //! Each regime runs the *same* `RnTree` twice — `cache_frames = budget`
 //! vs `cache_frames = 0` — over YCSB-B (95/5) with uniform keys (uniform
 //! is the adversarial distribution for a bounded cache: no skew to hide
-//! behind). The measurement methodology is PR 5's, verbatim: warm tree
-//! pairs live for the whole cell, every round measures the pair
-//! back-to-back with alternating order, each point is judged on its full
-//! distribution of time-adjacent pair ratios by a one-sided sign test,
-//! and trailing points get paired rescue rounds before judgement. The
-//! bench asserts its own acceptance criteria:
+//! behind). Warm tree pairs live for the whole cell and are measured as
+//! [`crate::paired`] order-alternated pairs, with rescue rounds for
+//! unmet points. The bench asserts its own acceptance criteria:
 //!
 //! * resident, ≥ 2 threads: cached must be **detectably better** —
 //!   significantly more than half the pairs above 1 (binomial tail
@@ -42,15 +39,9 @@ use nvm::CacheStats;
 use rntree::{RnConfig, RnTree};
 use ycsb::{run_closed_loop, KeyDist, WorkloadSpec};
 
-use crate::contbench::{median, sign_test_p, wins};
 use crate::harness::{pool_for, warm, Gates, Scale, TreeKind};
+use crate::paired::{median, ratios_json, sweep, Order, Summary, ROUNDS};
 use crate::report::{fmt_tput, Table};
-
-/// Interleaved measurement rounds per cell (peak kept per point).
-const ROUNDS: usize = 5;
-/// Extra paired re-measurements for points that have not yet met their
-/// regime's criterion (same rationale as `contbench::RESCUE_ROUNDS`).
-const RESCUE_ROUNDS: usize = 16;
 
 /// The two working-set regimes: (name, frame budget, what must hold).
 /// Budgets are chosen against the inner-node population at the default
@@ -131,40 +122,6 @@ impl Cell {
         }
         r.throughput()
     }
-
-    /// Back-to-back cached/uncached pair at thread index `ti`; records the
-    /// time-adjacent ratio. `flip` alternates in-pair order round to round
-    /// (see `contbench::Cell::measure_pair` for why).
-    fn measure_pair(
-        &self,
-        scale: &Scale,
-        spec: &WorkloadSpec,
-        peak: &mut [Vec<Point>; 2],
-        ratios: &mut [Vec<f64>],
-        ti: usize,
-        flip: bool,
-    ) {
-        let (c, u) = if flip {
-            let u = self.measure(scale, spec, peak, 1, ti);
-            let c = self.measure(scale, spec, peak, 0, ti);
-            (c, u)
-        } else {
-            let c = self.measure(scale, spec, peak, 0, ti);
-            let u = self.measure(scale, spec, peak, 1, ti);
-            (c, u)
-        };
-        if u > 0.0 {
-            ratios[ti].push(c / u);
-        }
-    }
-}
-
-/// `true` when the sample proves "cached detectably better": median above
-/// 1 and significantly more than half the pairs above 1 (the sign test's
-/// tail on the *losses*).
-fn detectably_better(rs: &[f64]) -> bool {
-    let w = wins(rs);
-    median(rs) > 1.0 && sign_test_p(rs.len() - w, rs.len()) < 0.05
 }
 
 /// Runs the sweep, prints per-regime tables, asserts both acceptance
@@ -180,43 +137,25 @@ pub fn cache_scale(scale: &Scale, out_path: &str, gates: Gates) {
         let n_points = scale.threads.len();
         let mut peak: [Vec<Point>; 2] =
             [vec![Point::default(); n_points], vec![Point::default(); n_points]];
-        let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); n_points];
-        for r in 0..ROUNDS {
-            for ti in 0..n_points {
-                cell.measure_pair(scale, &spec, &mut peak, &mut ratios, ti, r % 2 == 1);
-            }
-        }
-        // Rescue loop: points not yet meeting their regime's criterion
-        // accumulate more back-to-back pairs. Genuine effects converge
-        // (resident: wins pile up; overflow: pairs straddle 1); genuine
-        // regressions only hand the sign test more evidence.
-        for r in 0..RESCUE_ROUNDS {
-            let tis: Vec<usize> = (0..n_points)
-                .filter(|&ti| {
-                    if scale.threads[ti] < 2 {
-                        return false;
-                    }
-                    if regime == "resident" {
-                        !detectably_better(&ratios[ti])
+        // Rescue: resident points until cached wins detectably, overflow
+        // points until the pairs straddle 1.
+        let ratios = sweep(
+            n_points,
+            Order::Alternated,
+            |v, ti| cell.measure(scale, &spec, &mut peak, v, ti),
+            |ti, rs| {
+                scale.threads[ti] >= 2
+                    && if regime == "resident" {
+                        !Summary::of(rs).detectably_better()
                     } else {
-                        median(&ratios[ti]) < 1.0
+                        median(rs) < 1.0
                     }
-                })
-                .collect();
-            if tis.is_empty() {
-                break;
-            }
-            for ti in tis {
-                cell.measure_pair(scale, &spec, &mut peak, &mut ratios, ti, r % 2 == 0);
-            }
-        }
+            },
+        );
 
         println!("\n## cache-scale — {regime} ({frames} frames), ycsb-b uniform\n");
-        let mut header = vec!["descent".to_string()];
-        header.extend(scale.threads.iter().map(|t| format!("{t} thr")));
-        header.push("hit rate @max thr".into());
-        header.push("evictions".into());
-        let mut table = Table::new(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
+        let mut table =
+            Table::per_thread("descent", &scale.threads, &["hit rate @max thr", "evictions"]);
         for (v, vname) in VARIANTS.iter().enumerate() {
             let mut row = vec![vname.to_string()];
             row.extend(peak[v].iter().map(|p| fmt_tput(p.mops)));
@@ -233,54 +172,47 @@ pub fn cache_scale(scale: &Scale, out_path: &str, gates: Gates) {
         table.print();
 
         for (ti, &threads) in scale.threads.iter().enumerate() {
-            let rs = &ratios[ti];
-            let med = median(rs);
-            let w = wins(rs);
-            let p_worse = sign_test_p(w, rs.len());
-            let p_better = sign_test_p(rs.len() - w, rs.len());
+            let s = Summary::of(&ratios[ti]);
+            let (w, n) = (s.wins, s.n);
             if threads >= 2 {
                 if regime == "resident" {
-                    gates.check(detectably_better(rs), || {
+                    gates.check(s.detectably_better(), || {
                         format!(
                             "cached descent is not detectably better on a cache-resident \
-                             working set: {regime} {threads} thr — {w}/{} pairs favour \
+                             working set: {regime} {threads} thr — {w}/{n} pairs favour \
                              cached (p_better {:.4}), median pair ratio {:.3} \
                              (peaks: cached {:.0} ops/s, uncached {:.0} ops/s)",
-                            rs.len(),
-                            p_better,
-                            med,
+                            s.p_better,
+                            s.median,
                             peak[0][ti].mops,
                             peak[1][ti].mops
                         )
                     });
                 } else {
-                    gates.check(p_worse >= 0.05, || {
+                    gates.check(s.not_detectably_worse(), || {
                         format!(
                             "cached descent fell off a cliff past the frame budget: \
-                             {regime} {threads} thr — only {w}/{} pairs favour cached \
+                             {regime} {threads} thr — only {w}/{n} pairs favour cached \
                              (sign-test p {:.4}), median pair ratio {:.3}",
-                            rs.len(),
-                            p_worse,
-                            med
+                            s.p_worse, s.median
                         )
                     });
                 }
             }
-            let dist = rs.iter().map(|r| format!("{r:.4}")).collect::<Vec<_>>().join(", ");
+            let dist = ratios_json(&ratios[ti]);
             let c = &peak[0][ti];
             json_points.push(format!(
                 "    {{\"regime\": \"{regime}\", \"frames\": {frames}, \
                  \"threads\": {threads}, \"median_pair_ratio\": {:.4}, \
-                 \"pair_wins\": {w}, \"pair_n\": {}, \"sign_test_p_worse\": {:.6}, \
+                 \"pair_wins\": {w}, \"pair_n\": {n}, \"sign_test_p_worse\": {:.6}, \
                  \"sign_test_p_better\": {:.6}, \"pair_ratios\": [{dist}],\n     \
                  \"cached\": {{\"mops\": {:.4}, \"hit_rate\": {:.4}, \"hits\": {}, \
                  \"misses\": {}, \"fills\": {}, \"evictions\": {}, \"invalidations\": {}, \
                  \"read_restarts\": {}, \"descent_restarts\": {}, \"tm_fallbacks\": {}}},\n     \
                  \"uncached\": {{\"mops\": {:.4}}}}}",
-                med,
-                rs.len(),
-                p_worse,
-                p_better,
+                s.median,
+                s.p_worse,
+                s.p_better,
                 c.mops / 1e6,
                 c.cache.hit_rate(),
                 c.cache.hits,
@@ -307,12 +239,8 @@ pub fn cache_scale(scale: &Scale, out_path: &str, gates: Gates) {
          \"assertion\": \"resident regime, >= 2 threads: cached detectably better (median > 1 \
          and binomial tail on losses p < 0.05); overflow regime: cached not detectably worse \
          (sign-test p >= 0.05); checked by the bench itself\",\n  \
-         \"scale\": {{\"warm_n\": {}, \"write_latency_ns\": {}, \"seed\": {}, \
-         \"duration_ms\": {}}},\n  \"points\": [\n{}\n  ]\n}}\n",
-        scale.warm_n,
-        scale.write_latency_ns,
-        scale.seed,
-        scale.duration.as_millis(),
+         \"scale\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
+        scale.json(),
         json_points.join(",\n")
     );
     std::fs::write(out_path, &json).expect("write cache-scale json");
@@ -343,17 +271,5 @@ mod tests {
         assert!(body.contains("\"hit_rate\""));
         assert!(body.contains("\"pair_ratios\""));
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn detectably_better_needs_both_median_and_significance() {
-        // 9/10 wins with median > 1: better.
-        let good: Vec<f64> = (0..10).map(|i| if i == 0 { 0.98 } else { 1.1 }).collect();
-        assert!(detectably_better(&good));
-        // Coin-flip: not better.
-        let flip: Vec<f64> = (0..10).map(|i| if i % 2 == 0 { 0.9 } else { 1.1 }).collect();
-        assert!(!detectably_better(&flip));
-        // Empty: not better.
-        assert!(!detectably_better(&[]));
     }
 }

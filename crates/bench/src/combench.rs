@@ -27,21 +27,17 @@
 //! points instead, where the same cadence runs solo-dominant and beats
 //! direct outright; the split is deliberate — see [`group_scale`].
 //!
-//! Methodology is PR 5's drift-free pairing, unchanged: both variants
-//! stay warm for the whole cell, each round measures the
-//! coalesced/direct pair back-to-back at the same thread count with the
-//! in-pair order alternating round to round, every pair contributes a
-//! time-adjacent throughput ratio, and a point is judged on the full
-//! ratio distribution — a one-sided sign test (binomial tail p < 0.01)
-//! plus an effect-size floor (median pair ratio < 0.95) must *both*
-//! trip before an asserted point fails. Points whose median trails
-//! below 1 get extra paired rescue measurements before judgement, so
-//! healthy committed runs report median ≥ 1 at every asserted point.
-//! Asserted points are the write-heavy thread counts in {2, 4}:
-//! single-threaded group commit is pure overhead (every writer leads
-//! its own epoch of one) and is reported for honesty, not gated, and
-//! the 8-thread point is where the persist gate lives instead (see
-//! [`group_scale`] for why the two gates sit at different points).
+//! Both variants stay warm for the whole cell and are measured as
+//! [`crate::paired`] order-alternated pairs. An asserted point fails only
+//! when it is [materially worse](crate::paired::Summary::not_materially_worse):
+//! sign-test p < 0.01 *and* median pair ratio < 0.95. Points whose median
+//! trails below 1 are rescued first, so healthy committed runs report
+//! median ≥ 1 at every asserted point. Asserted points are the
+//! write-heavy thread counts in {2, 4}: single-threaded group commit is
+//! pure overhead (every writer leads its own epoch of one) and is
+//! reported for honesty, not gated, and the 8-thread point is where the
+//! persist gate lives instead (see [`group_scale`] for why the two gates
+//! sit at different points).
 //!
 //! A final **open-loop latency cell** replays the write-heavy mix at a
 //! moderate fixed arrival rate with bursty (Poisson) arrivals through
@@ -62,15 +58,10 @@ use nvm::PmemPool;
 use rntree::{RnConfig, RnTree};
 use ycsb::{run_closed_loop, run_open_loop_arrivals, Arrivals, KeyDist, Mix, WorkloadSpec};
 
-use crate::contbench::{median, sign_test_p, wins};
 use crate::harness::{pool_for, warm, Gates, Scale, TreeKind};
+use crate::paired::{median, ratios_json, sweep, Order, Summary, ROUNDS};
 use crate::report::{fmt_tput, Table};
 
-/// Interleaved measurement rounds per cell (peak kept per point).
-const ROUNDS: usize = 5;
-/// Extra paired re-measurements granted to an asserted point whose ratio
-/// median trails below 1 before the sign test judges it.
-const RESCUE_ROUNDS: usize = 16;
 /// Zipfian skew for both cells (plain: hot ranks share leaves).
 const THETA: f64 = 0.99;
 /// Flush deadline configured for the whole bench — the latency cell's
@@ -164,32 +155,6 @@ impl Cell {
         }
         r.throughput()
     }
-
-    /// Back-to-back coalesced/direct pair at thread index `ti`; `flip`
-    /// reverses in-pair order so drift across the pair boundary favours
-    /// each variant equally often across rounds.
-    fn measure_pair(
-        &self,
-        scale: &Scale,
-        spec: &WorkloadSpec,
-        peak: &mut [Vec<Point>; 2],
-        ratios: &mut [Vec<f64>],
-        ti: usize,
-        flip: bool,
-    ) {
-        let (c, d) = if flip {
-            let d = self.measure(scale, spec, peak, 1, ti);
-            let c = self.measure(scale, spec, peak, 0, ti);
-            (c, d)
-        } else {
-            let c = self.measure(scale, spec, peak, 0, ti);
-            let d = self.measure(scale, spec, peak, 1, ti);
-            (c, d)
-        };
-        if d > 0.0 {
-            ratios[ti].push(c / d);
-        }
-    }
 }
 
 /// The write-heavy mix both cells are built from: 100% upsert over plain
@@ -253,40 +218,23 @@ pub fn group_scale(scale: &Scale, out_path: &str, gates: Gates) {
         let n_ti = scale.threads.len();
         let mut peak: [Vec<Point>; 2] =
             [vec![Point::default(); n_ti], vec![Point::default(); n_ti]];
-        let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); n_ti];
-        for r in 0..ROUNDS {
-            for ti in 0..n_ti {
-                cell.measure_pair(scale, &spec, &mut peak, &mut ratios, ti, r % 2 == 1);
-            }
-        }
-        let is_asserted = |ti: usize| {
-            let t = scale.threads[ti];
-            gated && matches!(t, 2 | 4)
-        };
-        // Outrun noise before judging: asserted points whose ratio median
-        // trails below 1 re-measure their back-to-back pair. Equivalent
-        // variants straddle 1 and converge; a real regression keeps every
-        // pair below 1 and only feeds the sign test more evidence.
-        for r in 0..RESCUE_ROUNDS {
-            let trailing: Vec<usize> =
-                (0..n_ti).filter(|&ti| is_asserted(ti) && median(&ratios[ti]) < 1.0).collect();
-            if trailing.is_empty() {
-                break;
-            }
-            for ti in trailing {
-                cell.measure_pair(scale, &spec, &mut peak, &mut ratios, ti, r % 2 == 0);
-            }
-        }
+        let is_asserted = |ti: usize| gated && matches!(scale.threads[ti], 2 | 4);
+        // Asserted points whose ratio median trails below 1 get rescued.
+        let ratios = sweep(
+            n_ti,
+            Order::Alternated,
+            |v, ti| cell.measure(scale, &spec, &mut peak, v, ti),
+            |ti, rs| is_asserted(ti) && median(rs) < 1.0,
+        );
 
         println!(
             "\n## group-scale — {wname}, plain zipfian θ={THETA}{}\n",
             if gated { "" } else { " (reported, not asserted)" }
         );
-        let mut header = vec!["variant".to_string()];
-        header.extend(scale.threads.iter().map(|t| format!("{t} thr")));
-        header.push("persists/op @max thr".into());
-        header.push("mean epoch @max thr".into());
-        let mut table = Table::new(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
+        let mut table = Table::per_thread("variant", &scale.threads, &[
+            "persists/op @max thr",
+            "mean epoch @max thr",
+        ]);
         for (v, vname) in VARIANTS.iter().enumerate() {
             let mut row = vec![vname.to_string()];
             row.extend(peak[v].iter().map(|p| fmt_tput(p.mops)));
@@ -319,23 +267,20 @@ pub fn group_scale(scale: &Scale, out_path: &str, gates: Gates) {
         }
 
         for (ti, &threads) in scale.threads.iter().enumerate() {
-            let rs = &ratios[ti];
-            let med = median(rs);
-            let w = wins(rs);
-            let p = sign_test_p(w, rs.len());
+            let s = Summary::of(&ratios[ti]);
+            let (w, n) = (s.wins, s.n);
             let point_asserted = is_asserted(ti);
             if point_asserted {
-                // Same two-part gate as PR 5: reject only when the deficit
-                // is statistically significant AND materially large.
-                gates.check(p >= 0.01 || med >= 0.95, || {
+                // Reject only when the deficit is statistically
+                // significant AND materially large.
+                gates.check(s.not_materially_worse(), || {
                     format!(
                         "group commit is materially worse than direct writes at an asserted \
-                         point: {wname} {threads} thr — {w}/{} back-to-back pairs favour \
+                         point: {wname} {threads} thr — {w}/{n} back-to-back pairs favour \
                          coalescing (sign-test p {:.4}), median pair ratio {:.3} (peaks: \
                          coalesced {:.0} ops/s, direct {:.0} ops/s)",
-                        rs.len(),
-                        p,
-                        med,
+                        s.p_worse,
+                        s.median,
                         peak[0][ti].mops,
                         peak[1][ti].mops
                     )
@@ -347,20 +292,19 @@ pub fn group_scale(scale: &Scale, out_path: &str, gates: Gates) {
                 top_gated = Some((threads, peak[0][ti], peak[1][ti]));
             }
             let c = &peak[0][ti].commit;
-            let dist = rs.iter().map(|r| format!("{r:.4}")).collect::<Vec<_>>().join(", ");
+            let dist = ratios_json(&ratios[ti]);
             json_points.push(format!(
                 "    {{\"workload\": \"{wname}\", \"threads\": {threads}, \
                  \"asserted\": {point_asserted}, \"median_pair_ratio\": {:.4}, \
-                 \"pair_wins\": {w}, \"pair_n\": {}, \"sign_test_p\": {:.6}, \
+                 \"pair_wins\": {w}, \"pair_n\": {n}, \"sign_test_p\": {:.6}, \
                  \"pair_ratios\": [{dist}],\n     \
                  \"coalesced\": {{\"mops\": {:.4}, \"persists_per_op\": {:.4}, \
                  \"epochs\": {}, \"ops_coalesced\": {}, \"mean_epoch\": {:.3}, \
                  \"leader_elections\": {}, \"ops_reclaimed\": {}, \
                  \"ops_direct_full\": {}, \"ops_solo\": {}}},\n     \
                  \"direct\": {{\"mops\": {:.4}, \"persists_per_op\": {:.4}}}}}",
-                med,
-                rs.len(),
-                p,
+                s.median,
+                s.p_worse,
                 peak[0][ti].mops / 1e6,
                 peak[0][ti].persists_per_op,
                 c.epochs,
@@ -482,13 +426,9 @@ pub fn group_scale(scale: &Scale, out_path: &str, gates: Gates) {
          \"rate_per_worker\": {rate_per_worker:.0}, \"ops\": {}, \"p99_ns\": {p99_ns}, \
          \"queue_wait_p99_ns\": {queue_p99_ns}, \"slot_wait_p99_ns\": {slot_p99_ns}, \
          \"deadline_ns\": {deadline_ns}}},\n  \
-         \"scale\": {{\"warm_n\": {}, \"write_latency_ns\": {}, \"seed\": {}, \
-         \"duration_ms\": {}}},\n  \"points\": [\n{}\n  ]\n}}\n",
+         \"scale\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
         open_ops,
-        scale.warm_n,
-        scale.write_latency_ns,
-        scale.seed,
-        scale.duration.as_millis(),
+        scale.json(),
         json_points.join(",\n")
     );
     std::fs::write(out_path, &json).expect("write group-scale json");

@@ -180,6 +180,17 @@ impl Default for Scale {
 }
 
 impl Scale {
+    /// The `"scale"` object a bench report embeds.
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"warm_n\": {}, \"write_latency_ns\": {}, \"seed\": {}, \"duration_ms\": {}}}",
+            self.warm_n,
+            self.write_latency_ns,
+            self.seed,
+            self.duration.as_millis()
+        )
+    }
+
     /// A fast configuration for smoke runs and CI.
     pub fn quick() -> Scale {
         Scale {

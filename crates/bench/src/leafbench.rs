@@ -7,10 +7,10 @@
 //!    leaf: same warmed key space, one static-`Sorted` pool and one
 //!    static-`Hash` pool, measured back-to-back in mirrored-order
 //!    quads (S,H,H,S — each layout once in each position, so drift and
-//!    the second-runner advantage cancel within the pair; a sharpening
-//!    of the PR 5/7 methodology for an effect smaller than the order
-//!    bias). Each thread point is judged on its full distribution of
-//!    per-quad hash/sorted pair ratios: the gate asserts the median
+//!    the second-runner advantage cancel within the pair:
+//!    [`crate::paired::Order::Mirrored`], for an effect smaller than the
+//!    order bias). Each thread point is judged on its full distribution
+//!    of per-quad hash/sorted pair ratios: the gate asserts the median
 //!    ratio is `> 1` **and** a one-sided sign test rejects "sorted is
 //!    at least as fast" (`p < 0.05`), with paired rescue rounds for
 //!    unmet points. The gate applies at committed scale
@@ -39,15 +39,10 @@ use obs::{ObsSource, Section};
 use rntree::{LeafPolicy, RnConfig, RnTree};
 use ycsb::{run_closed_loop, KeyDist, WorkloadSpec};
 
-use crate::contbench::{median, sign_test_p, wins};
 use crate::harness::{pool_for, warm, Gates, Scale, TreeKind};
+use crate::paired::{ratios_json, sweep, Order, Summary, RESCUE_ROUNDS, ROUNDS};
 use crate::report::{fmt_tput, Table};
 
-/// Interleaved measurement rounds per cell (peak kept per point).
-const ROUNDS: usize = 5;
-/// Extra paired re-measurements for gate points still failing their
-/// criterion (same rationale as `contbench::RESCUE_ROUNDS`).
-const RESCUE_ROUNDS: usize = 16;
 /// Adaptive gate: fraction of the best static peak the adaptive tree
 /// must reach. Morphing is rare at steady state, so "within noise" is a
 /// generous floor rather than a paired test — the adaptive tree *is*
@@ -92,8 +87,12 @@ fn counter(cs: &[(String, u64)], key: &str) -> u64 {
     cs.iter().find(|(n, _)| n == key).map(|(_, v)| *v).unwrap_or(0)
 }
 
-/// One sorted-vs-hash paired cell: back-to-back order-alternated rounds
-/// at every thread count, returning `(peaks[sorted|hash], pair ratios)`.
+/// One sorted-vs-hash paired cell in mirrored quads (S,H,H,S or H,S,S,H)
+/// at every thread count, returning `(peaks[sorted|hash], hash/sorted
+/// pair ratios)`. Without the mirroring, an order effect larger than the
+/// true hash edge splits the pair population in two and floors the sign
+/// test at ~half wins even when every median is above 1. Gated points are
+/// rescued until hash wins detectably.
 fn paired_cell(
     scale: &Scale,
     spec: &WorkloadSpec,
@@ -103,62 +102,20 @@ fn paired_cell(
 ) -> ([Vec<f64>; 2], Vec<Vec<f64>>) {
     let n_points = scale.threads.len();
     let mut peak = [vec![0.0f64; n_points], vec![0.0f64; n_points]]; // [sorted, hash]
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); n_points];
-    // One pair = four runs in mirrored order (S,H,H,S or H,S,S,H):
-    // each layout runs once in each position, so slow drift and the
-    // systematic second-runner advantage cancel *within* the pair —
-    // without this, an order effect larger than the true hash edge
-    // splits the pair population in two and floors the sign test at
-    // ~half wins even when every median is above 1.
-    let measure_pair = |peak: &mut [Vec<f64>; 2], ratios: &mut Vec<Vec<f64>>, ti: usize, flip: bool| {
-        let threads = scale.threads[ti];
-        let run = |t: &Arc<dyn PersistentIndex>, peak: &mut Vec<f64>| {
-            let r = run_closed_loop(t, spec, threads, scale.duration, scale.seed);
+    // Variant 0 (the candidate) is hash, variant 1 sorted.
+    let ratios = sweep(
+        n_points,
+        Order::Mirrored,
+        |v, ti| {
+            let tree = if v == 0 { hash } else { sorted };
+            let r = run_closed_loop(tree, spec, scale.threads[ti], scale.duration, scale.seed);
             assert_eq!(r.pool_exhausted, 0, "leaf-scale pool exhausted");
-            peak[ti] = peak[ti].max(r.throughput());
+            let p = &mut peak[1 - v][ti];
+            *p = p.max(r.throughput());
             r.throughput()
-        };
-        let (mut sv, mut hv) = (0.0, 0.0);
-        let s = |sv: &mut f64, peak: &mut [Vec<f64>; 2]| *sv += run(sorted, &mut peak[0]);
-        let h = |hv: &mut f64, peak: &mut [Vec<f64>; 2]| *hv += run(hash, &mut peak[1]);
-        if flip {
-            h(&mut hv, peak);
-            s(&mut sv, peak);
-            s(&mut sv, peak);
-            h(&mut hv, peak);
-        } else {
-            s(&mut sv, peak);
-            h(&mut hv, peak);
-            h(&mut hv, peak);
-            s(&mut sv, peak);
-        }
-        if sv > 0.0 {
-            ratios[ti].push(hv / sv);
-        }
-    };
-    for r in 0..ROUNDS {
-        for ti in 0..n_points {
-            measure_pair(&mut peak, &mut ratios, ti, r % 2 == 1);
-        }
-    }
-    if gate {
-        // Rescue loop: a genuine hash win accumulates wins; a tie or a
-        // regression keeps failing and the gate below reports it.
-        for r in 0..RESCUE_ROUNDS {
-            let tis: Vec<usize> = (0..n_points)
-                .filter(|&ti| {
-                    let rs = &ratios[ti];
-                    median(rs) <= 1.0 || sign_test_p(rs.len() - wins(rs), rs.len()) >= 0.05
-                })
-                .collect();
-            if tis.is_empty() {
-                break;
-            }
-            for ti in tis {
-                measure_pair(&mut peak, &mut ratios, ti, r % 2 == 0);
-            }
-        }
-    }
+        },
+        |_, rs| gate && !Summary::of(rs).detectably_better(),
+    );
     (peak, ratios)
 }
 
@@ -173,9 +130,7 @@ fn report_paired_cell(
     gates: Gates,
     json_points: &mut Vec<String>,
 ) {
-    let mut header = vec!["layout".to_string()];
-    header.extend(scale.threads.iter().map(|t| format!("{t} thr")));
-    let mut table = Table::new(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
+    let mut table = Table::per_thread("layout", &scale.threads, &[]);
     for (v, vname) in ["sorted", "hash"].iter().enumerate() {
         let mut row = vec![vname.to_string()];
         row.extend(peak[v].iter().map(|&m| fmt_tput(m)));
@@ -184,37 +139,33 @@ fn report_paired_cell(
     table.print();
 
     for (ti, &threads) in scale.threads.iter().enumerate() {
-        let rs = &ratios[ti];
-        let w = wins(rs);
-        let med = median(rs);
-        // P(this many sorted wins | layouts equivalent): small ⇒ the
-        // hash win is not luck.
-        let p_sorted = sign_test_p(rs.len() - w, rs.len());
+        let s = Summary::of(&ratios[ti]);
+        let (w, n) = (s.wins, s.n);
+        // `p_better` is P(this many sorted wins | layouts equivalent):
+        // small ⇒ the hash win is not luck.
         if gate {
-            gates.check(med > 1.0 && p_sorted < 0.05, || {
+            gates.check(s.detectably_better(), || {
                 format!(
-                    "hash leaf does not beat sorted on {label}: {threads} thr — {w}/{} pairs \
+                    "hash leaf does not beat sorted on {label}: {threads} thr — {w}/{n} pairs \
                      favour hash (sign-test p {:.4} that sorted holds), median pair ratio \
                      {:.3} (peaks: sorted {:.0} ops/s, hash {:.0} ops/s)",
-                    rs.len(),
-                    p_sorted,
-                    med,
+                    s.p_better,
+                    s.median,
                     peak[0][ti],
                     peak[1][ti]
                 )
             });
         }
-        let dist = rs.iter().map(|r| format!("{r:.4}")).collect::<Vec<_>>().join(", ");
+        let dist = ratios_json(&ratios[ti]);
         json_points.push(format!(
             "    {{\"cell\": \"{label}\", \"threads\": {threads}, \
              \"sorted_mops\": {:.4}, \"hash_mops\": {:.4}, \
-             \"median_pair_ratio\": {:.4}, \"pair_wins\": {w}, \"pair_n\": {}, \
+             \"median_pair_ratio\": {:.4}, \"pair_wins\": {w}, \"pair_n\": {n}, \
              \"sign_test_p_sorted_holds\": {:.6}, \"gated\": {gate}, \"pair_ratios\": [{dist}]}}",
             peak[0][ti] / 1e6,
             peak[1][ti] / 1e6,
-            med,
-            rs.len(),
-            p_sorted,
+            s.median,
+            s.p_better,
         ));
     }
 }
@@ -377,12 +328,8 @@ pub fn leaf_scale(scale: &Scale, out_path: &str, gates: Gates) {
          (median pair ratio > 1 and one-sided sign test p < 0.05); adaptive cells: adaptive \
          >= {ADAPTIVE_NOISE_FLOOR} x best static peak, census morphs toward hash under \
          points and stays sorted-dominated under scans; checked by the bench itself\",\n  \
-         \"scale\": {{\"warm_n\": {}, \"write_latency_ns\": {}, \"seed\": {}, \
-         \"duration_ms\": {}}},\n  \"points\": [\n{}\n  ]\n}}\n",
-        scale.warm_n,
-        scale.write_latency_ns,
-        scale.seed,
-        scale.duration.as_millis(),
+         \"scale\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
+        scale.json(),
         json_points.join(",\n")
     );
     std::fs::write(out_path, &json).expect("write leaf-scale json");

@@ -25,12 +25,12 @@
 pub mod batchbench;
 pub mod cachebench;
 pub mod combench;
-pub mod contbench;
 pub mod experiments;
 pub mod harness;
 pub mod leafbench;
 pub mod microbench;
 pub mod obsbench;
+pub mod paired;
 pub mod prbench;
 pub mod report;
 pub mod shardbench;

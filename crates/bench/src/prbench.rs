@@ -1,18 +1,16 @@
 //! `repro bench-json` — machine-readable before/after numbers for the
-//! hot-path work (fingerprinted leaf search + branch-light descent).
+//! fingerprinted leaf search.
 //!
 //! Emits a JSON file (default `BENCH_PR1.json`) with single-thread Mops/s
 //! for find/insert/update/remove/mixed per tree. The RNTree variants are
 //! measured twice: **before** disables the fingerprint probe
-//! (`RnConfig::fingerprints = false`, restoring the plain binary-search
-//! leaf lookup) and switches the quiescent descent back to the seed's
-//! (`RnConfig::legacy_seq_descent`, a per-tree flag); **after** is the
-//! current default. Leaf prefetching and the overlapped KV flush are
-//! always on now, so neither arm measures them: the seed's numbers for
-//! the full before/after delta stay recorded in `BENCH_PR1.json`. The STM
-//! small-set changes are not part of the delta (the single-thread
-//! benchmarks bypass the STM entirely); the baselines are reported once
-//! for context.
+//! (`RnConfig::fingerprints = false`, the paper's plain binary-search
+//! leaf lookup and an ablation knob of its own); **after** is the
+//! current default. Both arms share everything else — the branch-light
+//! descent, leaf prefetching and the overlapped KV flush are always on —
+//! so the delta is the fingerprint probe alone. The committed
+//! `BENCH_PR1.json` predates this and records the seed's full hot-path
+//! delta. The baselines are reported once for context.
 //!
 //! The workloads are the same deterministic loops as Figure 4, so numbers
 //! here are directly comparable with `repro fig4` output.
@@ -182,9 +180,7 @@ pub fn measure(scale: &Scale, mk: &dyn Fn(u64) -> Arc<dyn PersistentIndex>) -> O
 }
 
 /// `optimized = false` builds the "before" configuration (no fingerprint
-/// probe, legacy descent — `legacy_seq_descent` is a per-tree `RnConfig`
-/// flag, so measuring a "before" tree cannot perturb any co-resident
-/// "after" tree); `true` is the current default.
+/// probe); `true` is the current default.
 fn rn_factory<'a>(scale: &'a Scale, dual: bool, optimized: bool) -> impl Fn(u64) -> Arc<dyn PersistentIndex> + 'a {
     let kind = if dual { TreeKind::RnTreeDs } else { TreeKind::RnTree };
     move |extra| {
@@ -195,7 +191,6 @@ fn rn_factory<'a>(scale: &'a Scale, dual: bool, optimized: bool) -> impl Fn(u64)
                 dual_slot: dual,
                 seq_traversal: true,
                 fingerprints: optimized,
-                legacy_seq_descent: !optimized,
                 ..RnConfig::default()
             },
         ));
@@ -277,7 +272,7 @@ pub fn bench_json(scale: &Scale, out_path: &str) {
 
     let json = format!(
         "{{\n  \"bench\": \"pr1-hot-path\",\n  \"units\": \"Mops/s\",\n  \"threads\": 1,\n  \
-         \"before_means\": \"fingerprints off + leaf prefetch off + sync KV flush + legacy descent (the seed's single-thread hot path)\",\n  \
+         \"before_means\": \"fingerprints off (plain binary-search leaf lookup); descent, leaf prefetch and KV flush identical to after\",\n  \
          \"method\": \"per-op peak of 6 interleaved before/after rounds; count-based workloads additionally take the best of 3 fresh-tree runs\",\n  \
          \"scale\": {{\"warm_n\": {}, \"write_latency_ns\": {}, \"seed\": {}}},\n  \"trees\": [\n{}\n  ]\n}}\n",
         scale.warm_n,
@@ -304,45 +299,6 @@ mod tests {
         let rates = measure(&scale, &rn_factory(&scale, true, true));
         for r in [rates.find, rates.insert, rates.update, rates.remove, rates.mixed] {
             assert!(r > 0.0, "{rates:?}");
-        }
-    }
-
-    /// Manual A/B of the descent rewrite alone (run with --ignored
-    /// --nocapture on an otherwise idle machine).
-    #[test]
-    #[ignore]
-    fn descent_ab() {
-        let scale = Scale {
-            warm_n: 200_000,
-            duration: Duration::from_millis(500),
-            ..Scale::quick()
-        };
-        let n = scale.warm_n;
-        for round in 0..6 {
-            for legacy in [true, false] {
-                // The descent switch is per-tree configuration now, so each
-                // side measures its own identically-warmed tree.
-                let pool = pool_for(TreeKind::RnTree, n, 0, scale.bench_pool_cfg());
-                let tree = RnTree::create(
-                    pool,
-                    RnConfig {
-                        dual_slot: false,
-                        seq_traversal: true,
-                        legacy_seq_descent: legacy,
-                        ..RnConfig::default()
-                    },
-                );
-                warm(&tree, n, scale.seed);
-                let mut rng = SplitMix64::new(scale.seed);
-                let rate = duration_loop(
-                    |_| {
-                        let k = rng.next_key(n);
-                        std::hint::black_box(tree.find(k));
-                    },
-                    scale.duration,
-                );
-                println!("round {round} legacy={legacy}: {:.4} Mops/s", rate / 1e6);
-            }
         }
     }
 

@@ -15,6 +15,15 @@ impl Table {
         }
     }
 
+    /// Table with one column per thread count (`"{t} thr"`) between a
+    /// leading label column and any trailing `extra` columns.
+    pub fn per_thread(label: &str, threads: &[usize], extra: &[&str]) -> Table {
+        let mut header = vec![label.to_string()];
+        header.extend(threads.iter().map(|t| format!("{t} thr")));
+        header.extend(extra.iter().map(|s| s.to_string()));
+        Table { header, rows: Vec::new() }
+    }
+
     /// Appends a row (must match the header arity).
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");

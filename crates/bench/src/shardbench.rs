@@ -154,12 +154,8 @@ pub fn shard_scale(scale: &Scale, out_path: &str) {
         "{{\n  \"bench\": \"pr2-shard-scale\",\n  \"workload\": \"ycsb-a uniform\",\n  \
          \"tree\": \"ShardedIndex<RnTree>\",\n  \
          \"method\": \"per-cell peak of 5 interleaved rounds over warm trees\",\n  \
-         \"scale\": {{\"warm_n\": {}, \"write_latency_ns\": {}, \"seed\": {}, \
-         \"duration_ms\": {}}},\n  \"throughput\": [\n{}\n  ],\n  \"recovery\": [\n{}\n  ]\n}}\n",
-        scale.warm_n,
-        scale.write_latency_ns,
-        scale.seed,
-        scale.duration.as_millis(),
+         \"scale\": {},\n  \"throughput\": [\n{}\n  ],\n  \"recovery\": [\n{}\n  ]\n}}\n",
+        scale.json(),
         tput_rows.join(",\n"),
         rec_rows.join(",\n")
     );

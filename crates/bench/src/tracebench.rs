@@ -46,6 +46,7 @@ use rntree::{RnConfig, RnTree};
 use ycsb::{run_closed_loop, KeyDist, WorkloadSpec};
 
 use crate::harness::{pool_for, warm, Gates, Scale, TreeKind};
+use crate::paired::median;
 use crate::report::Table;
 
 /// Keys in the planted hot window (the PR-6 colliding-stripe cell).
@@ -380,16 +381,6 @@ fn cell_json(run: &CellRun, hot: &BTreeSet<u64>) -> Json {
 
 // -------------------------------------------------------------- overhead
 
-/// Median of a round's throughputs (the robust statistic for the gate).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 { xs[n / 2] } else { (xs[n / 2 - 1] + xs[n / 2]) / 2.0 }
-}
-
 /// PR-4 interleaved off/on overhead: plain tree vs recorder + phase
 /// timers + trace ring (production shift) + live timeline ticker.
 ///
@@ -435,8 +426,8 @@ fn overhead_stage(scale: &Scale, threads: usize) -> Json {
     tree.phase_timers().set_enabled(false);
     let off_peak = off_rounds.iter().cloned().fold(0f64, f64::max);
     let on_peak = on_rounds.iter().cloned().fold(0f64, f64::max);
-    let off_med = median(&mut off_rounds);
-    let on_med = median(&mut on_rounds);
+    let off_med = median(&off_rounds);
+    let on_med = median(&on_rounds);
     let overhead_pct = (100.0 * (off_med - on_med) / off_med).max(0.0);
     println!(
         "\noverhead: disabled {:.3} Mops, enabled {:.3} Mops → {:.2}% \

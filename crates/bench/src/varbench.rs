@@ -7,11 +7,8 @@
 //!    for existing u64 users: on the *same* warmed non-varlen `RnTree`,
 //!    driving YCSB-B through the byte-key API (`*_k` with the `U64Key`
 //!    codec rendering, [`ycsb::KeyShape::U64Be`]) must not be detectably
-//!    slower than the native u64 API. Methodology is PR 5/6's: every
-//!    round measures the two drivers back-to-back with alternating
-//!    order, the point is judged on its full distribution of
-//!    time-adjacent pair ratios by a one-sided sign test, and unmet
-//!    points get paired rescue rounds. The gate asserts
+//!    slower than the native u64 API: the two API paths run as
+//!    [`crate::paired`] order-alternated pairs, and the gate asserts
 //!    `p_worse ≥ 0.05` at every thread count.
 //!
 //! 2. **String-key scaling.** Var-leaf trees warmed with order-preserving
@@ -35,15 +32,9 @@ use obs::{ObsSource, Section};
 use rntree::{RnConfig, RnTree};
 use ycsb::{run_closed_loop, run_closed_loop_k, KeyDist, KeyShape, WorkloadSpec};
 
-use crate::contbench::{median, sign_test_p, wins};
 use crate::harness::{pool_for, warm, Gates, Scale, TreeKind};
+use crate::paired::{ratios_json, sweep, Order, Summary, ROUNDS};
 use crate::report::{fmt_tput, Table};
-
-/// Interleaved measurement rounds per cell (peak kept per point).
-const ROUNDS: usize = 5;
-/// Extra paired re-measurements for gate points still failing their
-/// criterion (same rationale as `contbench::RESCUE_ROUNDS`).
-const RESCUE_ROUNDS: usize = 16;
 
 /// The string-key cells: (label, shape). Lengths span the 8–64-byte
 /// range; all three shapes are order-preserving in the sampled id.
@@ -111,57 +102,28 @@ pub fn varkey_scale(scale: &Scale, out_path: &str, gates: Gates) {
     let dynt: Arc<dyn PersistentIndex> = tree.clone();
 
     let mut peak = [vec![0.0f64; n_points], vec![0.0f64; n_points]]; // [native, codec]
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); n_points];
-    let measure_pair = |peak: &mut [Vec<f64>; 2], ratios: &mut Vec<Vec<f64>>, ti: usize, flip: bool| {
-        let threads = scale.threads[ti];
-        let native = |peak: &mut [Vec<f64>; 2]| {
-            let r = run_closed_loop(&dynt, &spec, threads, scale.duration, scale.seed);
+    // Variant 0 (the candidate) is the codec path, variant 1 native. A
+    // neutral codec straddles ratio 1, so rescue pairs push p_worse up.
+    let ratios = sweep(
+        n_points,
+        Order::Alternated,
+        |v, ti| {
+            let threads = scale.threads[ti];
+            let r = if v == 0 {
+                run_closed_loop_k(&dynt, &spec, KeyShape::U64Be, threads, scale.duration, scale.seed)
+            } else {
+                run_closed_loop(&dynt, &spec, threads, scale.duration, scale.seed)
+            };
             assert_eq!(r.pool_exhausted, 0, "u64 gate pool exhausted");
-            peak[0][ti] = peak[0][ti].max(r.throughput());
+            let p = &mut peak[1 - v][ti];
+            *p = p.max(r.throughput());
             r.throughput()
-        };
-        let codec = |peak: &mut [Vec<f64>; 2]| {
-            let r = run_closed_loop_k(&dynt, &spec, KeyShape::U64Be, threads, scale.duration, scale.seed);
-            assert_eq!(r.pool_exhausted, 0, "u64 gate pool exhausted");
-            peak[1][ti] = peak[1][ti].max(r.throughput());
-            r.throughput()
-        };
-        let (nv, cv) = if flip {
-            let c = codec(peak);
-            let n = native(peak);
-            (n, c)
-        } else {
-            let n = native(peak);
-            let c = codec(peak);
-            (n, c)
-        };
-        if nv > 0.0 {
-            ratios[ti].push(cv / nv);
-        }
-    };
-    for r in 0..ROUNDS {
-        for ti in 0..n_points {
-            measure_pair(&mut peak, &mut ratios, ti, r % 2 == 1);
-        }
-    }
-    // Rescue loop: a genuinely neutral codec path straddles ratio 1, so
-    // more pairs push p_worse up; a genuine regression only loses more.
-    for r in 0..RESCUE_ROUNDS {
-        let tis: Vec<usize> = (0..n_points)
-            .filter(|&ti| sign_test_p(wins(&ratios[ti]), ratios[ti].len()) < 0.05)
-            .collect();
-        if tis.is_empty() {
-            break;
-        }
-        for ti in tis {
-            measure_pair(&mut peak, &mut ratios, ti, r % 2 == 0);
-        }
-    }
+        },
+        |_, rs| !Summary::of(rs).not_detectably_worse(),
+    );
 
     println!("\n## varkey-scale — u64 neutrality gate (native API vs U64Key codec), ycsb-b uniform\n");
-    let mut header = vec!["api".to_string()];
-    header.extend(scale.threads.iter().map(|t| format!("{t} thr")));
-    let mut table = Table::new(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
+    let mut table = Table::per_thread("api", &scale.threads, &[]);
     for (v, vname) in ["native-u64", "u64key-codec"].iter().enumerate() {
         let mut row = vec![vname.to_string()];
         row.extend(peak[v].iter().map(|&m| fmt_tput(m)));
@@ -170,33 +132,29 @@ pub fn varkey_scale(scale: &Scale, out_path: &str, gates: Gates) {
     table.print();
 
     for (ti, &threads) in scale.threads.iter().enumerate() {
-        let rs = &ratios[ti];
-        let w = wins(rs);
-        let p_worse = sign_test_p(w, rs.len());
-        let med = median(rs);
-        gates.check(p_worse >= 0.05, || {
+        let s = Summary::of(&ratios[ti]);
+        let (w, n) = (s.wins, s.n);
+        gates.check(s.not_detectably_worse(), || {
             format!(
-                "the byte-key layer regressed u64 throughput: {threads} thr — only {w}/{} \
+                "the byte-key layer regressed u64 throughput: {threads} thr — only {w}/{n} \
                  pairs favour the codec path (sign-test p {:.4}), median pair ratio {:.3} \
                  (peaks: native {:.0} ops/s, codec {:.0} ops/s)",
-                rs.len(),
-                p_worse,
-                med,
+                s.p_worse,
+                s.median,
                 peak[0][ti],
                 peak[1][ti]
             )
         });
-        let dist = rs.iter().map(|r| format!("{r:.4}")).collect::<Vec<_>>().join(", ");
+        let dist = ratios_json(&ratios[ti]);
         json_points.push(format!(
             "    {{\"cell\": \"u64-gate\", \"threads\": {threads}, \
              \"native_mops\": {:.4}, \"codec_mops\": {:.4}, \
-             \"median_pair_ratio\": {:.4}, \"pair_wins\": {w}, \"pair_n\": {}, \
+             \"median_pair_ratio\": {:.4}, \"pair_wins\": {w}, \"pair_n\": {n}, \
              \"sign_test_p_worse\": {:.6}, \"pair_ratios\": [{dist}]}}",
             peak[0][ti] / 1e6,
             peak[1][ti] / 1e6,
-            med,
-            rs.len(),
-            p_worse,
+            s.median,
+            s.p_worse,
         ));
     }
 
@@ -219,10 +177,8 @@ pub fn varkey_scale(scale: &Scale, out_path: &str, gates: Gates) {
             shape.key_len(),
             tree.name()
         );
-        let mut header = vec!["threads".to_string(), "peak tput".into()];
-        header.push("head ties inner".into());
-        header.push("head ties leaf".into());
-        let mut table = Table::new(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
+        let mut table =
+            Table::new(&["threads", "peak tput", "head ties inner", "head ties leaf"]);
         for &threads in &scale.threads {
             let mut best = 0.0f64;
             let mut tie_delta = (0u64, 0u64);
@@ -268,12 +224,8 @@ pub fn varkey_scale(scale: &Scale, out_path: &str, gates: Gates) {
          \"assertion\": \"u64 gate at every thread count: codec path not detectably worse \
          (one-sided sign test p >= 0.05); string cells: invariants + sampled presence + \
          byte-ordered scans; checked by the bench itself\",\n  \
-         \"scale\": {{\"warm_n\": {}, \"write_latency_ns\": {}, \"seed\": {}, \
-         \"duration_ms\": {}}},\n  \"points\": [\n{}\n  ]\n}}\n",
-        scale.warm_n,
-        scale.write_latency_ns,
-        scale.seed,
-        scale.duration.as_millis(),
+         \"scale\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
+        scale.json(),
         json_points.join(",\n")
     );
     std::fs::write(out_path, &json).expect("write varkey-scale json");

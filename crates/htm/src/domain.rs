@@ -50,7 +50,7 @@
 //!   on.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 
 use crate::fallback::{FallbackLock, StripeTable};
 use crate::stats::HtmStats;
@@ -172,10 +172,6 @@ pub struct HtmDomain {
     stats: HtmStats,
     opts: TxnOptions,
     policy: RetryPolicy,
-    /// Fine-grained (striped) fallback enabled. Configuration knob: flip it
-    /// only while no transactions are running in the domain (the two modes
-    /// use different subscription sets).
-    striped: AtomicBool,
 }
 
 impl Default for HtmDomain {
@@ -186,7 +182,6 @@ impl Default for HtmDomain {
             stats: HtmStats::default(),
             opts: TxnOptions::default(),
             policy: RetryPolicy::default(),
-            striped: AtomicBool::new(true),
         }
     }
 }
@@ -223,18 +218,6 @@ impl HtmDomain {
         &self.stripes
     }
 
-    /// Enables/disables the fine-grained (striped) fallback tier; disabled
-    /// means every fallback takes the global lock, as before PR 5. Must not
-    /// race with concurrent `atomic` sections in this domain.
-    pub fn set_striped_fallback(&self, on: bool) {
-        self.striped.store(on, Relaxed);
-    }
-
-    /// True when the fine-grained fallback tier is enabled.
-    pub fn striped_fallback(&self) -> bool {
-        self.striped.load(Relaxed)
-    }
-
     /// Runs `body` atomically, retrying and falling back as real RTM code
     /// does. The closure may run **multiple times**; side effects other than
     /// transactional writes must be idempotent or confined to the final
@@ -250,8 +233,6 @@ impl HtmDomain {
             f.set(true);
         });
         let _reset = ResetOnDrop;
-        let striped_on = self.striped.load(Relaxed);
-        let tbl = striped_on.then_some(&self.stripes);
         let site = std::panic::Location::caller() as *const _ as usize;
         let mut conflicts = 0u32;
         // Aborts of any cause suffered so far by this logical section;
@@ -290,7 +271,7 @@ impl HtmDomain {
             // stripes for freedom during commit, after its write locks are
             // held — the optimistic hot path pays no per-read fallback
             // loads at all (see the proof in `crate::fallback`).
-            let mut txn = Txn::optimistic(self.opts, tbl, Some(&self.fallback.word));
+            let mut txn = Txn::optimistic(self.opts, Some(&self.stripes), Some(&self.fallback.word));
             let result = body(&mut txn);
             crate::set_in_transaction(false);
             // Capture the footprint before commit consumes the txn.
@@ -354,7 +335,7 @@ impl HtmDomain {
                 // under exactly those stripes. Capacity/flush aborts have
                 // no usable footprint and escalate directly.
                 let mut escalate = !matches!(abort.code, AbortCode::Conflict);
-                if !escalate && striped_on && footprint != 0 {
+                if !escalate && footprint != 0 {
                     match self.run_striped(&mut body, footprint) {
                         StripedOutcome::Done(r) => {
                             self.stats.retries.record(retries);
@@ -369,7 +350,7 @@ impl HtmDomain {
                     }
                 } else if !escalate {
                     // Conflict escalation with no known footprint (body
-                    // read nothing before aborting) or striping disabled.
+                    // read nothing before aborting).
                     escalate = true;
                 }
                 if escalate {
@@ -731,34 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_striping_restores_global_only_fallbacks() {
-        let d = HtmDomain::with_options(
-            TxnOptions::default(),
-            RetryPolicy {
-                max_retries: 0,
-                adaptive: false,
-            },
-        );
-        d.set_striped_fallback(false);
-        assert!(!d.striped_fallback());
-        let w = TmWord::new(0);
-        let mut forced = false;
-        d.atomic(|t| {
-            let v = t.read(&w)?;
-            if !t.is_fallback() && !forced {
-                forced = true;
-                return Err(Abort::CONFLICT);
-            }
-            t.write(&w, v + 1)?;
-            Ok(())
-        });
-        assert_eq!(w.load_direct(), 1);
-        let s = d.stats().snapshot();
-        assert_eq!(s.fallbacks_striped, 0);
-        assert_eq!(s.fallbacks_global, 1);
-    }
-
-    #[test]
     fn explicit_abort_retries_optimistically() {
         let d = HtmDomain::new();
         let w = TmWord::new(0);
@@ -886,14 +839,25 @@ mod tests {
             }));
         }
         let (dr, ar, br) = (Arc::clone(&d), Arc::clone(&a), Arc::clone(&b));
+        // The reader runs until it has done its reads *and* a writer has
+        // reached the striped tier: under load it could otherwise finish
+        // before any fallback happened and the test would prove nothing.
         let reader = std::thread::spawn(move || {
-            for _ in 0..5_000 {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            let mut reads = 0u32;
+            while reads < 5_000 || dr.stats().snapshot().fallbacks_striped == 0 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "no writer reached the striped fallback tier within 60 s \
+                     ({reads} reads done)"
+                );
                 let (x, y) = dr.atomic(|t| {
                     let x = t.read(&ar)?;
                     let y = t.read(&br)?;
                     Ok((x, y))
                 });
                 assert_eq!(x, y, "read-only commit saw a torn striped publish");
+                reads += 1;
             }
         });
         reader.join().unwrap();

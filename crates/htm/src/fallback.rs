@@ -97,8 +97,7 @@
 //! a torn slice of an atomic fallback section.
 //!
 //! **O vs G.** The same argument with "all stripes + the global word" as
-//! the footprint; the global-word check keeps it valid verbatim when
-//! striping is disabled and the footprint mask is not consulted.
+//! the footprint.
 //!
 //! **S vs S.** Footprint-overlapping fallbacks share a stripe and exclude
 //! each other on it; disjoint ones commute because each buffers its

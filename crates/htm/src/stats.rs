@@ -150,8 +150,7 @@ impl HtmStatsSnapshot {
     }
 
     /// Fallback rate: fallback acquisitions per committed section
-    /// (optimistic commits + fallback completions; 0.0 when idle). The
-    /// headline number of the contention-scale benchmark.
+    /// (optimistic commits + fallback completions; 0.0 when idle).
     pub fn fallback_rate(&self) -> f64 {
         let sections = self.commits + self.fallbacks;
         if sections == 0 {

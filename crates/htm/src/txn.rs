@@ -195,8 +195,7 @@ pub struct Txn<'t> {
     mode: Mode,
     opts: TxnOptions,
     /// Stripe table whose footprint stripes commit checks for freedom
-    /// (`None` when the domain runs with striping disabled — legacy
-    /// global-only mode).
+    /// (`None` only in unit tests).
     tbl: Option<&'t StripeTable>,
     /// The domain's global fallback word; commit checks it for freedom
     /// alongside the stripes (`None` only in unit tests).

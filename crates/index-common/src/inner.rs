@@ -17,7 +17,7 @@
 //!   reader can never dereference a dangling inner pointer. All nodes are
 //!   owned by a registry and freed when the [`InnerIndex`] drops.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use htm::{HtmDomain, OptimisticGate, TmWord, TxResult, Txn};
@@ -208,14 +208,6 @@ pub struct InnerIndex {
     /// Every inner node ever allocated (including nodes orphaned by aborted
     /// transactions or recovery rebuilds); freed on drop.
     registry: Mutex<Vec<*mut Inner>>,
-    /// When set, [`InnerIndex::traverse_seq`] runs the original branching
-    /// binary search with no prefetching. Benchmark-only facility: it lets
-    /// one binary produce honest before/after numbers for the descent
-    /// rewrite (`repro bench-json`). Per-index on purpose: co-resident
-    /// trees (shards of a [`crate::ShardedIndex`]) must not be able to flip
-    /// each other's descent path through a process-global. It only affects
-    /// the quiescent sequential traversal.
-    legacy_seq: AtomicBool,
     /// Optional DRAM page cache over the inner nodes; when attached,
     /// [`InnerIndex::traverse_cached`] serves descents from cached frames
     /// with optimistic version validation instead of running the whole
@@ -286,7 +278,6 @@ impl InnerIndex {
             root: TmWord::new(initial_child),
             domain: HtmDomain::new(),
             registry: Mutex::new(Vec::new()),
-            legacy_seq: AtomicBool::new(false),
             cache: OnceLock::new(),
             gate: OptimisticGate::new(),
             descent_restarts: AtomicU64::new(0),
@@ -361,13 +352,6 @@ impl InnerIndex {
             restarts: self.descent_restarts.load(Ordering::Relaxed),
             tm_fallbacks: self.descent_tm_fallbacks.load(Ordering::Relaxed),
         }
-    }
-
-    /// Selects the pre-rewrite sequential descent **for this index only**
-    /// (see the `legacy_seq` field docs). Replaces the former process-global
-    /// switch, which would have coupled co-resident trees.
-    pub fn set_legacy_seq_descent(&self, on: bool) {
-        self.legacy_seq.store(on, Ordering::Relaxed);
     }
 
     /// The HTM domain shared by this tree (leaf-level HTM functions of the
@@ -592,9 +576,6 @@ impl InnerIndex {
     }
 
     fn traverse_seq_c(&self, c: Cmp<'_>) -> u64 {
-        if self.legacy_seq.load(Ordering::Relaxed) {
-            return self.traverse_seq_legacy(c);
-        }
         let mut node_ref = self.root.load_seq();
         while !is_leaf_ref(node_ref) {
             let inner = self.deref(node_ref);
@@ -602,7 +583,7 @@ impl InnerIndex {
             // Branching binary search, deliberately: with L2-resident inner
             // nodes the predictor's speculation runs the next probe's load
             // early, which beats a CMOV lower bound whose address chain is
-            // serial (measured ~5% on find; see `descent_ab` in bench).
+            // serial (measured ~5% on find).
             let (mut lo, mut hi) = (0usize, cnt);
             while lo < hi {
                 let mid = (lo + hi) / 2;
@@ -616,28 +597,6 @@ impl InnerIndex {
             if !is_leaf_ref(node_ref) {
                 prefetch_node(node_ref as *const Inner);
             }
-        }
-        crate::leaf_off(node_ref)
-    }
-
-    /// The sequential descent as it was before the branch-light rewrite:
-    /// a branching binary search per level and no prefetch. Kept verbatim
-    /// so `repro bench-json` can measure the rewrite's effect.
-    fn traverse_seq_legacy(&self, c: Cmp<'_>) -> u64 {
-        let mut node_ref = self.root.load_seq();
-        while !is_leaf_ref(node_ref) {
-            let inner = self.deref(node_ref);
-            let cnt = (inner.count.load_seq() as usize).min(MAX_KEYS);
-            let (mut lo, mut hi) = (0usize, cnt);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if self.cmp_le(c, inner.keys[mid].load_seq()) {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            node_ref = inner.children[lo].load_seq();
         }
         crate::leaf_off(node_ref)
     }

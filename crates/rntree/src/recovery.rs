@@ -179,8 +179,6 @@ impl RnTree {
         routes: &[(F::Owned, u64)],
     ) -> InnerIndex {
         let index = F::new_index(leaf_ref(leftmost));
-        index.set_legacy_seq_descent(cfg.legacy_seq_descent);
-        index.domain().set_striped_fallback(cfg.striped_fallback);
         if cfg.cache_frames > 0 {
             // Always a fresh, empty cache: the DRAM tier is transient and
             // recovery must never trust (or rebuild from) its contents.

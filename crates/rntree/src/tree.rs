@@ -146,19 +146,6 @@ pub struct RnConfig {
     /// and recovery rebuilds the table. Off reproduces the paper's plain
     /// binary-search leaves (useful as an ablation baseline).
     pub fingerprints: bool,
-    /// Run the pre-rewrite (branchy, prefetch-free) sequential descent in
-    /// this tree's [`InnerIndex`]. Benchmark-only before/after switch; a
-    /// per-tree config field (not a process global) so co-resident trees —
-    /// e.g. shards of an `index_common::ShardedIndex` — can never flip each
-    /// other's descent path.
-    pub legacy_seq_descent: bool,
-    /// Use the fine-grained (address-striped) HTM fallback tier: a
-    /// conflict-driven fallback locks only the stripes covering its
-    /// observed footprint instead of the whole domain, so fallbacks on
-    /// different leaves stop serialising unrelated operations. Off
-    /// restores the PR-4 single global fallback lock (the before side of
-    /// `repro contention-scale`).
-    pub striped_fallback: bool,
     /// Frame budget of the DRAM page cache over the inner index (each
     /// frame caches one inner node, 512 B of payload). With a cache
     /// attached, the concurrent descent walks version-validated cached
@@ -194,8 +181,6 @@ impl Default for RnConfig {
             seq_traversal: false,
             journal_slots: 64,
             fingerprints: true,
-            legacy_seq_descent: false,
-            striped_fallback: true,
             cache_frames: 1024,
             varlen_leaves: false,
             leaf_policy: LeafPolicy::default(),
