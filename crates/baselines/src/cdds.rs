@@ -150,7 +150,7 @@ impl CddsTree {
     fn split(&self, leaf: &CdLeaf<'_>) {
         let pairs = leaf.pairs();
         let live = pairs.len();
-        let jslot = self.s.journal.acquire();
+        let jslot = self.s.journal.acquire(&self.s.pool);
         self.s.journal.log(&self.s.pool, jslot, leaf.off);
         let right_off = self.s.alloc.alloc().expect("CDDS pool exhausted");
         let right = CdLeaf::at(&self.s.pool, right_off);

@@ -254,7 +254,7 @@ impl FpTree {
     fn split(&self, leaf: FpLeaf<'_>) {
         let pairs = leaf.live_pairs_sorted();
         let live = pairs.len();
-        let jslot = self.s.journal.acquire();
+        let jslot = self.s.journal.acquire(&self.s.pool);
         self.s.journal.log(&self.s.pool, jslot, leaf.off);
 
         debug_assert!(live > 1, "split of a near-empty FPTree leaf");

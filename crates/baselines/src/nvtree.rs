@@ -224,7 +224,7 @@ impl NvTree {
     fn split(&self, leaf: &NvLeaf<'_>) {
         let pairs = leaf.live_pairs();
         let live = pairs.len();
-        let jslot = self.s.journal.acquire();
+        let jslot = self.s.journal.acquire(&self.s.pool);
         self.s.journal.log(&self.s.pool, jslot, leaf.off);
 
         if live < CAPACITY / 2 {

@@ -334,7 +334,7 @@ impl WbTree {
     fn split(&self, leaf: &WbLeaf<'_>, slots: &Slots) {
         let pairs = leaf.pairs(slots);
         let live = pairs.len();
-        let jslot = self.s.journal.acquire();
+        let jslot = self.s.journal.acquire(&self.s.pool);
         self.s.journal.log(&self.s.pool, jslot, leaf.off);
 
         if live < self.v.max_live() / 2 + 1 && live < self.v.capacity() / 2 {

@@ -6,13 +6,13 @@
 //! that *already hold* a batch get that price — N concurrent writer
 //! threads each issuing point writes still pay the full per-op fence
 //! bill. [`GroupCommit`] closes that gap without changing any caller's
-//! API: writer threads publish their point writes into per-shard
-//! cache-line-padded submission slots, one dynamically elected **leader**
-//! per shard drains every published op into one epoch, sorts it, executes
-//! it through the inner index's [`PersistentIndex::write_batch`] (the
-//! PR-3 run executor, now covering all four write classes), and
-//! distributes each op's result back through its slot. Reads bypass the
-//! queue entirely.
+//! API: when a shard has more writers in flight than CPUs, writer threads
+//! publish their point writes into per-shard cache-line-padded submission
+//! slots, one dynamically elected **leader** per shard drains every
+//! published op into one epoch, sorts it, executes it through the inner
+//! index's [`PersistentIndex::write_batch`] (the PR-3 run executor, now
+//! covering all four write classes), and distributes each op's result
+//! back through its slot. Reads bypass the queue entirely.
 //!
 //! ## Slot protocol
 //!
@@ -32,57 +32,57 @@
 //! itself (`DONE_BASE + OpError` code), so delivery needs no second
 //! synchronised field.
 //!
+//! ## When to combine
+//!
+//! Combining trades parallelism for coalescing: a leader executes its
+//! peers' ops one epoch at a time on one thread. While a shard has idle
+//! CPUs that trade loses — writers on different leaves run in parallel
+//! under the inner index's own per-leaf locking, and funnelling them
+//! through one executor serializes them. So each shard counts the
+//! writers currently inside a write. A writer that finds fewer than
+//! `available_parallelism` others in flight executes its op directly, in
+//! parallel, with no flag and no slot (`ops_solo`). Only a writer on an
+//! oversubscribed shard — more writers in flight than CPUs, so some of
+//! them are descheduled mid-op anyway — publishes into a slot. Such a
+//! shard has no idle CPU to spin on, so waiting publishers yield on every
+//! iteration.
+//!
 //! ## Leader election and handoff
 //!
-//! There is no dedicated combiner thread. After publishing, a writer
-//! spins on its own slot and — whenever its op is still `PUBLISHED` and
-//! the shard's leader flag is free — elects *itself* leader with one CAS.
-//! The leader gathers, accumulates, and executes **one** epoch, then
-//! steps down (looping "until the shard is empty" would turn the leader
-//! into a serial servicer whose own ops never publish — see [`drain`'s
-//! doc][GroupCommit]). Because every waiting publisher is also a
-//! candidate, leadership hands off automatically when the current leader
-//! finishes and exits (even when its thread terminates): the next
-//! spinning writer wins the CAS. No thread registration, so thread exit
-//! leaks nothing.
+//! There is no dedicated combiner thread and no patience step. A
+//! publisher whose op is still `PUBLISHED` elects *itself* leader with
+//! one CAS on the shard's leader flag whenever the flag is free. The
+//! leader claims whatever is already published in one pass over the
+//! slot block — it never waits for absent peers (flat combining after
+//! Hendler, Incze, Shavit and Tzafrir, SPAA 2010) — executes that **one**
+//! epoch, and steps down (looping "until the shard is empty" would turn
+//! the leader into a serial servicer whose own ops never publish — see
+//! `drain`). Because every waiting publisher is also a candidate,
+//! leadership hands off automatically when the current leader finishes
+//! and exits (even when its thread terminates): the next waiting writer
+//! wins the CAS. No thread registration, so thread exit leaks nothing.
+//! Publishers that arrive while a leader executes pile up in the slots
+//! and ride the next epoch together; singleton epochs dispatch through
+//! the inner index's single-op methods.
 //!
-//! ## Epoch formation
+//! ## Crash liveness
 //!
-//! A leader that drains faster than writers publish executes nothing but
-//! singleton epochs — flat combining degenerates to per-op execution
-//! with extra steps, and no persists coalesce. Two mechanisms build real
-//! groups without taxing the common op:
-//!
-//! * **Periodic election patience.** Every `PATIENT_EVERY`-th
-//!   publication on a shard raises the shard's advisory `gathering`
-//!   flag and holds back for a few yield cycles before volunteering as
-//!   leader. Concurrent peers get scheduled, publish, and — deferring
-//!   their own elections to the flag (boundedly: a stalled gatherer
-//!   delays them by a few extra yields, never blocks them) — pile up;
-//!   when the patient candidate finally elects itself, its gather
-//!   claims the whole pile as one epoch. Patience is periodic, not
-//!   universal: an always-patient shard pays a scheduler round-trip
-//!   per op (ruinous when cores are scarce), while a bounded share of
-//!   patient ops coalesces the bulk of the persist traffic and leaves
-//!   the rest on the fast self-election path. Solo writers lose almost
-//!   nothing — with no runnable peers the yields return immediately.
-//! * **Accumulation window.** Once a gather holds a *group* (two or
-//!   more ops), the leader keeps claiming arrivals for a bounded window
-//!   ([`GroupCommitConfig::accumulate`], clamped to half the flush
-//!   deadline) before executing, so publishes racing the gather still
-//!   ride the epoch. Singleton gathers skip the window — a solo writer
-//!   never pays it.
-//!
-//! The residual grouping latency is the deliberate group-commit trade,
-//! and why the scaling bench reports (without asserting) the 1-thread
-//! point.
+//! A simulated crash (a persist-trap panic) kills one thread wherever it
+//! stood, so a leaf lock, split bit or journal slot it held stays held.
+//! The pool owns the liveness of that state: the trap marks the pool
+//! dead before it panics, and every wait on pool-resident state panics
+//! on a dead pool instead of spinning forever
+//! ([`nvm::PmemPool::check_alive`]). Direct writers therefore need no
+//! exclusivity against a crash. Every inner-index call here runs under
+//! `catch_unwind`; a panic raises the layer's `crashed` flag, which makes
+//! every later write and every parked publisher panic too — the "whole
+//! process dies" semantics of a real crash.
 //!
 //! ## Bounded latency (proof sketch)
 //!
 //! A published op waits at most `max_wait` before one of three things is
 //! guaranteed to have happened: (1) a leader claimed it — the leader is
-//! live (it just CASed), epochs are capped at `max_epoch` ops, and the
-//! accumulation window is bounded (and clamped below `max_wait`), so the
+//! live (it just CASed) and epochs are capped at `max_epoch` ops, so the
 //! result arrives within one bounded epoch execution; (2) the publisher
 //! won the leader CAS and drains itself; (3) the publisher reclaims the
 //! still-`PUBLISHED` slot with a CAS and executes the op directly on the
@@ -180,25 +180,23 @@ impl Slot {
     }
 }
 
-/// Per-shard combining state: the slot block, the leader flag, and a
-/// round-robin ticket spreading publishers across the slot array.
+/// Per-shard combining state: the slot block, the leader flag, a
+/// round-robin ticket spreading publishers across the slot array, and the
+/// in-flight writer count that decides direct or combined. Line-aligned,
+/// so writers on different shards never bounce one line between them.
+#[repr(align(64))]
 struct Shard {
     slots: Vec<Slot>,
-    /// Leader flag: 0 = free, 1 = a leader is draining. Padded into its
-    /// own line by the surrounding `Slot` alignment.
+    /// Leader flag: 0 = free, 1 = a leader is draining.
     leader: AtomicU64,
     /// Slot-scan start ticket (reduces CAS collisions between publishers).
     ticket: AtomicU64,
-    /// Grouping flag: 1 while a patient candidate is collecting a pile.
-    /// Other publishers defer their self-election (bounded — see
-    /// `DEFER_SPINS`) so the pile isn't stolen one rider at a time by
-    /// instant electors.
-    gathering: AtomicU64,
-    /// Size of the last executed epoch — the occupancy signal behind the
-    /// adaptive gather cadence (see `PATIENT_EVERY`): small piles mean
-    /// few concurrent writers, so phases run less often and the solo
-    /// path carries the traffic.
-    last_epoch: AtomicU64,
+    /// Writers currently inside `write` on this shard (see [`Occupant`]).
+    writers: AtomicU64,
+    /// Ops this shard executed directly ([`CommitStats::ops_solo`]). Kept
+    /// on the line the direct path already owns after bumping `writers`,
+    /// so counting costs that path no extra cache miss.
+    solo: AtomicU64,
 }
 
 impl Shard {
@@ -207,41 +205,21 @@ impl Shard {
             slots: (0..SLOTS_PER_SHARD).map(|_| Slot::new()).collect(),
             leader: AtomicU64::new(0),
             ticket: AtomicU64::new(0),
-            gathering: AtomicU64::new(0),
-            last_epoch: AtomicU64::new(0),
+            writers: AtomicU64::new(0),
+            solo: AtomicU64::new(0),
         }
     }
 }
 
-/// Every N-th publication per shard is a *patient* election candidate
-/// (see the patience comment in [`GroupCommit`]'s `write`): it yields a
-/// few scheduler turns before volunteering, giving concurrent peers time
-/// to publish ops that then coalesce into its epoch. This is the cadence
-/// while piles are paying (`last_epoch >= PILE_WORTH`); shards whose
-/// last pile was smaller gather `BACKOFF` times less often — a phase
-/// costs a handful of scheduler round-trips, and a pile of one or two
-/// ops doesn't amortise enough persist traffic to buy that back.
-const PATIENT_EVERY: usize = 16;
-/// Pile size at which a gather phase pays for its scheduler round-trips.
-/// A pile of k ops touching L distinct leaves costs ≈ 2L + journal
-/// persists, so the batch only beats k direct ops (~2k persists) when
-/// k clearly exceeds L — and under a skewed-but-wide key distribution
-/// (Zipfian θ 0.99 over a 200 K working set) a pile of 4 typically
-/// spans nearly 4 leaves while a pile of 8 revisits its hot leaves.
-/// Below this width the phase's round-trips buy nothing, so the shard
-/// backs off to the slow cadence and the solo path carries the load.
-const PILE_WORTH: u64 = 6;
-/// Cadence divisor while piles are below `PILE_WORTH`.
-const BACKOFF: usize = 4;
-/// Spin count after which a patient candidate stops waiting and elects
-/// itself regardless of pile growth (the yield cadence is one
-/// `yield_now` per 64 spins, so this is a few scheduler turns).
-const PATIENT_SPINS: u32 = 192;
-/// Spin count after which a publisher stops deferring to an active
-/// gatherer and elects itself anyway — the bound that keeps the
-/// `gathering` flag advisory: a stalled or vanished gatherer delays
-/// peers by a few yields, never blocks them.
-const DEFER_SPINS: u32 = 384;
+/// Releases one writer's registration in its shard's in-flight count, on
+/// return and on unwind alike.
+struct Occupant<'a>(&'a AtomicU64);
+
+impl Drop for Occupant<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
 
 /// Tuning knobs for [`GroupCommit`].
 #[derive(Debug, Clone, Copy)]
@@ -260,16 +238,6 @@ pub struct GroupCommitConfig {
     /// before its publisher reclaims it and executes directly. This is
     /// the latency cap the p99 gate in `repro group-scale` checks against.
     pub max_wait: Duration,
-    /// Epoch accumulation window — the "group" in group commit. Once a
-    /// gather holds at least one op, the leader keeps claiming arrivals
-    /// for up to this long (or until `max_epoch`) before executing. A
-    /// leader that drains faster than writers publish would otherwise
-    /// execute nothing but singleton epochs and coalesce no persists;
-    /// the window trades that much latency on every epoch for multi-op
-    /// epochs whenever writers are actually concurrent. Zero disables
-    /// it. Keep it well under `max_wait`, or publishers start reclaiming
-    /// ops a lingering leader was about to claim.
-    pub accumulate: Duration,
 }
 
 impl Default for GroupCommitConfig {
@@ -278,7 +246,6 @@ impl Default for GroupCommitConfig {
             shards: 1,
             max_epoch: SLOTS_PER_SHARD,
             max_wait: Duration::from_micros(500),
-            accumulate: Duration::from_micros(2),
         }
     }
 }
@@ -296,10 +263,9 @@ pub struct CommitStats {
     pub ops_coalesced: u64,
     /// Ops executed directly because every slot in the shard was busy.
     pub ops_direct_full: u64,
-    /// Ops that ran solo: no leader, no gather phase, and no pile to
-    /// join, so the op skipped the slot protocol entirely and executed
-    /// at direct-path cost (the combining layer's common case between
-    /// gather phases).
+    /// Ops executed directly by their own writer, in parallel with other
+    /// writers, because fewer than `available_parallelism` other writers
+    /// were in flight on the shard: no slot, no leader, no epoch.
     pub ops_solo: u64,
     /// Ops reclaimed by their publisher after `max_wait` and executed
     /// directly (stalled-leader escape hatch).
@@ -311,10 +277,11 @@ pub struct CommitStats {
 /// Flat-combining group-commit front-end over any [`PersistentIndex`]
 /// (module docs: slot protocol, leader election, latency bound).
 ///
-/// Point writes (`insert`/`update`/`upsert`/`remove`) are published into
-/// per-shard slots and executed in coalesced epochs through the inner
-/// index's [`PersistentIndex::write_batch`]. Reads, scans, and the
-/// already-batched entry points (`load_sorted`, `insert_batch`,
+/// Point writes (`insert`/`update`/`upsert`/`remove`) execute directly
+/// while their shard has a CPU to spare; on an oversubscribed shard they
+/// are published into per-shard slots and executed in coalesced epochs
+/// through the inner index's [`PersistentIndex::write_batch`]. Reads,
+/// scans, and the already-batched entry points (`load_sorted`, `insert_batch`,
 /// `write_batch`) bypass the queue and hit the inner index directly, as
 /// do the byte-key `*_k` methods (coalescing targets the u64 point-write
 /// hot path; byte-key workloads keep their existing paths).
@@ -322,12 +289,14 @@ pub struct GroupCommit<T> {
     inner: T,
     cfg: GroupCommitConfig,
     shards: Vec<Shard>,
+    /// `available_parallelism`: a writer that finds this many others in
+    /// flight on its shard publishes instead of executing directly.
+    cpus: u64,
     // -- metrics (lock-free; exported via the `commit` obs section) --
     epochs: AtomicU64,
     leader_elections: AtomicU64,
     ops_coalesced: AtomicU64,
     ops_direct_full: AtomicU64,
-    ops_solo: AtomicU64,
     ops_reclaimed: AtomicU64,
     epochs_capped: AtomicU64,
     epoch_size: AtomicHistogram,
@@ -336,15 +305,15 @@ pub struct GroupCommit<T> {
     timeline: Timeline,
     epoch_start: Instant,
     last_tick_ms: AtomicU64,
-    /// Set when a leader panicked mid-epoch (a simulated crash in the
+    /// Set when any inner-index call panicked (a simulated crash in the
     /// persist-trap tests). Like mutex poisoning: the inner index may be
-    /// left holding leaf locks, so every subsequent combined write panics
-    /// immediately instead of deadlocking on them — exactly the "whole
-    /// process dies" semantics a real crash would have.
+    /// left holding leaf locks, so every subsequent write panics
+    /// immediately instead of touching it — exactly the "whole process
+    /// dies" semantics a real crash would have.
     crashed: AtomicBool,
     /// Test hook run by a publisher after its crash check and right
-    /// before its leader CAS: the window in which a solo-path crash can
-    /// land unseen, which `drain`'s own crash re-check must catch.
+    /// before its leader CAS: the window in which a direct writer's crash
+    /// can land unseen, which `drain`'s own crash re-check must catch.
     #[cfg(test)]
     before_election: Option<Box<dyn Fn() + Send + Sync>>,
 }
@@ -359,25 +328,16 @@ impl<T: PersistentIndex> GroupCommit<T> {
             shards: cfg.shards.max(1),
             max_epoch: cfg.max_epoch.clamp(1, SLOTS_PER_SHARD),
             max_wait: cfg.max_wait,
-            // A window at or above the flush deadline would make every
-            // lingering leader race its own publishers' reclaims. And on
-            // a single-CPU host the window is pure waste: spinning the
-            // only core can't admit riders, it just delays the epoch.
-            accumulate: if std::thread::available_parallelism().is_ok_and(|n| n.get() <= 1) {
-                Duration::ZERO
-            } else {
-                cfg.accumulate.min(cfg.max_wait / 2)
-            },
         };
         GroupCommit {
             shards: (0..cfg.shards).map(|_| Shard::new()).collect(),
             inner,
             cfg,
+            cpus: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
             epochs: AtomicU64::new(0),
             leader_elections: AtomicU64::new(0),
             ops_coalesced: AtomicU64::new(0),
             ops_direct_full: AtomicU64::new(0),
-            ops_solo: AtomicU64::new(0),
             ops_reclaimed: AtomicU64::new(0),
             epochs_capped: AtomicU64::new(0),
             epoch_size: AtomicHistogram::new(),
@@ -416,7 +376,7 @@ impl<T: PersistentIndex> GroupCommit<T> {
             leader_elections: self.leader_elections.load(Ordering::Relaxed),
             ops_coalesced: self.ops_coalesced.load(Ordering::Relaxed),
             ops_direct_full: self.ops_direct_full.load(Ordering::Relaxed),
-            ops_solo: self.ops_solo.load(Ordering::Relaxed),
+            ops_solo: self.shards.iter().map(|sh| sh.solo.load(Ordering::Relaxed)).sum(),
             ops_reclaimed: self.ops_reclaimed.load(Ordering::Relaxed),
             epochs_capped: self.epochs_capped.load(Ordering::Relaxed),
         }
@@ -438,11 +398,12 @@ impl<T: PersistentIndex> GroupCommit<T> {
         self.timeline.series_json()
     }
 
-    /// Executes one op directly on the inner index (bypass paths). A
-    /// panic here (a simulated crash in the persist-trap tests) poisons
-    /// the whole layer before re-raising, exactly like a crash inside a
-    /// draining epoch: the inner index may be left holding leaf locks,
-    /// and every writer — queued or direct — must stop touching it.
+    /// Executes one op directly on the inner index (direct, full-slots and
+    /// reclaim paths). A panic here (a simulated crash in the persist-trap
+    /// tests) poisons the whole layer before re-raising, exactly like a
+    /// crash inside a draining epoch: the inner index may be left holding
+    /// leaf locks, and every writer — queued or direct — must stop
+    /// touching it.
     fn apply_direct(&self, key: Key, value: Value, op: WriteOp) -> Result<(), OpError> {
         self.check_crashed(); // the entry check may predate the crash
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match op {
@@ -459,85 +420,36 @@ impl<T: PersistentIndex> GroupCommit<T> {
         }
     }
 
-    /// Publishes one write into its shard's slot block and waits for the
-    /// coalesced result — becoming leader itself whenever the shard has
-    /// none. This is the whole writer-side protocol.
+    /// Executes one write directly while the shard has a CPU to spare;
+    /// otherwise publishes it into the shard's slot block and waits for
+    /// the coalesced result — becoming leader itself whenever the shard
+    /// has none. This is the whole writer-side protocol.
     fn write(&self, key: Key, value: Value, op: WriteOp) -> Result<(), OpError> {
         self.check_crashed();
         let si = shard_of(key, self.shards.len());
         let sh = &self.shards[si];
-        let start = sh.ticket.fetch_add(1, Ordering::Relaxed) as usize;
-        // Every `every`-th ticket is a *patient* gather candidate (see
-        // the election-patience comment below); it raises the shard's
-        // `gathering` flag before publishing so peers arriving during
-        // its window join the pile instead of running solo. The cadence
-        // adapts to measured occupancy: piles below `PILE_WORTH` mean
-        // the phase tax outweighs the persist savings, so phases thin
-        // out until concurrency returns.
-        let every = if sh.last_epoch.load(Ordering::Relaxed) >= PILE_WORTH {
-            PATIENT_EVERY
-        } else {
-            PATIENT_EVERY * BACKOFF
-        };
-        let gatherer = start.is_multiple_of(every)
-            && sh
-                .gathering
-                .compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok();
-        // Solo bypass: with no gather phase collecting and this op not a
-        // gather candidate itself, there is nobody to coalesce with —
-        // publishing would only buy a slot round-trip whose epoch holds
-        // one op. Instead, take the shard's leader flag directly and run
-        // as an implicit singleton epoch: no slot, no scan, no batch
-        // allocation, just the op at per-op cost plus two atomics. The
-        // flag matters — every write into the inner index must run under
-        // some shard's executor flag so a simulated crash mid-op can
-        // never strand a leaf lock that a *concurrent* direct writer is
-        // already spinning on (the poison protocol can only interrupt
-        // writers that are parked in slots or not yet executing). If the
-        // flag is taken a leader is draining; publish and ride its epoch.
-        // The gathering check is racy by design: a phase starting a
-        // moment later simply misses this op — lost coalescing
-        // opportunity, never lost correctness.
-        if !gatherer
-            && sh.gathering.load(Ordering::Relaxed) == 0
-            && sh
-                .leader
-                .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-        {
-            self.ops_solo.fetch_add(1, Ordering::Relaxed);
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.apply_direct(key, value, op)
-            }));
-            sh.leader.store(0, Ordering::Release);
-            match r {
-                Ok(r) => return r,
-                // `apply_direct` already poisoned the layer; release the
-                // flag (done above) and propagate the crash.
-                Err(cause) => std::panic::resume_unwind(cause),
-            }
+        let others = sh.writers.fetch_add(1, Ordering::Relaxed);
+        let _occupant = Occupant(&sh.writers);
+        if others < self.cpus {
+            // Every other writer in flight can hold a CPU of its own:
+            // execute in parallel, exactly as without this layer.
+            sh.solo.fetch_add(1, Ordering::Relaxed);
+            return self.apply_direct(key, value, op);
         }
         // Acquire a slot: one bounded scan from a rotating start. A full
         // block means SLOTS_PER_SHARD writers are already parked here —
         // degrade to direct execution rather than block (backpressure
         // without livelock; the op still pays at most the per-op price).
-        let mut slot = None;
-        for i in 0..SLOTS_PER_SHARD {
-            let s = &sh.slots[(start + i) % SLOTS_PER_SHARD];
-            if s.state.load(Ordering::Relaxed) == FREE
-                && s.state
-                    .compare_exchange(FREE, SETUP, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                slot = Some(s);
-                break;
-            }
-        }
-        let Some(slot) = slot else {
-            if gatherer {
-                sh.gathering.store(0, Ordering::Relaxed);
-            }
+        let start = sh.ticket.fetch_add(1, Ordering::Relaxed) as usize;
+        let Some(slot) = (0..SLOTS_PER_SHARD)
+            .map(|i| &sh.slots[(start + i) % SLOTS_PER_SHARD])
+            .find(|s| {
+                s.state.load(Ordering::Relaxed) == FREE
+                    && s.state
+                        .compare_exchange(FREE, SETUP, Ordering::Acquire, Ordering::Relaxed)
+                        .is_ok()
+            })
+        else {
             self.ops_direct_full.fetch_add(1, Ordering::Relaxed);
             return self.apply_direct(key, value, op);
         };
@@ -547,40 +459,10 @@ impl<T: PersistentIndex> GroupCommit<T> {
         let published_at = Instant::now();
         slot.state.store(PUBLISHED, Ordering::Release);
 
-        // Election patience: a gatherer that volunteers on its first
-        // loop iteration becomes its own combiner every time — on a
-        // single CPU each thread then services itself for a whole
-        // quantum and nothing ever coalesces, no matter how many writer
-        // threads exist. So the gatherer holds back for a few yield
-        // cycles while peers get scheduled and publish into its pile
-        // (the solo bypass above routes them here whenever the
-        // `gathering` flag is up), then gathers the whole pile into one
-        // epoch. Patience is periodic rather than universal on purpose —
-        // an always-patient shard pays a scheduler round-trip per op
-        // (ruinous when cores are scarce), while periodic grouping
-        // coalesces the bulk of the persist traffic and leaves most ops
-        // on the solo path. Solo writers lose almost nothing: with no
-        // runnable peers the gatherer's yields return immediately.
-        //
-        // Staged patience: the gatherer probes the shard at each yield
-        // boundary and considers its pile complete as soon as it stops
-        // growing (two consecutive probes agreeing, with at least one
-        // rider aboard) — `PATIENT_SPINS` caps the wait either way.
-        // Ordinary publications skip all of this and may elect at once.
-        let mut patience_done = !gatherer;
-        let mut last_pending = 0usize;
-
-        let clear_gather = || {
-            if gatherer {
-                sh.gathering.store(0, Ordering::Relaxed);
-            }
-        };
-
-        let mut spins = 0u32;
         loop {
             let st = slot.state.load(Ordering::Acquire);
             if st < DONE_BASE && st != POISONED && self.crashed.load(Ordering::Acquire) {
-                // A leader crashed in some other epoch. If our op is still
+                // A writer crashed elsewhere. If our op is still
                 // unclaimed, withdraw it; either way, propagate the crash
                 // rather than touch an index whose locks may be stranded.
                 let _ = slot.state.compare_exchange(
@@ -589,12 +471,10 @@ impl<T: PersistentIndex> GroupCommit<T> {
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 );
-                clear_gather();
                 panic!("group commit poisoned by an earlier epoch crash");
             }
             if st >= DONE_BASE {
                 slot.state.store(FREE, Ordering::Release);
-                clear_gather();
                 self.epoch_wait_ns.record(published_at.elapsed().as_nanos() as u64);
                 return decode_done(st);
             }
@@ -604,33 +484,22 @@ impl<T: PersistentIndex> GroupCommit<T> {
                 // whatever the storage layer made durable (atomically
                 // present or absent, per the run executor's contract).
                 slot.state.store(FREE, Ordering::Release);
-                clear_gather();
                 panic!("group-commit epoch crashed during execution");
             }
             if st == PUBLISHED {
-                // No result yet and the op is unclaimed: volunteer — once
-                // this candidate's own patience is spent, and deferring
-                // (boundedly) to an active gatherer building a pile.
-                let defer = !gatherer
-                    && spins < DEFER_SPINS
-                    && sh.gathering.load(Ordering::Relaxed) != 0;
+                // No result yet and the op is unclaimed: volunteer.
                 #[cfg(test)]
-                if let (true, Some(hook)) = (patience_done && !defer, &self.before_election) {
+                if let Some(hook) = &self.before_election {
                     hook();
                 }
-                if patience_done
-                    && !defer
-                    && sh
-                        .leader
-                        .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-                        .is_ok()
+                if sh
+                    .leader
+                    .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
                 {
                     self.leader_elections.fetch_add(1, Ordering::Relaxed);
                     self.drain(si);
                     sh.leader.store(0, Ordering::Release);
-                    // The pile (if this was the gatherer) is executed and
-                    // distributed; stop deferring peers immediately.
-                    clear_gather();
                     continue; // own op was drained (or reclaim-raced); re-check
                 }
                 // A leader exists but hasn't claimed us within the flush
@@ -644,41 +513,39 @@ impl<T: PersistentIndex> GroupCommit<T> {
                         .is_ok()
                 {
                     self.ops_reclaimed.fetch_add(1, Ordering::Relaxed);
-                    clear_gather();
                     self.epoch_wait_ns.record(published_at.elapsed().as_nanos() as u64);
                     return self.apply_direct(key, value, op);
                 }
             }
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                if !patience_done {
-                    let pending = sh
-                        .slots
-                        .iter()
-                        .filter(|s| s.state.load(Ordering::Relaxed) == PUBLISHED)
-                        .count();
-                    if (pending >= 2 && pending == last_pending) || spins >= PATIENT_SPINS {
-                        patience_done = true;
-                    }
-                    last_pending = pending;
-                }
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+            // The shard is oversubscribed: a CPU spent spinning here is
+            // one the leader (or a direct writer) does not get.
+            std::thread::yield_now();
         }
     }
 
-    /// One claim pass over a shard's slot block: CASes every `PUBLISHED`
-    /// slot to `CLAIMED` and appends its op to the epoch, stopping at
-    /// `max_epoch`. Returns whether anything new was claimed.
-    fn claim_pass(
-        &self,
-        sh: &Shard,
-        batch: &mut Vec<(Key, Value, WriteOp)>,
-        owners: &mut Vec<usize>,
-    ) -> bool {
-        let mut found_new = false;
+    /// Leader body: claim and execute **one** epoch from shard `si`. Runs
+    /// with the shard's leader flag held.
+    ///
+    /// The epoch is whatever is published right now, taken in one claim
+    /// pass: there is no accumulation window, so a leader never waits for
+    /// peers that may not come. One epoch per election, deliberately. A
+    /// leader that loops "until the shard is empty" turns into a serial
+    /// servicer — its own next ops never publish while it leads, so
+    /// nothing but singleton epochs ever form behind it. Stepping down
+    /// after each epoch puts the leader back into the writer population;
+    /// ops published while it executed pile up and ride the next epoch
+    /// together.
+    fn drain(&self, si: usize) {
+        let sh = &self.shards[si];
+        // A writer that crashed on the direct path (or an earlier leader)
+        // may have set `crashed` after this publisher's last check. Its
+        // leaf lock may be stranded: step down and let the publisher loop
+        // propagate the crash instead of executing into the wreck.
+        if self.crashed.load(Ordering::Acquire) {
+            return;
+        }
+        let mut batch: Vec<(Key, Value, WriteOp)> = Vec::new();
+        let mut owners: Vec<usize> = Vec::new();
         for (i, s) in sh.slots.iter().enumerate() {
             if batch.len() >= self.cfg.max_epoch {
                 break;
@@ -694,70 +561,10 @@ impl<T: PersistentIndex> GroupCommit<T> {
                     decode_op(s.op.load(Ordering::Relaxed)),
                 ));
                 owners.push(i);
-                found_new = true;
             }
-        }
-        found_new
-    }
-
-    /// Leader body: gather, accumulate, and execute **one** epoch from
-    /// shard `si`. Runs with the shard's leader flag held.
-    ///
-    /// One epoch per election, deliberately. A leader that loops "until
-    /// the shard is empty" turns into a serial servicer — its own next
-    /// ops never publish while it leads, so at two threads the only
-    /// other writer's op is always a singleton epoch and nothing ever
-    /// coalesces. Bounded multi-wave phases (leader cedes a few turns,
-    /// re-claims, repeats) were measured too: on a scarce-core host
-    /// every slot-served op costs its publisher a scheduler round-trip,
-    /// so raising the coalesced fraction past one thread-wide wave per
-    /// phase lowered throughput at every thread count even as it
-    /// improved persists/op. Stepping down after each epoch puts the
-    /// leader back into the writer population; the next election
-    /// happens after every participant has had a chance to republish,
-    /// which is exactly the moment a gather can catch them all in one
-    /// epoch.
-    fn drain(&self, si: usize) {
-        let sh = &self.shards[si];
-        // A writer that crashed on the solo path (or an earlier leader)
-        // sets `crashed` before releasing the flag this election just
-        // acquired, so the crash is visible here. Its leaf lock may be
-        // stranded: executing would spin on it forever. Step down and let
-        // the publisher loop propagate the crash instead.
-        if self.crashed.load(Ordering::Acquire) {
-            return;
-        }
-        // Gather one epoch: claim every published slot, re-scanning
-        // while new ops keep arriving, up to the epoch cap.
-        let mut batch: Vec<(Key, Value, WriteOp)> = Vec::new();
-        let mut owners: Vec<usize> = Vec::new();
-        loop {
-            let found_new = self.claim_pass(sh, &mut batch, &mut owners);
-            if batch.len() >= self.cfg.max_epoch {
-                break;
-            }
-            if !found_new {
-                break;
-            }
-            // Something arrived during the scan: one more pass picks
-            // up stragglers publishing right now, growing the epoch.
         }
         if batch.is_empty() {
             return; // nothing published; step down
-        }
-        // Accumulation window: once a *group* is in hand, hold execution
-        // briefly so peers whose next ops are mid-publish can still join
-        // this epoch (module docs). Claimed ops can't be reclaimed — the
-        // publisher's escape CAS expects `PUBLISHED` — so the window
-        // delays riders, never loses them. Singleton gathers skip it: a
-        // solo writer would pay the window on every op for nothing.
-        if batch.len() > 1 && !self.cfg.accumulate.is_zero() && batch.len() < self.cfg.max_epoch
-        {
-            let t0 = Instant::now();
-            while batch.len() < self.cfg.max_epoch && t0.elapsed() < self.cfg.accumulate {
-                self.claim_pass(sh, &mut batch, &mut owners);
-                std::hint::spin_loop();
-            }
         }
         if batch.len() >= self.cfg.max_epoch {
             self.epochs_capped.fetch_add(1, Ordering::Relaxed);
@@ -777,9 +584,6 @@ impl<T: PersistentIndex> GroupCommit<T> {
                 // batched pipeline's per-leaf grouping, so dispatch it
                 // through the inner index's single-op entry point — same
                 // atomicity and persist count, a fraction of the setup.
-                // Singletons are the combining layer's common case (every
-                // op published between gather phases), so this is the
-                // difference between a ~2× and a ~1.2× solo-writer tax.
                 let (k, v, op) = sorted[0];
                 vec![match op {
                     WriteOp::Insert => self.inner.insert(k, v),
@@ -816,7 +620,6 @@ impl<T: PersistentIndex> GroupCommit<T> {
 
         // Epoch bookkeeping.
         let n = batch.len() as u64;
-        sh.last_epoch.store(n, Ordering::Relaxed);
         self.epochs.fetch_add(1, Ordering::Relaxed);
         self.ops_coalesced.fetch_add(n, Ordering::Relaxed);
         self.epoch_size.record(n);
@@ -1019,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_ops_complete_via_self_election() {
+    fn single_thread_ops_complete_on_the_direct_path() {
         let gc = GroupCommit::new(MapIndex::new(), GroupCommitConfig::default());
         for k in 0..100u64 {
             gc.insert(k, k * 10).unwrap();
@@ -1031,16 +834,13 @@ mod tests {
         assert_eq!(gc.remove(3), Err(OpError::NotFound));
         assert_eq!(gc.find(7), Some(77));
         assert_eq!(gc.find(3), None);
+        // A lone writer never finds the shard oversubscribed (every host
+        // has at least one CPU): every op runs directly, none publishes,
+        // and the batched pipeline never sees an op.
         let s = gc.commit_stats();
-        // Every op is accounted for exactly once: coalesced into an
-        // epoch, run solo (no combining opportunity), or on one of the
-        // two escape hatches.
-        assert_eq!(s.ops_coalesced + s.ops_direct_full + s.ops_solo + s.ops_reclaimed, 105);
-        assert!(s.epochs > 0 && s.leader_elections > 0);
-        // A lone writer's epochs are all singletons, and a singleton
-        // epoch dispatches through the inner's single-op entry point —
-        // the batched pipeline must never see a one-op batch.
+        assert_eq!(s, CommitStats { ops_solo: 105, ..CommitStats::default() });
         assert_eq!(gc.inner().batched_ops.load(Ordering::Relaxed), 0);
+        assert_eq!(gc.shards[0].writers.load(Ordering::Relaxed), 0, "occupancy leaked");
     }
 
     #[test]
@@ -1069,15 +869,19 @@ mod tests {
             }
         });
         let mut expect = BTreeMap::new();
+        let mut writes = 0;
         for t in 0..THREADS {
             for i in 0..PER {
                 let k = t * PER + i;
                 expect.insert(k, k);
+                writes += 1;
                 if i % 3 == 0 {
                     expect.insert(k, k + 1);
+                    writes += 1;
                 }
                 if i % 5 == 0 {
                     expect.remove(&k);
+                    writes += 1;
                 }
             }
         }
@@ -1085,24 +889,29 @@ mod tests {
             assert_eq!(gc.find(k), Some(v), "key {k}");
         }
         assert_eq!(gc.stats().entries, expect.len() as u64);
+        // Every write is accounted for exactly once. How many of them
+        // publish depends on how many writers the host runs at once; the
+        // gated tests below pin publication and coalescing
+        // deterministically.
         let s = gc.commit_stats();
-        assert!(s.epochs > 0);
-        // Multi-op epoch formation is timing-dependent here (a fast inner
-        // lets each writer self-elect before its peers publish); the
-        // gated test below pins coalescing deterministically.
+        assert_eq!(s.ops_coalesced + s.ops_direct_full + s.ops_solo + s.ops_reclaimed, writes);
+        assert!(gc.shards.iter().all(|sh| sh.writers.load(Ordering::Relaxed) == 0));
     }
 
-    /// MapIndex whose `write_batch` blocks while the gate is closed, so a
-    /// test can hold a leader mid-epoch while other writers publish.
-    /// With `crash_at_gate` set, the op blocked at the gate panics when
-    /// the gate opens instead — a simulated crash that, in a real index,
-    /// would strand the leaf lock it held.
+    /// MapIndex whose single-op `insert` and `write_batch` block while the
+    /// gate is closed, so a test can park writers inside the inner index:
+    /// parking `cpus` direct writers there oversubscribes the shard and
+    /// forces every further writer to publish, on any host. With
+    /// `crash_at_gate` set, every op blocked at the gate panics when the
+    /// gate opens instead — a simulated crash that, in a real index, would
+    /// strand the leaf lock it held.
     struct GatedIndex {
         inner: MapIndex,
-        gate_open: std::sync::atomic::AtomicBool,
-        executing: std::sync::atomic::AtomicBool,
-        crash_at_gate: std::sync::atomic::AtomicBool,
-        crashed: std::sync::atomic::AtomicBool,
+        gate_open: AtomicBool,
+        /// Executor entries that reached the gate so far.
+        entered: AtomicU64,
+        crash_at_gate: AtomicBool,
+        crashed: AtomicBool,
         /// Executor entries after the simulated crash: each one would spin
         /// forever on the stranded lock.
         entries_after_crash: AtomicU64,
@@ -1112,22 +921,22 @@ mod tests {
         fn new() -> GatedIndex {
             GatedIndex {
                 inner: MapIndex::new(),
-                gate_open: std::sync::atomic::AtomicBool::new(false),
-                executing: std::sync::atomic::AtomicBool::new(false),
-                crash_at_gate: std::sync::atomic::AtomicBool::new(false),
-                crashed: std::sync::atomic::AtomicBool::new(false),
+                gate_open: AtomicBool::new(false),
+                entered: AtomicU64::new(0),
+                crash_at_gate: AtomicBool::new(false),
+                crashed: AtomicBool::new(false),
                 entries_after_crash: AtomicU64::new(0),
             }
         }
 
         /// Announce an executor entry and block until the gate opens —
-        /// shared by `write_batch` and `insert`, because a singleton
-        /// epoch dispatches through the single-op entry point.
+        /// shared by `write_batch` and `insert`, because direct writes and
+        /// singleton epochs dispatch through the single-op entry point.
         fn wait_at_gate(&self) {
             if self.crashed.load(Ordering::Acquire) {
                 self.entries_after_crash.fetch_add(1, Ordering::Relaxed);
             }
-            self.executing.store(true, Ordering::Release);
+            self.entered.fetch_add(1, Ordering::Release);
             while !self.gate_open.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
@@ -1170,39 +979,71 @@ mod tests {
         }
     }
 
-    /// Deterministic coalescing: writer 0 self-elects and blocks inside
-    /// the gated executor; three more writers publish meanwhile (they
-    /// cannot lead — the flag is held — and cannot reclaim — `max_wait`
-    /// is huge). When the gate opens, the still-leader's next gather pass
-    /// MUST pick all three up as one multi-op epoch.
-    #[test]
-    fn blocked_leader_coalesces_waiting_writers_into_one_epoch() {
-        let gc = Arc::new(GroupCommit::new(GatedIndex::new(), GroupCommitConfig {
+    /// A gated layer whose reclaim path stays closed for the test's life.
+    fn gated() -> GroupCommit<GatedIndex> {
+        GroupCommit::new(GatedIndex::new(), GroupCommitConfig {
             max_wait: Duration::from_secs(600),
             ..GroupCommitConfig::default()
-        }));
+        })
+    }
+
+    /// Spawns one direct writer per CPU (keys `base..`) and waits until
+    /// all of them are parked at the gate: from then on the shard is
+    /// oversubscribed and every new writer publishes.
+    fn park_direct_writers<'s>(
+        s: &'s std::thread::Scope<'s, '_>,
+        gc: &Arc<GroupCommit<GatedIndex>>,
+        base: u64,
+    ) -> Vec<std::thread::ScopedJoinHandle<'s, Result<(), OpError>>> {
+        let handles = (0..gc.cpus)
+            .map(|i| {
+                let gc = Arc::clone(gc);
+                s.spawn(move || gc.insert(base + i, base + i))
+            })
+            .collect();
+        wait_until(|| gc.inner().entered.load(Ordering::Acquire) == gc.cpus);
+        assert_eq!(gc.commit_stats().ops_solo, gc.cpus, "the parked writers must run directly");
+        handles
+    }
+
+    fn wait_until(cond: impl Fn() -> bool) {
+        while !cond() {
+            std::thread::yield_now();
+        }
+    }
+
+    fn published(gc: &GroupCommit<GatedIndex>) -> usize {
+        gc.shards[0].slots.iter().filter(|s| s.state.load(Ordering::Acquire) == PUBLISHED).count()
+    }
+
+    /// Deterministic coalescing: with one direct writer parked per CPU,
+    /// writer L publishes, elects itself, and blocks inside the gated
+    /// executor with its singleton epoch; three more writers publish
+    /// meanwhile (they cannot lead — the flag is held — and cannot
+    /// reclaim — `max_wait` is huge). When the gate opens, whichever of
+    /// them wins the next election MUST claim all three as one epoch.
+    #[test]
+    fn blocked_leader_coalesces_waiting_writers_into_one_epoch() {
+        let gc = Arc::new(gated());
         std::thread::scope(|s| {
+            let direct = park_direct_writers(s, &gc, 1_000);
             let leader = {
                 let gc = Arc::clone(&gc);
                 s.spawn(move || gc.insert(0, 0))
             };
-            // Wait until writer 0 is leader and inside the executor.
-            while !gc.inner().executing.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
+            // L is leader once its singleton reaches the gate.
+            wait_until(|| gc.inner().entered.load(Ordering::Acquire) == gc.cpus + 1);
+            assert_eq!(gc.commit_stats().leader_elections, 1);
             let waiters: Vec<_> = (1..=3u64)
                 .map(|k| {
                     let gc = Arc::clone(&gc);
                     s.spawn(move || gc.insert(k, k * 10))
                 })
                 .collect();
-            // Let all three publish: they only ever spin on their slots
-            // (leader flag held, reclaim disabled), so once spawned the
-            // publish store is microseconds away; give it real time.
-            std::thread::sleep(Duration::from_millis(100));
+            wait_until(|| published(&gc) == 3);
             gc.inner().gate_open.store(true, Ordering::Release);
             leader.join().unwrap().unwrap();
-            for w in waiters {
+            for w in waiters.into_iter().chain(direct) {
                 w.join().unwrap().unwrap();
             }
         });
@@ -1211,34 +1052,26 @@ mod tests {
         }
         let s = gc.commit_stats();
         assert_eq!(s.ops_coalesced, 4, "{s:?}");
-        assert!(
-            gc.epoch_histogram().max() >= 3,
-            "blocked leader failed to coalesce the waiting writers: {s:?}"
+        assert_eq!(s.ops_solo, gc.cpus, "{s:?}");
+        assert_eq!(
+            gc.epoch_histogram().max(),
+            3,
+            "the waiting writers must ride one epoch behind the blocked leader: {s:?}"
         );
     }
 
-    /// Regression test for the crash re-check in `drain`. Writer A runs
-    /// solo and blocks inside the inner index; writer B publishes (A holds
-    /// the leader flag) and is parked by the hook right before its
-    /// election, after its own crash check passed. A then crashes, which
-    /// poisons the layer and releases the flag, and B wins the election.
-    /// B must step down — without executing anything on the inner index
-    /// whose lock A stranded — and propagate the crash.
+    /// Regression test for the crash re-check in `drain`. The parked
+    /// direct writers (the "A" side) block inside the inner index; writer
+    /// B publishes and is parked by the hook right before its election,
+    /// after its own crash check passed. The direct writers then crash,
+    /// which poisons the layer, and B wins the free leader flag. B must
+    /// step down — without executing anything on the inner index whose
+    /// locks the crash stranded — and propagate the crash.
     #[test]
     fn leader_elected_after_a_solo_crash_steps_down() {
-        use std::sync::atomic::AtomicBool;
         let b_at_election = Arc::new(AtomicBool::new(false));
         let a_crashed = Arc::new(AtomicBool::new(false));
-        let mut gc = GroupCommit::new(GatedIndex::new(), GroupCommitConfig {
-            max_wait: Duration::from_secs(600),
-            ..GroupCommitConfig::default()
-        });
-        // Ticket 0 is a gather candidate, never solo: spend it while the
-        // gate is open, then close the gate for writer A.
-        gc.inner().gate_open.store(true, Ordering::Release);
-        gc.insert(0, 0).unwrap();
-        gc.inner().gate_open.store(false, Ordering::Release);
-        gc.inner().executing.store(false, Ordering::Release);
+        let mut gc = gated();
         let (at, crashed) = (Arc::clone(&b_at_election), Arc::clone(&a_crashed));
         gc.before_election = Some(Box::new(move || {
             at.store(true, Ordering::Release);
@@ -1248,32 +1081,27 @@ mod tests {
         }));
         let gc = Arc::new(gc);
         std::thread::scope(|s| {
-            let a = {
-                let gc = Arc::clone(&gc);
-                s.spawn(move || gc.insert(1, 10))
-            };
-            while !gc.inner().executing.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-            assert_eq!(gc.commit_stats().ops_solo, 1, "writer A must be on the solo path");
+            let direct = park_direct_writers(s, &gc, 1_000);
             let b = {
                 let gc = Arc::clone(&gc);
                 s.spawn(move || gc.insert(2, 20))
             };
-            while !b_at_election.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
+            wait_until(|| b_at_election.load(Ordering::Acquire));
             gc.inner().crash_at_gate.store(true, Ordering::Release);
             gc.inner().gate_open.store(true, Ordering::Release);
-            assert!(a.join().is_err(), "writer A must crash");
+            for a in direct {
+                assert!(a.join().is_err(), "every parked direct writer must crash");
+            }
+            assert!(gc.crashed.load(Ordering::Acquire), "a direct crash must poison the layer");
             a_crashed.store(true, Ordering::Release);
             let err = b.join().expect_err("writer B must propagate the crash");
             let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
             assert!(msg.contains("poisoned"), "writer B panicked with {msg:?}");
         });
         assert_eq!(gc.inner().entries_after_crash.load(Ordering::Relaxed), 0);
-        assert_eq!(gc.commit_stats().leader_elections, 2, "B must have won an election");
+        assert_eq!(gc.commit_stats().leader_elections, 1, "B must have won an election");
         assert_eq!(gc.shards[0].leader.load(Ordering::Acquire), 0, "B must step down");
+        assert_eq!(published(&gc), 0, "B must withdraw its op");
     }
 
     #[test]
@@ -1284,7 +1112,8 @@ mod tests {
         let names: Vec<&str> = sections.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["commit", "commit_hist"]);
         let Section::Counters(items) = &sections[0].1 else { panic!("counters") };
-        assert!(items.iter().any(|(n, v)| n == "ops_coalesced" && *v == 1));
-        assert!(items.iter().any(|(n, v)| n == "leader_elections" && *v >= 1));
+        assert!(items.iter().any(|(n, v)| n == "ops_solo" && *v == 1));
+        assert!(items.iter().any(|(n, v)| n == "ops_coalesced" && *v == 0));
+        assert!(items.iter().any(|(n, v)| n == "leader_elections" && *v == 0));
     }
 }

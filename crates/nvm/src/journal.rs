@@ -10,16 +10,23 @@
 //! The journal occupies a fixed pool region of `slots` entries, each one
 //! header line plus a block image. Slot acquisition is an in-DRAM free
 //! list guarded by a mutex + condvar (bounded by concurrent rewriters).
+//! The wait is timed so that it notices a dead pool: a thread killed by a
+//! persist trap mid-rewrite never returns its slot.
 //!
 //! Write ordering is the classic undo discipline: image (persisted), then
 //! header-valid (persisted); invalidation persists the header again.
 //! Restoration is idempotent.
 
 use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 use crate::{PmemPool, CACHE_LINE};
 
 const VALID: u64 = 0x4A4E_4C56_414C_4944; // "JNLVALID"-ish magic
+
+/// How often a blocked [`UndoJournal::acquire`] re-checks pool liveness.
+/// A release still wakes the waiter at once through the condvar.
+const LIVENESS_POLL: Duration = Duration::from_millis(1);
 
 /// A persistent undo journal for fixed-size block images.
 pub struct UndoJournal {
@@ -84,13 +91,26 @@ impl UndoJournal {
     }
 
     /// Acquires a free slot, blocking while all are in use.
-    pub fn acquire(&self) -> usize {
+    ///
+    /// # Panics
+    /// Panics if `pool` is marked dead while this call waits (see
+    /// [`PmemPool::check_alive`]): the slot it waits for may belong to a
+    /// thread that a persist trap killed.
+    pub fn acquire(&self, pool: &PmemPool) -> usize {
         let mut free = self.free.lock().unwrap();
         loop {
             if let Some(s) = free.pop() {
                 return s;
             }
-            free = self.available.wait(free).unwrap();
+            if pool.is_dead() {
+                // Unlock first: a panic under the guard would poison the
+                // free list for every other thread.
+                drop(free);
+                pool.check_alive();
+                free = self.free.lock().unwrap();
+                continue;
+            }
+            free = self.available.wait_timeout(free, LIVENESS_POLL).unwrap().0;
         }
     }
 
@@ -165,7 +185,7 @@ mod tests {
             pool.store_u64(blk + w * 8, w + 1);
         }
         pool.persist(blk, BLOCK);
-        let s = j.acquire();
+        let s = j.acquire(&pool);
         j.log(&pool, s, blk);
         for w in 0..(BLOCK / 8) {
             pool.store_u64(blk + w * 8, 0xDEAD);
@@ -185,7 +205,7 @@ mod tests {
         let blk = 0x8000u64;
         pool.store_u64(blk, 42);
         pool.persist(blk, 8);
-        let s = j.acquire();
+        let s = j.acquire(&pool);
         j.log(&pool, s, blk);
         j.clear(&pool, s);
         pool.store_u64(blk, 43);
@@ -201,11 +221,11 @@ mod tests {
         let (pool, j) = setup();
         let pool = Arc::new(pool);
         let j = Arc::new(j);
-        let mut held: Vec<usize> = (0..4).map(|_| j.acquire()).collect();
+        let mut held: Vec<usize> = (0..4).map(|_| j.acquire(&pool)).collect();
         let j2 = Arc::clone(&j);
         let p2 = Arc::clone(&pool);
         let waiter = std::thread::spawn(move || {
-            let s = j2.acquire();
+            let s = j2.acquire(&p2);
             j2.clear(&p2, s);
             s
         });
@@ -215,6 +235,30 @@ mod tests {
         for s in held {
             j.clear(&pool, s);
         }
+    }
+
+    #[test]
+    fn blocked_acquire_panics_when_the_pool_dies() {
+        use std::sync::Arc;
+        let (pool, j) = setup();
+        let pool = Arc::new(pool);
+        let j = Arc::new(j);
+        // Every slot is held, as by rewriters a crash killed mid-rewrite.
+        let _held: Vec<usize> = (0..4).map(|_| j.acquire(&pool)).collect();
+        let (j2, p2) = (Arc::clone(&j), Arc::clone(&pool));
+        let waiter = std::thread::spawn(move || j2.acquire(&p2));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        pool.arm_persist_trap(1);
+        let trapped =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.persist(0, 8)));
+        assert!(trapped.is_err());
+        let err = waiter.join().expect_err("the waiter must die with the pool");
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("pmem pool crashed"), "{msg:?}");
+        // The free list is not poisoned: the survivors can still use it.
+        pool.simulate_crash();
+        j.clear(&pool, 0);
+        assert_eq!(j.acquire(&pool), 0);
     }
 
     #[test]

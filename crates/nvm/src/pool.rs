@@ -2,7 +2,7 @@
 //! ("NVM view"), persist instructions, eviction injection and crash
 //! simulation. See the crate docs for the hardware model.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use obs::{EventKind, EventRing};
@@ -87,6 +87,12 @@ pub struct PmemPool {
     /// Crash-point injection: counts down on every persist; the call that
     /// takes it from 1 to 0 panics *before* flushing. ≤ 0 = disarmed.
     persist_trap: AtomicI64,
+    /// Set when a persist trap fires: the trapped thread dies wherever it
+    /// stood, possibly holding locks that live in the arena. Every wait on
+    /// pool-resident state checks this while it spins and panics instead
+    /// of waiting forever (see [`PmemPool::check_alive`]). Cleared by
+    /// [`PmemPool::simulate_crash`] and [`PmemPool::arm_persist_trap`].
+    dead: AtomicBool,
     /// Crash-forensics event ring. Lives on the pool (not the tree) so the
     /// timeline survives tree teardown/re-creation across crash/recover
     /// cycles; upper layers record splits, rollbacks and recovery steps
@@ -110,6 +116,7 @@ impl PmemPool {
             cfg,
             evict_rng: Mutex::new(SplitMix64::new(0x5EED_CAFE)),
             persist_trap: AtomicI64::new(0),
+            dead: AtomicBool::new(false),
             events: Arc::new(EventRing::new()),
         }
     }
@@ -158,7 +165,9 @@ impl PmemPool {
     /// flushing anything — and before touching any counter — so a
     /// trapped compound instruction never half-counts. Records the trap
     /// in the event ring first (the ring is volatile DRAM and the panic
-    /// is caught by the test harness, so the record survives).
+    /// is caught by the test harness, so the record survives), then marks
+    /// the pool dead so no other thread waits forever on a lock the
+    /// trapped thread is about to strand.
     #[inline]
     fn trap_check(&self) {
         if self.persist_trap.load(Ordering::Relaxed) > 0
@@ -169,7 +178,30 @@ impl PmemPool {
                 self.stats.persists.load(Ordering::Relaxed),
                 0,
             );
+            self.dead.store(true, Ordering::Release);
             panic!("pmem persist trap fired (simulated crash point)");
+        }
+    }
+
+    /// True from the moment a persist trap fires until the next
+    /// [`PmemPool::simulate_crash`] or [`PmemPool::arm_persist_trap`].
+    #[inline]
+    pub(crate) fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::Acquire)
+    }
+
+    /// Crash liveness for waits on pool-resident state (leaf locks, split
+    /// bits, journal slots). A simulated crash kills one thread wherever
+    /// it stood, so whatever it held stays held; a real crash would take
+    /// every waiter down with it. A waiter calls this from inside its
+    /// spin — never on the uncontended path — and dies the same way.
+    ///
+    /// # Panics
+    /// Panics with a "pmem pool crashed" message if the pool is dead.
+    #[inline]
+    pub fn check_alive(&self) {
+        if self.is_dead() {
+            panic!("pmem pool crashed: a persist trap fired while this thread waited on pool state");
         }
     }
 
@@ -481,6 +513,7 @@ impl PmemPool {
         }
         let crashes = self.stats.crashes.fetch_add(1, Ordering::Relaxed) + 1;
         self.events.record(EventKind::CrashInjection, crashes, 0);
+        self.dead.store(false, Ordering::Release);
     }
 
     /// Copies `[off, off+len)` to the durable image without latency,
@@ -507,9 +540,11 @@ impl PmemPool {
     /// at exactly that persistent instruction. Together with
     /// `catch_unwind` + [`PmemPool::simulate_crash`], this lets tests
     /// sweep *every* inter-persist crash point of an operation sequence
-    /// (see `tests/crash_points.rs`).
+    /// (see `tests/crash_points.rs`). Arming also revives a pool marked
+    /// dead by an earlier trap.
     pub fn arm_persist_trap(&self, nth: u64) {
         assert!(nth > 0 && nth <= i64::MAX as u64);
+        self.dead.store(false, Ordering::Release);
         self.persist_trap.store(nth as i64, Ordering::Relaxed);
     }
 
@@ -663,6 +698,34 @@ mod tests {
         p.persist_many(&[(128, 8), (256, 8)]);
         assert_eq!(p.read_durable_u64(128), 7);
         assert_eq!(p.read_durable_u64(256), 9);
+    }
+
+    #[test]
+    fn trap_marks_the_pool_dead_until_crash_or_rearm() {
+        let p = pool();
+        assert!(!p.is_dead());
+        p.check_alive();
+        let fire = |p: &PmemPool| {
+            p.arm_persist_trap(1);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.persist(128, 8)));
+            assert!(r.is_err(), "trap must fire");
+            assert!(p.is_dead(), "a fired trap must mark the pool dead");
+        };
+        fire(&p);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.check_alive()))
+            .expect_err("a dead pool must fail the liveness check");
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("pmem pool crashed"), "{msg:?}");
+        // Disarming alone does not revive the pool: the stranded state is
+        // still in the arena.
+        p.disarm_persist_trap();
+        assert!(p.is_dead());
+        p.simulate_crash();
+        assert!(!p.is_dead(), "simulate_crash must clear the mark");
+        fire(&p);
+        p.arm_persist_trap(5);
+        assert!(!p.is_dead(), "re-arming must clear the mark");
+        p.disarm_persist_trap();
     }
 
     #[test]

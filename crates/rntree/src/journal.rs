@@ -43,9 +43,9 @@ impl SplitJournal {
     }
 
     /// Acquires a free slot, blocking while all are in use (bounded by the
-    /// number of concurrent splits).
-    pub fn acquire(&self) -> usize {
-        self.inner.acquire()
+    /// number of concurrent splits). Panics if `pool` dies meanwhile.
+    pub fn acquire(&self, pool: &PmemPool) -> usize {
+        self.inner.acquire(pool)
     }
 
     /// Writes and persists the undo image of the leaf at `leaf_off`, then
@@ -81,7 +81,7 @@ mod tests {
             pool.store_u64(leaf + w * 8, w);
         }
         pool.persist(leaf, LEAF_BLOCK);
-        let s = j.acquire();
+        let s = j.acquire(&pool);
         j.log(&pool, s, leaf);
         pool.store_u64(leaf, 0xBAD);
         pool.persist(leaf, 8);

@@ -81,7 +81,9 @@ impl<'p> Leaf<'p> {
                 .is_ok()
     }
 
-    /// Acquires the leaf spin lock.
+    /// Acquires the leaf spin lock. Panics instead of spinning forever if
+    /// the pool dies meanwhile: the holder may be a thread a persist trap
+    /// killed ([`PmemPool::check_alive`]).
     pub(crate) fn lock(&self) {
         use std::sync::atomic::Ordering;
         loop {
@@ -94,6 +96,7 @@ impl<'p> Leaf<'p> {
             {
                 return;
             }
+            self.pool.check_alive();
             std::hint::spin_loop();
         }
     }
@@ -143,7 +146,9 @@ impl<'p> Leaf<'p> {
 
     /// `stableVersion` (paper §5.1): spins until the leaf is not splitting
     /// — and, when `wait_lock` (the single-slot variant), until it is not
-    /// locked — then returns the version counter.
+    /// locked — then returns the version counter. Like [`Leaf::lock`], the
+    /// spin panics if the pool dies: a split bit a crashed thread set is
+    /// never cleared.
     pub(crate) fn stable_version(&self, wait_lock: bool) -> u64 {
         use std::sync::atomic::Ordering;
         loop {
@@ -152,6 +157,7 @@ impl<'p> Leaf<'p> {
             if !busy {
                 return LeafVersion::version(cur);
             }
+            self.pool.check_alive();
             std::hint::spin_loop();
         }
     }

@@ -897,7 +897,7 @@ impl RnTree {
     /// splitting bit (with a version bump) before returning.
     fn split_or_compact<F: LeafFormat>(&self, leaf: Leaf<'_>) {
         debug_assert_eq!(leaf.nlogs(), leaf.plogs());
-        let jslot = self.journal.acquire();
+        let jslot = self.journal.acquire(&self.pool);
         // Undo-log the whole node (Algorithm 3 line 2).
         self.journal.log(&self.pool, jslot, leaf.off());
 
@@ -1268,7 +1268,7 @@ impl RnTree {
             self.morphs_skipped.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let jslot = self.journal.acquire();
+        let jslot = self.journal.acquire(&self.pool);
         self.journal.log(&self.pool, jslot, leaf.off());
 
         let pairs = sorted_pairs::<F>(leaf, source);
@@ -1379,7 +1379,7 @@ impl RnTree {
         // Undo-log the head before touching anything: the rollback image is
         // the empty leaf, so replaying the journal after a mid-load crash
         // restores an empty (chain-cut) tree.
-        let jslot = self.journal.acquire();
+        let jslot = self.journal.acquire(&self.pool);
         self.journal.log(&self.pool, jslot, self.leftmost);
         let max_of = |c: &[(F::Owned, Value)]| c.last().expect("chunks are non-empty").0;
         for i in (0..chunks.len()).rev() {
@@ -2146,5 +2146,82 @@ impl RnTree {
         let alloc = BlockAllocator::new(leaf_region, pool.len(), block);
         let journal = SplitJournal::new_sized(RootTable::END, cfg.journal_slots, block);
         (alloc, journal)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Crash liveness: a persist trap kills one thread wherever it stood,
+    //! and whatever pool state it held stays held. A thread already
+    //! waiting on that state must die with the pool instead of spinning
+    //! forever (`PmemPool::check_alive`).
+
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
+
+    use index_common::PersistentIndex;
+    use nvm::PmemConfig;
+
+    use super::*;
+
+    fn tree(journal_slots: usize) -> RnTree {
+        let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
+        RnTree::create(pool, RnConfig { journal_slots, ..RnConfig::default() })
+    }
+
+    /// Runs writer B, waits until `b_blocked` says B reached the wait on
+    /// what writer A (this thread) holds, then traps A at its next
+    /// persist. B must panic with the pool-crashed message.
+    fn b_dies_with_the_pool<R: Send>(tree: &RnTree, b: impl FnOnce() -> R + Send, b_blocked: impl Fn() -> bool) {
+        std::thread::scope(|s| {
+            let b = s.spawn(b);
+            while !b_blocked() {
+                std::thread::yield_now();
+            }
+            // Let B settle into its spin (it dies either way: a wait
+            // entered after the trap sees the mark on its first miss).
+            std::thread::sleep(Duration::from_millis(20));
+            tree.pool.arm_persist_trap(1);
+            let a = catch_unwind(AssertUnwindSafe(|| tree.pool.persist(tree.leftmost, 64)));
+            assert!(a.is_err(), "writer A must be trapped");
+            let err = b.join().err().expect("writer B must die with the pool");
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("pmem pool crashed"), "writer B panicked with {msg:?}");
+        });
+    }
+
+    #[test]
+    fn writer_spinning_on_a_stranded_leaf_lock_dies_with_the_pool() {
+        let t = tree(4);
+        let leaf = t.leaf(t.leftmost);
+        leaf.lock();
+        // B allocates its log entry before it reaches the lock.
+        b_dies_with_the_pool(&t, || t.insert(5, 50), || leaf.nlogs() > 0);
+    }
+
+    #[test]
+    fn reader_spinning_on_a_stranded_split_bit_dies_with_the_pool() {
+        let t = tree(4);
+        t.insert(5, 50).unwrap();
+        let leaf = t.leaf(t.leftmost);
+        leaf.lock();
+        leaf.set_split();
+        b_dies_with_the_pool(&t, || t.find(5), || true);
+    }
+
+    #[test]
+    fn splitter_waiting_for_a_stranded_journal_slot_dies_with_the_pool() {
+        let t = tree(1);
+        let _held = t.journal.acquire(&t.pool);
+        let leaf = t.leaf(t.leftmost);
+        // B fills the leftmost leaf; its split then waits for the only
+        // journal slot. Deciding the entry that fills the leaf is what
+        // triggers that split.
+        let fill = || {
+            for k in 1..=LEAF_CAPACITY as u64 {
+                t.insert(k, k).unwrap();
+            }
+        };
+        b_dies_with_the_pool(&t, fill, || leaf.plogs() >= (LEAF_CAPACITY - 1) as u64);
     }
 }

@@ -66,7 +66,7 @@ fn main() {
     // would mid-rewrite, crash, and let recovery restore it.
     let journal = rntree::SplitJournal::new(64, cfg.journal_slots);
     let leftmost = tree.leftmost();
-    let slot = journal.acquire();
+    let slot = journal.acquire(&pool);
     journal.log(&pool, slot, leftmost);
     for w in 0..16u64 {
         pool.store_u64(leftmost + 192 + w * 8, 0xBAD0_BAD0); // torn KV area

@@ -14,6 +14,13 @@ use index_common::{GroupCommit, GroupCommitConfig, OpError, PersistentIndex, Sha
 use nvm::{PmemConfig, PmemPool, PoolSet};
 use rntree::{RnConfig, RnTree};
 
+/// Two more writers than CPUs: a write runs directly while its shard has
+/// fewer than `available_parallelism` other writers in flight, so only a
+/// count past the CPU count makes writers publish and epochs form.
+fn writers_past_cpus() -> u64 {
+    std::thread::available_parallelism().map_or(1, |n| n.get() as u64) + 2
+}
+
 /// Eight concurrent writers over `GroupCommit<ShardedIndex<RnTree>>`
 /// (combining shards aligned with the tree shards) must end in exactly
 /// the state a `BTreeMap` oracle predicts, and contended same-key strict
@@ -102,38 +109,49 @@ fn eight_writers_match_oracle_and_contended_inserts_have_one_winner() {
         );
     }
 
-    // Every op went through the combining path (no backpressure fallback
-    // at this thread count), each in some epoch. Epoch *size* is timing-
-    // dependent (a fast inner index lets every writer self-elect before
-    // its peers publish), so multi-op coalescing is pinned deterministically
-    // by the gated-executor unit test in `index-common::combine`, not here.
+    // Every op is accounted for exactly once, and none hit the
+    // backpressure fallback at this thread count. Whether an op runs
+    // directly or in an epoch depends on how many writers the host runs
+    // at once, so publication and multi-op coalescing are pinned
+    // deterministically by the gated-executor unit tests in
+    // `index-common::combine`, not here.
     let s = gc.commit_stats();
-    assert!(s.epochs > 0 && s.ops_coalesced + s.ops_reclaimed > 0, "{s:?}");
+    let writes = THREADS * (PER + PER.div_ceil(3) + PER.div_ceil(5) + CONTENDED);
+    assert_eq!(s.ops_coalesced + s.ops_solo + s.ops_reclaimed, writes, "{s:?}");
+    assert_eq!(s.ops_direct_full, 0, "{s:?}");
     for i in 0..SHARDS {
         gc.inner().shard(i).verify_invariants().unwrap();
     }
 }
 
 /// Crash-at-every-persist-point sweep through draining epochs: waves of
-/// four barrier-synced writers each publish one op, so epochs regularly
-/// carry several ops; the persist trap fires at the N-th persistent
-/// instruction — inside whatever epoch is executing then — and the
-/// poisoned-epoch protocol turns that into a panic on every writer that
-/// still has an op outstanding (never a deadlock on stranded leaf
-/// locks). After recovery, every acknowledged op must be durable and
-/// each crashed writer's single in-flight op atomically present or
-/// absent. `max_wait` is set far above the test runtime so the reclaim
-/// path stays closed and no writer can touch the crashed tree directly.
+/// `available_parallelism + 2` barrier-synced writers each issue one op,
+/// so the shard is oversubscribed and epochs regularly carry several ops
+/// next to direct writers running in parallel. The persist trap fires at
+/// the N-th persistent instruction — inside whatever epoch or direct op
+/// is executing then. The poisoned-epoch protocol and the pool's dead
+/// mark turn that into a panic on every writer that still has an op
+/// outstanding or waits on a lock the crash stranded (never a deadlock).
+/// After recovery, every acknowledged op must be durable and each
+/// crashed writer's single in-flight op atomically present or absent.
+/// `max_wait` is set far above the test runtime so the reclaim path
+/// stays closed.
 #[test]
 fn crash_sweep_through_draining_epochs_preserves_acked_ops() {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
-    const THREADS: u64 = 4;
+    let threads = writers_past_cpus();
     const WAVES: u64 = 25;
 
     for trap_at in (1..=75u64).step_by(2) {
-        let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
+        // Millisecond persists keep each writer inside `write` longer
+        // than a scheduler time slice, so the surplus writers get
+        // descheduled mid-op and the running ones publish.
+        let pool = Arc::new(PmemPool::new(PmemConfig {
+            write_latency_ns: 1_000_000,
+            ..PmemConfig::for_testing(1 << 22)
+        }));
         let cfg = RnConfig {
             journal_slots: 2,
             ..RnConfig::default()
@@ -151,14 +169,14 @@ fn crash_sweep_through_draining_epochs_preserves_acked_ops() {
 
         pool.arm_persist_trap(trap_at);
         'waves: for wave in 0..WAVES {
-            let barrier = Barrier::new(THREADS as usize);
+            let barrier = Barrier::new(threads as usize);
             let wave_acked: Vec<u64> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..THREADS)
+                let handles: Vec<_> = (0..threads)
                     .map(|t| {
                         let gc = Arc::clone(&gc);
                         let (barrier, in_flight) = (&barrier, &in_flight);
                         s.spawn(move || {
-                            let k = wave * THREADS + t + 1;
+                            let k = wave * threads + t + 1;
                             barrier.wait();
                             match std::panic::catch_unwind(AssertUnwindSafe(|| {
                                 gc.insert(k, k * 7)
@@ -179,7 +197,7 @@ fn crash_sweep_through_draining_epochs_preserves_acked_ops() {
                     .collect();
                 handles.into_iter().filter_map(|h| h.join().unwrap()).collect()
             });
-            let crashed = wave_acked.len() < THREADS as usize;
+            let crashed = wave_acked.len() < threads as usize;
             acked.extend(wave_acked);
             if crashed {
                 break 'waves;
@@ -211,22 +229,30 @@ fn crash_sweep_through_draining_epochs_preserves_acked_ops() {
 /// writer wins the per-shard CAS while its own op waits, and the flag is
 /// released before `write` returns, so a wave of writer threads can
 /// fully exit and the next wave elects fresh leaders. Three waves of
-/// four threads each must all make progress and each wave must elect at
-/// least one leader.
+/// `available_parallelism + 2` threads each (enough to oversubscribe the
+/// shard, so writers publish) must all make progress and each wave must
+/// elect at least one leader.
 #[test]
 fn leader_handoff_survives_thread_exit() {
-    let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 23)));
+    let threads = writers_past_cpus();
+    // Slow persists keep every writer inside `write` for milliseconds, so
+    // the OS must time-slice the surplus writers mid-op and the shard
+    // sees more writers in flight than CPUs on any host.
+    let pool = Arc::new(PmemPool::new(PmemConfig {
+        write_latency_ns: 50_000,
+        ..PmemConfig::for_testing(1 << 23)
+    }));
     let tree = RnTree::create(Arc::clone(&pool), RnConfig::default());
     let gc = Arc::new(GroupCommit::new(tree, GroupCommitConfig::default()));
 
     let mut elections_after_wave = Vec::new();
     for wave in 0..3u64 {
         std::thread::scope(|s| {
-            for t in 0..4u64 {
+            for t in 0..threads {
                 let gc = Arc::clone(&gc);
                 s.spawn(move || {
                     for i in 0..50u64 {
-                        let k = wave * 10_000 + t * 1_000 + i + 1;
+                        let k = wave * 1_000_000 + t * 1_000 + i + 1;
                         gc.insert(k, k).unwrap();
                     }
                 });
@@ -238,9 +264,9 @@ fn leader_handoff_survives_thread_exit() {
     }
 
     for wave in 0..3u64 {
-        for t in 0..4u64 {
+        for t in 0..threads {
             for i in 0..50u64 {
-                let k = wave * 10_000 + t * 1_000 + i + 1;
+                let k = wave * 1_000_000 + t * 1_000 + i + 1;
                 assert_eq!(gc.find(k), Some(k), "key {k}");
             }
         }

@@ -59,7 +59,7 @@ fn torn_split_rolls_back_through_journal() {
     // shred the leaf's KV area and slot line (persisted, as a partially
     // executed split rewrite would be).
     let journal = SplitJournal::new(64, 4);
-    let slot = journal.acquire();
+    let slot = journal.acquire(&p);
     journal.log(&p, slot, victim);
     for w in 0..(LEAF_BLOCK / 8) {
         p.store_u64(victim + w * 8, 0xDEAD_0000 + w);
