@@ -68,7 +68,8 @@
 //! ## Crash liveness
 //!
 //! A simulated crash (a persist-trap panic) kills one thread wherever it
-//! stood, so a leaf lock, split bit or journal slot it held stays held.
+//! stood, so a leaf lock, split bit, journal slot or undecided log entry
+//! it held stays held.
 //! The pool owns the liveness of that state: the trap marks the pool
 //! dead before it panics, and every wait on pool-resident state panics
 //! on a dead pool instead of spinning forever
@@ -182,9 +183,7 @@ impl Slot {
 
 /// Per-shard combining state: the slot block, the leader flag, a
 /// round-robin ticket spreading publishers across the slot array, and the
-/// in-flight writer count that decides direct or combined. Line-aligned,
-/// so writers on different shards never bounce one line between them.
-#[repr(align(64))]
+/// in-flight writer count that decides direct or combined.
 struct Shard {
     slots: Vec<Slot>,
     /// Leader flag: 0 = free, 1 = a leader is draining.
@@ -193,10 +192,6 @@ struct Shard {
     ticket: AtomicU64,
     /// Writers currently inside `write` on this shard (see [`Occupant`]).
     writers: AtomicU64,
-    /// Ops this shard executed directly ([`CommitStats::ops_solo`]). Kept
-    /// on the line the direct path already owns after bumping `writers`,
-    /// so counting costs that path no extra cache miss.
-    solo: AtomicU64,
 }
 
 impl Shard {
@@ -206,7 +201,6 @@ impl Shard {
             leader: AtomicU64::new(0),
             ticket: AtomicU64::new(0),
             writers: AtomicU64::new(0),
-            solo: AtomicU64::new(0),
         }
     }
 }
@@ -297,6 +291,7 @@ pub struct GroupCommit<T> {
     leader_elections: AtomicU64,
     ops_coalesced: AtomicU64,
     ops_direct_full: AtomicU64,
+    ops_solo: AtomicU64,
     ops_reclaimed: AtomicU64,
     epochs_capped: AtomicU64,
     epoch_size: AtomicHistogram,
@@ -338,6 +333,7 @@ impl<T: PersistentIndex> GroupCommit<T> {
             leader_elections: AtomicU64::new(0),
             ops_coalesced: AtomicU64::new(0),
             ops_direct_full: AtomicU64::new(0),
+            ops_solo: AtomicU64::new(0),
             ops_reclaimed: AtomicU64::new(0),
             epochs_capped: AtomicU64::new(0),
             epoch_size: AtomicHistogram::new(),
@@ -376,7 +372,7 @@ impl<T: PersistentIndex> GroupCommit<T> {
             leader_elections: self.leader_elections.load(Ordering::Relaxed),
             ops_coalesced: self.ops_coalesced.load(Ordering::Relaxed),
             ops_direct_full: self.ops_direct_full.load(Ordering::Relaxed),
-            ops_solo: self.shards.iter().map(|sh| sh.solo.load(Ordering::Relaxed)).sum(),
+            ops_solo: self.ops_solo.load(Ordering::Relaxed),
             ops_reclaimed: self.ops_reclaimed.load(Ordering::Relaxed),
             epochs_capped: self.epochs_capped.load(Ordering::Relaxed),
         }
@@ -433,7 +429,7 @@ impl<T: PersistentIndex> GroupCommit<T> {
         if others < self.cpus {
             // Every other writer in flight can hold a CPU of its own:
             // execute in parallel, exactly as without this layer.
-            sh.solo.fetch_add(1, Ordering::Relaxed);
+            self.ops_solo.fetch_add(1, Ordering::Relaxed);
             return self.apply_direct(key, value, op);
         }
         // Acquire a slot: one bounded scan from a rotating start. A full
@@ -1104,16 +1100,32 @@ mod tests {
         assert_eq!(published(&gc), 0, "B must withdraw its op");
     }
 
+    /// One published op behind the parked direct writers: the exported
+    /// counters must show it coalesced by one elected leader, next to the
+    /// direct writers' solo ops.
     #[test]
     fn obs_sections_export_commit_counters() {
-        let gc = GroupCommit::new(MapIndex::new(), GroupCommitConfig::default());
-        gc.insert(1, 1).unwrap();
+        let gc = Arc::new(gated());
+        std::thread::scope(|s| {
+            let direct = park_direct_writers(s, &gc, 1_000);
+            let published = {
+                let gc = Arc::clone(&gc);
+                s.spawn(move || gc.insert(1, 1))
+            };
+            wait_until(|| gc.inner().entered.load(Ordering::Acquire) == gc.cpus + 1);
+            gc.inner().gate_open.store(true, Ordering::Release);
+            for w in direct.into_iter().chain([published]) {
+                w.join().unwrap().unwrap();
+            }
+        });
         let sections = gc.obs_sections();
         let names: Vec<&str> = sections.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["commit", "commit_hist"]);
         let Section::Counters(items) = &sections[0].1 else { panic!("counters") };
-        assert!(items.iter().any(|(n, v)| n == "ops_solo" && *v == 1));
-        assert!(items.iter().any(|(n, v)| n == "ops_coalesced" && *v == 0));
-        assert!(items.iter().any(|(n, v)| n == "leader_elections" && *v == 0));
+        let counter = |name: &str| items.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+        assert_eq!(counter("ops_solo"), Some(gc.cpus));
+        assert_eq!(counter("ops_coalesced"), Some(1));
+        assert_eq!(counter("leader_elections"), Some(1));
+        assert_eq!(counter("epochs"), Some(1));
     }
 }

@@ -851,7 +851,8 @@ impl RnTree {
     fn help_split<F: LeafFormat>(&self, leaf: Leaf<'_>) {
         leaf.lock();
         let nlogs = leaf.nlogs();
-        if (nlogs >= LEAF_CAPACITY as u64 || F::heap_low(leaf)) && nlogs == leaf.plogs() {
+        let quiescent = nlogs == leaf.plogs();
+        if (nlogs >= LEAF_CAPACITY as u64 || F::heap_low(leaf)) && quiescent {
             leaf.set_split();
             // The freeze cannot race new allocations (the counter is full
             // anyway), so the re-check under the frozen word is exact.
@@ -862,6 +863,12 @@ impl RnTree {
             }
         }
         leaf.unlock(false);
+        if !quiescent {
+            // The caller retries until other writers decide their entries.
+            // An entry whose owner died in a persist trap is never decided:
+            // die with the pool instead of retrying forever.
+            self.pool.check_alive();
+        }
         std::thread::yield_now();
     }
 
@@ -2223,5 +2230,23 @@ mod tests {
             }
         };
         b_dies_with_the_pool(&t, fill, || leaf.plogs() >= (LEAF_CAPACITY - 1) as u64);
+    }
+
+    #[test]
+    fn writer_waiting_on_a_stranded_log_entry_dies_with_the_pool() {
+        // A var-leaf writer persists its record before it takes the leaf
+        // lock, so a trap there strands an allocated entry that is never
+        // decided. Writer A's entry is that one: once B fills the leaf, the
+        // leaf can never split and B's insert retries until the pool dies.
+        let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
+        let t = RnTree::create(pool, RnConfig { varlen_leaves: true, ..RnConfig::default() });
+        let leaf = t.leaf(t.leftmost);
+        leaf.alloc_entry().expect("a fresh leaf has free entries");
+        let fill = || {
+            for k in 1..=LEAF_CAPACITY as u64 {
+                t.insert_k(&k.to_be_bytes(), k).unwrap();
+            }
+        };
+        b_dies_with_the_pool(&t, fill, || leaf.nlogs() >= LEAF_CAPACITY as u64);
     }
 }

@@ -299,12 +299,16 @@ fn zeta(n: u64, theta: f64) -> f64 {
 }
 
 #[cfg(test)]
-static ZETA_COMPUTES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+thread_local! {
+    /// Uncached zeta sums computed by this thread. Per thread, so tests
+    /// running in parallel do not count each other's samplers.
+    static ZETA_COMPUTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// The uncached O(n) zeta sum.
 fn zeta_compute(n: u64, theta: f64) -> f64 {
     #[cfg(test)]
-    ZETA_COMPUTES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    ZETA_COMPUTES.set(ZETA_COMPUTES.get() + 1);
     let mut sum = 0.0;
     for i in 1..=n {
         sum += 1.0 / (i as f64).powf(theta);
@@ -399,16 +403,16 @@ mod tests {
     #[test]
     fn zeta_is_cached_per_n_theta() {
         // Untouched (n, θ) pairs so other tests can't have warmed them.
-        let before = ZETA_COMPUTES.load(std::sync::atomic::Ordering::Relaxed);
+        let before = ZETA_COMPUTES.get();
         let _ = KeyDist::Zipfian { n: 77_777, theta: 0.77 }.build();
-        let mid = ZETA_COMPUTES.load(std::sync::atomic::Ordering::Relaxed);
+        let mid = ZETA_COMPUTES.get();
         // A sampler build computes zeta(n) and zeta(2) at most once each.
         assert!(mid - before <= 2, "first build computed {}", mid - before);
         for _ in 0..10 {
             let _ = KeyDist::Zipfian { n: 77_777, theta: 0.77 }.build();
             let _ = KeyDist::ScrambledZipfian { n: 77_777, theta: 0.77 }.build();
         }
-        let after = ZETA_COMPUTES.load(std::sync::atomic::Ordering::Relaxed);
+        let after = ZETA_COMPUTES.get();
         assert_eq!(after, mid, "rebuilds over the same (n, θ) must not recompute");
     }
 
