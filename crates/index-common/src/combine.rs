@@ -1,7 +1,7 @@
 //! Flat-combining group commit over the batched persist pipeline.
 //!
 //! PR 3 proved the batch economics of this design: a sorted batch
-//! reaching [`RnTree::insert_batch`]-style per-leaf runs costs ~0.23
+//! reaching RNTree's per-leaf write runs costs ~0.23
 //! persists/key where independent point writes cost ~2. But only callers
 //! that *already hold* a batch get that price — N concurrent writer
 //! threads each issuing point writes still pay the full per-op fence
@@ -99,7 +99,9 @@ use std::time::{Duration, Instant};
 
 use obs::{AtomicHistogram, ObsSource, Section, Timeline};
 
-use crate::{shard_of, Key, KeyBuf, KeyRef, OpError, PersistentIndex, TreeStats, Value, WriteOp};
+use crate::{
+    shard_of, AnyKey, Key, KeyBuf, KeyRef, OpError, PersistentIndex, TreeStats, Value, WriteOp,
+};
 
 /// Submission slots per shard. Bounds one epoch's gather scan and the
 /// number of writers a shard can park; beyond it writers degrade to
@@ -271,14 +273,14 @@ pub struct CommitStats {
 /// Flat-combining group-commit front-end over any [`PersistentIndex`]
 /// (module docs: slot protocol, leader election, latency bound).
 ///
-/// Point writes (`insert`/`update`/`upsert`/`remove`) execute directly
-/// while their shard has a CPU to spare; on an oversubscribed shard they
-/// are published into per-shard slots and executed in coalesced epochs
-/// through the inner index's [`PersistentIndex::write_batch`]. Reads,
-/// scans, and the already-batched entry points (`load_sorted`, `insert_batch`,
-/// `write_batch`) bypass the queue and hit the inner index directly, as
-/// do the byte-key `*_k` methods (coalescing targets the u64 point-write
-/// hot path; byte-key workloads keep their existing paths).
+/// Point writes on u64 keys execute directly while their shard has a CPU
+/// to spare; on an oversubscribed shard they are published into per-shard
+/// slots and executed in coalesced epochs through the inner index's
+/// [`PersistentIndex::write_batch`]. Point writes on byte keys always
+/// execute directly (the slots hold u64 keys), under the same crash
+/// check. Reads, scans, and the already-batched entry points
+/// (`load_sorted`, `write_batch`) bypass the queue and hit the inner index
+/// directly.
 pub struct GroupCommit<T> {
     inner: T,
     cfg: GroupCommitConfig,
@@ -394,20 +396,15 @@ impl<T: PersistentIndex> GroupCommit<T> {
         self.timeline.series_json()
     }
 
-    /// Executes one op directly on the inner index (direct, full-slots and
-    /// reclaim paths). A panic here (a simulated crash in the persist-trap
-    /// tests) poisons the whole layer before re-raising, exactly like a
-    /// crash inside a draining epoch: the inner index may be left holding
-    /// leaf locks, and every writer — queued or direct — must stop
-    /// touching it.
-    fn apply_direct(&self, key: Key, value: Value, op: WriteOp) -> Result<(), OpError> {
+    /// Executes one op directly on the inner index (direct, full-slots,
+    /// reclaim and byte-key paths). A panic here (a simulated crash in the
+    /// persist-trap tests) poisons the whole layer before re-raising,
+    /// exactly like a crash inside a draining epoch: the inner index may
+    /// be left holding leaf locks, and every writer — queued or direct —
+    /// must stop touching it.
+    fn apply_direct(&self, key: AnyKey<'_>, value: Value, op: WriteOp) -> Result<(), OpError> {
         self.check_crashed(); // the entry check may predate the crash
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match op {
-            WriteOp::Insert => self.inner.insert(key, value),
-            WriteOp::Update => self.inner.update(key, value),
-            WriteOp::Upsert => self.inner.upsert(key, value),
-            WriteOp::Remove => self.inner.remove(key),
-        })) {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.inner.apply(key, value, op))) {
             Ok(r) => r,
             Err(cause) => {
                 self.crashed.store(true, Ordering::Release);
@@ -430,7 +427,7 @@ impl<T: PersistentIndex> GroupCommit<T> {
             // Every other writer in flight can hold a CPU of its own:
             // execute in parallel, exactly as without this layer.
             self.ops_solo.fetch_add(1, Ordering::Relaxed);
-            return self.apply_direct(key, value, op);
+            return self.apply_direct(AnyKey::U64(key), value, op);
         }
         // Acquire a slot: one bounded scan from a rotating start. A full
         // block means SLOTS_PER_SHARD writers are already parked here —
@@ -447,7 +444,7 @@ impl<T: PersistentIndex> GroupCommit<T> {
             })
         else {
             self.ops_direct_full.fetch_add(1, Ordering::Relaxed);
-            return self.apply_direct(key, value, op);
+            return self.apply_direct(AnyKey::U64(key), value, op);
         };
         slot.key.store(key, Ordering::Relaxed);
         slot.value.store(value, Ordering::Relaxed);
@@ -510,7 +507,7 @@ impl<T: PersistentIndex> GroupCommit<T> {
                 {
                     self.ops_reclaimed.fetch_add(1, Ordering::Relaxed);
                     self.epoch_wait_ns.record(published_at.elapsed().as_nanos() as u64);
-                    return self.apply_direct(key, value, op);
+                    return self.apply_direct(AnyKey::U64(key), value, op);
                 }
             }
             // The shard is oversubscribed: a CPU spent spinning here is
@@ -581,12 +578,7 @@ impl<T: PersistentIndex> GroupCommit<T> {
                 // through the inner index's single-op entry point — same
                 // atomicity and persist count, a fraction of the setup.
                 let (k, v, op) = sorted[0];
-                vec![match op {
-                    WriteOp::Insert => self.inner.insert(k, v),
-                    WriteOp::Update => self.inner.update(k, v),
-                    WriteOp::Upsert => self.inner.upsert(k, v),
-                    WriteOp::Remove => self.inner.remove(k),
-                }]
+                vec![self.inner.apply(AnyKey::U64(k), v, op)]
             } else {
                 self.inner.write_batch(&mut sorted)
             }
@@ -638,59 +630,29 @@ impl<T: PersistentIndex> GroupCommit<T> {
 }
 
 impl<T: PersistentIndex> PersistentIndex for GroupCommit<T> {
-    fn insert(&self, key: Key, value: Value) -> Result<(), OpError> {
-        self.write(key, value, WriteOp::Insert)
+    fn apply(&self, key: AnyKey<'_>, value: Value, op: WriteOp) -> Result<(), OpError> {
+        match key {
+            AnyKey::U64(k) => self.write(k, value, op),
+            AnyKey::Bytes(_) => self.apply_direct(key, value, op),
+        }
     }
-    fn update(&self, key: Key, value: Value) -> Result<(), OpError> {
-        self.write(key, value, WriteOp::Update)
-    }
-    fn upsert(&self, key: Key, value: Value) -> Result<(), OpError> {
-        self.write(key, value, WriteOp::Upsert)
-    }
-    fn remove(&self, key: Key) -> Result<(), OpError> {
-        self.write(key, 0, WriteOp::Remove)
-    }
-    fn find(&self, key: Key) -> Option<Value> {
-        self.inner.find(key) // reads bypass the queue
+    fn get(&self, key: AnyKey<'_>) -> Option<Value> {
+        self.inner.get(key) // reads bypass the queue
     }
     fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
         self.inner.scan_n(start, n, out)
     }
-    fn load_sorted(&self, pairs: &[(Key, Value)]) -> Result<(), OpError> {
-        self.inner.load_sorted(pairs) // already batched: pass through
-    }
-    fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
-        self.inner.insert_batch(batch)
-    }
-    fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
-        self.inner.write_batch(batch)
-    }
-    fn supports_var_keys(&self) -> bool {
-        self.inner.supports_var_keys()
-    }
-    fn insert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        self.inner.insert_k(key, value)
-    }
-    fn update_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        self.inner.update_k(key, value)
-    }
-    fn upsert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        self.inner.upsert_k(key, value)
-    }
-    fn remove_k(&self, key: KeyRef<'_>) -> Result<(), OpError> {
-        self.inner.remove_k(key)
-    }
-    fn find_k(&self, key: KeyRef<'_>) -> Option<Value> {
-        self.inner.find_k(key)
-    }
     fn scan_k(&self, start: KeyRef<'_>, n: usize, out: &mut Vec<(KeyBuf, Value)>) -> usize {
         self.inner.scan_k(start, n, out)
+    }
+    fn load_sorted(&self, pairs: &[(Key, Value)]) -> Result<(), OpError> {
+        self.inner.load_sorted(pairs) // already batched: pass through
     }
     fn load_sorted_k(&self, pairs: &[(KeyBuf, Value)]) -> Result<(), OpError> {
         self.inner.load_sorted_k(pairs)
     }
-    fn insert_batch_k(&self, batch: &mut [(KeyBuf, Value)]) -> Vec<Result<(), OpError>> {
-        self.inner.insert_batch_k(batch)
+    fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
+        self.inner.write_batch(batch)
     }
     fn name(&self) -> &'static str {
         "GroupCommit"
@@ -743,83 +705,44 @@ impl<T: PersistentIndex> ObsSource for GroupCommit<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::MemIndex;
+    use crate::{KeyCodec, U64Key};
     use std::collections::BTreeMap;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
-    /// A map-backed inner index that also counts write_batch calls, so
-    /// the tests can see coalescing happen.
-    struct MapIndex {
-        map: Mutex<BTreeMap<Key, Value>>,
-        batches: AtomicU64,
+    /// The reference index, counting the ops that reach it through
+    /// `write_batch`, so the tests can see coalescing happen.
+    #[derive(Default)]
+    struct CountingIndex {
+        mem: MemIndex,
         batched_ops: AtomicU64,
     }
 
-    impl MapIndex {
-        fn new() -> MapIndex {
-            MapIndex {
-                map: Mutex::new(BTreeMap::new()),
-                batches: AtomicU64::new(0),
-                batched_ops: AtomicU64::new(0),
-            }
+    impl PersistentIndex for CountingIndex {
+        fn apply(&self, key: AnyKey<'_>, value: Value, op: WriteOp) -> Result<(), OpError> {
+            self.mem.apply(key, value, op)
         }
-    }
-
-    impl PersistentIndex for MapIndex {
-        fn insert(&self, key: Key, value: Value) -> Result<(), OpError> {
-            let mut m = self.map.lock().unwrap();
-            if m.contains_key(&key) {
-                return Err(OpError::AlreadyExists);
-            }
-            m.insert(key, value);
-            Ok(())
-        }
-        fn update(&self, key: Key, value: Value) -> Result<(), OpError> {
-            let mut m = self.map.lock().unwrap();
-            m.get_mut(&key).map(|v| *v = value).ok_or(OpError::NotFound)
-        }
-        fn upsert(&self, key: Key, value: Value) -> Result<(), OpError> {
-            self.map.lock().unwrap().insert(key, value);
-            Ok(())
-        }
-        fn remove(&self, key: Key) -> Result<(), OpError> {
-            self.map.lock().unwrap().remove(&key).map(|_| ()).ok_or(OpError::NotFound)
-        }
-        fn find(&self, key: Key) -> Option<Value> {
-            self.map.lock().unwrap().get(&key).copied()
+        fn get(&self, key: AnyKey<'_>) -> Option<Value> {
+            self.mem.get(key)
         }
         fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
-            out.clear();
-            out.extend(self.map.lock().unwrap().range(start..).take(n).map(|(k, v)| (*k, *v)));
-            out.len()
+            self.mem.scan_n(start, n, out)
         }
         fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
-            self.batches.fetch_add(1, Ordering::Relaxed);
             self.batched_ops.fetch_add(batch.len() as u64, Ordering::Relaxed);
-            batch.sort_by_key(|p| p.0);
-            batch
-                .iter()
-                .map(|&(k, v, op)| match op {
-                    WriteOp::Insert => self.insert(k, v),
-                    WriteOp::Update => self.update(k, v),
-                    WriteOp::Upsert => self.upsert(k, v),
-                    WriteOp::Remove => self.remove(k),
-                })
-                .collect()
+            self.mem.write_batch(batch)
         }
         fn name(&self) -> &'static str {
-            "Map"
+            "Counting"
         }
         fn stats(&self) -> TreeStats {
-            TreeStats {
-                entries: self.map.lock().unwrap().len() as u64,
-                ..TreeStats::default()
-            }
+            self.mem.stats()
         }
     }
 
     #[test]
     fn single_thread_ops_complete_on_the_direct_path() {
-        let gc = GroupCommit::new(MapIndex::new(), GroupCommitConfig::default());
+        let gc = GroupCommit::new(CountingIndex::default(), GroupCommitConfig::default());
         for k in 0..100u64 {
             gc.insert(k, k * 10).unwrap();
         }
@@ -842,7 +765,7 @@ mod tests {
     #[test]
     fn concurrent_writers_coalesce_and_match_an_oracle() {
         let gc = Arc::new(GroupCommit::new(
-            MapIndex::new(),
+            CountingIndex::default(),
             GroupCommitConfig { shards: 2, ..GroupCommitConfig::default() },
         ));
         const THREADS: u64 = 8;
@@ -894,7 +817,7 @@ mod tests {
         assert!(gc.shards.iter().all(|sh| sh.writers.load(Ordering::Relaxed) == 0));
     }
 
-    /// MapIndex whose single-op `insert` and `write_batch` block while the
+    /// MemIndex whose inserts and `write_batch` block while the
     /// gate is closed, so a test can park writers inside the inner index:
     /// parking `cpus` direct writers there oversubscribes the shard and
     /// forces every further writer to publish, on any host. With
@@ -902,7 +825,7 @@ mod tests {
     /// gate opens instead — a simulated crash that, in a real index, would
     /// strand the leaf lock it held.
     struct GatedIndex {
-        inner: MapIndex,
+        mem: MemIndex,
         gate_open: AtomicBool,
         /// Executor entries that reached the gate so far.
         entered: AtomicU64,
@@ -916,7 +839,7 @@ mod tests {
     impl GatedIndex {
         fn new() -> GatedIndex {
             GatedIndex {
-                inner: MapIndex::new(),
+                mem: MemIndex::new(),
                 gate_open: AtomicBool::new(false),
                 entered: AtomicU64::new(0),
                 crash_at_gate: AtomicBool::new(false),
@@ -926,7 +849,7 @@ mod tests {
         }
 
         /// Announce an executor entry and block until the gate opens —
-        /// shared by `write_batch` and `insert`, because direct writes and
+        /// shared by `write_batch` and `apply`, because direct writes and
         /// singleton epochs dispatch through the single-op entry point.
         fn wait_at_gate(&self) {
             if self.crashed.load(Ordering::Acquire) {
@@ -944,34 +867,27 @@ mod tests {
     }
 
     impl PersistentIndex for GatedIndex {
-        fn insert(&self, key: Key, value: Value) -> Result<(), OpError> {
-            self.wait_at_gate();
-            self.inner.insert(key, value)
+        fn apply(&self, key: AnyKey<'_>, value: Value, op: WriteOp) -> Result<(), OpError> {
+            if op == WriteOp::Insert {
+                self.wait_at_gate();
+            }
+            self.mem.apply(key, value, op)
         }
-        fn update(&self, key: Key, value: Value) -> Result<(), OpError> {
-            self.inner.update(key, value)
-        }
-        fn upsert(&self, key: Key, value: Value) -> Result<(), OpError> {
-            self.inner.upsert(key, value)
-        }
-        fn remove(&self, key: Key) -> Result<(), OpError> {
-            self.inner.remove(key)
-        }
-        fn find(&self, key: Key) -> Option<Value> {
-            self.inner.find(key)
+        fn get(&self, key: AnyKey<'_>) -> Option<Value> {
+            self.mem.get(key)
         }
         fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
-            self.inner.scan_n(start, n, out)
+            self.mem.scan_n(start, n, out)
         }
         fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
             self.wait_at_gate();
-            self.inner.write_batch(batch)
+            self.mem.write_batch(batch)
         }
         fn name(&self) -> &'static str {
             "Gated"
         }
         fn stats(&self) -> TreeStats {
-            self.inner.stats()
+            self.mem.stats()
         }
     }
 
@@ -1094,6 +1010,17 @@ mod tests {
             let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
             assert!(msg.contains("poisoned"), "writer B panicked with {msg:?}");
         });
+        // Once poisoned, a byte-key write panics exactly as a u64 write
+        // does, without reaching the inner index.
+        let panic_of = |write: &dyn Fn() -> Result<(), OpError>| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(write))
+                .expect_err("a poisoned layer must refuse every write");
+            err.downcast_ref::<&str>().copied().unwrap_or_default().to_string()
+        };
+        let key = U64Key::encode(3);
+        let u64_panic = panic_of(&|| gc.insert(3, 30));
+        assert!(u64_panic.contains("poisoned"), "{u64_panic:?}");
+        assert_eq!(panic_of(&|| gc.insert_k(key.as_slice(), 30)), u64_panic);
         assert_eq!(gc.inner().entries_after_crash.load(Ordering::Relaxed), 0);
         assert_eq!(gc.commit_stats().leader_elections, 1, "B must have won an election");
         assert_eq!(gc.shards[0].leader.load(Ordering::Acquire), 0, "B must step down");

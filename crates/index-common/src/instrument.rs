@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use obs::{ObsSource, OpClass, OpHistograms, OpType, Recorder, Section, TraceRing};
 
-use crate::{Key, KeyBuf, KeyRef, OpError, PersistentIndex, TreeStats, Value, WriteOp};
+use crate::{AnyKey, Key, KeyBuf, KeyRef, OpError, PersistentIndex, TreeStats, Value, WriteOp};
 
 /// A [`PersistentIndex`] wrapper that records per-op latency, and —
 /// when a [`TraceRing`] is attached — opens a sampled trace span around
@@ -89,77 +89,43 @@ impl<T: PersistentIndex> Instrumented<T> {
     }
 }
 
+/// The latency class a point write records under.
+fn op_type(op: WriteOp) -> OpType {
+    match op {
+        WriteOp::Insert => OpType::Insert,
+        WriteOp::Update => OpType::Update,
+        WriteOp::Upsert => OpType::Upsert,
+        WriteOp::Remove => OpType::Remove,
+    }
+}
+
 impl<T: PersistentIndex> PersistentIndex for Instrumented<T> {
-    fn insert(&self, key: Key, value: Value) -> Result<(), OpError> {
-        self.timed(OpType::Insert, |t| t.insert(key, value))
+    fn apply(&self, key: AnyKey<'_>, value: Value, op: WriteOp) -> Result<(), OpError> {
+        self.timed(op_type(op), |t| t.apply(key, value, op))
     }
 
-    fn update(&self, key: Key, value: Value) -> Result<(), OpError> {
-        self.timed(OpType::Update, |t| t.update(key, value))
-    }
-
-    fn upsert(&self, key: Key, value: Value) -> Result<(), OpError> {
-        self.timed(OpType::Upsert, |t| t.upsert(key, value))
-    }
-
-    fn remove(&self, key: Key) -> Result<(), OpError> {
-        self.timed(OpType::Remove, |t| t.remove(key))
-    }
-
-    fn find(&self, key: Key) -> Option<Value> {
-        self.timed(OpType::Search, |t| t.find(key))
+    fn get(&self, key: AnyKey<'_>) -> Option<Value> {
+        self.timed(OpType::Search, |t| t.get(key))
     }
 
     fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
         self.timed(OpType::Scan, |t| t.scan_n(start, n, out))
     }
 
-    fn load_sorted(&self, pairs: &[(Key, Value)]) -> Result<(), OpError> {
-        self.timed(OpType::LoadSorted, |t| t.load_sorted(pairs))
-    }
-
-    fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
-        self.timed(OpType::InsertBatch, |t| t.insert_batch(batch))
-    }
-
-    fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
-        self.timed(OpType::InsertBatch, |t| t.write_batch(batch))
-    }
-
-    fn supports_var_keys(&self) -> bool {
-        self.inner.supports_var_keys()
-    }
-
-    fn insert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        self.timed(OpType::Insert, |t| t.insert_k(key, value))
-    }
-
-    fn update_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        self.timed(OpType::Update, |t| t.update_k(key, value))
-    }
-
-    fn upsert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        self.timed(OpType::Upsert, |t| t.upsert_k(key, value))
-    }
-
-    fn remove_k(&self, key: KeyRef<'_>) -> Result<(), OpError> {
-        self.timed(OpType::Remove, |t| t.remove_k(key))
-    }
-
-    fn find_k(&self, key: KeyRef<'_>) -> Option<Value> {
-        self.timed(OpType::Search, |t| t.find_k(key))
-    }
-
     fn scan_k(&self, start: KeyRef<'_>, n: usize, out: &mut Vec<(KeyBuf, Value)>) -> usize {
         self.timed(OpType::Scan, |t| t.scan_k(start, n, out))
+    }
+
+    fn load_sorted(&self, pairs: &[(Key, Value)]) -> Result<(), OpError> {
+        self.timed(OpType::LoadSorted, |t| t.load_sorted(pairs))
     }
 
     fn load_sorted_k(&self, pairs: &[(KeyBuf, Value)]) -> Result<(), OpError> {
         self.timed(OpType::LoadSorted, |t| t.load_sorted_k(pairs))
     }
 
-    fn insert_batch_k(&self, batch: &mut [(KeyBuf, Value)]) -> Vec<Result<(), OpError>> {
-        self.timed(OpType::InsertBatch, |t| t.insert_batch_k(batch))
+    fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
+        self.timed(OpType::InsertBatch, |t| t.write_batch(batch))
     }
 
     fn name(&self) -> &'static str {
@@ -217,54 +183,11 @@ impl<T: PersistentIndex> ObsSource for Instrumented<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
-
-    struct MapIndex(Mutex<BTreeMap<Key, Value>>);
-
-    impl PersistentIndex for MapIndex {
-        fn insert(&self, key: Key, value: Value) -> Result<(), OpError> {
-            let mut m = self.0.lock().unwrap();
-            if m.contains_key(&key) {
-                return Err(OpError::AlreadyExists);
-            }
-            m.insert(key, value);
-            Ok(())
-        }
-        fn update(&self, key: Key, value: Value) -> Result<(), OpError> {
-            let mut m = self.0.lock().unwrap();
-            if !m.contains_key(&key) {
-                return Err(OpError::NotFound);
-            }
-            m.insert(key, value);
-            Ok(())
-        }
-        fn upsert(&self, key: Key, value: Value) -> Result<(), OpError> {
-            self.0.lock().unwrap().insert(key, value);
-            Ok(())
-        }
-        fn remove(&self, key: Key) -> Result<(), OpError> {
-            self.0.lock().unwrap().remove(&key).map(|_| ()).ok_or(OpError::NotFound)
-        }
-        fn find(&self, key: Key) -> Option<Value> {
-            self.0.lock().unwrap().get(&key).copied()
-        }
-        fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
-            out.clear();
-            out.extend(self.0.lock().unwrap().range(start..).take(n).map(|(&k, &v)| (k, v)));
-            out.len()
-        }
-        fn name(&self) -> &'static str {
-            "Map"
-        }
-        fn stats(&self) -> TreeStats {
-            TreeStats { entries: self.0.lock().unwrap().len() as u64, ..TreeStats::default() }
-        }
-    }
+    use crate::testing::MemIndex;
 
     #[test]
     fn records_per_op_latencies() {
-        let (idx, hists) = Instrumented::with_histograms(MapIndex(Mutex::new(BTreeMap::new())));
+        let (idx, hists) = Instrumented::with_histograms(MemIndex::new());
         hists.set_sample_shift(0); // record every op
         for k in 0..50 {
             idx.insert(k, k).unwrap();
@@ -282,10 +205,10 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing_and_forwards() {
-        let idx = Instrumented::new(MapIndex(Mutex::new(BTreeMap::new())), Recorder::disabled());
+        let idx = Instrumented::new(MemIndex::new(), Recorder::disabled());
         idx.insert(1, 2).unwrap();
         assert_eq!(idx.find(1), Some(2));
-        assert_eq!(idx.name(), "Map");
+        assert_eq!(idx.name(), "Mem");
         // Only the tree section appears when latency recording is off.
         let sections = idx.obs_sections();
         assert_eq!(sections.len(), 1);
@@ -294,7 +217,7 @@ mod tests {
 
     #[test]
     fn class_rollup_section_mirrors_the_op_mix() {
-        let (idx, hists) = Instrumented::with_histograms(MapIndex(Mutex::new(BTreeMap::new())));
+        let (idx, hists) = Instrumented::with_histograms(MemIndex::new());
         hists.set_sample_shift(0);
         for k in 0..10 {
             idx.insert(k, k).unwrap();
@@ -322,7 +245,7 @@ mod tests {
     fn attached_trace_ring_collects_spans() {
         let ring = obs::TraceRing::shared();
         ring.set_sample_shift(0); // trace every op
-        let idx = Instrumented::new(MapIndex(Mutex::new(BTreeMap::new())), Recorder::disabled())
+        let idx = Instrumented::new(MemIndex::new(), Recorder::disabled())
             .with_tracing(Arc::clone(&ring));
         for k in 0..5 {
             idx.insert(k, k).unwrap();
@@ -340,7 +263,7 @@ mod tests {
 
     #[test]
     fn wraps_shared_handles_via_the_arc_impl() {
-        let shared: Arc<dyn PersistentIndex> = Arc::new(MapIndex(Mutex::new(BTreeMap::new())));
+        let shared: Arc<dyn PersistentIndex> = Arc::new(MemIndex::new());
         let (idx, hists) = Instrumented::with_histograms(shared);
         hists.set_sample_shift(0);
         idx.upsert(9, 9).unwrap();

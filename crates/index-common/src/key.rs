@@ -210,6 +210,37 @@ impl KeyCodec for U64Key {
     }
 }
 
+impl U64Key {
+    /// The smallest key whose encoding is byte-wise `>= bound`, or `None`
+    /// if every encoding sorts below it. `bound` may be any byte string:
+    /// up to 8 bytes it zero-pads (extensions of a prefix sort after it);
+    /// past 8 bytes it is the 8-byte prefix + 1 (the 8-byte encodings are
+    /// shorter, so they must beat the prefix strictly). This is how a
+    /// u64-only index serves a byte-key range scan.
+    pub fn ceil(bound: &[u8]) -> Option<Key> {
+        if bound.len() <= 8 {
+            let mut p = [0u8; 8];
+            p[..bound.len()].copy_from_slice(bound);
+            return Some(u64::from_be_bytes(p));
+        }
+        u64::from_be_bytes(bound[..8].try_into().expect("8-byte prefix")).checked_add(1)
+    }
+}
+
+/// A point-operation key in either spelling: a typed `u64`, or a
+/// byte-comparable string. The one key type of
+/// [`crate::PersistentIndex::apply`] and [`crate::PersistentIndex::get`],
+/// so every index layer implements each point operation once for both
+/// key kinds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnyKey<'a> {
+    /// A typed key.
+    U64(Key),
+    /// A byte-string key; on a u64-only index it must be an 8-byte
+    /// [`U64Key`] encoding.
+    Bytes(KeyRef<'a>),
+}
+
 /// The first four bytes of `key` as a big-endian `u32`, zero-padded on the
 /// right for shorter keys.
 ///

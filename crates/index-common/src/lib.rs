@@ -9,7 +9,8 @@
 //! * [`KeyBuf`] / [`KeyRef`] / [`KeyCodec`] — the byte-comparable
 //!   variable-length key layer over it: typed keys map into lexicographic
 //!   byte strings through an order-preserving codec ([`U64Key`] for the
-//!   8-byte model), and every index API has `*_k` byte-key counterparts.
+//!   8-byte model), and every point operation takes either spelling
+//!   through [`AnyKey`].
 //! * [`InnerIndex`] — the volatile (DRAM) internal-node tree mapping keys to
 //!   leaf-node offsets in persistent memory. It offers the two HTM functions
 //!   of the paper's Table 2 that concern internal nodes —
@@ -32,10 +33,13 @@ mod key;
 mod sharded;
 mod traits;
 
+#[doc(hidden)]
+pub mod testing;
+
 pub use combine::{CommitStats, GroupCommit, GroupCommitConfig, SLOTS_PER_SHARD};
 pub use inner::{DescentStats, InnerIndex, INNER_FANOUT};
 pub use instrument::Instrumented;
-pub use key::{key_head, lcp, KeyBuf, KeyCodec, KeyRef, U64Key, MAX_KEY_LEN};
+pub use key::{key_head, lcp, AnyKey, KeyBuf, KeyCodec, KeyRef, U64Key, MAX_KEY_LEN};
 pub use sharded::{shard_of, shard_of_bytes, ShardedIndex};
 pub use traits::{OpError, PersistentIndex, RecoverableIndex, TreeStats, WriteOp};
 

@@ -50,7 +50,8 @@ use std::time::{Duration, Instant};
 use nvm::PmemPool;
 
 use crate::{
-    Key, KeyBuf, KeyRef, OpError, PersistentIndex, RecoverableIndex, TreeStats, Value, WriteOp,
+    AnyKey, Key, KeyBuf, KeyRef, OpError, PersistentIndex, RecoverableIndex, TreeStats, Value,
+    WriteOp,
 };
 
 /// Routes `key` to its home shard among `shards` partitions.
@@ -183,14 +184,14 @@ impl<T: PersistentIndex> ShardedIndex<T> {
         self.shards.len()
     }
 
-    /// The shard that owns `key`.
-    pub fn shard_for(&self, key: Key) -> &T {
-        &self.shards[shard_of(key, self.shards.len())]
-    }
-
-    /// The shard that owns the byte-string `key` (see [`shard_of_bytes`]).
-    pub fn shard_for_bytes(&self, key: KeyRef<'_>) -> &T {
-        &self.shards[shard_of_bytes(key, self.shards.len())]
+    /// The shard that owns `key`, in either spelling ([`shard_of`],
+    /// [`shard_of_bytes`]).
+    pub fn shard_for(&self, key: AnyKey<'_>) -> &T {
+        let n = self.shards.len();
+        &self.shards[match key {
+            AnyKey::U64(k) => shard_of(k, n),
+            AnyKey::Bytes(b) => shard_of_bytes(b, n),
+        }]
     }
 
     /// The `i`-th shard tree (for tests and per-shard introspection).
@@ -199,6 +200,35 @@ impl<T: PersistentIndex> ShardedIndex<T> {
     /// Panics if `i` is out of range.
     pub fn shard(&self, i: usize) -> &T {
         &self.shards[i]
+    }
+
+    /// Splits `items` by home shard (`home` names it), preserving their
+    /// order within each part, and runs `run` on every non-empty part — on
+    /// one scoped thread per part when `parallel`. Returns the parts as
+    /// `run` left them (it may sort its part in place) and the per-part
+    /// results, both in shard order.
+    fn per_shard<E: Copy + Send, R: Send>(
+        &self,
+        items: &[E],
+        home: impl Fn(&E) -> usize,
+        parallel: bool,
+        run: impl Fn(&T, &mut [E]) -> R + Sync,
+    ) -> (Vec<Vec<E>>, Vec<R>) {
+        let mut parts: Vec<Vec<E>> = self.shards.iter().map(|_| Vec::new()).collect();
+        for e in items {
+            parts[home(e)].push(*e);
+        }
+        let work = self.shards.iter().zip(parts.iter_mut()).filter(|(_, part)| !part.is_empty());
+        let results = if parallel {
+            let run = &run;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = work.map(|(shard, part)| scope.spawn(move || run(shard, part))).collect();
+                handles.into_iter().map(|h| h.join().expect("shard worker thread panicked")).collect()
+            })
+        } else {
+            work.map(|(shard, part)| run(shard, part)).collect()
+        };
+        (parts, results)
     }
 }
 
@@ -303,30 +333,24 @@ where
 }
 
 impl<T: PersistentIndex> PersistentIndex for ShardedIndex<T> {
-    fn insert(&self, key: Key, value: Value) -> Result<(), OpError> {
-        self.shard_for(key).insert(key, value)
+    fn apply(&self, key: AnyKey<'_>, value: Value, op: WriteOp) -> Result<(), OpError> {
+        self.shard_for(key).apply(key, value, op)
     }
 
-    fn update(&self, key: Key, value: Value) -> Result<(), OpError> {
-        self.shard_for(key).update(key, value)
-    }
-
-    fn upsert(&self, key: Key, value: Value) -> Result<(), OpError> {
-        self.shard_for(key).upsert(key, value)
-    }
-
-    fn remove(&self, key: Key) -> Result<(), OpError> {
-        self.shard_for(key).remove(key)
-    }
-
-    fn find(&self, key: Key) -> Option<Value> {
-        self.shard_for(key).find(key)
+    fn get(&self, key: AnyKey<'_>) -> Option<Value> {
+        self.shard_for(key).get(key)
     }
 
     /// Globally key-ordered scan: each shard's first `n` pairs ≥ `start`,
     /// merged through the per-thread staging buffer (module docs).
     fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
         merged_scan(&self.shards, n, out, &STAGING, |s, buf| s.scan_n(start, n, buf))
+    }
+
+    /// Byte-key analogue of [`ShardedIndex::scan_n`]: the same staged
+    /// merge over lexicographically ordered shard runs.
+    fn scan_k(&self, start: KeyRef<'_>, n: usize, out: &mut Vec<(KeyBuf, Value)>) -> usize {
+        merged_scan(&self.shards, n, out, &STAGING_K, |s, buf| s.scan_k(start, n, buf))
     }
 
     /// Partitions the pairs by home shard and bulk-loads every non-empty
@@ -339,130 +363,8 @@ impl<T: PersistentIndex> PersistentIndex for ShardedIndex<T> {
         if n == 1 {
             return self.shards[0].load_sorted(pairs);
         }
-        let mut parts: Vec<Vec<(Key, Value)>> = vec![Vec::new(); n];
-        for &(k, v) in pairs {
-            parts[shard_of(k, n)].push((k, v));
-        }
-        let loaded: Vec<Result<(), OpError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .zip(&parts)
-                .filter(|(_, part)| !part.is_empty())
-                .map(|(shard, part)| scope.spawn(move || shard.load_sorted(part)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard load thread panicked")).collect()
-        });
+        let (_, loaded) = self.per_shard(pairs, |p| shard_of(p.0, n), true, |s, part| s.load_sorted(part));
         loaded.into_iter().collect()
-    }
-
-    /// Partitions the batch by home shard and applies the per-shard
-    /// sub-batches — in parallel (one thread per shard) when the batch is
-    /// large enough to amortise the spawns. The caller's slice is
-    /// rewritten in shard-major order with each sub-batch sorted (the order
-    /// the shards observed), and the returned vector aligns with that
-    /// rewritten slice, preserving the trait's per-key reporting contract.
-    fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
-        let n = self.shards.len();
-        if n == 1 {
-            return self.shards[0].insert_batch(batch);
-        }
-        let mut parts: Vec<Vec<(Key, Value)>> = vec![Vec::new(); n];
-        for &(k, v) in batch.iter() {
-            parts[shard_of(k, n)].push((k, v));
-        }
-        // Below ~64 keys/shard the spawn+join overhead beats the win from
-        // parallel sub-batches; apply inline in that regime.
-        let parallel = batch.len() >= 64 * n && std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
-        let outcomes: Vec<Vec<Result<(), OpError>>> = if parallel {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .zip(parts.iter_mut())
-                    .map(|(shard, part)| scope.spawn(move || shard.insert_batch(part)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard batch thread panicked")).collect()
-            })
-        } else {
-            self.shards.iter().zip(parts.iter_mut()).map(|(s, p)| s.insert_batch(p)).collect()
-        };
-        let mut w = 0usize;
-        for part in &parts {
-            for &kv in part {
-                batch[w] = kv;
-                w += 1;
-            }
-        }
-        outcomes.into_iter().flatten().collect()
-    }
-
-    /// The mixed-class twin of the [`ShardedIndex::insert_batch`]
-    /// override: partition by home shard (submission order preserved
-    /// within a shard, so same-key elements still compose in order), run
-    /// per-shard sub-batches in parallel when large enough, rewrite the
-    /// caller's slice shard-major, results aligned with the rewrite.
-    fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
-        let n = self.shards.len();
-        if n == 1 {
-            return self.shards[0].write_batch(batch);
-        }
-        let mut parts: Vec<Vec<(Key, Value, WriteOp)>> = vec![Vec::new(); n];
-        for &(k, v, op) in batch.iter() {
-            parts[shard_of(k, n)].push((k, v, op));
-        }
-        let parallel = batch.len() >= 64 * n && std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
-        let outcomes: Vec<Vec<Result<(), OpError>>> = if parallel {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .zip(parts.iter_mut())
-                    .map(|(shard, part)| scope.spawn(move || shard.write_batch(part)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard batch thread panicked")).collect()
-            })
-        } else {
-            self.shards.iter().zip(parts.iter_mut()).map(|(s, p)| s.write_batch(p)).collect()
-        };
-        let mut w = 0usize;
-        for part in &parts {
-            for &kvo in part {
-                batch[w] = kvo;
-                w += 1;
-            }
-        }
-        outcomes.into_iter().flatten().collect()
-    }
-
-    fn supports_var_keys(&self) -> bool {
-        self.shards.iter().all(|s| s.supports_var_keys())
-    }
-
-    fn insert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        self.shard_for_bytes(key).insert_k(key, value)
-    }
-
-    fn update_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        self.shard_for_bytes(key).update_k(key, value)
-    }
-
-    fn upsert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        self.shard_for_bytes(key).upsert_k(key, value)
-    }
-
-    fn remove_k(&self, key: KeyRef<'_>) -> Result<(), OpError> {
-        self.shard_for_bytes(key).remove_k(key)
-    }
-
-    fn find_k(&self, key: KeyRef<'_>) -> Option<Value> {
-        self.shard_for_bytes(key).find_k(key)
-    }
-
-    /// Byte-key analogue of [`ShardedIndex::scan_n`]: the same staged
-    /// merge over lexicographically ordered shard runs.
-    fn scan_k(&self, start: KeyRef<'_>, n: usize, out: &mut Vec<(KeyBuf, Value)>) -> usize {
-        merged_scan(&self.shards, n, out, &STAGING_K, |s, buf| s.scan_k(start, n, buf))
     }
 
     /// Byte-key bulk load: partitions by [`shard_of_bytes`] and loads the
@@ -472,55 +374,30 @@ impl<T: PersistentIndex> PersistentIndex for ShardedIndex<T> {
         if n == 1 {
             return self.shards[0].load_sorted_k(pairs);
         }
-        let mut parts: Vec<Vec<(KeyBuf, Value)>> = vec![Vec::new(); n];
-        for &(k, v) in pairs {
-            parts[shard_of_bytes(k.as_slice(), n)].push((k, v));
-        }
-        let loaded: Vec<Result<(), OpError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .zip(&parts)
-                .filter(|(_, part)| !part.is_empty())
-                .map(|(shard, part)| scope.spawn(move || shard.load_sorted_k(part)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard load thread panicked")).collect()
-        });
+        let (_, loaded) =
+            self.per_shard(pairs, |p| shard_of_bytes(p.0.as_slice(), n), true, |s, part| s.load_sorted_k(part));
         loaded.into_iter().collect()
     }
 
-    /// Byte-key batched insert: shard-partitioned like
-    /// [`ShardedIndex::insert_batch`], with the same slice-rewrite and
-    /// reporting contract.
-    fn insert_batch_k(&self, batch: &mut [(KeyBuf, Value)]) -> Vec<Result<(), OpError>> {
+    /// Partitions the batch by home shard (submission order preserved
+    /// within a shard, so same-key elements still compose in order) and
+    /// applies the per-shard sub-batches — in parallel (one thread per
+    /// shard) when the batch is large enough to amortise the spawns. The
+    /// caller's slice is rewritten in shard-major order with each
+    /// sub-batch sorted (the order the shards observed), and the returned
+    /// vector aligns with that rewritten slice, preserving the trait's
+    /// per-element reporting contract.
+    fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
         let n = self.shards.len();
         if n == 1 {
-            return self.shards[0].insert_batch_k(batch);
+            return self.shards[0].write_batch(batch);
         }
-        let mut parts: Vec<Vec<(KeyBuf, Value)>> = vec![Vec::new(); n];
-        for &(k, v) in batch.iter() {
-            parts[shard_of_bytes(k.as_slice(), n)].push((k, v));
-        }
+        // Below ~64 keys/shard the spawn+join overhead beats the win from
+        // parallel sub-batches; apply inline in that regime.
         let parallel = batch.len() >= 64 * n && std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
-        let outcomes: Vec<Vec<Result<(), OpError>>> = if parallel {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .zip(parts.iter_mut())
-                    .map(|(shard, part)| scope.spawn(move || shard.insert_batch_k(part)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard batch thread panicked")).collect()
-            })
-        } else {
-            self.shards.iter().zip(parts.iter_mut()).map(|(s, p)| s.insert_batch_k(p)).collect()
-        };
-        let mut w = 0usize;
-        for part in &parts {
-            for &kv in part {
-                batch[w] = kv;
-                w += 1;
-            }
+        let (parts, outcomes) = self.per_shard(batch, |e| shard_of(e.0, n), parallel, |s, part| s.write_batch(part));
+        for (dst, src) in batch.iter_mut().zip(parts.iter().flatten()) {
+            *dst = *src;
         }
         outcomes.into_iter().flatten().collect()
     }
@@ -600,66 +477,11 @@ impl<T: PersistentIndex + obs::ObsSource> obs::ObsSource for ShardedIndex<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::MemIndex;
     use std::collections::BTreeMap;
-    use std::sync::Mutex;
 
-    /// Volatile stand-in tree for merge/routing unit tests.
-    struct MapShard {
-        map: Mutex<BTreeMap<Key, Value>>,
-    }
-
-    impl MapShard {
-        fn new() -> Self {
-            MapShard { map: Mutex::new(BTreeMap::new()) }
-        }
-    }
-
-    impl PersistentIndex for MapShard {
-        fn insert(&self, key: Key, value: Value) -> Result<(), OpError> {
-            let mut m = self.map.lock().unwrap();
-            if m.contains_key(&key) {
-                return Err(OpError::AlreadyExists);
-            }
-            m.insert(key, value);
-            Ok(())
-        }
-        fn update(&self, key: Key, value: Value) -> Result<(), OpError> {
-            let mut m = self.map.lock().unwrap();
-            if !m.contains_key(&key) {
-                return Err(OpError::NotFound);
-            }
-            m.insert(key, value);
-            Ok(())
-        }
-        fn upsert(&self, key: Key, value: Value) -> Result<(), OpError> {
-            self.map.lock().unwrap().insert(key, value);
-            Ok(())
-        }
-        fn remove(&self, key: Key) -> Result<(), OpError> {
-            self.map.lock().unwrap().remove(&key).map(|_| ()).ok_or(OpError::NotFound)
-        }
-        fn find(&self, key: Key) -> Option<Value> {
-            self.map.lock().unwrap().get(&key).copied()
-        }
-        fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
-            out.clear();
-            out.extend(self.map.lock().unwrap().range(start..).take(n).map(|(&k, &v)| (k, v)));
-            out.len()
-        }
-        fn name(&self) -> &'static str {
-            "MapShard"
-        }
-        fn stats(&self) -> TreeStats {
-            TreeStats {
-                entries: self.map.lock().unwrap().len() as u64,
-                leaves: 1,
-                ..TreeStats::default()
-            }
-        }
-    }
-
-    fn sharded(n: usize) -> ShardedIndex<MapShard> {
-        ShardedIndex::from_shards((0..n).map(|_| MapShard::new()).collect())
+    fn sharded(n: usize) -> ShardedIndex<MemIndex> {
+        ShardedIndex::from_shards((0..n).map(|_| MemIndex::new()).collect())
     }
 
     #[test]
@@ -721,7 +543,6 @@ mod tests {
             out.iter().map(|(k, _)| U64Key::decode(k.as_slice()).unwrap()).collect();
         assert_eq!(got, vec![0, 3, 6, 9, 12], "merge must be globally ordered");
         assert_eq!(idx.insert_k(b"odd", 1), Err(OpError::UnsupportedKey));
-        assert!(!idx.supports_var_keys());
     }
 
     #[test]
@@ -761,35 +582,26 @@ mod tests {
 
     #[test]
     fn stats_or_pool_exhausted() {
-        struct Exhausted;
+        /// A shard whose pool is full: every write fails.
+        struct Exhausted(MemIndex);
         impl PersistentIndex for Exhausted {
-            fn insert(&self, _: Key, _: Value) -> Result<(), OpError> {
+            fn apply(&self, _: AnyKey<'_>, _: Value, _: WriteOp) -> Result<(), OpError> {
                 Err(OpError::PoolExhausted)
             }
-            fn update(&self, _: Key, _: Value) -> Result<(), OpError> {
-                Err(OpError::PoolExhausted)
+            fn get(&self, key: AnyKey<'_>) -> Option<Value> {
+                self.0.get(key)
             }
-            fn upsert(&self, _: Key, _: Value) -> Result<(), OpError> {
-                Err(OpError::PoolExhausted)
-            }
-            fn remove(&self, _: Key) -> Result<(), OpError> {
-                Err(OpError::NotFound)
-            }
-            fn find(&self, _: Key) -> Option<Value> {
-                None
-            }
-            fn scan_n(&self, _: Key, _: usize, out: &mut Vec<(Key, Value)>) -> usize {
-                out.clear();
-                0
+            fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
+                self.0.scan_n(start, n, out)
             }
             fn name(&self) -> &'static str {
                 "Exhausted"
             }
             fn stats(&self) -> TreeStats {
-                TreeStats { pool_exhausted: true, ..TreeStats::default() }
+                TreeStats { pool_exhausted: true, ..self.0.stats() }
             }
         }
-        let idx = ShardedIndex::from_shards(vec![Exhausted, Exhausted]);
+        let idx = ShardedIndex::from_shards(vec![Exhausted(MemIndex::new()), Exhausted(MemIndex::new())]);
         assert!(idx.stats().pool_exhausted);
         assert_eq!(idx.upsert(1, 1), Err(OpError::PoolExhausted));
     }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use nvm::PmemPool;
 use obs::{Json, ToJson};
 
-use crate::{Key, KeyBuf, KeyCodec, KeyRef, U64Key, Value};
+use crate::{AnyKey, Key, KeyBuf, KeyCodec, KeyRef, U64Key, Value};
 
 /// Errors surfaced by conditional operations (paper §3.3: *conditional
 /// write* — insert fails on a duplicate key, update/remove fail on a missing
@@ -18,10 +18,11 @@ pub enum OpError {
     NotFound,
     /// The persistent pool is out of leaf blocks.
     PoolExhausted,
-    /// A byte-key (`*_k`) operation was given a key this index cannot
-    /// represent — e.g. a non-8-byte key on an index that only stores
-    /// `u64`-encoded keys ([`PersistentIndex::supports_var_keys`] is
-    /// `false`).
+    /// A byte-key operation ([`AnyKey::Bytes`]) was given a key this
+    /// index cannot represent: a non-8-byte key on an index that only
+    /// stores `u64`-encoded keys (every index on the default
+    /// [`PersistentIndex::apply`]), or a key longer than
+    /// [`crate::MAX_KEY_LEN`] on a var-key RNTree.
     UnsupportedKey,
 }
 
@@ -114,28 +115,138 @@ impl ToJson for TreeStats {
 /// internally; single-threaded trees (NVTree, wB+Tree, CDDS) are `Sync`
 /// only in the trivial sense and document that callers must not share them
 /// across threads while mutating ([`PersistentIndex::supports_concurrency`]).
+///
+/// # The op core and its two-sided contract
+///
+/// The paper's operation set (§3.3) is one conditional write, one find
+/// and one range query. Point operations reach an index through two
+/// methods over an [`AnyKey`] — a `u64` or a byte string:
+/// [`apply`](PersistentIndex::apply) for the four write classes of
+/// [`WriteOp`], and [`get`](PersistentIndex::get) for lookups. The u64
+/// point methods ([`insert`](PersistentIndex::insert),
+/// [`update`](PersistentIndex::update), [`upsert`](PersistentIndex::upsert),
+/// [`remove`](PersistentIndex::remove), [`find`](PersistentIndex::find))
+/// and the byte-key sugar (`insert_k` … `find_k`) are provided on top.
+///
+/// The provided point methods and the default `apply`/`get` are defined
+/// in terms of each other, so **every implementation overrides exactly
+/// one side** (overriding neither recurses forever):
+///
+/// * a **u64-only tree** (the baselines, test fakes) implements the five
+///   u64 point methods. The default `apply`/`get` dispatch a `U64` key to
+///   them and decode a `Bytes` key through [`U64Key`]: an 8-byte key is
+///   served as its `u64`, any other length fails with
+///   [`OpError::UnsupportedKey`] (or reads as absent);
+/// * a **wrapper** (`Arc`, [`crate::Instrumented`], [`crate::ShardedIndex`],
+///   [`crate::GroupCommit`]) or a tree with native byte keys (RNTree)
+///   implements `apply` and `get`, once for both key kinds.
+///
+/// The rest of the core — [`write_batch`](PersistentIndex::write_batch),
+/// [`scan_n`](PersistentIndex::scan_n) / [`scan_k`](PersistentIndex::scan_k)
+/// and [`load_sorted`](PersistentIndex::load_sorted) /
+/// [`load_sorted_k`](PersistentIndex::load_sorted_k) — keeps one method
+/// per element type.
 pub trait PersistentIndex: Send + Sync {
+    /// Applies one point write with the semantics its [`WriteOp`] names;
+    /// `value` is ignored for [`WriteOp::Remove`]. A `Bytes` key this
+    /// index cannot represent fails with [`OpError::UnsupportedKey`].
+    ///
+    /// The default serves a u64-only tree: it dispatches to the u64 point
+    /// method of `op`, decoding a `Bytes` key through [`U64Key`] first.
+    fn apply(&self, key: AnyKey<'_>, value: Value, op: WriteOp) -> Result<(), OpError> {
+        let key = match key {
+            AnyKey::U64(k) => k,
+            AnyKey::Bytes(b) => U64Key::decode(b).ok_or(OpError::UnsupportedKey)?,
+        };
+        match op {
+            WriteOp::Insert => self.insert(key, value),
+            WriteOp::Update => self.update(key, value),
+            WriteOp::Upsert => self.upsert(key, value),
+            WriteOp::Remove => self.remove(key),
+        }
+    }
+
+    /// Point lookup. A `Bytes` key this index cannot represent is simply
+    /// absent (`None`).
+    ///
+    /// The default serves a u64-only tree through [`PersistentIndex::find`],
+    /// decoding a `Bytes` key through [`U64Key`] first.
+    fn get(&self, key: AnyKey<'_>) -> Option<Value> {
+        match key {
+            AnyKey::U64(k) => self.find(k),
+            AnyKey::Bytes(b) => self.find(U64Key::decode(b)?),
+        }
+    }
+
     /// Conditional insert: fails with [`OpError::AlreadyExists`] if the key
     /// is present. Trees without conditional-write support (plain NVTree
     /// mode) document insert-as-upsert behaviour instead.
-    fn insert(&self, key: Key, value: Value) -> Result<(), OpError>;
+    fn insert(&self, key: Key, value: Value) -> Result<(), OpError> {
+        self.apply(AnyKey::U64(key), value, WriteOp::Insert)
+    }
 
     /// Conditional update: fails with [`OpError::NotFound`] if absent.
-    fn update(&self, key: Key, value: Value) -> Result<(), OpError>;
+    fn update(&self, key: Key, value: Value) -> Result<(), OpError> {
+        self.apply(AnyKey::U64(key), value, WriteOp::Update)
+    }
 
     /// Insert-or-update, never fails on key presence.
-    fn upsert(&self, key: Key, value: Value) -> Result<(), OpError>;
+    fn upsert(&self, key: Key, value: Value) -> Result<(), OpError> {
+        self.apply(AnyKey::U64(key), value, WriteOp::Upsert)
+    }
 
     /// Removes the key. Fails with [`OpError::NotFound`] if absent.
-    fn remove(&self, key: Key) -> Result<(), OpError>;
+    fn remove(&self, key: Key) -> Result<(), OpError> {
+        self.apply(AnyKey::U64(key), 0, WriteOp::Remove)
+    }
 
     /// Point lookup.
-    fn find(&self, key: Key) -> Option<Value>;
+    fn find(&self, key: Key) -> Option<Value> {
+        self.get(AnyKey::U64(key))
+    }
+
+    /// Byte-key conditional insert ([`PersistentIndex::insert`]).
+    fn insert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
+        self.apply(AnyKey::Bytes(key), value, WriteOp::Insert)
+    }
+
+    /// Byte-key conditional update ([`PersistentIndex::update`]).
+    fn update_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
+        self.apply(AnyKey::Bytes(key), value, WriteOp::Update)
+    }
+
+    /// Byte-key upsert ([`PersistentIndex::upsert`]).
+    fn upsert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
+        self.apply(AnyKey::Bytes(key), value, WriteOp::Upsert)
+    }
+
+    /// Byte-key remove ([`PersistentIndex::remove`]).
+    fn remove_k(&self, key: KeyRef<'_>) -> Result<(), OpError> {
+        self.apply(AnyKey::Bytes(key), 0, WriteOp::Remove)
+    }
+
+    /// Byte-key point lookup ([`PersistentIndex::find`]).
+    fn find_k(&self, key: KeyRef<'_>) -> Option<Value> {
+        self.get(AnyKey::Bytes(key))
+    }
 
     /// Range query: collects up to `n` pairs with key ≥ `start`, in key
     /// order, into `out` (cleared first). Returns the number collected.
     /// This is the paper's range query with a count-based filter function.
     fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize;
+
+    /// Byte-key range query ([`PersistentIndex::scan_n`]): up to `n` pairs
+    /// with key ≥ `start` in lexicographic order. `start` may be *any*
+    /// byte string (it is a bound, not a stored key): the u64-backed
+    /// default rounds it up to the smallest representable key.
+    fn scan_k(&self, start: KeyRef<'_>, n: usize, out: &mut Vec<(KeyBuf, Value)>) -> usize {
+        out.clear();
+        let Some(from) = U64Key::ceil(start) else { return 0 };
+        let mut tmp = Vec::new();
+        self.scan_n(from, n, &mut tmp);
+        out.extend(tmp.into_iter().map(|(k, v)| (U64Key::encode(k), v)));
+        out.len()
+    }
 
     /// Bulk-loads `pairs` into an **empty** index. The input need not be
     /// pre-sorted or unique: implementations sort it and resolve duplicate
@@ -159,24 +270,15 @@ pub trait PersistentIndex: Send + Sync {
         Ok(())
     }
 
-    /// Batched conditional insert: applies every pair of `batch` with
-    /// [`PersistentIndex::insert`] semantics per key, reporting each key's
-    /// outcome individually.
-    ///
-    /// The batch is sorted in place (stably) first; element `i` of the
-    /// returned vector reports on `batch[i]` *as the caller observes the
-    /// slice after the call*. Of duplicated keys within one batch, the
-    /// first occurrence (in pre-sort order) is applied and the rest report
-    /// [`OpError::AlreadyExists`].
-    ///
-    /// The default implementation is a per-key insert loop over the sorted
-    /// batch. Trees with a batched write path (RNTree) override it to
-    /// amortise traversal, locking, and persists across same-leaf runs; a
-    /// sharded index overrides it to partition by shard and apply sub-
-    /// batches in parallel.
-    fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
-        batch.sort_by_key(|p| p.0);
-        batch.iter().map(|&(k, v)| self.insert(k, v)).collect()
+    /// Byte-key bulk load ([`PersistentIndex::load_sorted`] semantics:
+    /// empty index, duplicates resolved last-wins).
+    fn load_sorted_k(&self, pairs: &[(KeyBuf, Value)]) -> Result<(), OpError> {
+        let mut sorted = pairs.to_vec();
+        sorted.sort_by_key(|p| p.0); // stable: last duplicate wins
+        for (k, v) in &sorted {
+            self.upsert_k(k.as_slice(), *v)?;
+        }
+        Ok(())
     }
 
     /// Batched **mixed-class** write: applies every `(key, value, op)`
@@ -189,126 +291,35 @@ pub trait PersistentIndex: Send + Sync {
     /// as-if sequentially in their pre-sort submission order — so within
     /// one batch, an insert followed by a remove of the same key leaves
     /// the key absent and both report `Ok`, while two strict inserts make
-    /// the first win and the second report [`OpError::AlreadyExists`]
-    /// (the same first-dup-wins rule as [`PersistentIndex::insert_batch`]).
+    /// the first win and the second report [`OpError::AlreadyExists`].
     ///
-    /// The default implementation is a per-element dispatch loop over the
-    /// sorted batch. Trees with a batched write path (RNTree) override it
-    /// to amortise traversal, locking, and persists across same-leaf runs
-    /// of *all* write classes; a sharded index overrides it to partition
-    /// by shard and apply sub-batches in parallel. The flat-combining
-    /// group-commit layer ([`crate::GroupCommit`]) is built on this
-    /// method: it is the single entry point through which coalesced
-    /// epochs reach the batch pipeline.
+    /// The default implementation is a per-element [`PersistentIndex::apply`]
+    /// loop over the sorted batch. Trees with a batched write path (RNTree)
+    /// override it to amortise traversal, locking, and persists across
+    /// same-leaf runs of *all* write classes; a sharded index overrides it
+    /// to partition by shard and apply sub-batches in parallel. The
+    /// flat-combining group-commit layer ([`crate::GroupCommit`]) is built
+    /// on this method: it is the single entry point through which
+    /// coalesced epochs reach the batch pipeline.
     fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
         batch.sort_by_key(|p| p.0);
-        batch
-            .iter()
-            .map(|&(k, v, op)| match op {
-                WriteOp::Insert => self.insert(k, v),
-                WriteOp::Update => self.update(k, v),
-                WriteOp::Upsert => self.upsert(k, v),
-                WriteOp::Remove => self.remove(k),
-            })
-            .collect()
+        batch.iter().map(|&(k, v, op)| self.apply(AnyKey::U64(k), v, op)).collect()
     }
 
-    // ------------------------------------------------------------------
-    // Byte-key (`*_k`) counterparts.
-    //
-    // Every point/range/bulk operation also exists over byte-comparable
-    // [`KeyRef`] keys. The provided defaults route through the [`U64Key`]
-    // codec — an index that only stores u64 keys serves any 8-byte key
-    // verbatim and rejects other lengths with [`OpError::UnsupportedKey`]
-    // — so all five trees gained the byte API without touching their
-    // layouts. Indexes with a native variable-length layout (RNTree with
-    // `varlen_leaves`) override these and set
-    // [`PersistentIndex::supports_var_keys`].
-    // ------------------------------------------------------------------
-
-    /// Whether this index stores arbitrary-length byte keys natively.
-    /// `false` means the `*_k` methods only accept 8-byte (`u64`-encoded)
-    /// keys.
-    fn supports_var_keys(&self) -> bool {
-        false
-    }
-
-    /// Byte-key conditional insert ([`PersistentIndex::insert`]).
-    fn insert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        let k = U64Key::decode(key).ok_or(OpError::UnsupportedKey)?;
-        self.insert(k, value)
-    }
-
-    /// Byte-key conditional update ([`PersistentIndex::update`]).
-    fn update_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        let k = U64Key::decode(key).ok_or(OpError::UnsupportedKey)?;
-        self.update(k, value)
-    }
-
-    /// Byte-key upsert ([`PersistentIndex::upsert`]).
-    fn upsert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        let k = U64Key::decode(key).ok_or(OpError::UnsupportedKey)?;
-        self.upsert(k, value)
-    }
-
-    /// Byte-key remove ([`PersistentIndex::remove`]).
-    fn remove_k(&self, key: KeyRef<'_>) -> Result<(), OpError> {
-        let k = U64Key::decode(key).ok_or(OpError::UnsupportedKey)?;
-        self.remove(k)
-    }
-
-    /// Byte-key point lookup ([`PersistentIndex::find`]). A key this index
-    /// cannot represent is simply absent (`None`).
-    fn find_k(&self, key: KeyRef<'_>) -> Option<Value> {
-        self.find(U64Key::decode(key)?)
-    }
-
-    /// Byte-key range query ([`PersistentIndex::scan_n`]): up to `n` pairs
-    /// with key ≥ `start` in lexicographic order. `start` may be *any*
-    /// byte string (it is a bound, not a stored key): the u64-backed
-    /// default rounds it up to the smallest representable key.
-    fn scan_k(&self, start: KeyRef<'_>, n: usize, out: &mut Vec<(KeyBuf, Value)>) -> usize {
-        out.clear();
-        // Smallest u64 whose 8-byte encoding is >= `start` byte-wise:
-        // start.len() <= 8  → zero-pad (extensions of a prefix sort after it);
-        // start.len() >  8  → the 8-byte prefix + 1 (encodings are shorter,
-        //                     so they must beat the prefix strictly).
-        let from = if start.len() <= 8 {
-            let mut p = [0u8; 8];
-            p[..start.len()].copy_from_slice(start);
-            u64::from_be_bytes(p)
-        } else {
-            let p = u64::from_be_bytes(start[..8].try_into().expect("8-byte prefix"));
-            match p.checked_add(1) {
-                Some(next) => next,
-                None => return 0,
-            }
-        };
-        let mut tmp = Vec::new();
-        self.scan_n(from, n, &mut tmp);
-        out.extend(tmp.into_iter().map(|(k, v)| (U64Key::encode(k), v)));
-        out.len()
-    }
-
-    /// Byte-key bulk load ([`PersistentIndex::load_sorted`] semantics:
-    /// empty index, duplicates resolved last-wins).
-    fn load_sorted_k(&self, pairs: &[(KeyBuf, Value)]) -> Result<(), OpError> {
-        let mut sorted = pairs.to_vec();
-        sorted.sort_by_key(|p| p.0); // stable: last duplicate wins
-        for (k, v) in &sorted {
-            self.upsert_k(k.as_slice(), *v)?;
+    /// Batched conditional insert: [`PersistentIndex::write_batch`] with
+    /// every element tagged [`WriteOp::Insert`], so per-key outcomes, the
+    /// in-place reordering of `batch` and the first-duplicate-wins rule
+    /// are exactly `write_batch`'s. The elements are copied back in the
+    /// order `write_batch` left them, so element `i` of the returned
+    /// vector reports on `batch[i]` after the call.
+    fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
+        let mut ops: Vec<(Key, Value, WriteOp)> =
+            batch.iter().map(|&(k, v)| (k, v, WriteOp::Insert)).collect();
+        let results = self.write_batch(&mut ops);
+        for (dst, src) in batch.iter_mut().zip(&ops) {
+            *dst = (src.0, src.1);
         }
-        Ok(())
-    }
-
-    /// Byte-key batched conditional insert ([`PersistentIndex::insert_batch`]
-    /// semantics: sorted in place, per-key outcomes, first duplicate wins).
-    fn insert_batch_k(&self, batch: &mut [(KeyBuf, Value)]) -> Vec<Result<(), OpError>> {
-        batch.sort_by_key(|p| p.0);
-        batch
-            .iter()
-            .map(|(k, v)| self.insert_k(k.as_slice(), *v))
-            .collect()
+        results
     }
 
     /// Short name for benchmark tables ("RNTree", "FPTree", …).
@@ -332,61 +343,29 @@ pub trait PersistentIndex: Send + Sync {
 /// Forwarding impl so shared handles (`Arc<dyn PersistentIndex>`, the
 /// currency of the bench harness and workload drivers) satisfy the trait
 /// themselves — wrappers like `Instrumented` can then take *any* index,
-/// owned or shared, by value.
+/// owned or shared, by value. Forwards the op core only; the point
+/// methods reach the target through the provided ones.
 impl<P: PersistentIndex + ?Sized> PersistentIndex for Arc<P> {
-    fn insert(&self, key: Key, value: Value) -> Result<(), OpError> {
-        (**self).insert(key, value)
+    fn apply(&self, key: AnyKey<'_>, value: Value, op: WriteOp) -> Result<(), OpError> {
+        (**self).apply(key, value, op)
     }
-    fn update(&self, key: Key, value: Value) -> Result<(), OpError> {
-        (**self).update(key, value)
-    }
-    fn upsert(&self, key: Key, value: Value) -> Result<(), OpError> {
-        (**self).upsert(key, value)
-    }
-    fn remove(&self, key: Key) -> Result<(), OpError> {
-        (**self).remove(key)
-    }
-    fn find(&self, key: Key) -> Option<Value> {
-        (**self).find(key)
+    fn get(&self, key: AnyKey<'_>) -> Option<Value> {
+        (**self).get(key)
     }
     fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
         (**self).scan_n(start, n, out)
     }
-    fn load_sorted(&self, pairs: &[(Key, Value)]) -> Result<(), OpError> {
-        (**self).load_sorted(pairs)
-    }
-    fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
-        (**self).insert_batch(batch)
-    }
-    fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
-        (**self).write_batch(batch)
-    }
-    fn supports_var_keys(&self) -> bool {
-        (**self).supports_var_keys()
-    }
-    fn insert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        (**self).insert_k(key, value)
-    }
-    fn update_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        (**self).update_k(key, value)
-    }
-    fn upsert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        (**self).upsert_k(key, value)
-    }
-    fn remove_k(&self, key: KeyRef<'_>) -> Result<(), OpError> {
-        (**self).remove_k(key)
-    }
-    fn find_k(&self, key: KeyRef<'_>) -> Option<Value> {
-        (**self).find_k(key)
-    }
     fn scan_k(&self, start: KeyRef<'_>, n: usize, out: &mut Vec<(KeyBuf, Value)>) -> usize {
         (**self).scan_k(start, n, out)
+    }
+    fn load_sorted(&self, pairs: &[(Key, Value)]) -> Result<(), OpError> {
+        (**self).load_sorted(pairs)
     }
     fn load_sorted_k(&self, pairs: &[(KeyBuf, Value)]) -> Result<(), OpError> {
         (**self).load_sorted_k(pairs)
     }
-    fn insert_batch_k(&self, batch: &mut [(KeyBuf, Value)]) -> Vec<Result<(), OpError>> {
-        (**self).insert_batch_k(batch)
+    fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
+        (**self).write_batch(batch)
     }
     fn name(&self) -> &'static str {
         (**self).name()
@@ -474,6 +453,7 @@ pub trait RecoverableIndex: PersistentIndex + Sized {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::MemIndex;
 
     #[test]
     fn op_error_displays() {
@@ -486,48 +466,9 @@ mod tests {
         );
     }
 
-    /// A toy u64-only index to pin down the `*_k` defaults.
-    struct Toy(std::sync::Mutex<std::collections::BTreeMap<Key, Value>>);
-
-    impl PersistentIndex for Toy {
-        fn insert(&self, key: Key, value: Value) -> Result<(), OpError> {
-            let mut m = self.0.lock().unwrap();
-            if m.contains_key(&key) {
-                return Err(OpError::AlreadyExists);
-            }
-            m.insert(key, value);
-            Ok(())
-        }
-        fn update(&self, key: Key, value: Value) -> Result<(), OpError> {
-            let mut m = self.0.lock().unwrap();
-            m.get_mut(&key).map(|v| *v = value).ok_or(OpError::NotFound)
-        }
-        fn upsert(&self, key: Key, value: Value) -> Result<(), OpError> {
-            self.0.lock().unwrap().insert(key, value);
-            Ok(())
-        }
-        fn remove(&self, key: Key) -> Result<(), OpError> {
-            self.0.lock().unwrap().remove(&key).map(|_| ()).ok_or(OpError::NotFound)
-        }
-        fn find(&self, key: Key) -> Option<Value> {
-            self.0.lock().unwrap().get(&key).copied()
-        }
-        fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
-            out.clear();
-            out.extend(self.0.lock().unwrap().range(start..).take(n).map(|(k, v)| (*k, *v)));
-            out.len()
-        }
-        fn name(&self) -> &'static str {
-            "Toy"
-        }
-        fn stats(&self) -> TreeStats {
-            TreeStats::default()
-        }
-    }
-
     #[test]
     fn default_write_batch_applies_submission_order_within_a_key() {
-        let t = Toy(std::sync::Mutex::new(Default::default()));
+        let t = MemIndex::new();
         t.insert(1, 10).unwrap();
         let mut batch = vec![
             (2, 20, WriteOp::Insert),
@@ -558,17 +499,34 @@ mod tests {
         assert_eq!(t.find(2), None);
         assert_eq!(t.find(3), Some(30));
         assert_eq!(t.find(4), Some(40));
+
+        // The provided `insert_batch` is an all-`Insert` `write_batch`:
+        // same results, same permutation of the caller's slice.
+        let pairs = [(5, 50), (1, 0), (6, 60), (5, 51), (0, 1)];
+        let (a, b) = (MemIndex::new(), MemIndex::new());
+        a.insert(1, 10).unwrap();
+        b.insert(1, 10).unwrap();
+        let mut by_insert = pairs.to_vec();
+        let mut by_write: Vec<_> = pairs.iter().map(|&(k, v)| (k, v, WriteOp::Insert)).collect();
+        let res = a.insert_batch(&mut by_insert);
+        assert_eq!(res, b.write_batch(&mut by_write));
+        assert_eq!(by_insert, by_write.iter().map(|&(k, v, _)| (k, v)).collect::<Vec<_>>());
+        assert_eq!(by_insert, [(0, 1), (1, 0), (5, 50), (5, 51), (6, 60)]);
+        assert_eq!(res[1], Err(OpError::AlreadyExists)); // key 1 was present
+        assert_eq!(res[3], Err(OpError::AlreadyExists)); // first dup of 5 won
+        assert_eq!(a.find(5), Some(50));
     }
 
-    #[test]
-    fn default_byte_key_methods_route_through_the_u64_codec() {
-        let t = Toy(std::sync::Mutex::new(Default::default()));
-        assert!(!t.supports_var_keys());
+    /// The `U64Key` codec contract of the default `apply`/`get`, checked
+    /// on a bare u64 index and again through every wrapper layer.
+    fn assert_byte_keys_route_through_the_u64_codec(t: &dyn PersistentIndex) {
         let k5 = U64Key::encode(5);
         t.insert_k(k5.as_slice(), 50).unwrap();
         assert_eq!(t.find(5), Some(50), "8-byte keys hit the u64 store");
         assert_eq!(t.find_k(k5.as_slice()), Some(50));
         assert_eq!(t.insert_k(b"short", 1), Err(OpError::UnsupportedKey));
+        assert_eq!(t.upsert_k(b"short", 1), Err(OpError::UnsupportedKey));
+        assert_eq!(t.remove_k(b"short"), Err(OpError::UnsupportedKey));
         assert_eq!(t.update_k(b"way too long key!", 1), Err(OpError::UnsupportedKey));
         assert_eq!(t.find_k(b"short"), None);
 
@@ -578,8 +536,7 @@ mod tests {
         assert_eq!(t.scan_k(&[0][..], 10, &mut out), 2);
         assert_eq!(out[0].0, U64Key::encode(5));
         // A start strictly above encode(5) skips key 5.
-        let mut above5 = k5;
-        above5 = above5.successor().unwrap();
+        let above5 = k5.successor().unwrap();
         assert_eq!(t.scan_k(above5.as_slice(), 10, &mut out), 1);
         assert_eq!(out[0].0, U64Key::encode(7));
         // A >8-byte start rounds up past its 8-byte prefix.
@@ -590,10 +547,23 @@ mod tests {
     }
 
     #[test]
+    fn default_byte_key_methods_route_through_the_u64_codec() {
+        assert_byte_keys_route_through_the_u64_codec(&MemIndex::new());
+        let stack = crate::Instrumented::new(
+            crate::GroupCommit::new(
+                crate::ShardedIndex::from_shards(vec![MemIndex::new(), MemIndex::new()]),
+                crate::GroupCommitConfig { shards: 2, ..crate::GroupCommitConfig::default() },
+            ),
+            obs::Recorder::disabled(),
+        );
+        assert_byte_keys_route_through_the_u64_codec(&stack);
+    }
+
+    #[test]
     fn default_scan_k_accepts_the_full_range_idiom() {
         // `n` is an upper bound, never a reservation: this used to panic
         // with `capacity overflow`.
-        let t = Toy(std::sync::Mutex::new(Default::default()));
+        let t = MemIndex::new();
         for k in 0..100 {
             t.insert(k, k).unwrap();
         }

@@ -36,8 +36,8 @@ use std::sync::Arc;
 
 use htm::HtmStatsSnapshot;
 use index_common::{
-    leaf_ref, InnerIndex, Key, KeyBuf, KeyCodec, KeyRef, OpError, PersistentIndex, TreeStats,
-    U64Key, Value, WriteOp, MAX_KEY_LEN,
+    leaf_ref, AnyKey, InnerIndex, Key, KeyBuf, KeyCodec, KeyRef, OpError, PersistentIndex,
+    TreeStats, U64Key, Value, WriteOp, MAX_KEY_LEN,
 };
 use nvm::{BlockAllocator, PmemPool, RootTable};
 use obs::{EventKind, HeatSketch, ObsSource, Phase, PhaseTimers, Section};
@@ -1434,55 +1434,31 @@ impl RnTree {
         leaf.persist_pslot();
     }
 
-    /// Inserts every pair of `batch` (strict-insert semantics per key),
-    /// amortising traversal, locking, and persists across *runs* of keys
-    /// that land in the same leaf (DESIGN.md §5d).
+    /// Batched mixed-class write ([`PersistentIndex::write_batch`]
+    /// semantics), amortising traversal, locking, and persists across
+    /// *runs* of keys that land in the same leaf (DESIGN.md §5d). The
+    /// batch is sorted stably in place and walked in same-leaf runs: one
+    /// leaf lock, one coalesced record persist (when any op wrote a
+    /// record), one slot-line persist per touched leaf, whatever mix of
+    /// inserts, updates, upserts and removes the run carries. So a run of
+    /// `r` fresh inserts costs 2 persistent instructions instead of `2r`
+    /// ([`PersistentIndex::insert_batch`] is this method with every
+    /// element an insert). Elements sharing a key compose in submission
+    /// order against the in-register slot image, so an insert+remove pair
+    /// in one batch leaves the key absent and both report `Ok`, and of two
+    /// strict inserts the first wins.
     ///
-    /// The batch is sorted in place first (stably, so the **first**
-    /// occurrence of a duplicated key is the one applied; later
-    /// occurrences report [`OpError::AlreadyExists`]). The returned vector
-    /// aligns with the *sorted* batch — element `i` reports on `batch[i]`
-    /// as the caller observes the slice after the call returns.
-    ///
-    /// Each run executes under a single leaf lock with a single slot-array
-    /// persist (preceded by one coalesced record persist), so a run of
-    /// `r` fresh keys costs 2 persistent instructions instead of `2r`.
-    /// When a run overflows its leaf, the applied prefix commits, the leaf
-    /// splits through the normal journal-protected path, and the remainder
-    /// re-traverses.
+    /// A run containing **only** removes writes no records and commits
+    /// with a *single* persistent instruction (the slot-line persist):
+    /// `r` coalesced removes on one leaf cost 1 persist where the per-op
+    /// path costs `r`. When a run overflows its leaf, the applied prefix
+    /// commits, the leaf splits through the normal journal-protected path,
+    /// and the remainder re-traverses.
     ///
     /// Durability contract (DESIGN.md §5d): each run commits atomically at
     /// its slot-line persist, runs commit in sorted-key order, and every
     /// reported key is durable when the call returns. A crash mid-batch
     /// recovers to a run-granular prefix of the sorted batch.
-    pub fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
-        // Route through the mixed-class executor: both sorts are stable by
-        // key over the same initial order, so copying the sorted ops back
-        // gives the caller the permutation the contract promises, with
-        // results aligned index-for-index.
-        let mut ops: Vec<(Key, Value, WriteOp)> =
-            batch.iter().map(|&(k, v)| (k, v, WriteOp::Insert)).collect();
-        let results = RnTree::write_batch(self, &mut ops);
-        for (dst, src) in batch.iter_mut().zip(&ops) {
-            *dst = (src.0, src.1);
-        }
-        results
-    }
-
-    /// Batched mixed-class write ([`PersistentIndex::write_batch`]
-    /// semantics): sorts the batch stably in place, then walks it in
-    /// same-leaf runs exactly like [`RnTree::insert_batch`] — one leaf
-    /// lock, one coalesced record persist (when any op wrote a record),
-    /// one slot-line persist per touched leaf, whatever mix of inserts,
-    /// updates, upserts and removes the run carries. Elements sharing a
-    /// key compose in submission order against the in-register slot image,
-    /// so an insert+remove pair in one batch leaves the key absent and
-    /// both report `Ok`.
-    ///
-    /// A run containing **only** removes writes no records and commits
-    /// with a *single* persistent instruction (the slot-line persist):
-    /// `r` coalesced removes on one leaf cost 1 persist where the per-op
-    /// path costs `r`.
     pub fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
         if self.cfg.varlen_leaves {
             // Sort the caller's slice as the contract promises; the
@@ -1720,54 +1696,57 @@ impl RnTree {
         Ok(())
     }
 
-    /// The u64 API's write entry: a var tree runs the byte-key path on the
-    /// key's order-preserving 8-byte encoding ([`U64Key`]), so u64 order
-    /// and byte order agree and scans return the same sequences.
-    fn modify_u64(&self, key: Key, value: Value, mode: WriteMode) -> Result<(), OpError> {
-        if self.cfg.varlen_leaves {
-            return self.modify::<VarFormat>(U64Key::encode(key).as_slice(), value, mode);
+    /// One point write on a resolved leaf format.
+    fn write_op<F: LeafFormat>(&self, key: &F::Key, value: Value, op: WriteOp) -> Result<(), OpError> {
+        match op {
+            WriteOp::Insert => self.modify::<F>(key, value, WriteMode::InsertStrict),
+            WriteOp::Update => self.modify::<F>(key, value, WriteMode::UpdateStrict),
+            WriteOp::Upsert => self.modify::<F>(key, value, WriteMode::Upsert),
+            WriteOp::Remove => self.remove_impl::<F>(key),
         }
-        self.modify::<U64Format>(&key, value, mode)
     }
 
-    /// The byte-key API's write entry: a u64 tree serves only keys with an
-    /// 8-byte encoding.
-    fn modify_k(&self, key: KeyRef<'_>, value: Value, mode: WriteMode) -> Result<(), OpError> {
-        if self.cfg.varlen_leaves {
-            if key.len() > MAX_KEY_LEN {
-                return Err(OpError::UnsupportedKey);
-            }
-            return self.modify::<VarFormat>(key, value, mode);
+    /// Byte-key batched strict insert ([`PersistentIndex::insert_batch`]
+    /// semantics: sorted in place, per-key outcomes, first duplicate
+    /// wins). On a var-leaf tree it runs the batched run executor; a u64
+    /// tree applies the keys one by one.
+    pub fn insert_batch_k(&self, batch: &mut [(KeyBuf, Value)]) -> Vec<Result<(), OpError>> {
+        batch.sort_by_key(|p| p.0);
+        if !self.cfg.varlen_leaves {
+            return batch.iter().map(|(k, v)| self.insert_k(k.as_slice(), *v)).collect();
         }
-        self.modify::<U64Format>(&U64Key::decode(key).ok_or(OpError::UnsupportedKey)?, value, mode)
+        // The sort above is stable and so is `run_batch`'s, so the
+        // results align with `batch` index-for-index.
+        let mut ops: Vec<(KeyBuf, Value, WriteOp)> = batch.iter().map(|&(k, v)| (k, v, WriteOp::Insert)).collect();
+        self.run_batch::<VarFormat>(&mut ops)
     }
 }
 
 impl PersistentIndex for RnTree {
-    fn insert(&self, key: Key, value: Value) -> Result<(), OpError> {
-        self.modify_u64(key, value, WriteMode::InsertStrict)
-    }
-
-    fn update(&self, key: Key, value: Value) -> Result<(), OpError> {
-        self.modify_u64(key, value, WriteMode::UpdateStrict)
-    }
-
-    fn upsert(&self, key: Key, value: Value) -> Result<(), OpError> {
-        self.modify_u64(key, value, WriteMode::Upsert)
-    }
-
-    fn remove(&self, key: Key) -> Result<(), OpError> {
-        if self.cfg.varlen_leaves {
-            return self.remove_impl::<VarFormat>(U64Key::encode(key).as_slice());
+    /// Resolves the key kind against the leaf layout once. A var tree
+    /// serves a u64 key through its order-preserving 8-byte encoding
+    /// ([`U64Key`]), so u64 order and byte order agree and scans return
+    /// the same sequences; a u64 tree serves only 8-byte byte keys.
+    fn apply(&self, key: AnyKey<'_>, value: Value, op: WriteOp) -> Result<(), OpError> {
+        match (key, self.cfg.varlen_leaves) {
+            (AnyKey::U64(k), false) => self.write_op::<U64Format>(&k, value, op),
+            (AnyKey::U64(k), true) => self.write_op::<VarFormat>(U64Key::encode(k).as_slice(), value, op),
+            (AnyKey::Bytes(b), false) => {
+                self.write_op::<U64Format>(&U64Key::decode(b).ok_or(OpError::UnsupportedKey)?, value, op)
+            }
+            (AnyKey::Bytes(b), true) if b.len() <= MAX_KEY_LEN => self.write_op::<VarFormat>(b, value, op),
+            (AnyKey::Bytes(_), true) => Err(OpError::UnsupportedKey),
         }
-        self.remove_impl::<U64Format>(&key)
     }
 
-    fn find(&self, key: Key) -> Option<Value> {
-        if self.cfg.varlen_leaves {
-            return self.find_impl::<VarFormat>(U64Key::encode(key).as_slice());
+    fn get(&self, key: AnyKey<'_>) -> Option<Value> {
+        match (key, self.cfg.varlen_leaves) {
+            (AnyKey::U64(k), false) => self.find_impl::<U64Format>(&k),
+            (AnyKey::U64(k), true) => self.find_impl::<VarFormat>(U64Key::encode(k).as_slice()),
+            (AnyKey::Bytes(b), false) => self.find_impl::<U64Format>(&U64Key::decode(b)?),
+            (AnyKey::Bytes(b), true) if b.len() <= MAX_KEY_LEN => self.find_impl::<VarFormat>(b),
+            (AnyKey::Bytes(_), true) => None,
         }
-        self.find_impl::<U64Format>(&key)
     }
 
     fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
@@ -1787,48 +1766,8 @@ impl PersistentIndex for RnTree {
         RnTree::load_sorted(self, pairs)
     }
 
-    fn insert_batch(&self, batch: &mut [(Key, Value)]) -> Vec<Result<(), OpError>> {
-        RnTree::insert_batch(self, batch)
-    }
-
     fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
         RnTree::write_batch(self, batch)
-    }
-
-    fn supports_var_keys(&self) -> bool {
-        self.cfg.varlen_leaves
-    }
-
-    fn insert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        self.modify_k(key, value, WriteMode::InsertStrict)
-    }
-
-    fn update_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        self.modify_k(key, value, WriteMode::UpdateStrict)
-    }
-
-    fn upsert_k(&self, key: KeyRef<'_>, value: Value) -> Result<(), OpError> {
-        self.modify_k(key, value, WriteMode::Upsert)
-    }
-
-    fn remove_k(&self, key: KeyRef<'_>) -> Result<(), OpError> {
-        if self.cfg.varlen_leaves {
-            if key.len() > MAX_KEY_LEN {
-                return Err(OpError::UnsupportedKey);
-            }
-            return self.remove_impl::<VarFormat>(key);
-        }
-        self.remove_impl::<U64Format>(&U64Key::decode(key).ok_or(OpError::UnsupportedKey)?)
-    }
-
-    fn find_k(&self, key: KeyRef<'_>) -> Option<Value> {
-        if self.cfg.varlen_leaves {
-            if key.len() > MAX_KEY_LEN {
-                return None;
-            }
-            return self.find_impl::<VarFormat>(key);
-        }
-        self.find_impl::<U64Format>(&U64Key::decode(key)?)
     }
 
     fn scan_k(&self, start: KeyRef<'_>, n: usize, out: &mut Vec<(KeyBuf, Value)>) -> usize {
@@ -1850,19 +1789,8 @@ impl PersistentIndex for RnTree {
             return self.scan_impl::<VarFormat>(cursor, n, out);
         }
         out.clear();
-        // The u64-backed round-up from the trait default: smallest u64
-        // whose 8-byte encoding is >= `start` byte-wise.
-        let from = if start.len() <= 8 {
-            let mut p = [0u8; 8];
-            p[..start.len()].copy_from_slice(start);
-            u64::from_be_bytes(p)
-        } else {
-            let p = u64::from_be_bytes(start[..8].try_into().expect("8-byte prefix"));
-            match p.checked_add(1) {
-                Some(next) => next,
-                None => return 0,
-            }
-        };
+        // The u64-backed round-up of the trait default.
+        let Some(from) = U64Key::ceil(start) else { return 0 };
         let mut tmp = Vec::new();
         self.scan_impl::<U64Format>(from, n, &mut tmp);
         out.extend(tmp.into_iter().map(|(k, v)| (U64Key::encode(k), v)));
@@ -1881,35 +1809,6 @@ impl PersistentIndex for RnTree {
             kp.push((U64Key::decode(k.as_slice()).ok_or(OpError::UnsupportedKey)?, *v));
         }
         self.bulk_load::<U64Format>(&kp)
-    }
-
-    fn insert_batch_k(&self, batch: &mut [(KeyBuf, Value)]) -> Vec<Result<(), OpError>> {
-        if self.cfg.varlen_leaves {
-            // Strict inserts through the run executor; both sorts are
-            // stable by key, so copying back aligns results with `batch`.
-            let mut ops: Vec<(KeyBuf, Value, WriteOp)> =
-                batch.iter().map(|&(k, v)| (k, v, WriteOp::Insert)).collect();
-            let results = self.run_batch::<VarFormat>(&mut ops);
-            for (dst, src) in batch.iter_mut().zip(&ops) {
-                *dst = (src.0, src.1);
-            }
-            return results;
-        }
-        batch.sort_by_key(|p| p.0);
-        if let Ok(mut kp) = batch
-            .iter()
-            .map(|(k, v)| U64Key::decode(k.as_slice()).map(|k| (k, *v)).ok_or(()))
-            .collect::<Result<Vec<_>, ()>>()
-        {
-            // Encoding preserves order, so `kp` is already sorted and the
-            // batched path's result vector aligns with `batch`.
-            return RnTree::insert_batch(self, &mut kp);
-        }
-        // Mixed-width batch (some keys not u64-encodable): per-key path.
-        batch
-            .iter()
-            .map(|(k, v)| self.insert_k(k.as_slice(), *v))
-            .collect()
     }
 
     fn name(&self) -> &'static str {

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use index_common::{OpError, PersistentIndex};
+use index_common::{AnyKey, Key, KeyBuf, OpError, PersistentIndex, Value, WriteOp};
 use nvm::SplitMix64;
 
 use crate::hist::Histogram;
@@ -101,69 +101,80 @@ impl WorkerOut {
             queue_wait: Histogram::new(),
         }
     }
-}
 
-/// Issues one operation. Conditional-write failures (`AlreadyExists`,
-/// `NotFound`) are expected workload noise and swallowed; resource
-/// exhaustion is reported so the worker can record it (see
-/// [`LoopResult::pool_exhausted`]).
-fn execute(
-    tree: &dyn PersistentIndex,
-    kind: OpKind,
-    key: u64,
-    scan_len: usize,
-    scan_buf: &mut Vec<(u64, u64)>,
-    fresh: &AtomicU64,
-) -> Result<(), OpError> {
-    let r = match kind {
-        OpKind::Read => {
-            std::hint::black_box(tree.find(key));
-            Ok(())
+    /// Counts one completed op of class `kind` that took `lat` ns.
+    fn record(&mut self, kind: OpKind, lat: u64) {
+        self.ops += 1;
+        match kind {
+            OpKind::Read => self.read.record(lat),
+            OpKind::Update => self.update.record(lat),
+            _ => self.other.record(lat),
         }
-        OpKind::Update => tree.upsert(key, key ^ 0x5555),
-        OpKind::Insert => {
-            let k = fresh.fetch_add(1, Ordering::Relaxed);
-            tree.upsert(k, k)
-        }
-        OpKind::Remove => tree.remove(key),
-        OpKind::Scan => {
-            std::hint::black_box(tree.scan_n(key, scan_len.max(1), scan_buf));
-            Ok(())
-        }
-    };
-    match r {
-        Err(OpError::PoolExhausted) => Err(OpError::PoolExhausted),
-        _ => Ok(()),
     }
 }
 
-/// Byte-key twin of [`execute`]: renders the sampled id through `shape`
-/// and drives the `*_k` operations. `UnsupportedKey` is impossible here
-/// (every [`KeyShape`] renders ≤ 64 bytes), so the error contract matches
-/// [`execute`] exactly.
-fn execute_k(
+/// How a worker spells the ids it samples: as `u64` keys, or rendered
+/// through a [`KeyShape`] as byte strings.
+#[derive(Clone, Copy)]
+enum Keys {
+    U64,
+    Bytes(KeyShape),
+}
+
+impl Keys {
+    /// The key `id` names; a rendered byte key lives in `buf`.
+    fn of(self, id: u64, buf: &mut KeyBuf) -> AnyKey<'_> {
+        match self {
+            Keys::U64 => AnyKey::U64(id),
+            Keys::Bytes(shape) => {
+                *buf = shape.render(id);
+                AnyKey::Bytes(buf.as_slice())
+            }
+        }
+    }
+}
+
+/// A worker's scan output buffers, one per key spelling.
+#[derive(Default)]
+struct ScanBufs {
+    u64: Vec<(Key, Value)>,
+    bytes: Vec<(KeyBuf, Value)>,
+}
+
+/// Issues one operation on the key `id` names under `keys`.
+/// Conditional-write failures (`AlreadyExists`, `NotFound`) are expected
+/// workload noise and swallowed; resource exhaustion is reported so the
+/// worker can record it (see [`LoopResult::pool_exhausted`]).
+/// `UnsupportedKey` is impossible (every [`KeyShape`] renders ≤ 64 bytes).
+fn execute(
     tree: &dyn PersistentIndex,
     kind: OpKind,
-    shape: KeyShape,
+    keys: Keys,
     id: u64,
     scan_len: usize,
-    scan_buf: &mut Vec<(index_common::KeyBuf, u64)>,
+    scans: &mut ScanBufs,
     fresh: &AtomicU64,
 ) -> Result<(), OpError> {
-    let key = shape.render(id);
+    let mut buf = KeyBuf::MIN;
+    let key = keys.of(id, &mut buf);
     let r = match kind {
         OpKind::Read => {
-            std::hint::black_box(tree.find_k(key.as_slice()));
+            std::hint::black_box(tree.get(key));
             Ok(())
         }
-        OpKind::Update => tree.upsert_k(key.as_slice(), id ^ 0x5555),
+        OpKind::Update => tree.apply(key, id ^ 0x5555, WriteOp::Upsert),
         OpKind::Insert => {
-            let k = shape.render(fresh.fetch_add(1, Ordering::Relaxed));
-            tree.upsert_k(k.as_slice(), id)
+            let f = fresh.fetch_add(1, Ordering::Relaxed);
+            let mut fbuf = KeyBuf::MIN;
+            tree.apply(keys.of(f, &mut fbuf), f, WriteOp::Upsert)
         }
-        OpKind::Remove => tree.remove_k(key.as_slice()),
+        OpKind::Remove => tree.apply(key, 0, WriteOp::Remove),
         OpKind::Scan => {
-            std::hint::black_box(tree.scan_k(key.as_slice(), scan_len.max(1), scan_buf));
+            let n = scan_len.max(1);
+            std::hint::black_box(match key {
+                AnyKey::U64(k) => tree.scan_n(k, n, &mut scans.u64),
+                AnyKey::Bytes(b) => tree.scan_k(b, n, &mut scans.bytes),
+            });
             Ok(())
         }
     };
@@ -175,7 +186,7 @@ fn execute_k(
 
 /// Closed-loop driver over **byte-string keys**: samples ids from the
 /// spec's distribution exactly like [`run_closed_loop`], but renders each
-/// through `shape` and issues the `*_k` operations. Same methodology,
+/// through `shape` and issues byte-key operations. Same methodology,
 /// same determinism contract, directly comparable throughput numbers.
 pub fn run_closed_loop_k(
     tree: &Arc<dyn PersistentIndex>,
@@ -185,51 +196,7 @@ pub fn run_closed_loop_k(
     duration: Duration,
     seed: u64,
 ) -> LoopResult {
-    assert!(threads > 0);
-    let keygen = spec.build_keygen();
-    let fresh = AtomicU64::new(spec.dist.n() + 1);
-    let start = Instant::now();
-    let deadline = start + duration;
-
-    let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let keygen = keygen.clone();
-                let fresh = &fresh;
-                let tree = Arc::clone(tree);
-                scope.spawn(move || {
-                    let tree = &*tree;
-                    let mut rng = SplitMix64::new(seed ^ (tid as u64 + 1).wrapping_mul(0x9E3779B9));
-                    let mut out = WorkerOut::new();
-                    let mut scan_buf = Vec::new();
-                    loop {
-                        let t0 = Instant::now();
-                        if t0 >= deadline {
-                            break;
-                        }
-                        let kind = spec.mix.sample(&mut rng);
-                        let id = keygen.next_key(&mut rng);
-                        if execute_k(tree, kind, shape, id, spec.scan_len, &mut scan_buf, fresh)
-                            .is_err()
-                        {
-                            out.pool_exhausted += 1;
-                        }
-                        let lat = t0.elapsed().as_nanos() as u64;
-                        out.ops += 1;
-                        match kind {
-                            OpKind::Read => out.read.record(lat),
-                            OpKind::Update => out.update.record(lat),
-                            _ => out.other.record(lat),
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
-
-    merge(outs, start.elapsed())
+    closed_loop(tree, spec, Keys::Bytes(shape), threads, duration, seed)
 }
 
 /// Runs `threads` closed-loop workers for `duration`. Deterministic up to
@@ -241,6 +208,17 @@ pub fn run_closed_loop(
     duration: Duration,
     seed: u64,
 ) -> LoopResult {
+    closed_loop(tree, spec, Keys::U64, threads, duration, seed)
+}
+
+fn closed_loop(
+    tree: &Arc<dyn PersistentIndex>,
+    spec: &WorkloadSpec,
+    keys: Keys,
+    threads: usize,
+    duration: Duration,
+    seed: u64,
+) -> LoopResult {
     assert!(threads > 0);
     let keygen = spec.build_keygen();
     let fresh = AtomicU64::new(spec.dist.n() + 1);
@@ -257,24 +235,18 @@ pub fn run_closed_loop(
                     let tree = &*tree;
                     let mut rng = SplitMix64::new(seed ^ (tid as u64 + 1).wrapping_mul(0x9E3779B9));
                     let mut out = WorkerOut::new();
-                    let mut scan_buf = Vec::new();
+                    let mut scans = ScanBufs::default();
                     loop {
                         let t0 = Instant::now();
                         if t0 >= deadline {
                             break;
                         }
                         let kind = spec.mix.sample(&mut rng);
-                        let key = keygen.next_key(&mut rng);
-                        if execute(tree, kind, key, spec.scan_len, &mut scan_buf, fresh).is_err() {
+                        let id = keygen.next_key(&mut rng);
+                        if execute(tree, kind, keys, id, spec.scan_len, &mut scans, fresh).is_err() {
                             out.pool_exhausted += 1;
                         }
-                        let lat = t0.elapsed().as_nanos() as u64;
-                        out.ops += 1;
-                        match kind {
-                            OpKind::Read => out.read.record(lat),
-                            OpKind::Update => out.update.record(lat),
-                            _ => out.other.record(lat),
-                        }
+                        out.record(kind, t0.elapsed().as_nanos() as u64);
                     }
                     out
                 })
@@ -333,7 +305,7 @@ pub fn run_open_loop_arrivals(
                     let tree = &*tree;
                     let mut rng = SplitMix64::new(seed ^ (tid as u64 + 1).wrapping_mul(0x517C_C1B7));
                     let mut out = WorkerOut::new();
-                    let mut scan_buf = Vec::new();
+                    let mut scans = ScanBufs::default();
                     // Desynchronise workers' schedules.
                     let mut scheduled = start + interval.mul_f64(tid as f64 / threads as f64);
                     loop {
@@ -358,16 +330,10 @@ pub fn run_open_loop_arrivals(
                         out.queue_wait.record((issue - scheduled).as_nanos() as u64);
                         let kind = spec.mix.sample(&mut rng);
                         let key = keygen.next_key(&mut rng);
-                        if execute(tree, kind, key, spec.scan_len, &mut scan_buf, fresh).is_err() {
+                        if execute(tree, kind, Keys::U64, key, spec.scan_len, &mut scans, fresh).is_err() {
                             out.pool_exhausted += 1;
                         }
-                        let lat = (Instant::now() - scheduled).as_nanos() as u64;
-                        out.ops += 1;
-                        match kind {
-                            OpKind::Read => out.read.record(lat),
-                            OpKind::Update => out.update.record(lat),
-                            _ => out.other.record(lat),
-                        }
+                        out.record(kind, (Instant::now() - scheduled).as_nanos() as u64);
                         scheduled += match arrivals {
                             Arrivals::Fixed => interval,
                             Arrivals::Poisson => {
@@ -416,70 +382,18 @@ fn merge(outs: Vec<WorkerOut>, elapsed: Duration) -> LoopResult {
 mod tests {
     use super::*;
     use crate::keygen::KeyDist;
-    use index_common::{Key, OpError, TreeStats, Value};
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
+    use index_common::testing::MemIndex;
 
-    /// Minimal in-memory reference index for driver tests.
-    struct MapIndex(Mutex<BTreeMap<Key, Value>>);
-
-    impl MapIndex {
-        fn new(n: u64) -> Self {
-            MapIndex(Mutex::new((1..=n).map(|k| (k, k)).collect()))
-        }
-    }
-
-    impl index_common::PersistentIndex for MapIndex {
-        fn insert(&self, k: Key, v: Value) -> Result<(), OpError> {
-            match self.0.lock().unwrap().entry(k) {
-                std::collections::btree_map::Entry::Occupied(_) => Err(OpError::AlreadyExists),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                    Ok(())
-                }
-            }
-        }
-        fn update(&self, k: Key, v: Value) -> Result<(), OpError> {
-            self.0
-                .lock()
-                .unwrap()
-                .get_mut(&k)
-                .map(|x| *x = v)
-                .ok_or(OpError::NotFound)
-        }
-        fn upsert(&self, k: Key, v: Value) -> Result<(), OpError> {
-            self.0.lock().unwrap().insert(k, v);
-            Ok(())
-        }
-        fn remove(&self, k: Key) -> Result<(), OpError> {
-            self.0.lock().unwrap().remove(&k).map(|_| ()).ok_or(OpError::NotFound)
-        }
-        fn find(&self, k: Key) -> Option<Value> {
-            self.0.lock().unwrap().get(&k).copied()
-        }
-        fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
-            out.clear();
-            out.extend(self.0.lock().unwrap().range(start..).take(n).map(|(k, v)| (*k, *v)));
-            out.len()
-        }
-        fn name(&self) -> &'static str {
-            "MapIndex"
-        }
-        fn supports_concurrency(&self) -> bool {
-            true
-        }
-        fn stats(&self) -> TreeStats {
-            TreeStats::default()
-        }
-    }
-
-    fn arc(idx: MapIndex) -> Arc<dyn index_common::PersistentIndex> {
+    /// A reference index holding the ids `1..=n`.
+    fn loaded(n: u64) -> Arc<dyn PersistentIndex> {
+        let idx = MemIndex::new();
+        idx.load_sorted(&(1..=n).map(|k| (k, k)).collect::<Vec<_>>()).unwrap();
         Arc::new(idx)
     }
 
     #[test]
     fn closed_loop_reports_work() {
-        let idx = arc(MapIndex::new(1_000));
+        let idx = loaded(1_000);
         let spec = WorkloadSpec::ycsb_a(KeyDist::Uniform { n: 1_000 });
         let r = run_closed_loop(&idx, &spec, 2, Duration::from_millis(100), 42);
         assert!(r.ops > 100, "ops={}", r.ops);
@@ -493,7 +407,7 @@ mod tests {
 
     #[test]
     fn open_loop_respects_schedule_roughly() {
-        let idx = arc(MapIndex::new(100));
+        let idx = loaded(100);
         let spec = WorkloadSpec::ycsb_c(KeyDist::Uniform { n: 100 });
         // 2 workers × 500 req/s × 0.3 s ≈ 300 ops.
         let r = run_open_loop(&idx, &spec, 2, 500.0, Duration::from_millis(300), 7);
@@ -509,7 +423,7 @@ mod tests {
 
     #[test]
     fn poisson_arrivals_hit_the_mean_rate_and_record_queue_wait() {
-        let idx = arc(MapIndex::new(100));
+        let idx = loaded(100);
         let spec = WorkloadSpec::ycsb_c(KeyDist::Uniform { n: 100 });
         // 2 workers × 500 req/s × 0.3 s ≈ 300 ops on average; the Poisson
         // process has the same mean, so a generous band still holds.
@@ -535,7 +449,7 @@ mod tests {
 
     #[test]
     fn closed_loop_has_no_queue_wait_samples() {
-        let idx = arc(MapIndex::new(100));
+        let idx = loaded(100);
         let spec = WorkloadSpec::ycsb_c(KeyDist::Uniform { n: 100 });
         let r = run_closed_loop(&idx, &spec, 1, Duration::from_millis(50), 9);
         assert_eq!(r.queue_wait.count(), 0);
@@ -543,7 +457,7 @@ mod tests {
 
     #[test]
     fn scan_mix_exercises_scan_path() {
-        let idx = arc(MapIndex::new(1_000));
+        let idx = loaded(1_000);
         let spec = WorkloadSpec {
             mix: crate::Mix {
                 read: 0,
@@ -563,7 +477,7 @@ mod tests {
     fn deterministic_op_counts_are_stable_under_same_seed() {
         // Not a strict determinism test (time-based), but the same seed
         // must at least produce the same *kinds* of activity.
-        let idx = arc(MapIndex::new(100));
+        let idx = loaded(100);
         let spec = WorkloadSpec::read_intensive(KeyDist::Zipfian { n: 100, theta: 0.8 });
         let r = run_closed_loop(&idx, &spec, 1, Duration::from_millis(50), 3);
         let reads = r.read_lat.count() as f64;
