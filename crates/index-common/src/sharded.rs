@@ -29,21 +29,42 @@
 //!
 //! ## Range scans
 //!
-//! A scan asks every shard for its first `n` pairs ≥ `start`; the global
-//! first `n` are contained in their union. The first shard scans straight
-//! into the caller's `out`. Each further shard scans into one per-thread
-//! staging buffer, and that sorted run is merged into `out` from the back
-//! (the tail of `out` is free room, so nothing is overwritten before it is
-//! read), then `out` is cut to `n`. Nothing is allocated per scan once
-//! `out` and the staging buffer have grown: there is no per-shard vector,
-//! no cursor array and no heap. The staging buffer is taken out of its
-//! thread-local for the duration of the scan, so a nested `ShardedIndex`
-//! shard finds the slot empty and stages in a buffer of its own. A buffer
-//! that grew past `STAGING_KEEP` pairs (a full-tree scan) is dropped
-//! instead of being put back, so no thread pins megabytes after one.
+//! A scan reads about `n` pairs in total, not `n` per shard. It runs in
+//! rounds from a cursor (first the caller's `start`). With `r` pairs still
+//! needed and `S` shards, a round asks every shard for its first
+//! `m = ceil(r/S) + ceil(sqrt(r))` pairs ≥ the cursor; the `sqrt(r)` slack
+//! is about two standard deviations of one shard's binomial share of the
+//! next `r` keys, so one round almost always suffices. A shard that
+//! returns fewer than `m` pairs is exhausted. The round's `bound` is the
+//! smallest last key among the shards that returned a full `m`: every
+//! key ≤ `bound` is then known on every shard, and no key above it is
+//! known on all of them. Each run is cut at `bound` and the runs are
+//! merged front to back into `out`, stopping once `out` holds `n` pairs.
+//! If `out` is still short and `bound` has a successor, the next round
+//! resumes there; otherwise every shard was exhausted (or `bound` is the
+//! largest key) and the scan is complete. Keys are unique across shards
+//! (one home per key), so the merge is tie-free and the output is
+//! exactly the first `n` keys ≥ `start`; the number of rounds changes the
+//! cost, never the result. Every round makes progress: the shard that set
+//! `bound` contributes its `m ≥ 1` pairs. Like any non-snapshot scan, a
+//! later round reads the shards later than the first; round `i + 1` only
+//! reads keys above round `i`'s `bound`, so the output stays strictly
+//! ascending even while writers split leaves between rounds.
+//!
+//! The merge is a chain of branch-light 2-way merges through one
+//! per-thread `Staging` set: the first shard's run is fetched into `acc`
+//! and each further shard's into `run`; `acc ⊕ run` is merged into `out`
+//! at the last shard and into `tmp`, swapped back into `acc`, at the ones
+//! before it, so only three or more shards touch `tmp`. A single shard
+//! scans straight into `out`. Nothing is allocated per scan once `out` and the staging
+//! buffers have grown. The staging set is taken out of its thread-local
+//! for the duration of the scan, so a nested `ShardedIndex` shard finds
+//! the slot empty and stages in buffers of its own. A buffer that grew
+//! past `STAGING_KEEP` pairs (a full-tree scan) is dropped instead of
+//! being put back, so no thread pins megabytes after one.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -97,65 +118,72 @@ pub fn shard_of_bytes(key: KeyRef<'_>, shards: usize) -> usize {
 /// Largest staging buffer, in pairs, a thread keeps between scans.
 ///
 /// Point-range scans (tens to hundreds of pairs) stay far below it and
-/// reuse their buffer forever; a full-tree scan's buffer is released.
+/// reuse their buffers forever; a full-tree scan's buffers are released.
 const STAGING_KEEP: usize = 4096;
 
-thread_local! {
-    static STAGING: Cell<Vec<(Key, Value)>> = const { Cell::new(Vec::new()) };
-    static STAGING_K: Cell<Vec<(KeyBuf, Value)>> = const { Cell::new(Vec::new()) };
+/// The per-thread buffers of a cross-shard scan (module docs): `acc`
+/// holds the merge of the shards fetched so far in a round, `run` the
+/// shard just fetched, and `tmp` the next `acc` when three or more
+/// shards are merged.
+struct Staging<K> {
+    acc: Vec<(K, Value)>,
+    run: Vec<(K, Value)>,
+    tmp: Vec<(K, Value)>,
 }
 
-/// The globally ordered first `n` pairs of `shards`, where `scan(shard,
-/// buf)` fills `buf` with that shard's first `n` pairs in key order. One
-/// shard's run lands in `out` directly; the others go through `staging`
-/// and [`merge_run`] (see the module docs).
-fn merged_scan<T, K: Ord + Copy>(
-    shards: &[T],
-    n: usize,
-    out: &mut Vec<(K, Value)>,
-    staging: &'static std::thread::LocalKey<Cell<Vec<(K, Value)>>>,
-    scan: impl Fn(&T, &mut Vec<(K, Value)>) -> usize,
-) -> usize {
-    out.clear();
-    if n == 0 {
-        return 0;
+impl<K> Staging<K> {
+    const fn new() -> Self {
+        Staging { acc: Vec::new(), run: Vec::new(), tmp: Vec::new() }
     }
-    let (first, rest) = shards.split_first().expect("ShardedIndex has at least one shard");
-    scan(first, out);
-    if rest.is_empty() {
-        return out.len();
-    }
-    let mut run = staging.take();
-    for shard in rest {
-        scan(shard, &mut run);
-        merge_run(out, &run, n);
-    }
-    if run.capacity() <= STAGING_KEEP {
-        staging.set(run);
-    }
-    out.len()
-}
 
-/// Merges the sorted `run` into the sorted `out` in place, then keeps the
-/// first `n` pairs. `out` is extended by `run.len()` and filled from the
-/// back, largest key first, so every slot is read before it is written.
-/// Keys are unique across shards (one home per key), so order among equal
-/// keys never matters.
-fn merge_run<K: Ord + Copy>(out: &mut Vec<(K, Value)>, run: &[(K, Value)], n: usize) {
-    let mut i = out.len();
-    let mut j = run.len();
-    out.extend_from_slice(run);
-    while j > 0 {
-        // `out[i + j - 1]` is the next slot to fill, from the back.
-        if i > 0 && out[i - 1].0 > run[j - 1].0 {
-            out[i + j - 1] = out[i - 1];
-            i -= 1;
-        } else {
-            out[i + j - 1] = run[j - 1];
-            j -= 1;
+    /// Drops every buffer that grew past [`STAGING_KEEP`].
+    fn trimmed(mut self) -> Self {
+        for buf in [&mut self.acc, &mut self.run, &mut self.tmp] {
+            if buf.capacity() > STAGING_KEEP {
+                *buf = Vec::new();
+            }
         }
+        self
     }
-    out.truncate(n);
+}
+
+thread_local! {
+    static STAGING: Cell<Staging<Key>> = const { Cell::new(Staging::new()) };
+    static STAGING_K: Cell<Staging<KeyBuf>> = const { Cell::new(Staging::new()) };
+}
+
+/// Appends to `dst` the front-to-back merge of the sorted, key-disjoint
+/// runs `a` and `b`, each cut after `bound` first (`None`: no cut),
+/// stopping at `limit` pairs. The loop picks its source with a select,
+/// not a branch: on hash-partitioned keys the comparison is a coin flip.
+fn merge_into<K: Ord + Copy>(
+    a: &[(K, Value)],
+    b: &[(K, Value)],
+    bound: Option<K>,
+    limit: usize,
+    dst: &mut Vec<(K, Value)>,
+) {
+    let cut = |run: &[(K, Value)]| bound.map_or(run.len(), |b| run.partition_point(|p| p.0 <= b));
+    let (a, b) = (&a[..cut(a)], &b[..cut(b)]);
+    let take = limit.min(a.len() + b.len());
+    dst.reserve(take);
+    let (mut i, mut j) = (0, 0);
+    while i + j < take && i < a.len() && j < b.len() {
+        let from_a = a[i].0 < b[j].0;
+        dst.push(if from_a { a[i] } else { b[j] });
+        i += usize::from(from_a);
+        j += usize::from(!from_a);
+    }
+    // At most one side has pairs left; copy its head up to `take`.
+    let rest = take - i - j;
+    dst.extend_from_slice(&a[i..][..rest.min(a.len() - i)]);
+    dst.extend_from_slice(&b[j..][..rest.min(b.len() - j)]);
+}
+
+/// `ceil(sqrt(r))`: one round's per-shard slack (module docs).
+fn ceil_sqrt(r: usize) -> usize {
+    let s = r.isqrt();
+    s + usize::from(s * s < r)
 }
 
 /// N independent persistent trees composed into one [`PersistentIndex`].
@@ -165,6 +193,8 @@ fn merge_run<K: Ord + Copy>(out: &mut Vec<(K, Value)>, run: &[(K, Value)], n: us
 /// `PersistentIndex` vector can be wrapped with [`ShardedIndex::from_shards`].
 pub struct ShardedIndex<T> {
     shards: Vec<T>,
+    /// Scans that needed more than one round ([`ShardedIndex::scan_refills`]).
+    scan_refills: AtomicU64,
 }
 
 impl<T: PersistentIndex> ShardedIndex<T> {
@@ -176,7 +206,7 @@ impl<T: PersistentIndex> ShardedIndex<T> {
     /// Panics if `shards` is empty.
     pub fn from_shards(shards: Vec<T>) -> Self {
         assert!(!shards.is_empty(), "ShardedIndex needs at least one shard");
-        ShardedIndex { shards }
+        ShardedIndex { shards, scan_refills: AtomicU64::new(0) }
     }
 
     /// Number of shards.
@@ -200,6 +230,75 @@ impl<T: PersistentIndex> ShardedIndex<T> {
     /// Panics if `i` is out of range.
     pub fn shard(&self, i: usize) -> &T {
         &self.shards[i]
+    }
+
+    /// Scans so far that needed more than one round because some shard
+    /// held more than its share of the pairs (module docs). Exported as
+    /// the `scan.refills` obs counter.
+    pub fn scan_refills(&self) -> u64 {
+        self.scan_refills.load(AtomicOrdering::Relaxed)
+    }
+
+    /// The globally ordered first `n` pairs from `start`, in bounded
+    /// rounds (module docs). `scan(shard, from, m, buf)` fills `buf` with
+    /// the shard's first `m` pairs ≥ `from`; `successor(k)` is the least
+    /// cursor above key `k`, or `None` if `k` is the largest key.
+    fn merged_scan<K: Ord + Copy, C>(
+        &self,
+        start: C,
+        n: usize,
+        out: &mut Vec<(K, Value)>,
+        staging: &'static std::thread::LocalKey<Cell<Staging<K>>>,
+        scan: impl Fn(&T, &C, usize, &mut Vec<(K, Value)>) -> usize,
+        successor: impl Fn(&K) -> Option<C>,
+    ) -> usize {
+        let shards = self.shards.len();
+        if shards == 1 {
+            return scan(&self.shards[0], &start, n, out);
+        }
+        out.clear();
+        if n == 0 {
+            return 0;
+        }
+        let mut stage = staging.replace(Staging::new());
+        let Staging { acc, run, tmp } = &mut stage;
+        let mut from = start;
+        let mut first_round = true;
+        loop {
+            let r = n - out.len();
+            let m = r.div_ceil(shards).saturating_add(ceil_sqrt(r));
+            // A run of fewer than `m` pairs is exhausted and sets no bound.
+            let tighten = |bound: Option<K>, fetched: &[(K, Value)]| match fetched.get(m - 1) {
+                Some(&(last, _)) => Some(bound.map_or(last, |b: K| b.min(last))),
+                None => bound,
+            };
+            scan(&self.shards[0], &from, m, acc);
+            let mut bound = tighten(None, acc);
+            for (i, shard) in self.shards.iter().enumerate().skip(1) {
+                scan(shard, &from, m, run);
+                bound = tighten(bound, run);
+                if i + 1 == shards {
+                    merge_into(acc, run, bound, r, out);
+                } else {
+                    // A bound over fewer shards is never below the final
+                    // one, so cutting at it early loses nothing.
+                    tmp.clear();
+                    merge_into(acc, run, bound, r, tmp);
+                    std::mem::swap(acc, tmp);
+                }
+            }
+            if out.len() == n {
+                break;
+            }
+            let Some(next) = bound.and_then(|b| successor(&b)) else { break };
+            if first_round {
+                first_round = false;
+                self.scan_refills.fetch_add(1, AtomicOrdering::Relaxed);
+            }
+            from = next;
+        }
+        staging.set(stage.trimmed());
+        out.len()
     }
 
     /// Splits `items` by home shard (`home` names it), preserving their
@@ -240,7 +339,7 @@ impl<T: RecoverableIndex + Send> ShardedIndex<T> {
     /// Panics if `pools` is empty or a shard constructor panics.
     pub fn create(pools: &[Arc<PmemPool>], cfg: T::Config) -> Self {
         let (shards, _) = open_parallel(pools, cfg, T::create);
-        ShardedIndex { shards }
+        ShardedIndex::from_shards(shards)
     }
 
     /// Recovers every shard **in parallel** — one rebuild thread per shard,
@@ -252,14 +351,14 @@ impl<T: RecoverableIndex + Send> ShardedIndex<T> {
     /// Panics if `pools` is empty or a shard's recovery panics.
     pub fn recover(pools: &[Arc<PmemPool>], cfg: T::Config) -> Self {
         let (shards, _) = open_parallel(pools, cfg, T::recover);
-        ShardedIndex { shards }
+        ShardedIndex::from_shards(shards)
     }
 
     /// [`ShardedIndex::recover`], additionally reporting each shard's
     /// rebuild wall-clock time (for the recovery-scaling experiment).
     pub fn recover_timed(pools: &[Arc<PmemPool>], cfg: T::Config) -> (Self, Vec<Duration>) {
         let (shards, times) = open_parallel(pools, cfg, T::recover);
-        (ShardedIndex { shards }, times)
+        (ShardedIndex::from_shards(shards), times)
     }
 
     /// Reattaches every shard after a clean shutdown, in parallel.
@@ -268,7 +367,7 @@ impl<T: RecoverableIndex + Send> ShardedIndex<T> {
     /// Panics if `pools` is empty or a shard constructor panics.
     pub fn reopen_clean(pools: &[Arc<PmemPool>], cfg: T::Config) -> Self {
         let (shards, _) = open_parallel(pools, cfg, T::reopen_clean);
-        ShardedIndex { shards }
+        ShardedIndex::from_shards(shards)
     }
 
     /// Cleanly shuts down every shard.
@@ -341,16 +440,24 @@ impl<T: PersistentIndex> PersistentIndex for ShardedIndex<T> {
         self.shard_for(key).get(key)
     }
 
-    /// Globally key-ordered scan: each shard's first `n` pairs ≥ `start`,
-    /// merged through the per-thread staging buffer (module docs).
+    /// Globally key-ordered scan in bounded rounds, resuming after each
+    /// round's bound with `bound + 1` (module docs).
     fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
-        merged_scan(&self.shards, n, out, &STAGING, |s, buf| s.scan_n(start, n, buf))
+        self.merged_scan(start, n, out, &STAGING, |s, &from, m, buf| s.scan_n(from, m, buf), |k| k.checked_add(1))
     }
 
-    /// Byte-key analogue of [`ShardedIndex::scan_n`]: the same staged
-    /// merge over lexicographically ordered shard runs.
+    /// Byte-key analogue of [`ShardedIndex::scan_n`] over lexicographically
+    /// ordered runs: the first round starts at `start` (cursor `None`), a
+    /// later one at [`KeyBuf::successor`] of the previous round's bound.
     fn scan_k(&self, start: KeyRef<'_>, n: usize, out: &mut Vec<(KeyBuf, Value)>) -> usize {
-        merged_scan(&self.shards, n, out, &STAGING_K, |s, buf| s.scan_k(start, n, buf))
+        self.merged_scan(
+            None,
+            n,
+            out,
+            &STAGING_K,
+            |s, from: &Option<KeyBuf>, m, buf| s.scan_k(from.as_ref().map_or(start, KeyBuf::as_slice), m, buf),
+            |k| k.successor().map(Some),
+        )
     }
 
     /// Partitions the pairs by home shard and bulk-loads every non-empty
@@ -444,6 +551,9 @@ impl<T: PersistentIndex> PersistentIndex for ShardedIndex<T> {
 /// index in their top byte (leaf offsets and stripe/set indices never
 /// reach 2^56), so a composite top-K still says which shard's structure
 /// is hot while ranking globally.
+///
+/// The layer's own counters go in a `scan` section: `refills`, the
+/// scans that needed more than one round ([`ShardedIndex::scan_refills`]).
 impl<T: PersistentIndex + obs::ObsSource> obs::ObsSource for ShardedIndex<T> {
     fn obs_sections(&self) -> Vec<(String, obs::Section)> {
         const MERGED_TOP_K: usize = 16;
@@ -470,6 +580,7 @@ impl<T: PersistentIndex + obs::ObsSource> obs::ObsSource for ShardedIndex<T> {
             entries.truncate(MERGED_TOP_K);
             out.push((name, obs::Section::Heat(entries)));
         }
+        out.push(("scan".to_string(), obs::Section::Counters(vec![("refills".into(), self.scan_refills())])));
         out
     }
 }
@@ -478,6 +589,7 @@ impl<T: PersistentIndex + obs::ObsSource> obs::ObsSource for ShardedIndex<T> {
 mod tests {
     use super::*;
     use crate::testing::MemIndex;
+    use crate::MAX_KEY_LEN;
     use std::collections::BTreeMap;
 
     fn sharded(n: usize) -> ShardedIndex<MemIndex> {
@@ -578,6 +690,174 @@ mod tests {
                 assert_eq!(out, want, "scan_n({start}, {n}) diverged");
             }
         }
+    }
+
+    /// A scan-only shard: fixed u64 pairs in a [`MemIndex`], fixed byte
+    /// pairs in a map, and a count of the scans it served (one per round
+    /// of a sharded scan). Scans never route, so any key-disjoint fill is
+    /// a valid shard set for them; the tests skew the fills on purpose.
+    #[derive(Default)]
+    struct Counted {
+        mem: MemIndex,
+        bytes: BTreeMap<KeyBuf, Value>,
+        scans: AtomicUsize,
+    }
+
+    impl PersistentIndex for Counted {
+        fn scan_n(&self, start: Key, n: usize, out: &mut Vec<(Key, Value)>) -> usize {
+            self.scans.fetch_add(1, AtomicOrdering::Relaxed);
+            self.mem.scan_n(start, n, out)
+        }
+        fn scan_k(&self, start: KeyRef<'_>, n: usize, out: &mut Vec<(KeyBuf, Value)>) -> usize {
+            self.scans.fetch_add(1, AtomicOrdering::Relaxed);
+            out.clear();
+            out.extend(self.bytes.iter().filter(|(k, _)| k.as_slice() >= start).take(n).map(|(k, v)| (*k, *v)));
+            out.len()
+        }
+        fn name(&self) -> &'static str {
+            "Counted"
+        }
+        fn stats(&self) -> TreeStats {
+            self.mem.stats()
+        }
+    }
+
+    impl obs::ObsSource for Counted {
+        fn obs_sections(&self) -> Vec<(String, obs::Section)> {
+            Vec::new()
+        }
+    }
+
+    /// `from_shards` over one [`Counted`] per part, plus the union as the
+    /// oracle. The value of key `k` is `k ^ 0x5A5A`.
+    fn u64_parts(parts: Vec<Vec<Key>>) -> (ShardedIndex<Counted>, BTreeMap<Key, Value>) {
+        let mut model = BTreeMap::new();
+        let shards = parts
+            .into_iter()
+            .map(|keys| {
+                let shard = Counted::default();
+                for k in keys {
+                    shard.mem.insert(k, k ^ 0x5A5A).unwrap();
+                    assert!(model.insert(k, k ^ 0x5A5A).is_none(), "key {k} on two shards");
+                }
+                shard
+            })
+            .collect();
+        (ShardedIndex::from_shards(shards), model)
+    }
+
+    /// Runs `scan_n(start, n)` against the oracle; returns its rounds.
+    fn check_u64(idx: &ShardedIndex<Counted>, model: &BTreeMap<Key, Value>, start: Key, n: usize) -> usize {
+        let scans = || idx.shards.iter().map(|s| s.scans.load(AtomicOrdering::Relaxed)).sum::<usize>();
+        let before = scans();
+        let mut out = vec![(7, 7)]; // stale contents must go
+        let got = idx.scan_n(start, n, &mut out);
+        let want: Vec<(Key, Value)> = model.range(start..).take(n).map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(out, want, "scan_n({start}, {n}) over {} shards", idx.shard_count());
+        assert_eq!(got, want.len());
+        (scans() - before) / idx.shard_count()
+    }
+
+    #[test]
+    fn skewed_scans_refill_until_exact() {
+        for shards in [1usize, 2, 3, 8] {
+            let mut parts = vec![Vec::new(); shards];
+            // Hash-routed keys, then a dense run all on shard 0 and a top
+            // run ending at `u64::MAX` all on the last shard.
+            for k in 0..3_000u64 {
+                parts[shard_of(k, shards)].push(k);
+            }
+            parts[0].extend(10_000..12_000u64);
+            parts[shards - 1].extend(u64::MAX - 300..=u64::MAX);
+            let (idx, model) = u64_parts(parts);
+            let total = model.len();
+            let starts = [0, 1_500, 9_990, 10_000, 11_990, u64::MAX - 400, u64::MAX - 1, u64::MAX];
+            let mut max_rounds = 0;
+            for start in starts {
+                for n in [0, 1, 2, 8, 50, 333, total - 1, total, total + 1, usize::MAX] {
+                    max_rounds = max_rounds.max(check_u64(&idx, &model, start, n));
+                }
+            }
+            if shards == 1 {
+                assert_eq!(idx.scan_refills(), 0, "one shard scans straight into `out`");
+            } else {
+                assert!(max_rounds >= 3, "{shards} shards: the dense run took only {max_rounds} rounds");
+                assert!(idx.scan_refills() > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_shard_ending_exactly_at_m_is_resumed_past() {
+        // n = 50 over 2 shards asks each for m = 25 + 8 = 33 pairs. Shard 0
+        // holds exactly 33, all below shard 1's keys: it is full, sets the
+        // bound, and is empty from the bound's successor on.
+        let (idx, model) = u64_parts(vec![(0..33).collect(), (100..300).collect()]);
+        assert_eq!(check_u64(&idx, &model, 0, 50), 3);
+        assert_eq!(idx.scan_refills(), 1);
+        let sections = obs::ObsSource::obs_sections(&idx);
+        let [(name, obs::Section::Counters(counters))] = &sections[..] else { panic!("one counter section") };
+        assert_eq!((name.as_str(), &counters[..]), ("scan", &[("refills".to_string(), 1)][..]));
+
+        // n = 8 asks for m = 4 + 3 = 7, and shard 0's 7 keys end at
+        // `u64::MAX`: the bound has no successor, so the short scan ends.
+        let (idx, model) = u64_parts(vec![(u64::MAX - 6..=u64::MAX).collect(), (0..100).collect()]);
+        assert_eq!(check_u64(&idx, &model, u64::MAX - 6, 8), 1);
+        assert_eq!(check_u64(&idx, &model, u64::MAX, 8), 1);
+        assert_eq!(idx.scan_refills(), 0);
+    }
+
+    #[test]
+    fn byte_scans_resume_after_full_length_keys() {
+        let full = |head: &[u8], fill: u8| {
+            let mut k = [fill; MAX_KEY_LEN];
+            k[..head.len()].copy_from_slice(head);
+            KeyBuf::from_slice(&k)
+        };
+        let top = full(&[], 0xFF); // the largest key: no successor
+        // Shard 0: 32 keys, then `AB FF…FF` (successor `AC`: the 0xFF bytes
+        // are stripped); shard 1: a run of 7 ending at the top key;
+        // shard 2: everything else.
+        let mut parts: Vec<Vec<KeyBuf>> = vec![Vec::new(); 3];
+        parts[0].extend((0..32u8).map(|i| KeyBuf::from_slice(&[0xAB, i])));
+        parts[0].push(full(&[0xAB], 0xFF));
+        parts[1].extend((249..=255u8).map(|i| full(&[0xFF; MAX_KEY_LEN - 1], i)));
+        parts[2].extend([&[0xAC][..], &[0xAC, 0], &[0xAC, 0, 0], b"b", b""].map(KeyBuf::from_slice));
+        parts[2].extend((0..200u8).map(|i| KeyBuf::from_slice(&[0xAD, i])));
+        let mut model = BTreeMap::new();
+        let shards = parts
+            .into_iter()
+            .map(|keys| {
+                let mut shard = Counted::default();
+                for (i, k) in keys.into_iter().enumerate() {
+                    shard.bytes.insert(k, i as Value);
+                    assert!(model.insert(k.as_slice().to_vec(), i as Value).is_none());
+                }
+                shard
+            })
+            .collect();
+        let idx = ShardedIndex::from_shards(shards);
+        // n = 50 over 3 shards asks for m = 17 + 8 = 25 pairs. From `AB 08`
+        // shard 0 holds exactly 25, ending at `AB FF…FF`: that bound is
+        // resumed at `AC`, which must not be skipped. n = 8 asks for
+        // m = 3 + 3 = 6, and from `FF…FF FA` shard 1 holds exactly 6,
+        // ending at the top key: the short scan ends there.
+        let top_run = full(&[0xFF; MAX_KEY_LEN - 1], 0xFA);
+        let starts = [&[][..], &[0xAB], &[0xAB, 8], &[0xAB, 0xFF, 0xFF], &[0xAC]]
+            .into_iter()
+            .chain([top_run.as_slice(), top.as_slice(), &[0xFF; 65]]);
+        let mut out = Vec::new();
+        for start in starts {
+            for n in [0, 1, 7, 8, 50, 60, 1_000, usize::MAX] {
+                let got = idx.scan_k(start, n, &mut out);
+                let want: Vec<(Vec<u8>, Value)> =
+                    model.range(start.to_vec()..).take(n).map(|(k, &v)| (k.clone(), v)).collect();
+                let seen: Vec<(Vec<u8>, Value)> = out.iter().map(|(k, v)| (k.as_slice().to_vec(), *v)).collect();
+                assert_eq!(seen, want, "scan_k({start:x?}, {n})");
+                assert_eq!(got, want.len());
+            }
+        }
+        assert!(idx.scan_refills() > 0);
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! Steady-state range scans through the deployed stack allocate nothing.
 //!
 //! `GroupCommit<ShardedIndex<RnTree>>` passes scans through to the sharded
-//! merge, which stages shard runs in a reused per-thread buffer; each leaf
-//! appends straight into the caller's `out`. Once `out` and the staging
-//! buffer have grown, a scan must not touch the heap at all. A counting
-//! global allocator checks that. It lives in its own test binary so the
-//! counter never sees another test's allocations, and it counts per thread
-//! so the harness's own threads cannot leak into the figure.
+//! layer. It asks each shard for about its share of the pairs, stages the
+//! runs in reused per-thread buffers, and merges them front to back into
+//! the caller's `out`, stopping at `n`; each leaf appends straight into
+//! the buffer it is given. A scan whose first round comes up short (one
+//! shard held more than its share) resumes in a second round from the
+//! same buffers. Once `out` and the staging buffers have grown, neither
+//! path may touch the heap. A counting global allocator checks that, and
+//! the layer's refill counter shows the second path ran. The test lives
+//! in its own binary so the counter never sees another test's
+//! allocations, and it counts per thread so the harness's own threads
+//! cannot leak into the figure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -77,12 +82,13 @@ fn warmed_scans_through_the_deployed_stack_allocate_nothing() {
         (0..SCANS).map(|_| 1 + rng.next_below(KEYS - SCAN_LEN as u64)).collect()
     };
     let mut out = Vec::new();
-    // Warm-up: grows `out`, the staging buffer and every lazily built
+    // Warm-up: grows `out`, the staging buffers and every lazily built
     // per-thread structure below the index.
     for &start in starts.iter().take(100) {
         index.scan_n(start, SCAN_LEN, &mut out);
     }
 
+    let refills_before = index.inner().scan_refills();
     let before = allocs();
     for &start in &starts {
         assert_eq!(index.scan_n(start, SCAN_LEN, &mut out), SCAN_LEN);
@@ -92,5 +98,7 @@ fn warmed_scans_through_the_deployed_stack_allocate_nothing() {
         }
     }
     let during = allocs() - before;
+    let refills = index.inner().scan_refills() - refills_before;
     assert_eq!(during, 0, "{during} heap allocations over {SCANS} warmed {SCAN_LEN}-pair scans");
+    assert!(refills >= 1, "no scan needed a second round, so the refill path went unchecked");
 }

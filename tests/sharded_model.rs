@@ -8,15 +8,16 @@
 //! * spans crossing every shard many times (hash routing interleaves
 //!   neighbouring keys across shards by design),
 //! * requests longer than the whole data set,
-//! * scans racing an inserter that splits leaves under them,
+//! * scans racing an inserter that splits leaves under them, including
+//!   scans over skewed shards that need several rounds to fill,
 //! * a sharded index whose shards are themselves sharded (the merge's
-//!   per-thread staging buffer is reentered on the same thread).
+//!   per-thread staging buffers are reentered on the same thread).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use index_common::{KeyCodec, OpError, PersistentIndex, ShardedIndex, U64Key};
+use index_common::{shard_of, KeyCodec, OpError, PersistentIndex, ShardedIndex, U64Key};
 use nvm::{PmemConfig, PoolSet, SplitMix64};
 use rntree::{RnConfig, RnTree};
 
@@ -133,69 +134,87 @@ fn per_shard_trees_stay_internally_consistent() {
     }
 }
 
+/// Bulk-loads the even keys `loaded` (sorted, never removed), then one
+/// thread inserts every odd key below `2 * LOADED` in ascending order
+/// (splitting leaves) while two threads scan `n` pairs just behind its
+/// insertion front, where the leaves are changing. Each scan must be
+/// strictly ascending, pair every key with its value, skip no loaded key
+/// inside its range, and return `n` pairs whenever the loaded keys alone
+/// provide that many.
+fn race_scans_against_splits(shards: usize, loaded: &[u64], n: usize) -> (PoolSet, ShardedIndex<RnTree>) {
+    const LOADED: u64 = 4_000;
+    let value = |k: u64| k * 3 + 1;
+    let (set, idx) = fresh(shards);
+    let load: Vec<(u64, u64)> = loaded.iter().map(|&k| (k, value(k))).collect();
+    idx.load_sorted(&load).unwrap();
+    let loaded_below = |k: u64| loaded.partition_point(|&l| l < k);
+    let done = AtomicBool::new(false);
+    let front = AtomicU64::new(0); // a start hint only: publishes no data
+    let go = Barrier::new(3);
+    std::thread::scope(|s| {
+        for t in 0..2u64 {
+            let (idx, done, front, go) = (&idx, &done, &front, &go);
+            s.spawn(move || {
+                go.wait();
+                let mut rng = SplitMix64::new(0x5CA7 + t + shards as u64);
+                let mut out = Vec::new();
+                let mut scans = 0u32;
+                while !done.load(Ordering::Acquire) || scans < 200 {
+                    let start = front.load(Ordering::Relaxed).saturating_sub(rng.next_below(80));
+                    let got = idx.scan_n(start, n, &mut out);
+                    assert_eq!(got, out.len());
+                    if loaded.len() - loaded_below(start) >= n {
+                        assert_eq!(got, n, "short scan from {start}");
+                    }
+                    for w in out.windows(2) {
+                        assert!(w[0].0 < w[1].0, "scan from {start} not strictly ascending");
+                    }
+                    for &(k, v) in &out {
+                        assert!(k >= start);
+                        assert_eq!(v, value(k), "key {k} carries another key's value");
+                    }
+                    if let (Some(&(lo, _)), Some(&(hi, _))) = (out.first(), out.last()) {
+                        let seen = out.iter().filter(|p| loaded.binary_search(&p.0).is_ok()).count();
+                        let want = loaded_below(hi + 1) - loaded_below(lo);
+                        assert_eq!(seen, want, "scan from {start} skipped a loaded key");
+                    }
+                    scans += 1;
+                }
+            });
+        }
+        go.wait();
+        for i in 0..LOADED {
+            let k = 2 * i + 1;
+            idx.insert(k, value(k)).unwrap();
+            front.store(k, Ordering::Relaxed);
+        }
+        done.store(true, Ordering::Release);
+    });
+    for i in 0..shards {
+        idx.shard(i).verify_invariants().unwrap_or_else(|e| panic!("shard {i}: {e}"));
+    }
+    (set, idx)
+}
+
 #[test]
 fn scans_stay_exact_while_an_inserter_splits_leaves() {
-    // Even keys are loaded up front and never removed; one thread inserts
-    // the odd keys in between (splitting every leaf) while two threads scan
-    // just behind its insertion front, where the leaves are changing.
-    // Each scan must be strictly ascending, pair every key with its value,
-    // skip no loaded key inside its range, and return `n` pairs whenever
-    // the loaded keys alone provide that many.
-    const LOADED: u64 = 4_000;
-    const N: usize = 50;
-    let value = |k: u64| k * 3 + 1;
+    let evens: Vec<u64> = (1..=4_000).map(|i| 2 * i).collect();
     for shards in [2usize, 3] {
-        let (_set, idx) = fresh(shards);
-        let load: Vec<(u64, u64)> = (1..=LOADED).map(|i| (2 * i, value(2 * i))).collect();
-        idx.load_sorted(&load).unwrap();
-        let done = AtomicBool::new(false);
-        let front = AtomicU64::new(0); // a start hint only: publishes no data
-        let go = Barrier::new(3);
-        std::thread::scope(|s| {
-            for t in 0..2u64 {
-                let (idx, done, front, go) = (&idx, &done, &front, &go);
-                s.spawn(move || {
-                    go.wait();
-                    let mut rng = SplitMix64::new(0x5CA7 + t + shards as u64);
-                    let mut out = Vec::new();
-                    let mut scans = 0u32;
-                    while !done.load(Ordering::Acquire) || scans < 200 {
-                        let start =
-                            front.load(Ordering::Relaxed).saturating_sub(rng.next_below(80));
-                        let got = idx.scan_n(start, N, &mut out);
-                        assert_eq!(got, out.len());
-                        let loaded_from_start = LOADED + 1 - start.div_ceil(2).clamp(1, LOADED + 1);
-                        if loaded_from_start >= N as u64 {
-                            assert_eq!(got, N, "short scan from {start}");
-                        }
-                        for w in out.windows(2) {
-                            assert!(w[0].0 < w[1].0, "scan from {start} not strictly ascending");
-                        }
-                        for &(k, v) in &out {
-                            assert!(k >= start);
-                            assert_eq!(v, value(k), "key {k} carries another key's value");
-                        }
-                        if let (Some(&(lo, _)), Some(&(hi, _))) = (out.first(), out.last()) {
-                            let evens = out.iter().filter(|p| p.0 % 2 == 0).count() as u64;
-                            let want = (hi / 2).saturating_sub(lo.div_ceil(2)) + 1;
-                            assert_eq!(evens, want, "scan from {start} skipped a loaded key");
-                        }
-                        scans += 1;
-                    }
-                });
-            }
-            go.wait();
-            for i in 0..LOADED {
-                let k = 2 * i + 1;
-                idx.insert(k, value(k)).unwrap();
-                front.store(k, Ordering::Relaxed);
-            }
-            done.store(true, Ordering::Release);
-        });
-        for i in 0..shards {
-            idx.shard(i).verify_invariants().unwrap_or_else(|e| panic!("shard {i}: {e}"));
-        }
+        race_scans_against_splits(shards, &evens, 50);
     }
+}
+
+#[test]
+fn refilled_scans_stay_exact_while_an_inserter_splits_leaves() {
+    // Over 4 shards a 50-pair scan asks each for 13 + 8 = 21 pairs. Only
+    // shard 0 holds loaded keys, so ahead of the insertion front it is
+    // the one full shard, and its 21st key bounds a round that comes up
+    // short: the scan must resume after that bound, round after round,
+    // while the leaves split under it.
+    const SHARDS: usize = 4;
+    let skewed: Vec<u64> = (1..=4_000).map(|i| 2 * i).filter(|&k| shard_of(k, SHARDS) == 0).collect();
+    let (_set, idx) = race_scans_against_splits(SHARDS, &skewed, 50);
+    assert!(idx.scan_refills() > 0, "no scan needed a second round");
 }
 
 #[test]
