@@ -32,10 +32,11 @@
 //! a write-heavy plain-Zipfian mix at 2/4/8 writer threads, with the
 //! persists/op reduction and the open-loop p99-under-flush-deadline
 //! check; written to `BENCH_PR10.json` or `--out PATH`), and
-//! `trace-scale` (structural heat attribution + sampled op tracing +
+//! `trace-scale` (structural heat attribution + per-op counter digest +
 //! time-resolved metrics: asserts the conflict heatmap ranks the
 //! planted 256-key hot window's leaves above the uniform control's,
-//! and carries per-window p50/p99 series plus the trace digest; written
+//! and carries per-window p50/p99 series plus the critical-path digest
+//! — counter deltas over the adversary cell divided by its ops; written
 //! to `BENCH_PR9.json` or `--out PATH`), and `trace-report` (the
 //! human-readable digest of the same run: critical-path breakdown,
 //! top-K hot leaves/stripes next to the abort mix, timeline table; add
@@ -47,8 +48,9 @@
 //! longer exists.
 //! Options: `--quick` (small smoke run), `--warm N`, `--duration-ms N`,
 //! `--threads a,b,c`, `--latency-ns N`, `--workers N`, `--seed N`,
-//! `--out PATH`, `--assert-overhead PCT` (obs-report only: fail the run
-//! if enabled-instrumentation overhead exceeds PCT percent).
+//! `--out PATH`, `--assert-overhead PCT` (obs-report, trace-scale and
+//! trace-report: fail the run if enabled-instrumentation overhead
+//! exceeds PCT percent).
 
 use std::time::Duration;
 

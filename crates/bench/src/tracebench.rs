@@ -1,5 +1,6 @@
 //! `repro trace-scale` / `repro trace-report` — structural heat
-//! attribution, sampled op tracing, and time-resolved metrics (PR 9).
+//! attribution, a per-op counter digest of the critical path, and
+//! time-resolved metrics (PR 9).
 //!
 //! Three stages:
 //!
@@ -16,17 +17,17 @@
 //!    background ticker snapshots the instrumented latency histogram
 //!    during each cell, so the JSON carries per-window p50/p99/ops
 //!    series ([`obs::Timeline`]) instead of one end-of-run number.
-//! 2. **Trace digest** — the adversary cell runs with a sampled
-//!    [`obs::TraceRing`] attached (every op, shift 0, during the bench:
-//!    the overhead stage measures the realistic default separately).
-//!    The dump is folded into a critical-path table: per-phase mean
-//!    share, descent depth, cache hit rate, HTM attempts and abort mix
-//!    per sampled op, fallback-tier split, and persist count — the
-//!    per-op view that whole-run counters can't give.
+//! 2. **Critical-path digest** — the whole-run counters the layers
+//!    already keep ([`CellCounters`]: HTM attempts/aborts/fallbacks,
+//!    pmem persists, page-cache hits/misses, phase-timer and op-latency
+//!    histograms) are captured before and after the adversary cell, and
+//!    their deltas are divided by the ops the cell ran ([`digest`]):
+//!    per-phase mean and share, cached descent steps, cache hit rate,
+//!    HTM attempts and the abort mix, fallbacks by tier, and persists —
+//!    all per op.
 //! 3. **Overhead** — PR-4 methodology: YCSB-A peak throughput with
-//!    everything off vs fully on (recorder + phase timers + trace ring
-//!    at the production [`obs::DEFAULT_TRACE_SHIFT`] + timeline ticker),
-//!    rounds interleaved so drift cannot favour a side.
+//!    everything off vs fully on (recorder + phase timers + timeline
+//!    ticker), rounds interleaved so drift cannot favour a side.
 //!    `--assert-overhead PCT` turns the number into a CI gate.
 //!
 //! `trace-scale` writes the machine-readable report (`BENCH_PR9.json`);
@@ -38,10 +39,10 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
+use htm::HtmStatsSnapshot;
 use index_common::{Instrumented, PersistentIndex};
-use obs::{
-    HeatEntry, Histogram, Json, OpType, Phase, Timeline, ToJson, TraceRing, DEFAULT_TRACE_SHIFT,
-};
+use nvm::{CacheStats, PmemStatsSnapshot};
+use obs::{HeatEntry, Histogram, Json, OpHistograms, OpType, Phase, Timeline, ToJson, N_PHASES};
 use rntree::{RnConfig, RnTree};
 use ycsb::{run_closed_loop, KeyDist, WorkloadSpec};
 
@@ -58,8 +59,6 @@ const OVERHEAD_ROUNDS: usize = 7;
 const HEAT_TOP_K: usize = 16;
 /// Timeline windows aimed for per cell (the ticker divides the run).
 const TIMELINE_TICKS: u32 = 16;
-/// Spans dumped verbatim into the JSON (the digest covers the rest).
-const SPAN_DUMP_CAP: usize = 32;
 /// Extra adversary rounds granted before the heat-ranking gate fires.
 /// Conflict heat accumulates per run (the sketch is never reset), so a
 /// short smoke window that happened to see almost no overlapping atomic
@@ -71,11 +70,11 @@ const RESCUE_ROUNDS: u64 = 12;
 /// The tight overhead budget applies at committed scale (same
 /// `GATE_MIN_WARM_N` convention as the PR-8 layout gate): below this,
 /// the whole working set is cache-resident, ops cost ~0.5 µs, and the
-/// fixed per-op trace tax (sampling counter + 1-in-2^shift span) reads
-/// as several percent of nothing. Quick runs still gate — against
-/// [`QUICK_OVERHEAD_BUDGET_PCT`], loose enough to absorb the
-/// cache-resident amplification but tight enough to catch an
-/// unconditional-tracing regression.
+/// fixed per-op instrumentation cost (sampling counters, a sampled op's
+/// timestamps) reads as several percent of nothing. Quick runs still
+/// gate — against [`QUICK_OVERHEAD_BUDGET_PCT`], loose enough to absorb
+/// the cache-resident amplification but tight enough to catch an
+/// unsampled-instrumentation regression.
 const OVERHEAD_GATE_WARM_N: u64 = 100_000;
 /// Overhead budget used below [`OVERHEAD_GATE_WARM_N`] warmed keys.
 const QUICK_OVERHEAD_BUDGET_PCT: f64 = 20.0;
@@ -99,12 +98,95 @@ fn overhead_budget(scale: &Scale, limit: f64) -> f64 {
 }
 
 /// Cumulative latency histogram across every op type.
-fn merged_ops_hist(hists: &obs::OpHistograms) -> Histogram {
+fn merged_ops_hist(hists: &OpHistograms) -> Histogram {
     let mut m = Histogram::new();
     for op in OpType::ALL {
         m.merge(&hists.snapshot(op));
     }
     m
+}
+
+/// The whole-run counters of one instrumented `RnTree` that the
+/// critical-path digest differences: one capture before a cell, one
+/// after.
+#[derive(Clone, Default)]
+pub struct CellCounters {
+    /// HTM attempts, aborts by cause and fallbacks by tier.
+    pub htm: HtmStatsSnapshot,
+    /// Persistent instructions.
+    pub pmem: PmemStatsSnapshot,
+    /// Page-cache hits and misses (zeros when the tree has no cache).
+    pub cache: CacheStats,
+    /// Phase-timer histograms, indexed by `Phase as usize`.
+    pub phases: [Histogram; N_PHASES],
+    /// Op-latency histogram merged across op types.
+    pub op_time: Histogram,
+}
+
+impl CellCounters {
+    /// Reads every counter of `tree` and the op histograms `hists` of
+    /// the [`Instrumented`] wrapper in front of it.
+    pub fn capture(tree: &RnTree, hists: &OpHistograms) -> CellCounters {
+        CellCounters {
+            htm: tree.htm_stats(),
+            pmem: tree.pool().stats().snapshot(),
+            cache: tree.cache_stats().unwrap_or_default(),
+            phases: Phase::ALL.map(|p| tree.phase_timers().snapshot(p)),
+            op_time: merged_ops_hist(hists),
+        }
+    }
+}
+
+/// The critical-path digest: counter deltas between two
+/// [`CellCounters`], divided by the ops run between them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceDigest {
+    /// Ops run between the captures (every per-op figure divides by it).
+    pub ops: u64,
+    /// Mean op latency, from the (sampled) op histogram.
+    pub mean_total_ns: f64,
+    /// Phase nanoseconds per op (phase-timer sums over `ops`: exact only
+    /// when every op is clocked, i.e. phase sampling shift 0).
+    pub phase_mean_ns: [f64; N_PHASES],
+    /// Cached descent steps per op (page-cache hits + misses: one per
+    /// inner level walked, restarts included; 0 without a cache).
+    pub mean_depth: f64,
+    /// Page-cache hits over hits + misses.
+    pub cache_hit_rate: f64,
+    /// Optimistic HTM attempts per op.
+    pub mean_attempts: f64,
+    /// Aborts per op by cause (conflict, capacity, explicit, flush).
+    pub aborts_by_cause: [f64; 4],
+    /// Fallbacks per op by tier (striped, global).
+    pub fallbacks: [f64; 2],
+    /// Persistent instructions per op.
+    pub mean_persists: f64,
+}
+
+/// Folds two counter captures into the per-op digest.
+pub fn digest(before: &CellCounters, after: &CellCounters, ops: u64) -> TraceDigest {
+    let per_op = |n: f64| if ops == 0 { 0.0 } else { n / ops as f64 };
+    let htm = after.htm.since(&before.htm);
+    let cache = after.cache.delta(&before.cache);
+    TraceDigest {
+        ops,
+        mean_total_ns: after.op_time.minus(&before.op_time).mean(),
+        phase_mean_ns: std::array::from_fn(|p| {
+            per_op(after.phases[p].sum().saturating_sub(before.phases[p].sum()) as f64)
+        }),
+        mean_depth: per_op((cache.hits + cache.misses) as f64),
+        cache_hit_rate: cache.hit_rate(),
+        mean_attempts: per_op(htm.attempts as f64),
+        aborts_by_cause: [
+            htm.aborts_conflict,
+            htm.aborts_capacity,
+            htm.aborts_explicit,
+            htm.aborts_flush,
+        ]
+        .map(|n| per_op(n as f64)),
+        fallbacks: [htm.fallbacks_striped, htm.fallbacks_global].map(|n| per_op(n as f64)),
+        mean_persists: per_op(after.pmem.since(&before.pmem).persists as f64),
+    }
 }
 
 /// Everything one instrumented cell run produces.
@@ -118,21 +200,13 @@ struct CellRun {
     morphs: Vec<HeatEntry>,
     stripes: Vec<HeatEntry>,
     decayed: u64,
-    spans: Vec<obs::OpSpan>,
-    spans_recorded: u64,
-    spans_dropped: u64,
+    digest: TraceDigest,
 }
 
-/// Runs one cell: warm tree, instrumented + traced YCSB-A over `dist`,
-/// with a background ticker feeding the timeline. `shift` is the trace
-/// sampling shift (0 = trace every op).
-fn run_cell(
-    scale: &Scale,
-    name: &'static str,
-    dist: KeyDist,
-    threads: usize,
-    shift: u32,
-) -> (Arc<RnTree>, CellRun) {
+/// Runs one cell: warm tree, instrumented YCSB-A over `dist` with every
+/// write phase-clocked, a background ticker feeding the timeline, and
+/// the counter digest taken over the run.
+fn run_cell(scale: &Scale, name: &'static str, dist: KeyDist, threads: usize) -> (Arc<RnTree>, CellRun) {
     let pool = pool_for(TreeKind::RnTree, scale.warm_n, scale.warm_n / 8, scale.bench_pool_cfg());
     // Plain RNTree (no dual slot array) for both heat cells: the leaf
     // version changes on every modification, so readers' optimistic
@@ -143,13 +217,12 @@ fn run_cell(
     // none at all. (The overhead stage keeps the production default.)
     let tree = Arc::new(RnTree::create(pool, RnConfig { dual_slot: false, ..RnConfig::default() }));
     warm(&*tree, scale.warm_n, scale.seed);
+    // Clock every write, so the phase sums divide by ops exactly.
+    tree.phase_timers().set_sample_shift(0);
     tree.phase_timers().set_enabled(true);
 
-    let ring = TraceRing::shared();
-    ring.set_sample_shift(shift);
     let (instr, hists) = Instrumented::with_histograms(Arc::clone(&tree));
-    let instr = Arc::new(instr.with_tracing(Arc::clone(&ring)));
-    let dynref: Arc<dyn PersistentIndex> = Arc::clone(&instr) as Arc<dyn PersistentIndex>;
+    let dynref: Arc<dyn PersistentIndex> = Arc::new(instr);
 
     let timeline = Arc::new(Timeline::default());
     let stop = Arc::new(AtomicBool::new(false));
@@ -168,7 +241,9 @@ fn run_cell(
     };
 
     let spec = WorkloadSpec::ycsb_a(dist);
+    let before = CellCounters::capture(&tree, &hists);
     let r = run_closed_loop(&dynref, &spec, threads, scale.duration, scale.seed);
+    let after = CellCounters::capture(&tree, &hists);
     assert_eq!(r.pool_exhausted, 0, "{name} pool exhausted");
     stop.store(true, Relaxed);
     ticker.join().unwrap();
@@ -185,19 +260,16 @@ fn run_cell(
         morphs: heat.morphs.top_k(HEAT_TOP_K),
         stripes: tree.stripe_heat_top_k(HEAT_TOP_K),
         decayed: heat.conflicts.decayed(),
-        spans: ring.dump(),
-        spans_recorded: ring.recorded(),
-        spans_dropped: ring.dropped(),
+        digest: digest(&before, &after, r.ops),
     };
-    let hs = tree.htm_stats();
+    let hs = after.htm.since(&before.htm);
     println!(
-        "{name}: {} ops, {:.3} Mops, {} timeline windows, {} heat entries, {} spans \
+        "{name}: {} ops, {:.3} Mops, {} timeline windows, {} heat entries \
          (htm: {} commits, {} conflict aborts, {} capacity, {} fallbacks)",
         run.ops,
         run.mops,
         run.timeline.len(),
         run.conflicts.len(),
-        run.spans.len(),
         hs.commits,
         hs.aborts_conflict,
         hs.aborts_capacity,
@@ -213,92 +285,36 @@ fn hot_leaf_set(tree: &RnTree) -> BTreeSet<u64> {
     (1..=HOT_WINDOW).map(|k| tree.leaf_of(k)).collect()
 }
 
-/// Digest of a span dump: the critical-path aggregates the report and
-/// the JSON share.
-struct TraceDigest {
-    spans: u64,
-    mean_total_ns: f64,
-    phase_mean_ns: [f64; obs::N_PHASES],
-    mean_depth: f64,
-    cache_hit_rate: f64,
-    mean_attempts: f64,
-    aborts_by_cause: [u64; 4],
-    tier_counts: [u64; 3],
-    mean_persists: f64,
-}
+const ABORT_CAUSES: [&str; 4] = ["conflict", "capacity", "explicit", "flush"];
+const FALLBACK_TIERS: [&str; 2] = ["striped", "global"];
 
-fn digest(spans: &[obs::OpSpan]) -> TraceDigest {
-    let n = spans.len() as f64;
-    let mut d = TraceDigest {
-        spans: spans.len() as u64,
-        mean_total_ns: 0.0,
-        phase_mean_ns: [0.0; obs::N_PHASES],
-        mean_depth: 0.0,
-        cache_hit_rate: 0.0,
-        mean_attempts: 0.0,
-        aborts_by_cause: [0; 4],
-        tier_counts: [0; 3],
-        mean_persists: 0.0,
-    };
-    if spans.is_empty() {
-        return d;
+impl ToJson for TraceDigest {
+    fn to_json(&self) -> Json {
+        let named = |names: &[&str], vals: &[f64]| {
+            let mut o = Json::obj();
+            for (name, &v) in names.iter().zip(vals) {
+                o.set(name, Json::F64(v));
+            }
+            o
+        };
+        let mut o = Json::obj();
+        o.set("ops", Json::U64(self.ops));
+        o.set("mean_total_ns", Json::F64(self.mean_total_ns));
+        let phases: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
+        o.set("phase_mean_ns", named(&phases, &self.phase_mean_ns));
+        o.set("mean_descent_depth", Json::F64(self.mean_depth));
+        o.set("cache_hit_rate", Json::F64(self.cache_hit_rate));
+        o.set("mean_htm_attempts", Json::F64(self.mean_attempts));
+        o.set("aborts_by_cause", named(&ABORT_CAUSES, &self.aborts_by_cause));
+        o.set("fallback_tier", named(&FALLBACK_TIERS, &self.fallbacks));
+        o.set("mean_persists", Json::F64(self.mean_persists));
+        o
     }
-    let (mut hits, mut touches) = (0u64, 0u64);
-    for s in spans {
-        d.mean_total_ns += s.total_ns as f64;
-        for p in 0..obs::N_PHASES {
-            d.phase_mean_ns[p] += s.phase_ns[p] as f64;
-        }
-        d.mean_depth += s.descent_depth as f64;
-        hits += s.cache_hits as u64;
-        touches += (s.cache_hits + s.cache_misses) as u64;
-        d.mean_attempts += s.htm_attempts as f64;
-        for c in 0..4 {
-            d.aborts_by_cause[c] += s.aborts_by_cause[c] as u64;
-        }
-        d.tier_counts[(s.fallback_tier as usize).min(2)] += 1;
-        d.mean_persists += s.persists as f64;
-    }
-    d.mean_total_ns /= n;
-    for p in &mut d.phase_mean_ns {
-        *p /= n;
-    }
-    d.mean_depth /= n;
-    d.cache_hit_rate = if touches > 0 { hits as f64 / touches as f64 } else { 0.0 };
-    d.mean_attempts /= n;
-    d.mean_persists /= n;
-    d
-}
-
-fn digest_json(d: &TraceDigest) -> Json {
-    let mut o = Json::obj();
-    o.set("spans", Json::U64(d.spans));
-    o.set("mean_total_ns", Json::F64(d.mean_total_ns));
-    let mut ph = Json::obj();
-    for (i, p) in Phase::ALL.iter().enumerate() {
-        ph.set(p.name(), Json::F64(d.phase_mean_ns[i]));
-    }
-    o.set("phase_mean_ns", ph);
-    o.set("mean_descent_depth", Json::F64(d.mean_depth));
-    o.set("cache_hit_rate", Json::F64(d.cache_hit_rate));
-    o.set("mean_htm_attempts", Json::F64(d.mean_attempts));
-    let mut ab = Json::obj();
-    for (i, name) in ["conflict", "capacity", "explicit", "flush"].iter().enumerate() {
-        ab.set(name, Json::U64(d.aborts_by_cause[i]));
-    }
-    o.set("aborts_by_cause", ab);
-    let mut t = Json::obj();
-    for (i, name) in ["none", "striped", "global"].iter().enumerate() {
-        t.set(name, Json::U64(d.tier_counts[i]));
-    }
-    o.set("fallback_tier", t);
-    o.set("mean_persists", Json::F64(d.mean_persists));
-    o
 }
 
 fn print_digest(d: &TraceDigest) {
-    println!("\n### sampled-span critical path ({} spans)\n", d.spans);
-    let mut t = Table::new(&["metric", "value"]);
+    println!("\n### per-op critical path (counter deltas over {} ops)\n", d.ops);
+    let mut t = Table::new(&["metric", "per op"]);
     t.row(vec!["mean total ns".into(), format!("{:.0}", d.mean_total_ns)]);
     for (i, p) in Phase::ALL.iter().enumerate() {
         let share = if d.mean_total_ns > 0.0 {
@@ -311,21 +327,19 @@ fn print_digest(d: &TraceDigest) {
             format!("{:.0} ({share:.0}%)", d.phase_mean_ns[i]),
         ]);
     }
-    t.row(vec!["mean descent depth".into(), format!("{:.2}", d.mean_depth)]);
+    t.row(vec!["cached descent steps".into(), format!("{:.2}", d.mean_depth)]);
     t.row(vec!["cache hit rate".into(), format!("{:.3}", d.cache_hit_rate)]);
-    t.row(vec!["mean HTM attempts".into(), format!("{:.2}", d.mean_attempts)]);
+    t.row(vec!["HTM attempts".into(), format!("{:.3}", d.mean_attempts)]);
+    let a = &d.aborts_by_cause;
     t.row(vec![
         "aborts (conf/cap/expl/flush)".into(),
-        format!(
-            "{}/{}/{}/{}",
-            d.aborts_by_cause[0], d.aborts_by_cause[1], d.aborts_by_cause[2], d.aborts_by_cause[3]
-        ),
+        format!("{:.4}/{:.4}/{:.4}/{:.4}", a[0], a[1], a[2], a[3]),
     ]);
     t.row(vec![
-        "fallback tier (none/striped/global)".into(),
-        format!("{}/{}/{}", d.tier_counts[0], d.tier_counts[1], d.tier_counts[2]),
+        "fallbacks (striped/global)".into(),
+        format!("{:.4}/{:.4}", d.fallbacks[0], d.fallbacks[1]),
     ]);
-    t.row(vec!["mean persists".into(), format!("{:.2}", d.mean_persists)]);
+    t.row(vec!["persists".into(), format!("{:.3}", d.mean_persists)]);
     t.print();
 }
 
@@ -374,15 +388,13 @@ fn cell_json(run: &CellRun, hot: &BTreeSet<u64>) -> Json {
     let hot_hits = run.conflicts.iter().filter(|e| hot.contains(&e.key)).count();
     o.set("topk_entries", Json::U64(run.conflicts.len() as u64));
     o.set("topk_in_hot_set", Json::U64(hot_hits as u64));
-    o.set("spans_recorded", Json::U64(run.spans_recorded));
-    o.set("spans_dropped", Json::U64(run.spans_dropped));
     o
 }
 
 // -------------------------------------------------------------- overhead
 
 /// PR-4 interleaved off/on overhead: plain tree vs recorder + phase
-/// timers + trace ring (production shift) + live timeline ticker.
+/// timers + live timeline ticker.
 ///
 /// The gated statistic is the **median** of the interleaved rounds, not
 /// the PR-4 peak: on an oversubscribed host the round-to-round spread
@@ -399,10 +411,8 @@ fn overhead_stage(scale: &Scale, threads: usize) -> Json {
     warm(&*tree, scale.warm_n, scale.seed);
     let plain: Arc<dyn PersistentIndex> = Arc::clone(&tree) as Arc<dyn PersistentIndex>;
 
-    let ring = TraceRing::shared();
-    ring.set_sample_shift(DEFAULT_TRACE_SHIFT);
     let (instr, hists) = Instrumented::with_histograms(Arc::clone(&tree));
-    let instr: Arc<dyn PersistentIndex> = Arc::new(instr.with_tracing(Arc::clone(&ring)));
+    let instr: Arc<dyn PersistentIndex> = Arc::new(instr);
     let timeline = Timeline::default();
 
     let spec = WorkloadSpec::ycsb_a(KeyDist::Uniform { n: scale.warm_n });
@@ -431,8 +441,8 @@ fn overhead_stage(scale: &Scale, threads: usize) -> Json {
     let overhead_pct = (100.0 * (off_med - on_med) / off_med).max(0.0);
     println!(
         "\noverhead: disabled {:.3} Mops, enabled {:.3} Mops → {:.2}% \
-         (median of {OVERHEAD_ROUNDS} interleaved rounds, {threads} threads, \
-         trace shift {DEFAULT_TRACE_SHIFT}; peaks {:.3}/{:.3})",
+         (median of {OVERHEAD_ROUNDS} interleaved rounds, {threads} threads; \
+         peaks {:.3}/{:.3})",
         off_med / 1e6,
         on_med / 1e6,
         overhead_pct,
@@ -449,7 +459,6 @@ fn overhead_stage(scale: &Scale, threads: usize) -> Json {
     o.set("statistic", Json::Str("median".into()));
     o.set("rounds", Json::U64(OVERHEAD_ROUNDS as u64));
     o.set("threads", Json::U64(threads as u64));
-    o.set("trace_sample_shift", Json::U64(DEFAULT_TRACE_SHIFT as u64));
     o
 }
 
@@ -544,9 +553,9 @@ fn check_heat_ranking(
 // -------------------------------------------------------------- drivers
 
 /// Shared cell execution for both subcommands: adversary + uniform
-/// control, heat assertion, digest. Returns everything the emitters
-/// need.
-fn run_cells(scale: &Scale, gates: Gates) -> (CellRun, CellRun, BTreeSet<u64>, TraceDigest, usize) {
+/// control, heat assertion. Returns everything the emitters need (the
+/// digest rides in the adversary's [`CellRun`]).
+fn run_cells(scale: &Scale, gates: Gates) -> (CellRun, CellRun, BTreeSet<u64>, usize) {
     // Heat attribution needs concurrent HTM conflicts: a single-thread
     // run commits every transaction and attributes nothing. But heavy
     // oversubscription kills the signal too — with the hot window's leaf
@@ -556,21 +565,10 @@ fn run_cells(scale: &Scale, gates: Gates) -> (CellRun, CellRun, BTreeSet<u64>, T
     // (the overhead stage still uses the scale's full thread count).
     let threads = scale.threads.iter().copied().max().unwrap_or(2).clamp(2, 4);
     println!("\n## trace-scale — heat attribution, {threads} threads\n");
-    let (tree, adv) = run_cell(
-        scale,
-        "colliding-stripe",
-        KeyDist::Uniform { n: HOT_WINDOW.min(scale.warm_n) },
-        threads,
-        0,
-    );
+    let (tree, adv) =
+        run_cell(scale, "colliding-stripe", KeyDist::Uniform { n: HOT_WINDOW.min(scale.warm_n) }, threads);
     let hot = hot_leaf_set(&tree);
-    let (_tree, uni) = run_cell(
-        scale,
-        "uniform-control",
-        KeyDist::Uniform { n: scale.warm_n },
-        threads,
-        0,
-    );
+    let (_tree, uni) = run_cell(scale, "uniform-control", KeyDist::Uniform { n: scale.warm_n }, threads);
 
     // Outrun noise before judging: conflicts need two atomic sections to
     // overlap in time, and a short window on a fast host may see almost
@@ -595,8 +593,7 @@ fn run_cells(scale: &Scale, gates: Gates) -> (CellRun, CellRun, BTreeSet<u64>, T
     drop(dynref);
     drop(tree);
     check_heat_ranking(&adv, &uni, &hot, scale.warm_n, gates);
-    let d = digest(&adv.spans);
-    (adv, uni, hot, d, threads)
+    (adv, uni, hot, threads)
 }
 
 /// `repro trace-scale`: run everything, assert, and write the JSON
@@ -606,11 +603,11 @@ fn run_cells(scale: &Scale, gates: Gates) -> (CellRun, CellRun, BTreeSet<u64>, T
 /// [`Gates`]); the overhead budget applies whenever `assert_overhead_pct`
 /// is set.
 pub fn trace_scale(scale: &Scale, out_path: &str, assert_overhead_pct: Option<f64>, gates: Gates) {
-    let (adv, uni, hot, d, threads) = run_cells(scale, gates);
+    let (adv, uni, hot, threads) = run_cells(scale, gates);
     print_heat("adversary leaf-conflict heat (top-K)", &adv.conflicts, Some(&hot));
     print_heat("uniform-control leaf-conflict heat (top-K)", &uni.conflicts, Some(&hot));
     print_heat("adversary fallback-stripe heat", &adv.stripes, None);
-    print_digest(&d);
+    print_digest(&adv.digest);
     let oh_threads = scale.threads.iter().copied().max().unwrap_or(2).max(2);
     let overhead = overhead_stage(scale, oh_threads);
 
@@ -629,18 +626,7 @@ pub fn trace_scale(scale: &Scale, out_path: &str, assert_overhead_pct: Option<f6
         "cells",
         Json::Arr(vec![cell_json(&adv, &hot), cell_json(&uni, &hot)]),
     );
-    doc.set("trace_digest", digest_json(&d));
-    let dumped = adv.spans.len().min(SPAN_DUMP_CAP);
-    if adv.spans.len() > SPAN_DUMP_CAP {
-        println!(
-            "(span dump capped at {SPAN_DUMP_CAP} of {} — the digest covers all of them)",
-            adv.spans.len()
-        );
-    }
-    doc.set(
-        "spans",
-        Json::Arr(adv.spans[..dumped].iter().map(|s| s.to_json()).collect()),
-    );
+    doc.set("trace_digest", adv.digest.to_json());
     doc.set("overhead", overhead);
 
     let text = doc.render_pretty(2);
@@ -667,8 +653,8 @@ pub fn trace_scale(scale: &Scale, out_path: &str, assert_overhead_pct: Option<f6
 /// breakdown, top-K heat next to the abort mix, timeline summary — with
 /// an optional overhead gate for CI smoke.
 pub fn trace_report(scale: &Scale, assert_overhead_pct: Option<f64>) {
-    let (adv, uni, hot, d, _threads) = run_cells(scale, Gates::Enforce);
-    print_digest(&d);
+    let (adv, uni, hot, _threads) = run_cells(scale, Gates::Enforce);
+    print_digest(&adv.digest);
     print_heat("hot leaves by HTM conflict attribution", &adv.conflicts, Some(&hot));
     print_heat("hot fallback stripes", &adv.stripes, None);
     print_heat("uniform-control leaf heat (for contrast)", &uni.conflicts, Some(&hot));
@@ -736,30 +722,40 @@ mod tests {
             assert!(tl[0].get("p99_ns").is_some());
             cell.get("heat").and_then(|h| h.get("leaf_conflicts")).unwrap();
         }
-        assert!(doc.get("trace_digest").and_then(|t| t.get("spans")).unwrap().as_u64().unwrap() > 0);
+        assert!(doc.get("trace_digest").and_then(|t| t.get("ops")).unwrap().as_u64().unwrap() > 0);
         assert!(doc.get("overhead").and_then(|o| o.get("overhead_pct")).is_some());
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn trace_digest_folds_spans() {
-        let mut s = obs::OpSpan {
-            total_ns: 1000,
-            descent_depth: 3,
-            cache_hits: 3,
-            cache_misses: 1,
-            htm_attempts: 2,
-            fallback_tier: 1,
-            persists: 2,
-            ..Default::default()
-        };
-        s.aborts_by_cause[0] = 1;
-        let d = digest(&[s, s]);
-        assert_eq!(d.spans, 2);
-        assert!((d.mean_total_ns - 1000.0).abs() < 1e-9);
-        assert!((d.mean_depth - 3.0).abs() < 1e-9);
-        assert!((d.cache_hit_rate - 0.75).abs() < 1e-9);
-        assert_eq!(d.aborts_by_cause[0], 2);
-        assert_eq!(d.tier_counts[1], 2);
+        let before = CellCounters::default();
+        let mut after = CellCounters::default();
+        after.htm.attempts = 30;
+        after.htm.aborts_conflict = 10;
+        after.htm.aborts_capacity = 2;
+        after.htm.fallbacks_striped = 4;
+        after.htm.fallbacks_global = 1;
+        after.pmem.persists = 40;
+        after.cache.hits = 45;
+        after.cache.misses = 15;
+        after.phases[Phase::LeafCs as usize].record(500);
+        after.phases[Phase::LeafCs as usize].record(1_500);
+        after.op_time.record(1_000);
+        after.op_time.record(3_000);
+        let d = digest(&before, &after, 20);
+        assert_eq!(d.ops, 20);
+        assert_eq!(d.mean_total_ns, 2_000.0);
+        assert_eq!(d.phase_mean_ns[Phase::LeafCs as usize], 100.0);
+        assert_eq!(d.phase_mean_ns[Phase::Descent as usize], 0.0);
+        assert_eq!(d.mean_depth, 3.0);
+        assert_eq!(d.cache_hit_rate, 0.75);
+        assert_eq!(d.mean_attempts, 1.5);
+        assert_eq!(d.aborts_by_cause, [0.5, 0.1, 0.0, 0.0]);
+        assert_eq!(d.fallbacks, [0.2, 0.05]);
+        assert_eq!(d.mean_persists, 2.0);
+        // Deltas, not totals: an identical later capture folds to zero.
+        let idle = digest(&after, &after, 20);
+        assert_eq!((idle.mean_attempts, idle.mean_persists, idle.mean_total_ns), (0.0, 0.0, 0.0));
     }
 }

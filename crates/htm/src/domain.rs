@@ -264,7 +264,6 @@ impl HtmDomain {
             // and the rv sample (the exact race a bare `wait_until_free`
             // here had).
             self.stats.attempts.fetch_add(1, Relaxed);
-            obs::note_htm_attempt();
             crate::set_in_transaction(true);
             // Commit-time fallback subscription: the txn tracks its stripe
             // footprint as a bitmask and checks the global word + footprint
@@ -291,13 +290,12 @@ impl HtmDomain {
                 Err(a) => a,
             };
             footprint |= mask;
-            obs::note_stripes(mask);
 
             retries += 1;
+            obs::bump_section_aborts();
             let take_fallback = match abort.code {
                 AbortCode::Conflict => {
                     self.stats.aborts_conflict.fetch_add(1, Relaxed);
-                    obs::note_htm_abort(0);
                     conflicts += 1;
                     let budget = if self.policy.adaptive {
                         let b = effective_budget(self.policy.max_retries, adapt_streak());
@@ -311,7 +309,6 @@ impl HtmDomain {
                 }
                 AbortCode::Capacity => {
                     self.stats.aborts_capacity.fetch_add(1, Relaxed);
-                    obs::note_htm_abort(1);
                     if self.policy.adaptive {
                         adapt_learn_site(site);
                     }
@@ -319,12 +316,10 @@ impl HtmDomain {
                 }
                 AbortCode::FlushInTxn => {
                     self.stats.aborts_flush.fetch_add(1, Relaxed);
-                    obs::note_htm_abort(3);
                     true
                 }
                 AbortCode::Explicit(_) => {
                     self.stats.aborts_explicit.fetch_add(1, Relaxed);
-                    obs::note_htm_abort(2);
                     false
                 }
             };
@@ -382,7 +377,7 @@ impl HtmDomain {
         let guard = self.stripes.acquire_mask(mask, &self.stats.stripe_conflicts);
         self.stats.fallbacks.fetch_add(1, Relaxed);
         self.stats.fallbacks_striped.fetch_add(1, Relaxed);
-        obs::note_fallback(1);
+        obs::bump_section_fallbacks();
         // Heat attribution: each stripe this fallback serializes on gets
         // one unit — already off the optimistic path, so the sketch CAS
         // cost is noise next to the stripe acquisition itself.
@@ -400,14 +395,17 @@ impl HtmDomain {
         let result = body(&mut txn);
         crate::set_in_transaction(false);
         let outcome = match result {
-            Ok(r) => {
-                // Publishes the buffered writes; infallible under the held
-                // stripes (no validation phase — see the tier-1 proof).
-                let committed = txn.commit();
-                debug_assert!(committed.is_ok());
-                let _ = committed;
-                StripedOutcome::Done(r)
-            }
+            Ok(r) => match txn.commit() {
+                // Publishes the buffered writes at one commit version.
+                Ok(()) => StripedOutcome::Done(r),
+                // A non-transactional store changed a word the body read
+                // (the held stripes exclude every transactional writer):
+                // nothing was published; escalate to the global tier.
+                Err(_) => {
+                    self.stats.stripe_escapes.fetch_add(1, Relaxed);
+                    StripedOutcome::Escaped
+                }
+            },
             Err(a) => {
                 if !txn.escaped() && matches!(a.code, AbortCode::Explicit(_)) {
                     self.stats.aborts_explicit.fetch_add(1, Relaxed);
@@ -438,9 +436,10 @@ impl HtmDomain {
         let stripe_guard = self.stripes.acquire_all(&self.stats.stripe_conflicts);
         self.stats.fallbacks.fetch_add(1, Relaxed);
         self.stats.fallbacks_global.fetch_add(1, Relaxed);
-        obs::note_fallback(2);
+        obs::bump_section_fallbacks();
         let mut txn = Txn::irrevocable(self.opts);
         let result = body(&mut txn);
+        drop(txn); // releases the word locks the body held
         drop(stripe_guard);
         drop(guard);
         match result {

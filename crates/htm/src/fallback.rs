@@ -49,15 +49,17 @@
 //! published **`rv`-indivisibly**: tier 1 buffers its writes and commits
 //! them under the word version-locks at a *single* commit version `wv`
 //! (entries locked across the whole apply, all released at `wv`, exactly
-//! like an optimistic commit), and tier 2's in-place `store_nontx`
-//! publishes are fenced off from every `rv` by the begin-time global-word
-//! subscription above. So an in-flight *O* either reads pre-*F* values,
+//! like an optimistic commit), and tier 2's in-place publishes are
+//! fenced off from every `rv` by the begin-time global-word subscription
+//! above. So an in-flight *O* either reads pre-*F* values,
 //! reads the whole published set, or aborts at the offending read — it
 //! can never *observe* a fallback's writes torn, not even across the
 //! multiple words of one fallback's write set.
 //!
 //! The one hazard left is the reverse direction: *F*'s reads are never
-//! validated, so an *O* that commits writes **into *F*'s window** would
+//! validated against transactional committers (see below for
+//! non-transactional stores), so an *O* that commits writes **into
+//! *F*'s window** would
 //! hand *F* a stale snapshot. *F*'s reads are confined to its held
 //! stripes (tier 1 re-checks coverage on every access and escalates with
 //! nothing published on a miss — its writes are buffered until the whole
@@ -105,6 +107,20 @@
 //! stripes in ascending index order, and tier 2 orders the global word
 //! before every stripe, so the total lock order `global < stripe 0 < … <
 //! stripe 63` rules out deadlock.
+//!
+//! **F vs non-transactional stores.** `TmWord::store_nontx` and
+//! `cas_nontx` take only the word's version-lock entry, never a stripe
+//! or the global word, so nothing above excludes them from *F*'s read
+//! window. Tier 1 therefore records the version of every word it reads
+//! and validates the set at commit after locking its write set (the
+//! optimistic phase 2); a changed word fails the commit with nothing
+//! published, and the run escalates to tier 2. Tier 2 cannot retry, so
+//! it holds the entry of every word it reads or writes until the body
+//! ends (two-phase locking): a non-transactional store spins until then.
+//! Holding cannot deadlock — under tier 2 no other fallback runs,
+//! optimistic committers bound their spin and abort, and a
+//! non-transactional store holds one entry and never waits while
+//! holding it.
 //!
 //! State encoding (both tiers): even = free, odd = held; the value
 //! increases on every transition, so it doubles as an acquisition counter.

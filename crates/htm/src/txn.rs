@@ -49,16 +49,21 @@
 //!   and aborts it with nothing published, letting the domain escalate to
 //!   tier 2. Commit publishes the buffered writes **atomically at one
 //!   commit version**: it locks the write set's version-lock entries
-//!   (sorted, spin-until-held — a fallback cannot abort), bumps the clock
-//!   once, applies, and releases every entry at that single `wv`. This is
-//!   the property that keeps read-only optimistic commits check-free: a
-//!   striped fallback's write set is indivisible under the ordinary TL2
-//!   sandwich validation, exactly like an optimistic commit's.
+//!   (sorted, spin-until-held — a fallback never gives up on a lock),
+//!   bumps the clock once, applies, and releases every entry at that
+//!   single `wv`. This is the property that keeps read-only optimistic
+//!   commits check-free: a striped fallback's write set is indivisible
+//!   under the ordinary TL2 sandwich validation, exactly like an
+//!   optimistic commit's. Its reads are validated at commit too, against
+//!   non-transactional stores (`store_nontx` / `cas_nontx`), which no
+//!   stripe excludes.
 //! * **Irrevocable** (tier 2, under the global fallback lock + all
-//!   stripes): reads wait out committing writers and writes are
-//!   conflict-visible immediately; mutual exclusion is total. Its
-//!   word-by-word publishes carry *no* single commit version, which is
-//!   why optimistic `begin` subscribes to the global word (above).
+//!   stripes): every word read or written has its version-lock entry
+//!   held until the body ends (two-phase locking, so non-transactional
+//!   stores cannot interleave), and writes land in place at once;
+//!   mutual exclusion is total. In-place writes are visible before the
+//!   body ends, which is why optimistic `begin` subscribes to the global
+//!   word (above).
 
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -178,6 +183,68 @@ struct StripedState {
     /// Buffered writes + bloom summary, exactly as in optimistic mode.
     write_set: SmallPairSet,
     write_filter: u64,
+    /// `(lock index, version observed)` of every word read, validated at
+    /// commit: the held stripes exclude fallbacks and transactional
+    /// committers, but not non-transactional stores (`store_nontx` /
+    /// `cas_nontx`), which take only the word's version lock.
+    read_set: SmallPairSet,
+}
+
+/// Tier-2 state: every version-lock entry the irrevocable body touched,
+/// held until the body ends (two-phase locking). The global lock and all
+/// stripes exclude every transactional writer; holding the entries also
+/// excludes non-transactional stores, so a read stays current until the
+/// body is done with it. Dropping the state — at commit, on an explicit
+/// abort, or while a crashing body unwinds — releases every entry.
+struct IrrevocableState {
+    owner: u64,
+    /// `(lock index, pre-lock version)` of every held entry.
+    held: SmallPairSet,
+    /// Whether the body wrote: the held entries then release at one
+    /// fresh commit version instead of the versions they had.
+    wrote: bool,
+}
+
+impl IrrevocableState {
+    /// Acquires entry `idx` unless this transaction already holds it.
+    /// Spins out its current holder: an optimistic committer (bounded,
+    /// it aborts) or a non-transactional store (one word, never waits
+    /// while holding) — no other fallback can run, so this cannot
+    /// deadlock.
+    fn hold(&mut self, idx: usize) {
+        let mine = global::LOCKED | self.owner;
+        let mut spins = 0u32;
+        loop {
+            let cur = global::lock_load(idx);
+            if cur == mine {
+                return;
+            }
+            if !global::is_locked(cur) && global::lock_try_acquire(idx, cur, self.owner) {
+                self.held.push((idx, cur));
+                return;
+            }
+            spins += 1;
+            if spins >= WAIT_SPIN_LIMIT {
+                spins = 0;
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+    }
+}
+
+impl Drop for IrrevocableState {
+    fn drop(&mut self) {
+        if self.wrote {
+            let wv = global::clock_bump();
+            for &(idx, _) in self.held.as_slice() {
+                global::lock_release(idx, wv);
+            }
+        } else {
+            release_all(self.held.as_slice());
+        }
+    }
 }
 
 // The size gap between the variants is the design: `OptState` keeps its
@@ -187,7 +254,7 @@ struct StripedState {
 enum Mode {
     Optimistic(OptState),
     Striped(StripedState),
-    Irrevocable,
+    Irrevocable(IrrevocableState),
 }
 
 /// A running transaction. Obtained from [`crate::HtmDomain::atomic`].
@@ -266,6 +333,7 @@ impl<'t> Txn<'t> {
                 escaped: Cell::new(false),
                 write_set: SmallPairSet::new(),
                 write_filter: 0,
+                read_set: SmallPairSet::new(),
             }),
             opts,
             tbl: None,
@@ -276,7 +344,11 @@ impl<'t> Txn<'t> {
 
     pub(crate) fn irrevocable(opts: TxnOptions) -> Self {
         Txn {
-            mode: Mode::Irrevocable,
+            mode: Mode::Irrevocable(IrrevocableState {
+                owner: global::next_ticket(),
+                held: SmallPairSet::new(),
+                wrote: false,
+            }),
             opts,
             tbl: None,
             global: None,
@@ -286,13 +358,13 @@ impl<'t> Txn<'t> {
 
     /// True on the global fallback-lock (irrevocable) path.
     pub fn is_irrevocable(&self) -> bool {
-        matches!(self.mode, Mode::Irrevocable)
+        matches!(self.mode, Mode::Irrevocable(_))
     }
 
     /// True on either fallback path (striped tier or global irrevocable
     /// tier) — i.e. the body is running under a lock, not optimistically.
     pub fn is_fallback(&self) -> bool {
-        matches!(self.mode, Mode::Striped(_) | Mode::Irrevocable)
+        matches!(self.mode, Mode::Striped(_) | Mode::Irrevocable(_))
     }
 
     /// Bitmask of fallback stripes covering this (optimistic)
@@ -318,14 +390,11 @@ impl<'t> Txn<'t> {
     pub fn read(&mut self, w: &'t TmWord) -> TxResult<u64> {
         let opts = self.opts;
         match &mut self.mode {
-            Mode::Irrevocable => {
-                // Wait out any committing optimistic writer so we never see
-                // a torn multi-word commit (they hold their locks across the
-                // whole apply phase).
-                let idx = w.lock_idx();
-                while global::is_locked(global::lock_load(idx)) {
-                    std::hint::spin_loop();
-                }
+            Mode::Irrevocable(st) => {
+                // Holding the entry waits out any committing optimistic
+                // writer (no torn multi-word commit) and keeps the word
+                // current until the body ends.
+                st.hold(w.lock_idx());
                 Ok(w.load_direct())
             }
             Mode::Striped(st) => {
@@ -344,13 +413,31 @@ impl<'t> Txn<'t> {
                 }
                 // Holding the stripe excludes fallbacks, not an optimistic
                 // writer that validated before our stripe acquisition and
-                // is now applying: wait out its commit locks like the
-                // irrevocable path does.
+                // is now applying: wait out its commit locks, then sandwich
+                // the load and record the version for commit to validate.
                 let idx = w.lock_idx();
-                while global::is_locked(global::lock_load(idx)) {
-                    std::hint::spin_loop();
+                loop {
+                    let l1 = global::lock_load(idx);
+                    if global::is_locked(l1) {
+                        std::hint::spin_loop();
+                        continue;
+                    }
+                    let v = w.load_direct();
+                    if global::lock_load(idx) != l1 {
+                        continue;
+                    }
+                    match st.read_set.get(idx) {
+                        Some(seen) if seen != l1 => {
+                            // A non-transactional store changed a word
+                            // already read: the snapshot is torn.
+                            st.escaped.set(true);
+                            return Err(Abort::CONFLICT);
+                        }
+                        Some(_) => {}
+                        None => st.read_set.push((idx, l1)),
+                    }
+                    return Ok(v);
                 }
-                Ok(w.load_direct())
             }
             Mode::Optimistic(st) => {
                 let addr = w.addr();
@@ -395,8 +482,13 @@ impl<'t> Txn<'t> {
     pub fn write(&mut self, w: &'t TmWord, val: u64) -> TxResult<()> {
         let opts = self.opts;
         match &mut self.mode {
-            Mode::Irrevocable => {
-                w.store_nontx(val);
+            Mode::Irrevocable(st) => {
+                st.hold(w.lock_idx());
+                // Ordering: Release — pairs with Acquire in `load_direct`,
+                // as in `store_nontx`; the entry republishes the store to
+                // version-validating readers when the body ends.
+                w.0.store(val, std::sync::atomic::Ordering::Release);
+                st.wrote = true;
                 Ok(())
             }
             Mode::Striped(st) => {
@@ -468,7 +560,7 @@ impl<'t> Txn<'t> {
                     code: AbortCode::FlushInTxn,
                 })
             }
-            Mode::Irrevocable => Ok(()),
+            Mode::Irrevocable(_) => Ok(()),
         }
     }
 
@@ -477,7 +569,7 @@ impl<'t> Txn<'t> {
         match &self.mode {
             Mode::Optimistic(st) => st.write_set.len(),
             Mode::Striped(st) => st.write_set.len(),
-            Mode::Irrevocable => 0,
+            Mode::Irrevocable(_) => 0,
         }
     }
 
@@ -485,13 +577,17 @@ impl<'t> Txn<'t> {
     pub(crate) fn commit(self) -> TxResult<()> {
         let (tbl, global) = (self.tbl, self.global);
         let mut st = match self.mode {
-            Mode::Irrevocable => return Ok(()),
+            // Dropping the state releases the held entries.
+            Mode::Irrevocable(_) => return Ok(()),
             Mode::Striped(mut st) => {
                 debug_assert!(!st.escaped.get(), "escaped striped txn must not commit");
                 // The held stripes exclude every conflicting fallback and
-                // abort every footprint-overlapping optimistic committer,
-                // so the buffered writes apply without validation — but
-                // they must publish **atomically at one commit version**.
+                // abort every footprint-overlapping optimistic committer;
+                // only a non-transactional store can have changed a word
+                // read, which the read-set validation below catches (the
+                // domain then escalates to tier 2, nothing published). The
+                // buffered writes must publish **atomically at one commit
+                // version**.
                 // Per-word `store_nontx` would give each word its own
                 // version: a read-only optimistic txn sampling rv between
                 // two of those bumps would pass sandwich validation on the
@@ -532,6 +628,10 @@ impl<'t> Txn<'t> {
                             std::hint::spin_loop();
                         }
                     }
+                }
+                if !read_set_current(&st.read_set, &acquired) {
+                    release_all(acquired.as_slice());
+                    return Err(Abort::CONFLICT);
                 }
                 let wv = global::clock_bump();
                 for &(addr, v) in ws {
@@ -592,15 +692,9 @@ impl<'t> Txn<'t> {
 
         // Phase 2: commit timestamp, then read-set validation.
         let wv = global::clock_bump();
-        for &(idx, observed) in st.read_set.as_slice() {
-            let ok = match acquired.get(idx) {
-                Some(prev) => prev == observed,
-                None => global::lock_load(idx) == observed,
-            };
-            if !ok {
-                release_all(acquired.as_slice());
-                return Err(Abort::CONFLICT);
-            }
+        if !read_set_current(&st.read_set, &acquired) {
+            release_all(acquired.as_slice());
+            return Err(Abort::CONFLICT);
         }
 
         // Commit-time fallback subscription: with the write locks held,
@@ -655,6 +749,16 @@ impl<'t> Txn<'t> {
         }
         Ok(())
     }
+}
+
+/// Whether every `(lock index, version)` read is still current: entries
+/// this commit holds (`acquired`) must have had the observed version when
+/// locked, every other entry must still carry it (and be unlocked).
+fn read_set_current(read_set: &SmallPairSet, acquired: &SmallPairSet) -> bool {
+    read_set.as_slice().iter().all(|&(idx, observed)| match acquired.get(idx) {
+        Some(prev) => prev == observed,
+        None => global::lock_load(idx) == observed,
+    })
 }
 
 /// Restores pre-lock versions after a failed commit.
@@ -914,6 +1018,35 @@ mod tests {
         assert!(!txn.escaped());
         txn.commit().unwrap();
         assert_eq!(w.load_direct(), 2);
+    }
+
+    #[test]
+    fn striped_commit_fails_when_a_nontx_store_hit_its_read_set() {
+        // No stripe excludes a non-transactional store: the read-modify-
+        // write below would lose its increment if commit did not validate.
+        let w = TmWord::new(1);
+        let mut txn = Txn::striped(TxnOptions::default(), u64::MAX);
+        let v = txn.read(&w).unwrap();
+        w.fetch_add_nontx(1);
+        txn.write(&w, v + 1).unwrap();
+        assert_eq!(txn.commit().unwrap_err().code, AbortCode::Conflict);
+        assert_eq!(w.load_direct(), 2, "a failed striped commit publishes nothing");
+        assert!(!global::is_locked(global::lock_load(w.lock_idx())), "entries released");
+    }
+
+    #[test]
+    fn irrevocable_holds_its_words_until_the_body_ends() {
+        // A held entry is what makes `store_nontx` / `cas_nontx` wait, so
+        // a read must keep the word's entry locked until the txn drops.
+        let w = TmWord::new(1);
+        let idx = w.lock_idx();
+        let mut txn = Txn::irrevocable(TxnOptions::default());
+        let v = txn.read(&w).unwrap();
+        assert!(global::is_locked(global::lock_load(idx)), "a read must hold the entry");
+        txn.write(&w, v + 1).unwrap();
+        assert_eq!(w.load_direct(), 2, "irrevocable writes land in place");
+        drop(txn);
+        assert!(!global::is_locked(global::lock_load(idx)), "dropping releases the entry");
     }
 
     #[test]

@@ -396,21 +396,29 @@ impl<T: PersistentIndex> GroupCommit<T> {
         self.timeline.series_json()
     }
 
-    /// Executes one op directly on the inner index (direct, full-slots,
-    /// reclaim and byte-key paths). A panic here (a simulated crash in the
-    /// persist-trap tests) poisons the whole layer before re-raising,
-    /// exactly like a crash inside a draining epoch: the inner index may
-    /// be left holding leaf locks, and every writer — queued or direct —
-    /// must stop touching it.
-    fn apply_direct(&self, key: AnyKey<'_>, value: Value, op: WriteOp) -> Result<(), OpError> {
-        self.check_crashed(); // the entry check may predate the crash
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.inner.apply(key, value, op))) {
+    /// Runs `f` directly on the inner index, behind the poison guard
+    /// every non-queued write shares (point writes on the direct,
+    /// full-slots and byte-key paths, batches, bulk loads). A poisoned
+    /// layer panics before touching the index; a panic inside `f` (a
+    /// simulated crash in the persist-trap tests) poisons the whole layer
+    /// before re-raising, exactly like a crash inside a draining epoch:
+    /// the inner index may be left holding leaf locks, and every writer —
+    /// queued or direct — must stop touching it.
+    fn guarded<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        self.check_crashed(); // the caller's entry check may predate the crash
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&self.inner))) {
             Ok(r) => r,
             Err(cause) => {
                 self.crashed.store(true, Ordering::Release);
                 std::panic::resume_unwind(cause);
             }
         }
+    }
+
+    /// Executes one point write directly on the inner index (see
+    /// [`GroupCommit::guarded`]).
+    fn apply_direct(&self, key: AnyKey<'_>, value: Value, op: WriteOp) -> Result<(), OpError> {
+        self.guarded(|t| t.apply(key, value, op))
     }
 
     /// Executes one write directly while the shard has a CPU to spare;
@@ -645,14 +653,15 @@ impl<T: PersistentIndex> PersistentIndex for GroupCommit<T> {
     fn scan_k(&self, start: KeyRef<'_>, n: usize, out: &mut Vec<(KeyBuf, Value)>) -> usize {
         self.inner.scan_k(start, n, out)
     }
+    // Already batched: bypass the queue, but not the poison guard.
     fn load_sorted(&self, pairs: &[(Key, Value)]) -> Result<(), OpError> {
-        self.inner.load_sorted(pairs) // already batched: pass through
+        self.guarded(|t| t.load_sorted(pairs))
     }
     fn load_sorted_k(&self, pairs: &[(KeyBuf, Value)]) -> Result<(), OpError> {
-        self.inner.load_sorted_k(pairs)
+        self.guarded(|t| t.load_sorted_k(pairs))
     }
     fn write_batch(&self, batch: &mut [(Key, Value, WriteOp)]) -> Vec<Result<(), OpError>> {
-        self.inner.write_batch(batch)
+        self.guarded(|t| t.write_batch(batch))
     }
     fn name(&self) -> &'static str {
         "GroupCommit"
@@ -1010,8 +1019,8 @@ mod tests {
             let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
             assert!(msg.contains("poisoned"), "writer B panicked with {msg:?}");
         });
-        // Once poisoned, a byte-key write panics exactly as a u64 write
-        // does, without reaching the inner index.
+        // Once poisoned, byte-key, batch and bulk-load writes panic
+        // exactly as a u64 write does, without reaching the inner index.
         let panic_of = |write: &dyn Fn() -> Result<(), OpError>| {
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(write))
                 .expect_err("a poisoned layer must refuse every write");
@@ -1021,6 +1030,8 @@ mod tests {
         let u64_panic = panic_of(&|| gc.insert(3, 30));
         assert!(u64_panic.contains("poisoned"), "{u64_panic:?}");
         assert_eq!(panic_of(&|| gc.insert_k(key.as_slice(), 30)), u64_panic);
+        assert_eq!(panic_of(&|| gc.insert_batch(&mut [(4, 40)]).remove(0)), u64_panic);
+        assert_eq!(panic_of(&|| gc.load_sorted(&[(5, 50)])), u64_panic);
         assert_eq!(gc.inner().entries_after_crash.load(Ordering::Relaxed), 0);
         assert_eq!(gc.commit_stats().leader_elections, 1, "B must have won an election");
         assert_eq!(gc.shards[0].leader.load(Ordering::Acquire), 0, "B must step down");

@@ -484,27 +484,15 @@ impl InnerIndex {
             // growth installs a fully-built node before swinging the word),
             // so a plain acquire load suffices here.
             let mut node_ref = self.root.load_direct();
-            // Per-descent trace accounting (levels, cache hits/misses);
-            // plain locals, handed to the sampled span only at the end.
-            let (mut depth, mut hits, mut misses) = (0u32, 0u32, 0u32);
             while !is_leaf_ref(node_ref) {
-                match self.cached_child(cache, node_ref, c) {
-                    Some((child, hit)) => {
-                        depth += 1;
-                        if hit {
-                            hits += 1;
-                        } else {
-                            misses += 1;
-                        }
-                        node_ref = child;
-                        if !is_leaf_ref(node_ref) {
-                            prefetch_node(node_ref as *const Inner);
-                        }
-                    }
-                    None => continue 'restart,
+                let Some(child) = self.cached_child(cache, node_ref, c) else {
+                    continue 'restart;
+                };
+                node_ref = child;
+                if !is_leaf_ref(node_ref) {
+                    prefetch_node(node_ref as *const Inner);
                 }
             }
-            obs::note_descent(depth, hits, misses);
             return crate::leaf_off(node_ref);
         }
         self.descent_tm_fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -515,14 +503,12 @@ impl InnerIndex {
     /// validated frame; miss → fill a frame from a gate-validated node
     /// snapshot (serving the step from the same snapshot); no frame
     /// available → gate-validated direct read. `None` means validation
-    /// failed somewhere and the descent must restart from the root; the
-    /// returned flag says whether the step was served from a cached
-    /// frame (trace accounting).
-    fn cached_child(&self, cache: &PageCache, node_ref: u64, c: Cmp<'_>) -> Option<(u64, bool)> {
+    /// failed somewhere and the descent must restart from the root.
+    fn cached_child(&self, cache: &PageCache, node_ref: u64, c: Cmp<'_>) -> Option<u64> {
         if let Some(child) =
             cache.optimistic_read(node_ref, |v: &FrameView<'_>| route_words(|i| v.word(i), |w| self.cmp_le(c, w)))
         {
-            return Some((child, true));
+            return Some(child);
         }
         let inner = self.deref(node_ref);
         if let Some(guard) = cache.begin_fill(node_ref) {
@@ -539,7 +525,7 @@ impl InnerIndex {
             if self.gate.validate(token) {
                 let child = route_words(|i| words[i], |w| self.cmp_le(c, w));
                 guard.commit(&words);
-                return Some((child, false));
+                return Some(child);
             }
             guard.abandon();
             return None;
@@ -559,7 +545,7 @@ impl InnerIndex {
             }
         }
         let child = inner.children[lo].load_direct();
-        self.gate.validate(token).then_some((child, false))
+        self.gate.validate(token).then_some(child)
     }
 
     /// Sequential traversal for quiescent phases (single-threaded

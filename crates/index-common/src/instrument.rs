@@ -5,34 +5,32 @@
 //! operation's wall-clock latency into a shared `obs::OpHistograms`
 //! through the zero-cost-when-disabled `obs::Recorder` handle. Every
 //! tree gets per-op p50/p90/p99/p999 for free; no tree contains any
-//! timing code of its own.
+//! timing code of its own. What an op *did* (persists, HTM attempts,
+//! cache hits) is not recorded here: those are the owning layers'
+//! whole-run counters, read per op as a delta over a run.
 
 use std::sync::Arc;
 
-use obs::{ObsSource, OpClass, OpHistograms, OpType, Recorder, Section, TraceRing};
+use obs::{ObsSource, OpClass, OpHistograms, OpType, Recorder, Section};
 
 use crate::{AnyKey, Key, KeyBuf, KeyRef, OpError, PersistentIndex, TreeStats, Value, WriteOp};
 
-/// A [`PersistentIndex`] wrapper that records per-op latency, and —
-/// when a [`TraceRing`] is attached — opens a sampled trace span around
-/// each operation so the htm/nvm/tree layers' `note_*` hooks land in
-/// one [`obs::OpSpan`] per traced op.
+/// A [`PersistentIndex`] wrapper that records per-op latency.
 ///
 /// With a disabled recorder (the default construction) every operation
 /// pays one branch on a `None`; with an enabled recorder, sampled
 /// operations (default 1-in-8 per thread, counted independently per
 /// [`OpClass`]) pay two `Instant::now()` calls and two relaxed
-/// `fetch_add`s. Tracing is sampled separately (default 1-in-64).
+/// `fetch_add`s.
 pub struct Instrumented<T> {
     inner: T,
     rec: Recorder,
-    trace: Option<Arc<TraceRing>>,
 }
 
 impl<T: PersistentIndex> Instrumented<T> {
     /// Wraps `inner` with an explicit recorder.
     pub fn new(inner: T, rec: Recorder) -> Instrumented<T> {
-        Instrumented { inner, rec, trace: None }
+        Instrumented { inner, rec }
     }
 
     /// Wraps `inner` with a fresh histogram set and returns both; the
@@ -40,15 +38,9 @@ impl<T: PersistentIndex> Instrumented<T> {
     pub fn with_histograms(inner: T) -> (Instrumented<T>, Arc<OpHistograms>) {
         let hists = Arc::new(OpHistograms::new());
         (
-            Instrumented { inner, rec: Recorder::new(Arc::clone(&hists)), trace: None },
+            Instrumented { inner, rec: Recorder::new(Arc::clone(&hists)) },
             hists,
         )
-    }
-
-    /// Attaches a trace ring: operations start opening sampled spans.
-    pub fn with_tracing(mut self, ring: Arc<TraceRing>) -> Instrumented<T> {
-        self.trace = Some(ring);
-        self
     }
 
     /// The wrapped index.
@@ -61,31 +53,16 @@ impl<T: PersistentIndex> Instrumented<T> {
         &self.rec
     }
 
-    /// The attached trace ring, if any.
-    pub fn trace_ring(&self) -> Option<&Arc<TraceRing>> {
-        self.trace.as_ref()
-    }
-
     #[inline]
     fn timed<R>(&self, op: OpType, f: impl FnOnce(&T) -> R) -> R {
-        let began = match &self.trace {
-            Some(ring) => obs::span_begin(op, ring.sample_shift()),
-            None => false,
-        };
-        let r = match self.rec.start_op(op) {
+        match self.rec.start_op(op) {
             Some(t0) => {
                 let r = f(&self.inner);
                 self.rec.finish(op, t0);
                 r
             }
             None => f(&self.inner),
-        };
-        if began {
-            if let Some(ring) = &self.trace {
-                obs::span_finish(ring, true);
-            }
         }
-        r
     }
 }
 
@@ -148,9 +125,8 @@ impl<T: PersistentIndex> PersistentIndex for Instrumented<T> {
 impl<T: PersistentIndex> ObsSource for Instrumented<T> {
     /// An `ops` section (per-op latency distributions, when the
     /// recorder is enabled) with its `ops_class` rollup (read / update /
-    /// insert / remove / scan / batch), a `trace_meta` counter section
-    /// (spans recorded/dropped, when a trace ring is attached), plus a
-    /// `tree` counter section from the wrapped index.
+    /// insert / remove / scan / batch), plus a `tree` counter section
+    /// from the wrapped index.
     fn obs_sections(&self) -> Vec<(String, Section)> {
         let mut out = Vec::new();
         if let Some(hists) = self.rec.histograms() {
@@ -164,16 +140,6 @@ impl<T: PersistentIndex> ObsSource for Instrumented<T> {
                 .map(|&c| (c.name().to_string(), hists.snapshot_class(c)))
                 .collect();
             out.push(("ops_class".to_string(), Section::Latencies(by_class)));
-        }
-        if let Some(ring) = &self.trace {
-            out.push((
-                "trace_meta".to_string(),
-                Section::Counters(vec![
-                    ("spans_recorded".into(), ring.recorded()),
-                    ("spans_dropped".into(), ring.dropped()),
-                    ("sample_shift".into(), ring.sample_shift() as u64),
-                ]),
-            ));
         }
         out.push(("tree".to_string(), Section::Counters(self.inner.stats().counters())));
         out
@@ -239,26 +205,6 @@ mod tests {
         // upsert and update both roll up into the update class.
         assert_eq!(count_of("update"), 2);
         assert_eq!(count_of("read"), 0);
-    }
-
-    #[test]
-    fn attached_trace_ring_collects_spans() {
-        let ring = obs::TraceRing::shared();
-        ring.set_sample_shift(0); // trace every op
-        let idx = Instrumented::new(MemIndex::new(), Recorder::disabled())
-            .with_tracing(Arc::clone(&ring));
-        for k in 0..5 {
-            idx.insert(k, k).unwrap();
-        }
-        assert_eq!(idx.find(2), Some(2));
-        let spans = ring.dump();
-        assert_eq!(spans.len(), 6);
-        assert!(spans.iter().any(|s| s.op == OpType::Search));
-        assert!(spans.iter().all(|s| s.total_ns > 0));
-        let sections = idx.obs_sections();
-        let (_, meta) = sections.iter().find(|(n, _)| n == "trace_meta").unwrap();
-        let Section::Counters(items) = meta else { panic!("counters") };
-        assert!(items.iter().any(|(n, v)| n == "spans_recorded" && *v == 6));
     }
 
     #[test]

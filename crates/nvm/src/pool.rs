@@ -318,7 +318,6 @@ impl PmemPool {
         if len == 0 {
             self.stats.fences.fetch_add(1, Ordering::Relaxed);
             self.stats.persists.fetch_add(1, Ordering::Relaxed);
-            obs::note_persist(1);
             return;
         }
         self.check(off, len);
@@ -334,7 +333,6 @@ impl PmemPool {
         }
         self.stats.fences.fetch_add(1, Ordering::Relaxed);
         self.stats.persists.fetch_add(1, Ordering::Relaxed);
-        obs::note_persist(1);
     }
 
     /// The coalesced persistent instruction: flush the cache lines covering
@@ -378,7 +376,6 @@ impl PmemPool {
         }
         self.stats.fences.fetch_add(1, Ordering::Relaxed);
         self.stats.persists.fetch_add(1, Ordering::Relaxed);
-        obs::note_persist(1);
     }
 
     /// Issues the CLWBs for `[off, off+len)` without the trailing fence:
@@ -431,7 +428,6 @@ impl PmemPool {
         }
         self.stats.fences.fetch_add(1, Ordering::Relaxed);
         self.stats.persists.fetch_add(1, Ordering::Relaxed);
-        obs::note_persist(1);
     }
 
     /// Flushes a single line: latency stall + durable-image copy.

@@ -19,11 +19,10 @@
 //!   (space-saving style) attributing contention to *structures*: which
 //!   leaves abort, which fallback stripes serialize, which cache sets
 //!   thrash.
-//! - [`trace`] — sampled per-operation spans ([`OpSpan`] in a
-//!   [`TraceRing`]): descent depth, cache hits, HTM attempts with
-//!   per-attempt abort causes, fallback tier, stripes touched and
-//!   persist counts for one op, stitched together through thread-local
-//!   `note_*` hooks so the layers need no plumbing changes.
+//! - [`trace`] — the always-on per-thread HTM section marks
+//!   ([`section_mark`]) that feed leaf-conflict heat: abort/fallback
+//!   counters the htm domain bumps, read as a delta around a leaf's
+//!   critical section.
 //! - [`timeline`] — windowed percentile-over-time series
 //!   ([`Timeline`]): periodic cumulative snapshots are diffed into
 //!   per-window p50/p99 + throughput, so benches can show *when* a run
@@ -41,9 +40,12 @@
 //! Disabled (the default everywhere) the record paths cost one relaxed
 //! load or a branch on a `None`. Enabled, timestamps are sampled
 //! (default 1 op in 8) and each sample is two relaxed `fetch_add`s on a
-//! per-thread stripe. Building the workspace with this crate's
-//! `record` feature off (`--no-default-features`) compiles every record
-//! path to nothing.
+//! per-thread stripe. Per-op costs (persists, HTM attempts and aborts,
+//! cache hits) are never traced op by op: they are whole-run counters
+//! in the layers that own them, and a per-op view is their delta over a
+//! run divided by the ops it ran. Building the workspace with this
+//! crate's `record` feature off (`--no-default-features`) compiles
+//! every record path to nothing.
 
 #![deny(missing_docs)]
 
@@ -67,7 +69,5 @@ pub use ops::{
 pub use registry::{ObsGroup, ObsRegistry, ObsSnapshot, ObsSource, Section};
 pub use timeline::{Timeline, TimelineWindow};
 pub use trace::{
-    note_descent, note_fallback, note_htm_abort, note_htm_attempt, note_leaf, note_persist,
-    note_phase, note_stripes, section_mark, span_active, span_begin, span_finish, OpSpan,
-    SectionDelta, SectionMark, TraceRing, DEFAULT_TRACE_SHIFT,
+    bump_section_aborts, bump_section_fallbacks, section_mark, SectionDelta, SectionMark,
 };

@@ -452,16 +452,13 @@ impl PhaseClock {
     }
 
     /// Records the span since the last mark/lap as `phase`, and starts
-    /// the next span. Also feeds the active trace span (if any), so a
-    /// sampled op's trace carries the same phase breakdown the timers
-    /// aggregate.
+    /// the next span.
     #[inline]
     pub fn lap(&mut self, timers: &PhaseTimers, phase: Phase) {
         if let Some(t0) = self.t0 {
             let now = Instant::now();
             let ns = saturating_ns(now.duration_since(t0));
             timers.record(phase, ns);
-            crate::trace::note_phase(phase, ns);
             self.t0 = Some(now);
         }
     }

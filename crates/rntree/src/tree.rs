@@ -556,7 +556,6 @@ impl RnTree {
             // are read before and after the slot-line sections; any delta
             // happened while this op held *this* leaf, so the leaf gets
             // the blame. Free on the no-abort path (two TLS reads).
-            obs::note_leaf(leaf.off());
             let sm = obs::section_mark();
             let hashed = F::layout(leaf) == LAYOUT_HASH;
             let decision = self.update_pslot(leaf, |slot| self.edit::<F>(leaf, slot, key, entry, mode, hashed));

@@ -1,18 +1,18 @@
-//! Sampled op tracing + time-resolved metrics, end to end (PR 9).
+//! The per-op counter digest + time-resolved metrics, end to end (PR 9).
 //!
-//! Exercises the whole path the bench relies on: an `Instrumented`
-//! `RnTree` with a `TraceRing` attached records spans whose fields
-//! reflect what the op actually did (descent, persists, leaf landed
-//! on); the ring bounds memory and reports drops; a `Timeline` fed from
-//! the live histograms produces windowed percentile series; and the
-//! tree's obs sections export the new heat tables and event-ring
+//! Exercises the whole path the bench relies on: counter deltas over an
+//! `Instrumented` `RnTree` loop, divided per op, reflect what the ops
+//! actually did (persists, HTM attempts, cached descent); a `Timeline`
+//! fed from the live histograms produces windowed percentile series;
+//! and the tree's obs sections export the heat tables and event-ring
 //! overflow counters through both registry formats.
 
 use std::sync::Arc;
 
+use bench::tracebench::{digest, CellCounters};
 use index_common::{Instrumented, PersistentIndex};
 use nvm::{PmemConfig, PmemPool};
-use obs::{ObsRegistry, ObsSource, OpType, Timeline, ToJson, TraceRing};
+use obs::{ObsRegistry, ObsSource, OpType, Phase, Timeline, ToJson};
 use rntree::{RnConfig, RnTree};
 
 fn tree_on(mb: usize) -> Arc<RnTree> {
@@ -25,85 +25,36 @@ fn tree_on(mb: usize) -> Arc<RnTree> {
 #[test]
 fn spans_capture_op_structure() {
     let tree = tree_on(64);
-    let ring = TraceRing::shared();
-    ring.set_sample_shift(0); // trace every op
-    let (instr, _hists) = Instrumented::with_histograms(Arc::clone(&tree));
-    let instr = instr.with_tracing(Arc::clone(&ring));
+    let (instr, hists) = Instrumented::with_histograms(Arc::clone(&tree));
+    tree.phase_timers().set_sample_shift(0); // clock every write
+    tree.phase_timers().set_enabled(true);
 
-    // Interleave inserts and finds: one thread feeds one ring stripe, so
-    // only the newest spans survive a wrap — the tail must hold both op
-    // types for the assertions below.
+    let before = CellCounters::capture(&tree, &hists);
     for k in 1..=500u64 {
         instr.insert(k, k).unwrap();
         assert_eq!(instr.find(k), Some(k));
     }
+    let d = digest(&before, &CellCounters::capture(&tree, &hists), 1_000);
 
-    let spans = ring.dump();
-    assert!(!spans.is_empty());
-    assert!(ring.recorded() >= 1000, "shift 0 must record every op");
-
-    let inserts: Vec<_> = spans.iter().filter(|s| s.op == OpType::Insert).collect();
-    let searches: Vec<_> = spans.iter().filter(|s| s.op == OpType::Search).collect();
-    assert!(!inserts.is_empty() && !searches.is_empty());
-    // Inserts persist (KV entry + slot line) and land on a leaf.
-    assert!(inserts.iter().any(|s| s.persists > 0), "insert spans must count persists");
-    assert!(inserts.iter().any(|s| s.leaf != 0), "insert spans must name their leaf");
+    assert_eq!(d.ops, 1_000);
+    // Every insert persists its KV entry and its slot line: two
+    // persists per insert, half the ops.
+    assert!(d.mean_persists >= 1.0, "inserts must count persists: {d:?}");
     // Optimistic transactions show up as attempts.
-    assert!(inserts.iter().any(|s| s.htm_attempts > 0), "insert spans must count HTM attempts");
-    // Cached descent reports depth and cache traffic.
-    assert!(
-        spans.iter().any(|s| s.descent_depth > 0),
-        "descent depth must be traced on the cached path"
-    );
-    assert!(
-        spans.iter().any(|s| s.cache_hits + s.cache_misses > 0),
-        "cache traffic must be traced on the cached path"
-    );
-    // Every span carries a wall-clock duration.
-    assert!(spans.iter().all(|s| s.total_ns > 0));
-    // The span renders to JSON with the abort taxonomy present.
-    let j = spans[0].to_json().render();
-    for key in ["\"op\"", "\"total_ns\"", "\"aborts\"", "\"fallback_tier\"", "\"persists\""] {
-        assert!(j.contains(key), "span JSON missing {key}: {j}");
+    assert!(d.mean_attempts > 0.0, "inserts must count HTM attempts: {d:?}");
+    // The cached descent shows cache traffic, and finds right after
+    // their insert hit the frames the insert's descent filled.
+    assert!(d.mean_depth > 0.0, "the cached descent must show cache traffic: {d:?}");
+    assert!(d.cache_hit_rate > 0.0, "{d:?}");
+    // Ops carry a wall-clock duration, and clocked writes a leaf
+    // critical section inside it.
+    assert!(d.mean_total_ns > 0.0, "{d:?}");
+    assert!(d.phase_mean_ns[Phase::LeafCs as usize] > 0.0, "{d:?}");
+    // The digest renders to JSON with the abort taxonomy present.
+    let j = d.to_json().render();
+    for key in ["\"ops\"", "\"mean_total_ns\"", "\"aborts_by_cause\"", "\"fallback_tier\"", "\"mean_persists\""] {
+        assert!(j.contains(key), "digest JSON missing {key}: {j}");
     }
-}
-
-#[test]
-fn sampling_shift_thins_spans() {
-    let tree = tree_on(32);
-    let ring = TraceRing::shared();
-    ring.set_sample_shift(3); // 1 op in 8
-    let (instr, _hists) = Instrumented::with_histograms(Arc::clone(&tree));
-    let instr = instr.with_tracing(Arc::clone(&ring));
-    for k in 1..=800u64 {
-        instr.insert(k, k).unwrap();
-    }
-    let recorded = ring.recorded();
-    assert!(
-        (80..=120).contains(&recorded),
-        "1-in-8 sampling of 800 ops should record ~100 spans, got {recorded}"
-    );
-}
-
-#[test]
-fn ring_overflow_is_bounded_and_reported() {
-    let tree = tree_on(64);
-    let ring = TraceRing::shared();
-    ring.set_sample_shift(0);
-    let (instr, _hists) = Instrumented::with_histograms(Arc::clone(&tree));
-    let instr = instr.with_tracing(Arc::clone(&ring));
-    for k in 1..=6_000u64 {
-        instr.insert(k, k).unwrap();
-    }
-    let spans = ring.dump();
-    assert!(spans.len() < 6_000, "ring must bound memory");
-    assert_eq!(ring.recorded(), 6_000);
-    assert!(ring.dropped() > 0, "overflow must be visible, not silent");
-    assert_eq!(ring.recorded() - ring.dropped(), spans.len() as u64);
-
-    ring.clear();
-    assert_eq!(ring.dump().len(), 0);
-    assert_eq!(ring.recorded(), 0);
 }
 
 #[test]
