@@ -23,7 +23,7 @@
 //!    histograms) are captured before and after the adversary cell, and
 //!    their deltas are divided by the ops the cell ran ([`digest`]):
 //!    per-phase mean and share, cached descent steps, cache hit rate,
-//!    HTM attempts and the abort mix, fallbacks by tier, and persists —
+//!    HTM attempts and the abort mix, fallbacks, and persists —
 //!    all per op.
 //! 3. **Overhead** — PR-4 methodology: YCSB-A peak throughput with
 //!    everything off vs fully on (recorder + phase timers + timeline
@@ -111,7 +111,7 @@ fn merged_ops_hist(hists: &OpHistograms) -> Histogram {
 /// after.
 #[derive(Clone, Default)]
 pub struct CellCounters {
-    /// HTM attempts, aborts by cause and fallbacks by tier.
+    /// HTM attempts, aborts by cause and fallbacks.
     pub htm: HtmStatsSnapshot,
     /// Persistent instructions.
     pub pmem: PmemStatsSnapshot,
@@ -157,8 +157,8 @@ pub struct TraceDigest {
     pub mean_attempts: f64,
     /// Aborts per op by cause (conflict, capacity, explicit, flush).
     pub aborts_by_cause: [f64; 4],
-    /// Fallbacks per op by tier (striped, global).
-    pub fallbacks: [f64; 2],
+    /// Fallbacks per op.
+    pub fallbacks: f64,
     /// Persistent instructions per op.
     pub mean_persists: f64,
 }
@@ -184,7 +184,7 @@ pub fn digest(before: &CellCounters, after: &CellCounters, ops: u64) -> TraceDig
             htm.aborts_flush,
         ]
         .map(|n| per_op(n as f64)),
-        fallbacks: [htm.fallbacks_striped, htm.fallbacks_global].map(|n| per_op(n as f64)),
+        fallbacks: per_op(htm.fallbacks as f64),
         mean_persists: per_op(after.pmem.since(&before.pmem).persists as f64),
     }
 }
@@ -198,7 +198,6 @@ struct CellRun {
     conflicts: Vec<HeatEntry>,
     splits: Vec<HeatEntry>,
     morphs: Vec<HeatEntry>,
-    stripes: Vec<HeatEntry>,
     decayed: u64,
     digest: TraceDigest,
 }
@@ -258,7 +257,6 @@ fn run_cell(scale: &Scale, name: &'static str, dist: KeyDist, threads: usize) ->
         conflicts: heat.conflicts.top_k(HEAT_TOP_K),
         splits: heat.splits.top_k(HEAT_TOP_K),
         morphs: heat.morphs.top_k(HEAT_TOP_K),
-        stripes: tree.stripe_heat_top_k(HEAT_TOP_K),
         decayed: heat.conflicts.decayed(),
         digest: digest(&before, &after, r.ops),
     };
@@ -286,7 +284,6 @@ fn hot_leaf_set(tree: &RnTree) -> BTreeSet<u64> {
 }
 
 const ABORT_CAUSES: [&str; 4] = ["conflict", "capacity", "explicit", "flush"];
-const FALLBACK_TIERS: [&str; 2] = ["striped", "global"];
 
 impl ToJson for TraceDigest {
     fn to_json(&self) -> Json {
@@ -306,7 +303,7 @@ impl ToJson for TraceDigest {
         o.set("cache_hit_rate", Json::F64(self.cache_hit_rate));
         o.set("mean_htm_attempts", Json::F64(self.mean_attempts));
         o.set("aborts_by_cause", named(&ABORT_CAUSES, &self.aborts_by_cause));
-        o.set("fallback_tier", named(&FALLBACK_TIERS, &self.fallbacks));
+        o.set("fallbacks", Json::F64(self.fallbacks));
         o.set("mean_persists", Json::F64(self.mean_persists));
         o
     }
@@ -335,10 +332,7 @@ fn print_digest(d: &TraceDigest) {
         "aborts (conf/cap/expl/flush)".into(),
         format!("{:.4}/{:.4}/{:.4}/{:.4}", a[0], a[1], a[2], a[3]),
     ]);
-    t.row(vec![
-        "fallbacks (striped/global)".into(),
-        format!("{:.4}/{:.4}", d.fallbacks[0], d.fallbacks[1]),
-    ]);
+    t.row(vec!["fallbacks".into(), format!("{:.4}", d.fallbacks)]);
     t.row(vec!["persists".into(), format!("{:.3}", d.mean_persists)]);
     t.print();
 }
@@ -382,7 +376,6 @@ fn cell_json(run: &CellRun, hot: &BTreeSet<u64>) -> Json {
     heat.set("leaf_conflicts", heat_json(&run.conflicts));
     heat.set("leaf_splits", heat_json(&run.splits));
     heat.set("leaf_morphs", heat_json(&run.morphs));
-    heat.set("htm_stripes", heat_json(&run.stripes));
     heat.set("leaf_conflicts_decayed", Json::U64(run.decayed));
     o.set("heat", heat);
     let hot_hits = run.conflicts.iter().filter(|e| hot.contains(&e.key)).count();
@@ -585,7 +578,6 @@ fn run_cells(scale: &Scale, gates: Gates) -> (CellRun, CellRun, BTreeSet<u64>, u
         run_closed_loop(&dynref, &spec, threads, scale.duration, scale.seed ^ extra);
         adv.conflicts = tree.leaf_heat().conflicts.top_k(HEAT_TOP_K);
         adv.decayed = tree.leaf_heat().conflicts.decayed();
-        adv.stripes = tree.stripe_heat_top_k(HEAT_TOP_K);
     }
     if extra > 0 {
         println!("(heat rescue: {extra} extra adversary rounds to outrun conflict noise)");
@@ -606,7 +598,6 @@ pub fn trace_scale(scale: &Scale, out_path: &str, assert_overhead_pct: Option<f6
     let (adv, uni, hot, threads) = run_cells(scale, gates);
     print_heat("adversary leaf-conflict heat (top-K)", &adv.conflicts, Some(&hot));
     print_heat("uniform-control leaf-conflict heat (top-K)", &uni.conflicts, Some(&hot));
-    print_heat("adversary fallback-stripe heat", &adv.stripes, None);
     print_digest(&adv.digest);
     let oh_threads = scale.threads.iter().copied().max().unwrap_or(2).max(2);
     let overhead = overhead_stage(scale, oh_threads);
@@ -656,7 +647,6 @@ pub fn trace_report(scale: &Scale, assert_overhead_pct: Option<f64>) {
     let (adv, uni, hot, _threads) = run_cells(scale, Gates::Enforce);
     print_digest(&adv.digest);
     print_heat("hot leaves by HTM conflict attribution", &adv.conflicts, Some(&hot));
-    print_heat("hot fallback stripes", &adv.stripes, None);
     print_heat("uniform-control leaf heat (for contrast)", &uni.conflicts, Some(&hot));
 
     println!("\n### timeline ({} windows)\n", adv.timeline.len());
@@ -734,8 +724,7 @@ mod tests {
         after.htm.attempts = 30;
         after.htm.aborts_conflict = 10;
         after.htm.aborts_capacity = 2;
-        after.htm.fallbacks_striped = 4;
-        after.htm.fallbacks_global = 1;
+        after.htm.fallbacks = 5;
         after.pmem.persists = 40;
         after.cache.hits = 45;
         after.cache.misses = 15;
@@ -752,7 +741,7 @@ mod tests {
         assert_eq!(d.cache_hit_rate, 0.75);
         assert_eq!(d.mean_attempts, 1.5);
         assert_eq!(d.aborts_by_cause, [0.5, 0.1, 0.0, 0.0]);
-        assert_eq!(d.fallbacks, [0.2, 0.05]);
+        assert_eq!(d.fallbacks, 0.25);
         assert_eq!(d.mean_persists, 2.0);
         // Deltas, not totals: an identical later capture folds to zero.
         let idle = digest(&after, &after, 20);

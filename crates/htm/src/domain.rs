@@ -1,4 +1,4 @@
-//! [`HtmDomain`]: the retry loop + two-tier fallback path (the lock-elision
+//! [`HtmDomain`]: the retry loop + fallback path (the lock-elision
 //! pattern).
 //!
 //! `domain.atomic(|txn| …)` is the equivalent of the canonical RTM idiom:
@@ -15,20 +15,10 @@
 //!   }
 //! ```
 //!
-//! …except that the fallback is **two-tier** (see [`crate::fallback`] for
-//! the safety argument):
-//!
-//! * **Tier 1 (striped)**: a conflict-driven fallback acquires only the
-//!   fallback stripes covering the footprint its optimistic attempts
-//!   observed (the union of their stripe subscriptions), runs the body
-//!   with buffered writes, and publishes them under those stripes
-//!   atomically at a single commit version. Fallbacks
-//!   on disjoint stripes — different leaves, in tree terms — no longer
-//!   serialise against each other or against unrelated transactions.
-//! * **Tier 2 (global)**: capacity and flush aborts (footprint unknown or
-//!   flushing required) and striped runs that touch outside their
-//!   predicted footprint escalate to the global lock + *all* stripes and
-//!   run irrevocably, exactly like the old single-lock design.
+//! The fallback takes the domain's global [`FallbackLock`] and runs the
+//! body irrevocably: writes land in place, and every word read or written
+//! keeps its version-lock entry held until the body ends (see
+//! [`crate::fallback`] for the safety argument).
 //!
 //! Retry policy, mirroring production RTM code, **adaptive** by default:
 //! * **Conflict** aborts retry with exponential backoff up to an
@@ -38,7 +28,7 @@
 //!   sooner, with longer backoff); a conflict-free commit decays the
 //!   streak. The budget in force at each conflict is recorded in
 //!   [`crate::HtmStats::retry_budget`].
-//! * **Capacity** and **flush-in-txn** aborts go to the global fallback
+//! * **Capacity** and **flush-in-txn** aborts go to the fallback
 //!   immediately — retrying cannot help a transaction that is too big or
 //!   that must flush. Capacity aborts additionally teach the policy a
 //!   per-call-site "go straight to fallback" hint (with a credit budget,
@@ -52,7 +42,7 @@
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::Ordering::Relaxed;
 
-use crate::fallback::{FallbackLock, StripeTable};
+use crate::fallback::FallbackLock;
 use crate::stats::HtmStats;
 use crate::txn::{AbortCode, Txn, TxnOptions};
 use crate::TxResult;
@@ -144,7 +134,7 @@ fn adapt_learn_site(site: usize) {
 }
 
 /// Consumes one hint credit for `site` if armed; `true` means "skip the
-/// optimistic attempt, go straight to the global fallback".
+/// optimistic attempt, go straight to the fallback".
 fn adapt_take_site(site: usize) -> bool {
     ADAPT.with(|a| {
         let mut a = a.borrow_mut();
@@ -161,14 +151,13 @@ fn adapt_take_site(site: usize) -> bool {
     })
 }
 
-/// An HTM execution domain: two-tier fallback + stats + capacity model.
+/// An HTM execution domain: fallback lock + stats + capacity model.
 ///
 /// Each concurrent data structure owns one domain, mirroring a per-structure
 /// fallback mutex (a process-global one would serialise unrelated trees).
 #[derive(Debug)]
 pub struct HtmDomain {
     fallback: FallbackLock,
-    stripes: StripeTable,
     stats: HtmStats,
     opts: TxnOptions,
     policy: RetryPolicy,
@@ -178,7 +167,6 @@ impl Default for HtmDomain {
     fn default() -> Self {
         HtmDomain {
             fallback: FallbackLock::new(),
-            stripes: StripeTable::new(),
             stats: HtmStats::default(),
             opts: TxnOptions::default(),
             policy: RetryPolicy::default(),
@@ -207,15 +195,9 @@ impl HtmDomain {
         &self.stats
     }
 
-    /// The domain's global (tier-2) fallback lock (exposed for
-    /// tests/diagnostics).
+    /// The domain's fallback lock (exposed for tests/diagnostics).
     pub fn fallback_lock(&self) -> &FallbackLock {
         &self.fallback
-    }
-
-    /// The domain's stripe table (exposed for tests/diagnostics).
-    pub fn stripe_table(&self) -> &StripeTable {
-        &self.stripes
     }
 
     /// Runs `body` atomically, retrying and falling back as real RTM code
@@ -238,22 +220,15 @@ impl HtmDomain {
         // Aborts of any cause suffered so far by this logical section;
         // feeds the retries-to-commit histogram on success.
         let mut retries = 0u64;
-        // Union of the stripe subscriptions of every optimistic attempt so
-        // far: the footprint prediction a tier-1 fallback will lock.
-        let mut footprint = 0u64;
 
         // Learned capacity hint: this call site has recently proven too big
         // for the capacity model, so skip the doomed optimistic attempt.
         if self.policy.adaptive && adapt_take_site(site) {
-            match self.run_global(&mut body) {
-                Some(r) => {
-                    self.stats.retries.record(retries);
-                    return r;
-                }
-                None => {
-                    // Explicit abort under the lock: resume optimistically.
-                }
+            if let Some(r) = self.run_fallback(&mut body) {
+                self.stats.retries.record(retries);
+                return r;
             }
+            // Explicit abort under the lock: resume optimistically.
         }
 
         loop {
@@ -265,16 +240,13 @@ impl HtmDomain {
             // here had).
             self.stats.attempts.fetch_add(1, Relaxed);
             crate::set_in_transaction(true);
-            // Commit-time fallback subscription: the txn tracks its stripe
-            // footprint as a bitmask and checks the global word + footprint
-            // stripes for freedom during commit, after its write locks are
-            // held — the optimistic hot path pays no per-read fallback
+            // Commit-time fallback subscription: a writing txn checks the
+            // fallback word for freedom during commit, after its write locks
+            // are held — the optimistic hot path pays no per-read fallback
             // loads at all (see the proof in `crate::fallback`).
-            let mut txn = Txn::optimistic(self.opts, Some(&self.stripes), Some(&self.fallback.word));
+            let mut txn = Txn::optimistic(self.opts, Some(&self.fallback.word));
             let result = body(&mut txn);
             crate::set_in_transaction(false);
-            // Capture the footprint before commit consumes the txn.
-            let mask = txn.stripe_mask();
             let abort = match result {
                 Ok(r) => match txn.commit() {
                     Ok(()) => {
@@ -289,7 +261,6 @@ impl HtmDomain {
                 },
                 Err(a) => a,
             };
-            footprint |= mask;
 
             retries += 1;
             obs::bump_section_aborts();
@@ -325,41 +296,13 @@ impl HtmDomain {
             };
 
             if take_fallback {
-                // Tier 1: conflict-driven fallbacks know their footprint
-                // (the stripes the optimistic attempts subscribed to); run
-                // under exactly those stripes. Capacity/flush aborts have
-                // no usable footprint and escalate directly.
-                let mut escalate = !matches!(abort.code, AbortCode::Conflict);
-                if !escalate && footprint != 0 {
-                    match self.run_striped(&mut body, footprint) {
-                        StripedOutcome::Done(r) => {
-                            self.stats.retries.record(retries);
-                            return r;
-                        }
-                        StripedOutcome::Escaped => escalate = true,
-                        StripedOutcome::ExplicitAbort => {
-                            conflicts = 0;
-                            backoff(conflicts, 0);
-                            continue;
-                        }
+                match self.run_fallback(&mut body) {
+                    Some(r) => {
+                        self.stats.retries.record(retries);
+                        return r;
                     }
-                } else if !escalate {
-                    // Conflict escalation with no known footprint (body
-                    // read nothing before aborting).
-                    escalate = true;
-                }
-                if escalate {
-                    match self.run_global(&mut body) {
-                        Some(r) => {
-                            self.stats.retries.record(retries);
-                            return r;
-                        }
-                        None => {
-                            // Explicit abort under the lock: resume
-                            // optimistically (legacy behaviour).
-                            conflicts = 0;
-                        }
-                    }
+                    // Explicit abort under the lock: resume optimistically.
+                    None => conflicts = 0,
                 }
             }
             let streak = if self.policy.adaptive { adapt_streak() } else { 0 };
@@ -367,80 +310,18 @@ impl HtmDomain {
         }
     }
 
-    /// Tier-1 fallback: runs `body` under the stripes in `mask`, buffering
-    /// writes and publishing them before the stripes are released.
-    fn run_striped<'t, R>(
-        &'t self,
-        body: &mut impl FnMut(&mut Txn<'t>) -> TxResult<R>,
-        mask: u64,
-    ) -> StripedOutcome<R> {
-        let guard = self.stripes.acquire_mask(mask, &self.stats.stripe_conflicts);
-        self.stats.fallbacks.fetch_add(1, Relaxed);
-        self.stats.fallbacks_striped.fetch_add(1, Relaxed);
-        obs::bump_section_fallbacks();
-        // Heat attribution: each stripe this fallback serializes on gets
-        // one unit — already off the optimistic path, so the sketch CAS
-        // cost is noise next to the stripe acquisition itself.
-        let mut bits = mask;
-        while bits != 0 {
-            let s = bits.trailing_zeros() as u64;
-            self.stats.stripe_heat.record(s, 1);
-            bits &= bits - 1;
-        }
-        let mut txn = Txn::striped(self.opts, mask);
-        // The striped body buffers its writes exactly like an optimistic
-        // one, so a raw flush in here would persist pre-publication state:
-        // keep the in-transaction flag set so persistence asserts fire.
-        crate::set_in_transaction(true);
-        let result = body(&mut txn);
-        crate::set_in_transaction(false);
-        let outcome = match result {
-            Ok(r) => match txn.commit() {
-                // Publishes the buffered writes at one commit version.
-                Ok(()) => StripedOutcome::Done(r),
-                // A non-transactional store changed a word the body read
-                // (the held stripes exclude every transactional writer):
-                // nothing was published; escalate to the global tier.
-                Err(_) => {
-                    self.stats.stripe_escapes.fetch_add(1, Relaxed);
-                    StripedOutcome::Escaped
-                }
-            },
-            Err(a) => {
-                if !txn.escaped() && matches!(a.code, AbortCode::Explicit(_)) {
-                    self.stats.aborts_explicit.fetch_add(1, Relaxed);
-                    StripedOutcome::ExplicitAbort
-                } else {
-                    // Footprint miss, flush, or a body-propagated abort:
-                    // nothing was published; escalate to the global tier.
-                    self.stats.stripe_escapes.fetch_add(1, Relaxed);
-                    StripedOutcome::Escaped
-                }
-            }
-        };
-        drop(guard);
-        outcome
-    }
-
-    /// Tier-2 fallback: global lock + all stripes, irrevocable body.
-    /// `None` means the body aborted explicitly and the caller should
-    /// resume optimistically.
-    fn run_global<'t, R>(
+    /// The fallback: global lock, irrevocable body. `None` means the body
+    /// aborted explicitly and the caller should resume optimistically.
+    fn run_fallback<'t, R>(
         &'t self,
         body: &mut impl FnMut(&mut Txn<'t>) -> TxResult<R>,
     ) -> Option<R> {
         let guard = self.fallback.acquire();
-        // Lock order: global first, then stripes ascending — the only
-        // all-stripe acquirer, so tier-1 (stripes only, ascending) can
-        // never deadlock against it.
-        let stripe_guard = self.stripes.acquire_all(&self.stats.stripe_conflicts);
         self.stats.fallbacks.fetch_add(1, Relaxed);
-        self.stats.fallbacks_global.fetch_add(1, Relaxed);
         obs::bump_section_fallbacks();
         let mut txn = Txn::irrevocable(self.opts);
         let result = body(&mut txn);
         drop(txn); // releases the word locks the body held
-        drop(stripe_guard);
         drop(guard);
         match result {
             Ok(r) => Some(r),
@@ -463,7 +344,7 @@ impl HtmDomain {
 
     /// Runs `body` atomically for a section known in advance to exceed the
     /// capacity model (e.g. a whole-node rewrite touching both slot lines
-    /// and every KV line). Goes straight to the tier-2 global fallback —
+    /// and every KV line). Goes straight to the fallback —
     /// real RTM would burn an optimistic attempt only to take a guaranteed
     /// capacity abort, and the learned-capacity hint would merely rediscover
     /// that per call site. Explicit aborts from `body` retry under the lock.
@@ -479,7 +360,7 @@ impl HtmDomain {
         let _reset = ResetOnDrop;
         let mut retries = 0u64;
         loop {
-            if let Some(r) = self.run_global(&mut body) {
+            if let Some(r) = self.run_fallback(&mut body) {
                 self.stats.retries.record(retries);
                 return r;
             }
@@ -489,17 +370,6 @@ impl HtmDomain {
             backoff(retries as u32, 0);
         }
     }
-}
-
-/// Result of a tier-1 (striped) fallback run.
-enum StripedOutcome<R> {
-    /// Body completed; buffered writes were published under the stripes.
-    Done(R),
-    /// Footprint miss / flush / propagated abort: nothing published,
-    /// escalate to tier 2.
-    Escaped,
-    /// Body aborted explicitly: resume the optimistic loop.
-    ExplicitAbort,
 }
 
 struct ResetOnDrop;
@@ -594,8 +464,7 @@ mod tests {
             assert_eq!(w.load_direct(), 1);
         }
         let s = d.stats().snapshot();
-        assert!(s.fallbacks >= 1, "oversized txn must use the fallback");
-        assert!(s.fallbacks_global >= 1, "capacity goes to the global tier");
+        assert_eq!(s.fallbacks, 1, "an oversized txn goes straight to the fallback");
         assert!(s.aborts_capacity >= 1);
     }
 
@@ -612,7 +481,7 @@ mod tests {
         let rounds = 10u64;
         for _ in 0..rounds {
             // One call site, looped: the first round capacity-aborts and
-            // arms the hint; later rounds must go straight to the global
+            // arms the hint; later rounds must go straight to the
             // fallback without burning an optimistic attempt.
             d.atomic(|t| {
                 for w in &words {
@@ -626,88 +495,12 @@ mod tests {
             assert_eq!(w.load_direct(), rounds);
         }
         let s = d.stats().snapshot();
-        assert_eq!(s.fallbacks_global, rounds, "every round must fall back");
+        assert_eq!(s.fallbacks, rounds, "every round must fall back");
         assert_eq!(
             s.aborts_capacity, 1,
             "only the unhinted first round pays the capacity abort"
         );
         assert_eq!(s.attempts, 1, "hinted rounds skip the optimistic attempt");
-    }
-
-    #[test]
-    fn conflict_escalation_uses_the_striped_tier() {
-        let d = HtmDomain::with_options(
-            TxnOptions::default(),
-            RetryPolicy {
-                max_retries: 0,
-                adaptive: false,
-            },
-        );
-        let w = TmWord::new(0);
-        let mut forced = false;
-        let r = d.atomic(|t| {
-            let v = t.read(&w)?;
-            if !t.is_fallback() && !forced {
-                // Fabricate one conflict abort on the optimistic run: with
-                // a zero budget the domain must escalate, and because the
-                // footprint (w's stripe) is known, to the striped tier.
-                forced = true;
-                return Err(Abort::CONFLICT);
-            }
-            t.write(&w, v + 1)?;
-            Ok(v)
-        });
-        assert_eq!(r, 0);
-        assert_eq!(w.load_direct(), 1);
-        let s = d.stats().snapshot();
-        assert_eq!(s.fallbacks_striped, 1, "known footprint ⇒ tier 1");
-        assert_eq!(s.fallbacks_global, 0);
-        assert_eq!(s.stripe_escapes, 0);
-    }
-
-    #[test]
-    fn striped_footprint_miss_escalates_to_global() {
-        let d = HtmDomain::with_options(
-            TxnOptions::default(),
-            RetryPolicy {
-                max_retries: 0,
-                adaptive: false,
-            },
-        );
-        let a = TmWord::new(0);
-        let b = TmWord::new(0);
-        let mut forced = false;
-        d.atomic(|t| {
-            if t.is_fallback() {
-                // The fallback run touches `b`, which the optimistic
-                // attempt never did: if `b`'s stripe is outside the
-                // predicted footprint the striped run escapes and the
-                // global tier completes it. (If `a` and `b` happen to
-                // share a stripe the striped run just succeeds — both
-                // outcomes are checked below.)
-                let vb = t.read(&b)?;
-                t.write(&b, vb + 1)?;
-            }
-            let v = t.read(&a)?;
-            if !t.is_fallback() && !forced {
-                forced = true;
-                return Err(Abort::CONFLICT);
-            }
-            t.write(&a, v + 1)?;
-            Ok(())
-        });
-        assert_eq!(a.load_direct(), 1);
-        let s = d.stats().snapshot();
-        let same_stripe =
-            crate::fallback::stripe_of(&a) == crate::fallback::stripe_of(&b);
-        if same_stripe {
-            assert_eq!(s.fallbacks_striped, 1);
-            assert_eq!(s.stripe_escapes, 0);
-        } else {
-            assert_eq!(b.load_direct(), 1);
-            assert_eq!(s.stripe_escapes, 1, "miss must escape");
-            assert_eq!(s.fallbacks_global, 1, "…and complete globally");
-        }
     }
 
     #[test]
@@ -734,7 +527,7 @@ mod tests {
         let d = HtmDomain::new();
         let flushed = d.atomic(|t| {
             t.flush_attempt()?; // aborts the optimistic attempt
-            Ok(t.is_irrevocable())
+            Ok(t.is_fallback())
         });
         assert!(flushed, "flushing body must complete irrevocably");
         assert_eq!(d.stats().snapshot().aborts_flush, 1);
@@ -785,7 +578,7 @@ mod tests {
         let d = HtmDomain::new();
         assert!(!crate::in_transaction());
         d.atomic(|t| {
-            if !t.is_irrevocable() {
+            if !t.is_fallback() {
                 assert!(crate::in_transaction());
             }
             Ok(())
@@ -794,15 +587,13 @@ mod tests {
     }
 
     #[test]
-    fn read_only_snapshots_never_tear_across_striped_fallbacks() {
-        // Writers force every op onto the tier-1 striped fallback (one
-        // fabricated conflict, zero retry budget, footprint known) and
-        // increment (a, b) in lockstep; read-only sections — which skip
-        // the commit-time subscription check entirely — must still never
-        // observe a != b. With per-word fallback publishes (each at its
-        // own version) a reader whose rv lands between the two publishes
-        // would commit a torn snapshot; the single-wv striped publish is
-        // what this pins.
+    fn read_only_snapshots_never_tear_across_fallbacks() {
+        // Writers force every op onto the fallback (one fabricated
+        // conflict, zero retry budget) and increment (a, b) in lockstep;
+        // read-only sections — which skip the commit-time subscription
+        // check entirely — must still never observe a != b. The fallback
+        // writes in place, so this pins the begin-time subscription and
+        // the fallback's held entries releasing at one version.
         let d = Arc::new(HtmDomain::with_options(
             TxnOptions::default(),
             RetryPolicy {
@@ -839,15 +630,15 @@ mod tests {
         }
         let (dr, ar, br) = (Arc::clone(&d), Arc::clone(&a), Arc::clone(&b));
         // The reader runs until it has done its reads *and* a writer has
-        // reached the striped tier: under load it could otherwise finish
+        // reached the fallback: under load it could otherwise finish
         // before any fallback happened and the test would prove nothing.
         let reader = std::thread::spawn(move || {
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
             let mut reads = 0u32;
-            while reads < 5_000 || dr.stats().snapshot().fallbacks_striped == 0 {
+            while reads < 5_000 || dr.stats().snapshot().fallbacks == 0 {
                 assert!(
                     std::time::Instant::now() < deadline,
-                    "no writer reached the striped fallback tier within 60 s \
+                    "no writer reached the fallback within 60 s \
                      ({reads} reads done)"
                 );
                 let (x, y) = dr.atomic(|t| {
@@ -855,7 +646,7 @@ mod tests {
                     let y = t.read(&br)?;
                     Ok((x, y))
                 });
-                assert_eq!(x, y, "read-only commit saw a torn striped publish");
+                assert_eq!(x, y, "read-only commit saw a torn fallback publish");
                 reads += 1;
             }
         });
@@ -866,15 +657,15 @@ mod tests {
         }
         assert_eq!(a.load_direct(), b.load_direct());
         assert!(
-            d.stats().snapshot().fallbacks_striped > 0,
-            "the striped tier must actually have been exercised"
+            d.stats().snapshot().fallbacks > 0,
+            "the fallback must actually have been exercised"
         );
     }
 
     #[test]
     fn optimistic_begin_subscribes_to_the_irrevocable_window() {
-        // A tier-2 (irrevocable) fallback publishes in place, word by
-        // word, with no single commit version — so optimistic begin must
+        // A fallback publishes in place, word by word — so optimistic
+        // begin must
         // not take an rv from inside its window. The writer holds the
         // window open (a published, b not yet) while the reader begins;
         // the begin-time subscription forces the reader to wait the
@@ -892,7 +683,7 @@ mod tests {
         );
         let writer = std::thread::spawn(move || {
             dw.atomic(|t| {
-                t.flush_attempt()?; // aborts optimistic ⇒ tier 2
+                t.flush_attempt()?; // aborts optimistic ⇒ fallback
                 t.write(&aw, 1)?;
                 sw.store(1, std::sync::atomic::Ordering::Release);
                 // Hold the window open long enough for the reader to try
@@ -914,7 +705,7 @@ mod tests {
         assert_eq!(
             (x, y),
             (1, 1),
-            "begin must wait out the tier-2 write window, not sample rv inside it"
+            "begin must wait out the fallback's write window, not sample rv inside it"
         );
     }
 

@@ -31,14 +31,12 @@
 //!   sees a locked leaf.
 //! * **The fallback lock.** Real RTM code retries a few times and then takes
 //!   a fallback mutex whose acquisition aborts the transactions it races.
-//!   [`HtmDomain::atomic`] implements that loop with a **two-tier,
-//!   fine-grained** fallback: conflict-driven fallbacks acquire only the
-//!   address stripes covering their observed footprint (so fallbacks on
-//!   unrelated data no longer serialise the whole domain), escalating to
-//!   the global lock only when the footprint is unknown (capacity/flush
-//!   aborts, or a striped run that strayed outside its prediction). The
-//!   retry policy is adaptive, fed by the abort taxonomy. See
-//!   [`fallback`](crate::FallbackLock) module docs for the safety proof.
+//!   [`HtmDomain::atomic`] implements that loop with one global
+//!   [`FallbackLock`] per domain: a fallback run holds it, runs the body
+//!   irrevocably and holds every touched word's version lock until the
+//!   body ends. The retry policy is adaptive, fed by the abort taxonomy.
+//!   See the [`fallback`](crate::FallbackLock) module docs for the safety
+//!   proof.
 //!
 //! Transactionally-shared words are [`TmWord`]s (a `repr(transparent)`
 //! wrapper over `AtomicU64`), so they can live anywhere — including inside
@@ -85,7 +83,7 @@ mod txn;
 mod word;
 
 pub use domain::{HtmDomain, RetryPolicy};
-pub use fallback::{stripe_of, FallbackLock, StripeTable, STRIPES};
+pub use fallback::FallbackLock;
 pub use gate::OptimisticGate;
 pub use stats::{HtmStats, HtmStatsSnapshot};
 pub use txn::{Abort, AbortCode, Txn, TxnOptions};

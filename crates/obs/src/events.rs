@@ -258,6 +258,7 @@ impl EventRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(feature = "record")]
     use std::sync::Arc;
 
     #[test]

@@ -314,6 +314,7 @@ impl HeatSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(feature = "record")]
     use std::sync::Arc;
 
     #[test]

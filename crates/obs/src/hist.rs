@@ -343,6 +343,7 @@ impl AtomicHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(feature = "record")]
     use std::sync::Arc;
 
     #[test]

@@ -1,216 +1,27 @@
-//! Stress tests for the two-tier (striped) HTM fallback.
+//! Stress test for the HTM fallback path.
 //!
-//! These pin the PR-5 scalability contract at the `HtmDomain` level,
-//! with the abort-taxonomy counters as the witness:
+//! A mixed optimistic + forced-fallback workload over paired words stays
+//! atomic against a sequential replay oracle while concurrent snapshot
+//! readers observe the pair invariant, and the abort-taxonomy counters
+//! account for every section exactly once.
 //!
-//! * fallbacks on **disjoint** stripes run concurrently — they never
-//!   contend on a stripe, never escalate to the global tier, and never
-//!   abort each other (all proven by exact counter values);
-//! * fallbacks on the **same** stripe serialise (exact final count) and
-//!   their contention is visible as `stripe_conflicts`;
-//! * a mixed optimistic + forced-fallback workload over paired words
-//!   stays atomic against a sequential replay oracle while concurrent
-//!   snapshot readers observe the pair invariant.
-//!
-//! Forced fallbacks use the same trick throughout: the optimistic
-//! attempt reads a word (recording its stripe in the footprint) and then
-//! returns a fabricated [`AbortCode::Conflict`]; with the retry budget
-//! exhausted, `HtmDomain::atomic` runs the body under exactly the
-//! footprint stripes — the tier-1 path.
+//! Forced fallbacks use one trick: the optimistic attempt returns a
+//! fabricated [`AbortCode::Conflict`]; once the retry budget is
+//! exhausted, `HtmDomain::atomic` runs the body under the domain's
+//! fallback lock.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread;
 
-use htm::{stripe_of, Abort, AbortCode, HtmDomain, RetryPolicy, TmWord, TxnOptions, STRIPES};
+use htm::{Abort, AbortCode, HtmDomain, RetryPolicy, TmWord, TxnOptions};
 
 const THREADS: usize = 8;
 
-/// One cache line holding one word, so `stripe_of` decisions are made
-/// per element (words sharing a line share a stripe by construction).
+/// One cache line holding one word, so pairs never share a line.
 #[repr(align(64))]
 #[derive(Default)]
 struct Line {
     w: TmWord,
-}
-
-/// A policy that falls back on the first conflict, with adaptation off,
-/// so every test op is exactly one optimistic attempt + one fallback.
-fn fallback_on_first_conflict() -> RetryPolicy {
-    RetryPolicy {
-        max_retries: 0,
-        adaptive: false,
-    }
-}
-
-/// Groups `pool` indices by fallback stripe.
-fn by_stripe(pool: &[Line]) -> Vec<Vec<usize>> {
-    let mut groups = vec![Vec::new(); STRIPES];
-    for (i, l) in pool.iter().enumerate() {
-        groups[stripe_of(&l.w)].push(i);
-    }
-    groups
-}
-
-/// Disjoint-stripe fallbacks are fully concurrent: every op takes the
-/// tier-1 path, no op ever contends on a stripe, escalates, or aborts
-/// another — all asserted exactly from the taxonomy counters.
-#[test]
-fn disjoint_stripe_fallbacks_do_not_interfere() {
-    const OPS: usize = 300;
-    let pool: Vec<Line> = (0..1024).map(|_| Line::default()).collect();
-    // One word per thread, each in a distinct stripe.
-    let picked: Vec<usize> = by_stripe(&pool)
-        .iter()
-        .filter_map(|g| g.first().copied())
-        .take(THREADS)
-        .collect();
-    assert_eq!(picked.len(), THREADS, "1024 lines must cover 8 stripes");
-
-    let domain = HtmDomain::with_options(TxnOptions::default(), fallback_on_first_conflict());
-    thread::scope(|s| {
-        for t in 0..THREADS {
-            let word = &pool[picked[t]].w;
-            let domain = &domain;
-            s.spawn(move || {
-                for _ in 0..OPS {
-                    domain.atomic(|txn| {
-                        if !txn.is_fallback() {
-                            // Record the stripe in the footprint, then
-                            // force the fallback.
-                            txn.read(word)?;
-                            return Err(Abort {
-                                code: AbortCode::Conflict,
-                            });
-                        }
-                        let v = txn.read(word)?;
-                        txn.write(word, v + 1)
-                    });
-                }
-            });
-        }
-    });
-
-    for &i in &picked {
-        assert_eq!(pool[i].w.load_direct(), OPS as u64);
-    }
-    let ops = (THREADS * OPS) as u64;
-    let snap = domain.stats().snapshot();
-    assert_eq!(snap.aborts_conflict, ops);
-    assert_eq!(snap.fallbacks_striped, ops, "every op took the tier-1 path");
-    assert_eq!(snap.fallbacks_global, 0, "no op escalated to the global tier");
-    assert_eq!(snap.stripe_escapes, 0, "no footprint miss");
-    assert_eq!(
-        snap.stripe_conflicts, 0,
-        "disjoint-stripe fallbacks never contended on a stripe"
-    );
-}
-
-/// Same-stripe fallbacks serialise: the shared counter lands exactly, no
-/// op escalates, and the serialisation is visible as stripe conflicts.
-#[test]
-fn same_stripe_fallbacks_serialize_and_count_conflicts() {
-    const OPS: usize = 150;
-    let pool: Vec<Line> = (0..2048).map(|_| Line::default()).collect();
-    // The largest stripe group supplies the shared word plus one private
-    // same-stripe word per thread (the private read records the stripe
-    // in the footprint without ever conflicting for real).
-    let groups = by_stripe(&pool);
-    let group = groups.iter().max_by_key(|g| g.len()).unwrap();
-    assert!(group.len() > THREADS, "2048 lines must give a 9-deep stripe");
-    let shared = &pool[group[0]].w;
-
-    let domain = HtmDomain::with_options(TxnOptions::default(), fallback_on_first_conflict());
-    thread::scope(|s| {
-        for t in 0..THREADS {
-            let mine = &pool[group[t + 1]].w;
-            let domain = &domain;
-            s.spawn(move || {
-                for _ in 0..OPS {
-                    domain.atomic(|txn| {
-                        if !txn.is_fallback() {
-                            txn.read(mine)?;
-                            return Err(Abort {
-                                code: AbortCode::Conflict,
-                            });
-                        }
-                        // Yield while the stripe is held so, on any core
-                        // count, other threads observably contend on it.
-                        thread::yield_now();
-                        let v = txn.read(shared)?;
-                        txn.write(shared, v + 1)
-                    });
-                }
-            });
-        }
-    });
-
-    let ops = (THREADS * OPS) as u64;
-    assert_eq!(shared.load_direct(), ops, "same-stripe fallbacks are atomic");
-    let snap = domain.stats().snapshot();
-    assert_eq!(snap.aborts_conflict, ops);
-    assert_eq!(snap.fallbacks_striped, ops);
-    assert_eq!(snap.fallbacks_global, 0);
-    assert_eq!(snap.stripe_escapes, 0);
-    assert!(
-        snap.stripe_conflicts > 0,
-        "serialised same-stripe fallbacks must be visible as stripe conflicts"
-    );
-}
-
-/// An optimistic section whose footprint misses every concurrent
-/// fallback's stripes never aborts: half the threads run forced tier-1
-/// fallbacks, the other half run plain optimistic increments on stripes
-/// disjoint from all of them, and the taxonomy counters prove the
-/// optimistic sections committed first-try, every time.
-#[test]
-fn optimistic_sections_ignore_disjoint_stripe_fallbacks() {
-    const OPS: usize = 300;
-    const HALF: usize = THREADS / 2;
-    let pool: Vec<Line> = (0..1024).map(|_| Line::default()).collect();
-    let picked: Vec<usize> = by_stripe(&pool)
-        .iter()
-        .filter_map(|g| g.first().copied())
-        .take(THREADS)
-        .collect();
-    assert_eq!(picked.len(), THREADS, "1024 lines must cover 8 stripes");
-
-    let domain = HtmDomain::with_options(TxnOptions::default(), fallback_on_first_conflict());
-    thread::scope(|s| {
-        for t in 0..THREADS {
-            let word = &pool[picked[t]].w;
-            let domain = &domain;
-            let forced = t < HALF;
-            s.spawn(move || {
-                for _ in 0..OPS {
-                    domain.atomic(|txn| {
-                        if forced && !txn.is_fallback() {
-                            txn.read(word)?;
-                            return Err(Abort {
-                                code: AbortCode::Conflict,
-                            });
-                        }
-                        let v = txn.read(word)?;
-                        txn.write(word, v + 1)
-                    });
-                }
-            });
-        }
-    });
-
-    for &i in &picked {
-        assert_eq!(pool[i].w.load_direct(), OPS as u64);
-    }
-    let half_ops = (HALF * OPS) as u64;
-    let snap = domain.stats().snapshot();
-    // The optimistic half committed every section on its first attempt —
-    // the in-flight disjoint-stripe fallbacks cost it nothing.
-    assert_eq!(snap.commits, half_ops);
-    assert_eq!(snap.attempts, 2 * half_ops);
-    assert_eq!(snap.aborts_conflict, half_ops, "only the fabricated aborts");
-    assert_eq!(snap.fallbacks_striped, half_ops);
-    assert_eq!(snap.fallbacks_global, 0);
-    assert_eq!(snap.stripe_escapes, 0);
-    assert_eq!(snap.stripe_conflicts, 0);
 }
 
 /// Tiny deterministic PRNG so writers and the replay oracle generate the
@@ -225,7 +36,7 @@ fn xorshift(state: &mut u64) -> u64 {
 /// Mixed optimistic and forced-fallback updates over lockstep pairs
 /// (`w[k]`, `w[k+32]`), racing snapshot readers: the final state matches
 /// a sequential replay oracle and every transactional read of a pair is
-/// equal — whichever tier each op ended up on.
+/// equal — whichever path each op ended up on.
 #[test]
 fn mixed_transactional_and_fallback_updates_stay_atomic() {
     const PAIRS: usize = 32;
@@ -311,17 +122,10 @@ fn mixed_transactional_and_fallback_updates_stay_atomic() {
 
     assert!(pair_reads.load(Ordering::Relaxed) > 0, "readers never ran");
     let snap = domain.stats().snapshot();
-    // Forced ops reach a fallback tier; with the pair footprint recorded
-    // before the fabricated conflict, that tier is (almost always) the
-    // striped one — and real conflicts only add to it.
-    assert!(
-        snap.fallbacks_striped > 0,
-        "forced ops must exercise the striped tier"
-    );
+    // Forced ops reach the fallback, and real conflicts only add to it.
     assert!(snap.fallbacks >= forced_ops.load(Ordering::Relaxed));
     assert_eq!(
-        snap.commits + snap.fallbacks_striped + snap.fallbacks_global
-            - snap.stripe_escapes,
+        snap.commits + snap.fallbacks,
         (THREADS * OPS + pair_reads.load(Ordering::Relaxed) as usize) as u64,
         "every section ends in exactly one optimistic commit or one fallback"
     );

@@ -5,7 +5,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use htm::{HtmDomain, RetryPolicy, TmWord, TxnOptions};
@@ -61,12 +61,16 @@ fn transfers_preserve_total_under_contention() {
     let accounts: Arc<Vec<TmWord>> =
         Arc::new((0..ACCOUNTS).map(|_| TmWord::new(TOTAL / ACCOUNTS as u64)).collect());
     let stop = Arc::new(AtomicBool::new(false));
+    // Transfers completed by all writers: the reader keeps going until at
+    // least one landed, or it could finish before any writer is scheduled.
+    let transfers = Arc::new(AtomicU64::new(0));
 
     let mut writers = Vec::new();
     for t in 0..3u64 {
         let domain = Arc::clone(&domain);
         let accounts = Arc::clone(&accounts);
         let stop = Arc::clone(&stop);
+        let transfers = Arc::clone(&transfers);
         writers.push(std::thread::spawn(move || {
             let mut x = t + 1;
             let mut moved = 0u64;
@@ -88,6 +92,7 @@ fn transfers_preserve_total_under_contention() {
                     txn.write(&accounts[to], g + amount)
                 });
                 moved += 1;
+                transfers.fetch_add(1, Ordering::Relaxed);
             }
             moved
         }));
@@ -95,7 +100,13 @@ fn transfers_preserve_total_under_contention() {
 
     // Reader: transactional snapshot of all accounts must always sum to
     // TOTAL (the whole point of atomic multi-word visibility).
-    for _ in 0..2_000 {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let mut snapshots = 0u32;
+    while snapshots < 2_000 || transfers.load(Ordering::Relaxed) == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no writer completed a transfer within 60 s ({snapshots} snapshots done)"
+        );
         let sum = domain.atomic(|txn| {
             let mut s = 0u64;
             for a in accounts.iter() {
@@ -104,6 +115,7 @@ fn transfers_preserve_total_under_contention() {
             Ok(s)
         });
         assert_eq!(sum, TOTAL, "torn transfer snapshot");
+        snapshots += 1;
     }
     stop.store(true, Ordering::Relaxed);
     let moved: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();

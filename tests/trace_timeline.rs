@@ -52,7 +52,7 @@ fn spans_capture_op_structure() {
     assert!(d.phase_mean_ns[Phase::LeafCs as usize] > 0.0, "{d:?}");
     // The digest renders to JSON with the abort taxonomy present.
     let j = d.to_json().render();
-    for key in ["\"ops\"", "\"mean_total_ns\"", "\"aborts_by_cause\"", "\"fallback_tier\"", "\"mean_persists\""] {
+    for key in ["\"ops\"", "\"mean_total_ns\"", "\"aborts_by_cause\"", "\"fallbacks\"", "\"mean_persists\""] {
         assert!(j.contains(key), "digest JSON missing {key}: {j}");
     }
 }
@@ -115,7 +115,6 @@ fn obs_sections_export_heat_and_event_overflow() {
         "heat.leaf_conflicts",
         "heat.leaf_splits",
         "heat.leaf_morphs",
-        "heat.htm_stripes",
         "heat_meta",
         "events_meta",
     ] {
