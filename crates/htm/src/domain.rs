@@ -40,7 +40,6 @@
 //!   on.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::Ordering::Relaxed;
 
 use crate::fallback::FallbackLock;
 use crate::stats::HtmStats;
@@ -238,7 +237,7 @@ impl HtmDomain {
             // word, or an irrevocable window could open between the wait
             // and the rv sample (the exact race a bare `wait_until_free`
             // here had).
-            self.stats.attempts.fetch_add(1, Relaxed);
+            self.stats.attempts.add(1);
             crate::set_in_transaction(true);
             // Commit-time fallback subscription: a writing txn checks the
             // fallback word for freedom during commit, after its write locks
@@ -250,7 +249,7 @@ impl HtmDomain {
             let abort = match result {
                 Ok(r) => match txn.commit() {
                     Ok(()) => {
-                        self.stats.commits.fetch_add(1, Relaxed);
+                        self.stats.commits.add(1);
                         self.stats.retries.record(retries);
                         if self.policy.adaptive && conflicts == 0 {
                             adapt_streak_decay();
@@ -266,7 +265,7 @@ impl HtmDomain {
             obs::bump_section_aborts();
             let take_fallback = match abort.code {
                 AbortCode::Conflict => {
-                    self.stats.aborts_conflict.fetch_add(1, Relaxed);
+                    self.stats.aborts_conflict.add(1);
                     conflicts += 1;
                     let budget = if self.policy.adaptive {
                         let b = effective_budget(self.policy.max_retries, adapt_streak());
@@ -279,18 +278,18 @@ impl HtmDomain {
                     conflicts > budget
                 }
                 AbortCode::Capacity => {
-                    self.stats.aborts_capacity.fetch_add(1, Relaxed);
+                    self.stats.aborts_capacity.add(1);
                     if self.policy.adaptive {
                         adapt_learn_site(site);
                     }
                     true
                 }
                 AbortCode::FlushInTxn => {
-                    self.stats.aborts_flush.fetch_add(1, Relaxed);
+                    self.stats.aborts_flush.add(1);
                     true
                 }
                 AbortCode::Explicit(_) => {
-                    self.stats.aborts_explicit.fetch_add(1, Relaxed);
+                    self.stats.aborts_explicit.add(1);
                     false
                 }
             };
@@ -317,7 +316,7 @@ impl HtmDomain {
         body: &mut impl FnMut(&mut Txn<'t>) -> TxResult<R>,
     ) -> Option<R> {
         let guard = self.fallback.acquire();
-        self.stats.fallbacks.fetch_add(1, Relaxed);
+        self.stats.fallbacks.add(1);
         obs::bump_section_fallbacks();
         let mut txn = Txn::irrevocable(self.opts);
         let result = body(&mut txn);
@@ -329,7 +328,7 @@ impl HtmDomain {
                 // Only explicit aborts are possible irrevocably
                 // (reads/writes/flushes cannot fail).
                 debug_assert!(matches!(a.code, AbortCode::Explicit(_)));
-                self.stats.aborts_explicit.fetch_add(1, Relaxed);
+                self.stats.aborts_explicit.add(1);
                 None
             }
         }

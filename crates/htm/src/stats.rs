@@ -4,28 +4,31 @@
 //! find-transactions aborting against leaf locks; these counters make the
 //! abort economics of every workload directly observable (`repro fig8`
 //! prints them alongside throughput).
+//!
+//! Every section bumps `attempts` and `commits`, so the counters are
+//! striped [`obs::Counter`]s: concurrent sections add to their own
+//! thread's stripe and never write a shared cache line for bookkeeping.
+//! The counts stay exact; [`HtmStats::snapshot`] sums the stripes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use obs::{AtomicHistogram, Histogram, Json, ToJson};
+use obs::{AtomicHistogram, Counter, Histogram, Json, ToJson};
 
 /// Live counters attached to an [`crate::HtmDomain`].
 #[derive(Debug, Default)]
 pub struct HtmStats {
     /// Optimistic transaction attempts started.
-    pub attempts: AtomicU64,
+    pub attempts: Counter,
     /// Optimistic commits.
-    pub commits: AtomicU64,
+    pub commits: Counter,
     /// Aborts due to data conflicts.
-    pub aborts_conflict: AtomicU64,
+    pub aborts_conflict: Counter,
     /// Aborts due to footprint capacity.
-    pub aborts_capacity: AtomicU64,
+    pub aborts_capacity: Counter,
     /// Program-requested (`XABORT`) aborts.
-    pub aborts_explicit: AtomicU64,
+    pub aborts_explicit: Counter,
     /// Aborts caused by flush-in-transaction.
-    pub aborts_flush: AtomicU64,
+    pub aborts_flush: Counter,
     /// Times the fallback lock was taken.
-    pub fallbacks: AtomicU64,
+    pub fallbacks: Counter,
     /// Aborts suffered before each successful section (0 = clean first
     /// try; fallback completions count the aborts that drove them there).
     /// Kept out of [`HtmStatsSnapshot`] so that stays `Copy`; read it via
@@ -42,13 +45,13 @@ impl HtmStats {
     /// Point-in-time copy of the counters.
     pub fn snapshot(&self) -> HtmStatsSnapshot {
         HtmStatsSnapshot {
-            attempts: self.attempts.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts_conflict: self.aborts_conflict.load(Ordering::Relaxed),
-            aborts_capacity: self.aborts_capacity.load(Ordering::Relaxed),
-            aborts_explicit: self.aborts_explicit.load(Ordering::Relaxed),
-            aborts_flush: self.aborts_flush.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
+            attempts: self.attempts.get(),
+            commits: self.commits.get(),
+            aborts_conflict: self.aborts_conflict.get(),
+            aborts_capacity: self.aborts_capacity.get(),
+            aborts_explicit: self.aborts_explicit.get(),
+            aborts_flush: self.aborts_flush.get(),
+            fallbacks: self.fallbacks.get(),
         }
     }
 
@@ -66,13 +69,13 @@ impl HtmStats {
 
     /// Resets every counter to zero.
     pub fn reset(&self) {
-        self.attempts.store(0, Ordering::Relaxed);
-        self.commits.store(0, Ordering::Relaxed);
-        self.aborts_conflict.store(0, Ordering::Relaxed);
-        self.aborts_capacity.store(0, Ordering::Relaxed);
-        self.aborts_explicit.store(0, Ordering::Relaxed);
-        self.aborts_flush.store(0, Ordering::Relaxed);
-        self.fallbacks.store(0, Ordering::Relaxed);
+        self.attempts.reset();
+        self.commits.reset();
+        self.aborts_conflict.reset();
+        self.aborts_capacity.reset();
+        self.aborts_explicit.reset();
+        self.aborts_flush.reset();
+        self.fallbacks.reset();
         self.retries.reset();
         self.retry_budget.reset();
     }
@@ -193,11 +196,11 @@ mod tests {
     #[test]
     fn reset_and_since() {
         let live = HtmStats::default();
-        live.commits.fetch_add(4, Ordering::Relaxed);
-        live.fallbacks.fetch_add(2, Ordering::Relaxed);
+        live.commits.add(4);
+        live.fallbacks.add(2);
         let a = live.snapshot();
-        live.commits.fetch_add(3, Ordering::Relaxed);
-        live.aborts_conflict.fetch_add(5, Ordering::Relaxed);
+        live.commits.add(3);
+        live.aborts_conflict.add(5);
         let d = live.snapshot().since(&a);
         assert_eq!(d.commits, 3);
         assert_eq!(d.fallbacks, 0);

@@ -293,7 +293,9 @@ pub struct GroupCommit<T> {
     leader_elections: AtomicU64,
     ops_coalesced: AtomicU64,
     ops_direct_full: AtomicU64,
-    ops_solo: AtomicU64,
+    /// Striped: every uncontended write bumps it (the others count only
+    /// when combining engages).
+    ops_solo: obs::Counter,
     ops_reclaimed: AtomicU64,
     epochs_capped: AtomicU64,
     epoch_size: AtomicHistogram,
@@ -335,7 +337,7 @@ impl<T: PersistentIndex> GroupCommit<T> {
             leader_elections: AtomicU64::new(0),
             ops_coalesced: AtomicU64::new(0),
             ops_direct_full: AtomicU64::new(0),
-            ops_solo: AtomicU64::new(0),
+            ops_solo: obs::Counter::new(),
             ops_reclaimed: AtomicU64::new(0),
             epochs_capped: AtomicU64::new(0),
             epoch_size: AtomicHistogram::new(),
@@ -374,7 +376,7 @@ impl<T: PersistentIndex> GroupCommit<T> {
             leader_elections: self.leader_elections.load(Ordering::Relaxed),
             ops_coalesced: self.ops_coalesced.load(Ordering::Relaxed),
             ops_direct_full: self.ops_direct_full.load(Ordering::Relaxed),
-            ops_solo: self.ops_solo.load(Ordering::Relaxed),
+            ops_solo: self.ops_solo.get(),
             ops_reclaimed: self.ops_reclaimed.load(Ordering::Relaxed),
             epochs_capped: self.epochs_capped.load(Ordering::Relaxed),
         }
@@ -434,7 +436,7 @@ impl<T: PersistentIndex> GroupCommit<T> {
         if others < self.cpus {
             // Every other writer in flight can hold a CPU of its own:
             // execute in parallel, exactly as without this layer.
-            self.ops_solo.fetch_add(1, Ordering::Relaxed);
+            self.ops_solo.add(1);
             return self.apply_direct(AnyKey::U64(key), value, op);
         }
         // Acquire a slot: one bounded scan from a rotating start. A full

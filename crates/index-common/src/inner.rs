@@ -229,8 +229,9 @@ pub struct InnerIndex {
     /// are the keys themselves and none of the byte machinery is touched.
     arena: Option<SepArena>,
     /// Comparisons whose 4-byte heads tied and had to read full separator
-    /// bytes from the arena (byte mode only).
-    head_ties: AtomicU64,
+    /// bytes from the arena (byte mode only). Striped: byte-keyed
+    /// descents bump it from every thread.
+    head_ties: obs::Counter,
 }
 
 /// Restart taxonomy of [`InnerIndex::traverse_cached`]: how often the
@@ -283,7 +284,7 @@ impl InnerIndex {
             descent_restarts: AtomicU64::new(0),
             descent_tm_fallbacks: AtomicU64::new(0),
             arena,
-            head_ties: AtomicU64::new(0),
+            head_ties: obs::Counter::new(),
         }
     }
 
@@ -295,7 +296,7 @@ impl InnerIndex {
     /// Comparisons that fell back to full separator bytes on a 4-byte head
     /// tie (always 0 for a u64-keyed index).
     pub fn head_tie_fallbacks(&self) -> u64 {
-        self.head_ties.load(Ordering::Relaxed)
+        self.head_ties.get()
     }
 
     /// "probe ≤ stored separator word": the one comparison the whole
@@ -310,7 +311,7 @@ impl InnerIndex {
                 if head != wh {
                     return head < wh;
                 }
-                self.head_ties.fetch_add(1, Ordering::Relaxed);
+                self.head_ties.add(1);
                 key <= arena.get((w & SEP_IDX_MASK) as u32)
             }
             (Cmp::Word(a), Some(arena)) => {
@@ -318,7 +319,7 @@ impl InnerIndex {
                 if ah != wh {
                     return ah < wh;
                 }
-                self.head_ties.fetch_add(1, Ordering::Relaxed);
+                self.head_ties.add(1);
                 arena.get((a & SEP_IDX_MASK) as u32) <= arena.get((w & SEP_IDX_MASK) as u32)
             }
             (Cmp::Bytes { .. }, None) => {

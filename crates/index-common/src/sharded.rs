@@ -64,7 +64,7 @@
 //! being put back, so no thread pins megabytes after one.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -194,7 +194,7 @@ fn ceil_sqrt(r: usize) -> usize {
 pub struct ShardedIndex<T> {
     shards: Vec<T>,
     /// Scans that needed more than one round ([`ShardedIndex::scan_refills`]).
-    scan_refills: AtomicU64,
+    scan_refills: obs::Counter,
 }
 
 impl<T: PersistentIndex> ShardedIndex<T> {
@@ -206,7 +206,7 @@ impl<T: PersistentIndex> ShardedIndex<T> {
     /// Panics if `shards` is empty.
     pub fn from_shards(shards: Vec<T>) -> Self {
         assert!(!shards.is_empty(), "ShardedIndex needs at least one shard");
-        ShardedIndex { shards, scan_refills: AtomicU64::new(0) }
+        ShardedIndex { shards, scan_refills: obs::Counter::new() }
     }
 
     /// Number of shards.
@@ -236,7 +236,7 @@ impl<T: PersistentIndex> ShardedIndex<T> {
     /// held more than its share of the pairs (module docs). Exported as
     /// the `scan.refills` obs counter.
     pub fn scan_refills(&self) -> u64 {
-        self.scan_refills.load(AtomicOrdering::Relaxed)
+        self.scan_refills.get()
     }
 
     /// The globally ordered first `n` pairs from `start`, in bounded
@@ -293,7 +293,7 @@ impl<T: PersistentIndex> ShardedIndex<T> {
             let Some(next) = bound.and_then(|b| successor(&b)) else { break };
             if first_round {
                 first_round = false;
-                self.scan_refills.fetch_add(1, AtomicOrdering::Relaxed);
+                self.scan_refills.add(1);
             }
             from = next;
         }

@@ -58,7 +58,7 @@
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use obs::{EventKind, EventRing, HeatSketch};
+use obs::{Counter, EventKind, EventRing, HeatSketch};
 
 /// Associativity: frames per set. Four ways keeps the fill-time victim
 /// search and the invalidation scan at a handful of loads.
@@ -159,7 +159,7 @@ impl FillGuard<'_> {
         }
         let next = pack(ST_UNLOCKED, version_of(self.version).wrapping_add(1) & VERSION_MASK);
         self.frame.sv.store(next, Ordering::Release);
-        self.cache.fills.fetch_add(1, Ordering::Relaxed);
+        self.cache.fills.add(1);
         self.done = true;
     }
 
@@ -239,12 +239,14 @@ pub struct PageCache {
     hands: Box<[AtomicUsize]>,
     /// Eviction/invalidation forensics sink (usually the pool's ring).
     events: Option<Arc<EventRing>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    fills: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    read_restarts: AtomicU64,
+    // Striped: every cached descent step bumps `hits` or `misses`, so a
+    // shared word here would bounce between concurrent readers' CPUs.
+    hits: Counter,
+    misses: Counter,
+    fills: Counter,
+    evictions: Counter,
+    invalidations: Counter,
+    read_restarts: Counter,
     /// Structural heat keyed by cache *set* index: which sets thrash.
     /// Fed on evictions and failed optimistic validations only (both
     /// already off the hit path), weight 1 each.
@@ -276,12 +278,12 @@ impl PageCache {
             sets,
             hands,
             events,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            fills: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            read_restarts: AtomicU64::new(0),
+            hits: Counter::new(),
+            misses: Counter::new(),
+            fills: Counter::new(),
+            evictions: Counter::new(),
+            invalidations: Counter::new(),
+            read_restarts: Counter::new(),
             set_heat: HeatSketch::default(),
         }
     }
@@ -300,12 +302,12 @@ impl PageCache {
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            fills: self.fills.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            read_restarts: self.read_restarts.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            fills: self.fills.get(),
+            evictions: self.evictions.get(),
+            invalidations: self.invalidations.get(),
+            read_restarts: self.read_restarts.get(),
         }
     }
 
@@ -343,8 +345,8 @@ impl PageCache {
             fence(Ordering::Acquire);
             let sv2 = frame.sv.load(Ordering::Relaxed);
             if sv2 != sv1 {
-                self.read_restarts.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.read_restarts.add(1);
+                self.misses.add(1);
                 self.set_heat.record(set as u64, 1);
                 return None;
             }
@@ -358,10 +360,10 @@ impl PageCache {
                     Ordering::Relaxed,
                 );
             }
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.add(1);
             return Some(out);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.add(1);
         None
     }
 
@@ -434,7 +436,7 @@ impl PageCache {
                 }
                 ST_MARKED if self.claim(frame, sv).is_some() => {
                     let old_tag = frame.tag.load(Ordering::Relaxed);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    self.evictions.add(1);
                     self.set_heat.record(set as u64, 1);
                     if let Some(ev) = &self.events {
                         ev.record(EventKind::CacheEvict, old_tag, version_of(sv));
@@ -504,7 +506,7 @@ impl PageCache {
             }
         }
         if dropped > 0 {
-            self.invalidations.fetch_add(dropped as u64, Ordering::Relaxed);
+            self.invalidations.add(dropped as u64);
             if let Some(ev) = &self.events {
                 ev.record(EventKind::CacheInvalidate, tag, dropped as u64);
             }
@@ -540,7 +542,7 @@ impl PageCache {
                 }
             }
         }
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
+        self.invalidations.add(dropped);
         if let Some(ev) = &self.events {
             ev.record(EventKind::CacheInvalidate, 0, dropped);
         }

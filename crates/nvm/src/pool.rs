@@ -173,11 +173,7 @@ impl PmemPool {
         if self.persist_trap.load(Ordering::Relaxed) > 0
             && self.persist_trap.fetch_sub(1, Ordering::Relaxed) == 1
         {
-            self.events.record(
-                EventKind::TrapFired,
-                self.stats.persists.load(Ordering::Relaxed),
-                0,
-            );
+            self.events.record(EventKind::TrapFired, self.stats.persists.get(), 0);
             self.dead.store(true, Ordering::Release);
             panic!("pmem persist trap fired (simulated crash point)");
         }
@@ -316,8 +312,8 @@ impl PmemPool {
         // this persistent instruction. See `arm_persist_trap`.
         self.trap_check();
         if len == 0 {
-            self.stats.fences.fetch_add(1, Ordering::Relaxed);
-            self.stats.persists.fetch_add(1, Ordering::Relaxed);
+            self.stats.fences.add(1);
+            self.stats.persists.add(1);
             return;
         }
         self.check(off, len);
@@ -331,8 +327,8 @@ impl PmemPool {
             }
             line += CACHE_LINE as u64;
         }
-        self.stats.fences.fetch_add(1, Ordering::Relaxed);
-        self.stats.persists.fetch_add(1, Ordering::Relaxed);
+        self.stats.fences.add(1);
+        self.stats.persists.add(1);
     }
 
     /// The coalesced persistent instruction: flush the cache lines covering
@@ -374,8 +370,8 @@ impl PmemPool {
         for &line in &lines {
             self.flush_line(line);
         }
-        self.stats.fences.fetch_add(1, Ordering::Relaxed);
-        self.stats.persists.fetch_add(1, Ordering::Relaxed);
+        self.stats.fences.add(1);
+        self.stats.persists.add(1);
     }
 
     /// Issues the CLWBs for `[off, off+len)` without the trailing fence:
@@ -419,22 +415,22 @@ impl PmemPool {
         let last = line_of(h.off + h.len - 1);
         let mut line = first;
         loop {
-            self.stats.lines_flushed.fetch_add(1, Ordering::Relaxed);
+            self.stats.lines_flushed.add(1);
             self.copy_line_to_durable(line);
             if line == last {
                 break;
             }
             line += CACHE_LINE as u64;
         }
-        self.stats.fences.fetch_add(1, Ordering::Relaxed);
-        self.stats.persists.fetch_add(1, Ordering::Relaxed);
+        self.stats.fences.add(1);
+        self.stats.persists.add(1);
     }
 
     /// Flushes a single line: latency stall + durable-image copy.
     fn flush_line(&self, line: u64) {
         debug_assert_eq!(line % CACHE_LINE as u64, 0);
         busy_wait_ns(self.cfg.write_latency_ns);
-        self.stats.lines_flushed.fetch_add(1, Ordering::Relaxed);
+        self.stats.lines_flushed.add(1);
         self.copy_line_to_durable(line);
     }
 
@@ -467,7 +463,7 @@ impl PmemPool {
         self.check(off, 1);
         if self.durable.is_some() {
             self.copy_line_to_durable(line_of(off));
-            self.stats.lines_evicted.fetch_add(1, Ordering::Relaxed);
+            self.stats.lines_evicted.add(1);
         }
     }
 
@@ -507,7 +503,8 @@ impl PmemPool {
         unsafe {
             std::ptr::copy_nonoverlapping(durable.base(), self.arena.base(), self.arena.len());
         }
-        let crashes = self.stats.crashes.fetch_add(1, Ordering::Relaxed) + 1;
+        self.stats.crashes.add(1);
+        let crashes = self.stats.crashes.get();
         self.events.record(EventKind::CrashInjection, crashes, 0);
         self.dead.store(false, Ordering::Release);
     }

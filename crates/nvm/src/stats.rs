@@ -5,45 +5,48 @@
 //! operation issues, and its Figure 4 analysis attributes single-thread
 //! throughput differences almost entirely to this count. These counters make
 //! that number directly observable in benchmarks and enforceable in tests.
+//!
+//! Every persist and drain bumps these counters, so they are striped
+//! [`obs::Counter`]s: concurrent writers each add to their own thread's
+//! stripe instead of bouncing one shared cache line between CPUs. The
+//! counts stay exact; [`PmemStats::snapshot`] sums the stripes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use obs::{Counter, Json, ToJson};
 
-use obs::{Json, ToJson};
-
-/// Live (atomic) persistence counters attached to a [`crate::PmemPool`].
+/// Live (striped) persistence counters attached to a [`crate::PmemPool`].
 #[derive(Debug, Default)]
 pub struct PmemStats {
     /// Compound persistent instructions (`persist` calls = CLWB…CLWB+SFENCE).
-    pub persists: AtomicU64,
+    pub persists: Counter,
     /// Individual cache-line flushes (CLWBs) issued by those persists.
-    pub lines_flushed: AtomicU64,
+    pub lines_flushed: Counter,
     /// Memory fences issued (one per `persist` call).
-    pub fences: AtomicU64,
+    pub fences: Counter,
     /// Cache lines copied to the durable image by eviction injection.
-    pub lines_evicted: AtomicU64,
+    pub lines_evicted: Counter,
     /// Simulated crashes executed on this pool.
-    pub crashes: AtomicU64,
+    pub crashes: Counter,
 }
 
 impl PmemStats {
     /// Takes a point-in-time copy of all counters.
     pub fn snapshot(&self) -> PmemStatsSnapshot {
         PmemStatsSnapshot {
-            persists: self.persists.load(Ordering::Relaxed),
-            lines_flushed: self.lines_flushed.load(Ordering::Relaxed),
-            fences: self.fences.load(Ordering::Relaxed),
-            lines_evicted: self.lines_evicted.load(Ordering::Relaxed),
-            crashes: self.crashes.load(Ordering::Relaxed),
+            persists: self.persists.get(),
+            lines_flushed: self.lines_flushed.get(),
+            fences: self.fences.get(),
+            lines_evicted: self.lines_evicted.get(),
+            crashes: self.crashes.get(),
         }
     }
 
     /// Resets all counters to zero. Intended for benchmark phase boundaries.
     pub fn reset(&self) {
-        self.persists.store(0, Ordering::Relaxed);
-        self.lines_flushed.store(0, Ordering::Relaxed);
-        self.fences.store(0, Ordering::Relaxed);
-        self.lines_evicted.store(0, Ordering::Relaxed);
-        self.crashes.store(0, Ordering::Relaxed);
+        self.persists.reset();
+        self.lines_flushed.reset();
+        self.fences.reset();
+        self.lines_evicted.reset();
+        self.crashes.reset();
     }
 }
 
@@ -104,10 +107,10 @@ mod tests {
     #[test]
     fn snapshot_and_since() {
         let s = PmemStats::default();
-        s.persists.fetch_add(5, Ordering::Relaxed);
-        s.lines_flushed.fetch_add(7, Ordering::Relaxed);
+        s.persists.add(5);
+        s.lines_flushed.add(7);
         let a = s.snapshot();
-        s.persists.fetch_add(2, Ordering::Relaxed);
+        s.persists.add(2);
         let b = s.snapshot();
         let d = b.since(&a);
         assert_eq!(d.persists, 2);
@@ -117,7 +120,7 @@ mod tests {
     #[test]
     fn reset_zeroes_everything() {
         let s = PmemStats::default();
-        s.fences.fetch_add(3, Ordering::Relaxed);
+        s.fences.add(3);
         s.reset();
         assert_eq!(s.snapshot(), PmemStatsSnapshot::default());
     }

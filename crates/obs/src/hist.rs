@@ -1,6 +1,7 @@
 //! Log-bucket latency histograms: a plain single-writer [`Histogram`]
 //! (the workload drivers' per-thread accumulator) and a lock-free,
-//! striped [`AtomicHistogram`] for shared concurrent recording.
+//! striped [`AtomicHistogram`] for shared concurrent recording — plus
+//! the striped event [`Counter`] every layer's statistics are built from.
 //!
 //! Both use the same bucket scheme: 64 power-of-two major buckets × 16
 //! linear minor buckets give roughly 6% relative precision over the full
@@ -223,7 +224,6 @@ pub struct Quantiles {
 /// Per-thread stripe assignment: each thread picks a stripe round-robin
 /// on first use and keeps it for life, so recorders on different threads
 /// touch different cache lines almost always.
-#[cfg_attr(not(feature = "record"), allow(dead_code))]
 #[inline]
 fn my_stripe() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -231,6 +231,69 @@ fn my_stripe() -> usize {
         static STRIPE: usize = NEXT.fetch_add(1, Relaxed) % STRIPES;
     }
     STRIPE.with(|s| *s)
+}
+
+/// One [`Counter`] stripe, alone on its 128-byte pair of cache lines
+/// (the adjacent-line prefetcher moves lines in pairs).
+#[repr(align(128))]
+#[derive(Default)]
+struct CounterStripe(AtomicU64);
+
+/// An exact event counter striped per thread: the statistics word of
+/// every layer (persists, HTM attempts, cache hits, …).
+///
+/// A plain shared `AtomicU64` bumped on every operation makes its cache
+/// line bounce between the CPUs of concurrent callers, so bookkeeping
+/// alone serializes them. Here [`Counter::add`] is one thread-local read
+/// plus one relaxed `fetch_add` on the caller's stripe, a line no other
+/// stripe shares, and [`Counter::get`] sums the stripes. The stripes
+/// live in one `Box`, so the owning struct stays compact and never
+/// shares a line with them.
+///
+/// Counts are exact and always on: unlike [`AtomicHistogram::record`],
+/// `add` is not gated by the `record` feature, because persist counts
+/// are a tested contract. Sequential `get`s of a counter only ever
+/// grow (between resets), since each stripe does.
+pub struct Counter {
+    stripes: Box<[CounterStripe; STRIPES]>,
+}
+
+impl Default for Counter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.get())
+    }
+}
+
+impl Counter {
+    /// A zeroed counter with [`STRIPES`] stripes.
+    pub fn new() -> Counter {
+        Counter { stripes: Box::default() }
+    }
+
+    /// Adds `n` on the calling thread's stripe.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.stripes[my_stripe()].0.fetch_add(n, Relaxed);
+    }
+
+    /// The total over every stripe.
+    pub fn get(&self) -> u64 {
+        self.stripes.iter().fold(0, |sum, s| sum.wrapping_add(s.0.load(Relaxed)))
+    }
+
+    /// Zeroes every stripe. Concurrent adders may slip counts past a
+    /// reset; use from quiescent code.
+    pub fn reset(&self) {
+        for s in self.stripes.iter() {
+            s.0.store(0, Relaxed);
+        }
+    }
 }
 
 #[repr(align(64))]
@@ -397,6 +460,35 @@ mod tests {
         }
         // Snapshot min/max are bucket floors: within one bucket of exact.
         assert!(s.min() <= p.min() && s.max() <= p.max());
+    }
+
+    // Not gated on `record`: counters count in every build.
+    #[test]
+    fn counter_sums_concurrent_adds_exactly_and_resets() {
+        let c = Counter::new();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..100_000 {
+                        c.add(1);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 400_000);
+        c.add(5);
+        assert_eq!(c.get(), 400_005);
+        c.reset();
+        assert_eq!(c.get(), 0);
+    }
+
+    #[test]
+    fn counter_stripes_own_their_lines() {
+        assert_eq!(std::mem::align_of::<CounterStripe>(), 128);
+        // The owner holds one pointer, never a stripe.
+        assert_eq!(std::mem::size_of::<Counter>(), std::mem::size_of::<usize>());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! - [`hist`] — log-bucketed latency histograms: a plain per-thread
 //!   [`Histogram`] and a lock-free striped [`AtomicHistogram`]
-//!   (p50/p90/p99/p999, no allocation on the record path).
+//!   (p50/p90/p99/p999, no allocation on the record path), and the
+//!   striped, always-on event [`Counter`] behind every layer's stats.
 //! - [`ops`] — per-operation recording at the `PersistentIndex` layer
 //!   via the zero-cost-when-disabled [`Recorder`] handle, and the
 //!   in-tree [`PhaseTimers`] matching the paper's latency-breakdown
@@ -40,11 +41,12 @@
 //! load or a branch on a `None`. Enabled, timestamps are sampled
 //! (default 1 op in 8) and each sample is two relaxed `fetch_add`s on a
 //! per-thread stripe. Per-op costs (persists, HTM attempts and aborts,
-//! cache hits) are never traced op by op: they are whole-run counters
-//! in the layers that own them, and a per-op view is their delta over a
-//! run divided by the ops it ran. Building the workspace with this
-//! crate's `record` feature off (`--no-default-features`) compiles
-//! every record path to nothing.
+//! cache hits) are never traced op by op: they are whole-run
+//! [`Counter`]s in the layers that own them (one relaxed `fetch_add` on
+//! the caller's stripe, always on), and a per-op view is their delta
+//! over a run divided by the ops it ran. Building the workspace with
+//! this crate's `record` feature off (`--no-default-features`) compiles
+//! every record path to nothing; counters keep counting.
 
 #![deny(missing_docs)]
 
@@ -59,7 +61,7 @@ pub mod trace;
 
 pub use events::{Event, EventKind, EventRing};
 pub use heat::{HeatEntry, HeatSketch};
-pub use hist::{AtomicHistogram, Histogram, Quantiles};
+pub use hist::{AtomicHistogram, Counter, Histogram, Quantiles};
 pub use json::{parse, Json, ToJson};
 pub use ops::{
     OpClass, OpHistograms, OpType, Phase, PhaseClock, PhaseTimers, Recorder, N_CLASSES, N_OPS,

@@ -24,8 +24,6 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use std::sync::atomic::AtomicU64;
-
 use crate::format::LeafFormat;
 use crate::layout::LEAF_CAPACITY;
 use crate::leaf::Leaf;
@@ -106,7 +104,7 @@ impl FpTable {
         leaf: Leaf<'_>,
         slot: &SlotBuf,
         key: &F::Key,
-        ties: &AtomicU64,
+        ties: &obs::Counter,
     ) -> Option<usize> {
         let want = F::fp(key);
         let base = self.idx(leaf.off(), 0);
@@ -203,7 +201,7 @@ mod tests {
         slot.insert_at(1, 0);
         slot.insert_at(2, 1);
         let t = FpTable::new(0, 1 << 16, LEAF_BLOCK, true);
-        let ties = AtomicU64::new(0);
+        let ties = obs::Counter::new();
         t.rebuild_leaf::<U64Format>(leaf, slot.iter());
         assert_eq!(t.probe::<U64Format>(leaf, &slot, &10, &ties), Some(0));
         assert_eq!(t.probe::<U64Format>(leaf, &slot, &20, &ties), Some(1));
@@ -225,7 +223,7 @@ mod tests {
             slot.insert_at(i, i);
         }
         let t = FpTable::new(0, 1 << 16, LEAF_BLOCK, true);
-        let ties = AtomicU64::new(0);
+        let ties = obs::Counter::new();
         let clash = fp_hash(7);
         for e in 0..3 {
             t.set(0, e, clash);

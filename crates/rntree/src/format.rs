@@ -21,7 +21,6 @@
 
 use std::borrow::Borrow;
 use std::fmt::Debug;
-use std::sync::atomic::AtomicU64;
 
 use index_common::{InnerIndex, Key, Value};
 
@@ -84,10 +83,10 @@ pub(crate) trait LeafFormat {
     fn read_value(leaf: Leaf<'_>, e: usize) -> Value;
     /// Whether entry `e` holds `key`. `ties` counts compares that had to
     /// read key bytes beyond a cheaper head (byte keys only).
-    fn key_eq(leaf: Leaf<'_>, e: usize, key: &Self::Key, ties: &AtomicU64) -> bool;
+    fn key_eq(leaf: Leaf<'_>, e: usize, key: &Self::Key, ties: &obs::Counter) -> bool;
     /// Binary search over a sorted slot image: `Ok(pos)` when found,
     /// `Err(pos)` where `key` would be inserted.
-    fn search(leaf: Leaf<'_>, slot: &SlotBuf, key: &Self::Key, ties: &AtomicU64) -> Result<usize, usize>;
+    fn search(leaf: Leaf<'_>, slot: &SlotBuf, key: &Self::Key, ties: &obs::Counter) -> Result<usize, usize>;
 
     /// Writes `key`/`value` into the freshly allocated entry `e` and names
     /// the ranges persist #1 must cover; `None` when the leaf has no room
@@ -277,12 +276,12 @@ impl LeafFormat for U64Format {
     }
 
     #[inline]
-    fn key_eq(leaf: Leaf<'_>, e: usize, key: &Key, _ties: &AtomicU64) -> bool {
+    fn key_eq(leaf: Leaf<'_>, e: usize, key: &Key, _ties: &obs::Counter) -> bool {
         leaf.read_key(e) == *key
     }
 
     #[inline]
-    fn search(leaf: Leaf<'_>, slot: &SlotBuf, key: &Key, _ties: &AtomicU64) -> Result<usize, usize> {
+    fn search(leaf: Leaf<'_>, slot: &SlotBuf, key: &Key, _ties: &obs::Counter) -> Result<usize, usize> {
         leaf.search(slot, *key)
     }
 

@@ -215,7 +215,7 @@ impl RnTree {
             retries: AtomicU64::new(0),
             wasted: AtomicU64::new(0),
             pool_exhausted: AtomicBool::new(false),
-            leaf_head_ties: AtomicU64::new(0),
+            leaf_head_ties: obs::Counter::new(),
             opmix,
             morphs_to_hash: AtomicU64::new(0),
             morphs_to_sorted: AtomicU64::new(0),

@@ -310,7 +310,7 @@ pub struct RnTree {
     /// Leaf-level head ties: searches in a variable-length leaf that had to
     /// fall back from the 4-byte key head to a full byte compare. Always 0
     /// in u64 mode (obs "keys" section).
-    pub(crate) leaf_head_ties: AtomicU64,
+    pub(crate) leaf_head_ties: obs::Counter,
     /// Per-leaf op-mix counters driving adaptive morphing (empty unless
     /// `leaf_policy == Adaptive`).
     pub(crate) opmix: OpMix,
@@ -1933,7 +1933,7 @@ impl ObsSource for RnTree {
                     ("head_tie_fallbacks_inner".into(), self.index.head_tie_fallbacks()),
                     (
                         "head_tie_fallbacks_leaf".into(),
-                        self.leaf_head_ties.load(Ordering::Relaxed),
+                        self.leaf_head_ties.get(),
                     ),
                 ]),
             ));

@@ -307,7 +307,7 @@ impl<'p> VarLeaf<'p> {
 
     /// Binary search for `key` among the live entries of `slot`, 4-byte
     /// heads first. `ties` counts probes that had to read heap bytes.
-    pub(crate) fn search_k(&self, slot: &SlotBuf, key: &[u8], ties: &AtomicU64) -> Result<usize, usize> {
+    pub(crate) fn search_k(&self, slot: &SlotBuf, key: &[u8], ties: &obs::Counter) -> Result<usize, usize> {
         let mut pbuf = [0u8; MAX_KEY_LEN];
         let p = self.prefix_into(&mut pbuf);
         let qhead = key_head(key);
@@ -328,7 +328,7 @@ impl<'p> VarLeaf<'p> {
             }
         }
         if tie_count > 0 {
-            ties.fetch_add(tie_count, Ordering::Relaxed);
+            ties.add(tie_count);
         }
         match found {
             Some(pos) => Ok(pos),
@@ -338,10 +338,10 @@ impl<'p> VarLeaf<'p> {
 
     /// Exact-match check of `key` against `entry` (fingerprint-probe
     /// confirmation; counts a head-tie when heap bytes were read).
-    pub(crate) fn key_matches(&self, key: &[u8], qhead: u32, prefix: &[u8], entry: usize, ties: &AtomicU64) -> bool {
+    pub(crate) fn key_matches(&self, key: &[u8], qhead: u32, prefix: &[u8], entry: usize, ties: &obs::Counter) -> bool {
         let (ord, tied) = self.cmp_key_entry(key, qhead, prefix, entry);
         if tied {
-            ties.fetch_add(1, Ordering::Relaxed);
+            ties.add(1);
         }
         ord == CmpOrdering::Equal
     }
@@ -495,7 +495,7 @@ impl LeafFormat for VarFormat {
         VarLeaf::of(leaf).read_value_entry(e)
     }
 
-    fn key_eq(leaf: Leaf<'_>, e: usize, key: &[u8], ties: &AtomicU64) -> bool {
+    fn key_eq(leaf: Leaf<'_>, e: usize, key: &[u8], ties: &obs::Counter) -> bool {
         let v = VarLeaf::of(leaf);
         let qhead = key_head(key);
         if VarLeaf::decode_dir(v.dir_word(e)).0 != qhead {
@@ -506,7 +506,7 @@ impl LeafFormat for VarFormat {
         v.key_matches(key, qhead, &pbuf[..p], e, ties)
     }
 
-    fn search(leaf: Leaf<'_>, slot: &SlotBuf, key: &[u8], ties: &AtomicU64) -> Result<usize, usize> {
+    fn search(leaf: Leaf<'_>, slot: &SlotBuf, key: &[u8], ties: &obs::Counter) -> Result<usize, usize> {
         VarLeaf::of(leaf).search_k(slot, key, ties)
     }
 
@@ -681,7 +681,7 @@ mod tests {
         let p = pool();
         let l = VarLeaf::at(&p, 0);
         l.init_empty(b"app", Some(b"apz"), 0);
-        let ties = AtomicU64::new(0);
+        let ties = obs::Counter::new();
         // In-range keys share prefix "ap".
         let keys: [&[u8]; 4] = [b"apple", b"apples", b"apricot", b"apt"];
         let mut slot = SlotBuf::new();
@@ -702,7 +702,7 @@ mod tests {
         assert_eq!(l.search_k(&slot, b"aq", &ties), Err(4));
         assert_eq!(l.search_k(&slot, b"aa", &ties), Err(0));
         // "apple" vs "apples" and "apt" share 4-byte heads → ties counted.
-        assert!(ties.load(Ordering::Relaxed) > 0);
+        assert!(ties.get() > 0);
     }
 
     #[test]
