@@ -6,9 +6,7 @@
 //! ```
 //!
 //! Subcommands: `table1 fig4 fig5 fig6 fig7 fig8 fig9 fig10 ablation all`,
-//! plus `bench-json` (machine-readable single-thread before/after numbers
-//! for the hot-path work, written to `BENCH_PR1.json` or `--out PATH`),
-//! `shard-scale` (sharded-substrate throughput/recovery sweep, written to
+//! plus `shard-scale` (sharded-substrate throughput/recovery sweep, written to
 //! `BENCH_PR2.json` or `--out PATH`), `batch-scale` (batched write
 //! pipeline: load_sorted vs insert-loop fill plus an insert_batch batch-
 //! size sweep, written to `BENCH_PR3.json` or `--out PATH`), and
@@ -43,9 +41,10 @@
 //! `--assert-overhead PCT` for the CI gate), and `bench-index`
 //! (cross-PR trend table harvested from every committed
 //! `BENCH_PR*.json`, written to `BENCH_TRAJECTORY.md` or `--out PATH`).
-//! `BENCH_PR5.json` has no subcommand: it is the kept record of the
-//! striped-vs-global fallback comparison, whose global-only arm no
-//! longer exists.
+//! `BENCH_PR1.json` and `BENCH_PR5.json` have no subcommand: they are
+//! the kept records of the fingerprint-off-vs-on leaf search and the
+//! striped-vs-global fallback comparisons, whose "before" arms no longer
+//! exist.
 //! Options: `--quick` (small smoke run), `--warm N`, `--duration-ms N`,
 //! `--threads a,b,c`, `--latency-ns N`, `--workers N`, `--seed N`,
 //! `--out PATH`, `--assert-overhead PCT` (obs-report, trace-scale and
@@ -59,7 +58,7 @@ use bench::{Gates, Scale};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|breakdown|bench-json|shard-scale|batch-scale|obs-report|cache-scale|varkey-scale|leaf-scale|trace-scale|trace-report|group-scale|bench-index|all> \
+        "usage: repro <table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|breakdown|shard-scale|batch-scale|obs-report|cache-scale|varkey-scale|leaf-scale|trace-scale|trace-report|group-scale|bench-index|all> \
          [--quick] [--warm N] [--duration-ms N] [--threads a,b,c] \
          [--latency-ns N] [--workers N] [--seed N] [--out PATH] [--assert-overhead PCT]"
     );
@@ -83,7 +82,7 @@ fn main() {
         "trace-scale" => "BENCH_PR9.json",
         "group-scale" => "BENCH_PR10.json",
         "bench-index" => "BENCH_TRAJECTORY.md",
-        _ => "BENCH_PR1.json",
+        _ => "",
     });
     let mut assert_overhead: Option<f64> = None;
     let mut i = 1;
@@ -159,7 +158,6 @@ fn main() {
         "fig10" => experiments::fig10(&scale),
         "ablation" => experiments::ablation_latency(&scale),
         "breakdown" => experiments::breakdown(&scale),
-        "bench-json" => bench::prbench::bench_json(&scale, &out_path),
         "shard-scale" => bench::shardbench::shard_scale(&scale, &out_path),
         "batch-scale" => bench::batchbench::batch_scale(&scale, &out_path),
         "obs-report" => bench::obsbench::obs_report(&scale, &out_path, assert_overhead),

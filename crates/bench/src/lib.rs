@@ -31,7 +31,6 @@ pub mod leafbench;
 pub mod microbench;
 pub mod obsbench;
 pub mod paired;
-pub mod prbench;
 pub mod report;
 pub mod shardbench;
 pub mod tracebench;

@@ -20,7 +20,7 @@
 //! keeps its version-lock entry held until the body ends (see
 //! [`crate::fallback`] for the safety argument).
 //!
-//! Retry policy, mirroring production RTM code, **adaptive** by default:
+//! The retry policy mirrors production RTM code and **adapts** per thread:
 //! * **Conflict** aborts retry with exponential backoff up to an
 //!   *effective* retry budget, then take a fallback. The budget starts at
 //!   [`RetryPolicy::max_retries`] and is shrunk by a per-thread
@@ -49,21 +49,15 @@ use crate::TxResult;
 /// How many times to retry conflict aborts before taking a fallback.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
-    /// Base optimistic attempts before falling back (conflicts only).
+    /// Base optimistic retries of conflict aborts before falling back; a
+    /// per-thread conflict streak shrinks it (module docs). `0` takes the
+    /// fallback at the first conflict.
     pub max_retries: u32,
-    /// Adapt the budget per thread from the abort taxonomy: conflict
-    /// streaks shrink the effective budget and lengthen backoff, capacity
-    /// aborts learn per-call-site go-straight-to-fallback hints. `false`
-    /// restores the fixed PR-1 policy.
-    pub adaptive: bool,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 16,
-            adaptive: true,
-        }
+        RetryPolicy { max_retries: 16 }
     }
 }
 
@@ -96,10 +90,11 @@ std::thread_local! {
 }
 
 /// Effective conflict-retry budget under a streak: halve the base every two
-/// streak steps, floor 1 (always probe optimistically at least once).
+/// streak steps, floored at `min(base, 1)` (a non-zero base always retries
+/// at least once; a zero base never retries).
 #[inline]
 fn effective_budget(base: u32, streak: u32) -> u32 {
-    (base >> (streak / 2).min(5)).max(1)
+    (base >> (streak / 2).min(5)).max(base.min(1))
 }
 
 fn adapt_streak() -> u32 {
@@ -222,7 +217,7 @@ impl HtmDomain {
 
         // Learned capacity hint: this call site has recently proven too big
         // for the capacity model, so skip the doomed optimistic attempt.
-        if self.policy.adaptive && adapt_take_site(site) {
+        if adapt_take_site(site) {
             if let Some(r) = self.run_fallback(&mut body) {
                 self.stats.retries.record(retries);
                 return r;
@@ -232,11 +227,10 @@ impl HtmDomain {
 
         loop {
             // The lock-elision prologue (wait out a fallback holder) lives
-            // inside `Txn::optimistic` now: the begin-time subscription
-            // must re-sample `rv` after each observation of the global
-            // word, or an irrevocable window could open between the wait
-            // and the rv sample (the exact race a bare `wait_until_free`
-            // here had).
+            // inside `Txn::optimistic`: the begin-time subscription must
+            // re-sample `rv` after each observation of the global word, or
+            // an irrevocable window could open between a wait here and the
+            // rv sample.
             self.stats.attempts.add(1);
             crate::set_in_transaction(true);
             // Commit-time fallback subscription: a writing txn checks the
@@ -251,7 +245,7 @@ impl HtmDomain {
                     Ok(()) => {
                         self.stats.commits.add(1);
                         self.stats.retries.record(retries);
-                        if self.policy.adaptive && conflicts == 0 {
+                        if conflicts == 0 {
                             adapt_streak_decay();
                         }
                         return r;
@@ -267,21 +261,14 @@ impl HtmDomain {
                 AbortCode::Conflict => {
                     self.stats.aborts_conflict.add(1);
                     conflicts += 1;
-                    let budget = if self.policy.adaptive {
-                        let b = effective_budget(self.policy.max_retries, adapt_streak());
-                        adapt_streak_bump();
-                        self.stats.retry_budget.record(b as u64);
-                        b
-                    } else {
-                        self.policy.max_retries
-                    };
+                    let budget = effective_budget(self.policy.max_retries, adapt_streak());
+                    adapt_streak_bump();
+                    self.stats.retry_budget.record(budget as u64);
                     conflicts > budget
                 }
                 AbortCode::Capacity => {
                     self.stats.aborts_capacity.add(1);
-                    if self.policy.adaptive {
-                        adapt_learn_site(site);
-                    }
+                    adapt_learn_site(site);
                     true
                 }
                 AbortCode::FlushInTxn => {
@@ -304,8 +291,7 @@ impl HtmDomain {
                     None => conflicts = 0,
                 }
             }
-            let streak = if self.policy.adaptive { adapt_streak() } else { 0 };
-            backoff(conflicts, streak);
+            backoff(conflicts, adapt_streak());
         }
     }
 
@@ -539,6 +525,7 @@ mod tests {
         assert_eq!(effective_budget(16, 4), 4);
         assert_eq!(effective_budget(16, STREAK_CAP), 1);
         assert_eq!(effective_budget(1, STREAK_CAP), 1, "floor is 1");
+        assert_eq!(effective_budget(0, 0), 0, "a zero base never retries");
         // End-to-end: sustained conflicts must leave a mass at shrunk
         // budgets in the retry_budget histogram.
         let d = HtmDomain::new();
@@ -559,6 +546,24 @@ mod tests {
             h.min() < RetryPolicy::default().max_retries as u64,
             "a 40-conflict streak must shrink the effective budget"
         );
+    }
+
+    #[test]
+    fn zero_retry_budget_falls_back_at_the_first_conflict() {
+        let d = HtmDomain::with_options(TxnOptions::default(), RetryPolicy { max_retries: 0 });
+        let w = TmWord::new(0);
+        let mut runs = Vec::new();
+        d.atomic(|t| {
+            runs.push(t.is_fallback());
+            let v = t.read(&w)?;
+            if runs.len() == 1 {
+                return Err(Abort::CONFLICT);
+            }
+            t.write(&w, v + 1)
+        });
+        assert_eq!(runs, [false, true], "max_retries 0 must not retry optimistically");
+        assert_eq!(w.load_direct(), 1);
+        assert_eq!(d.stats().snapshot().fallbacks, 1);
     }
 
     #[test]
@@ -595,10 +600,7 @@ mod tests {
         // the fallback's held entries releasing at one version.
         let d = Arc::new(HtmDomain::with_options(
             TxnOptions::default(),
-            RetryPolicy {
-                max_retries: 0,
-                adaptive: false,
-            },
+            RetryPolicy { max_retries: 0 },
         ));
         let a = Arc::new(TmWord::new(0));
         let b = Arc::new(TmWord::new(0));
@@ -718,10 +720,7 @@ mod tests {
                 read_cap_lines: 3,
                 write_cap_lines: 3,
             },
-            RetryPolicy {
-                max_retries: 2,
-                ..RetryPolicy::default()
-            },
+            RetryPolicy { max_retries: 2 },
         ));
         let a = Arc::new(TmWord::new(0));
         let b = Arc::new(TmWord::new(0));

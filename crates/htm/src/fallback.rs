@@ -138,27 +138,6 @@ impl FallbackLock {
             }
         }
     }
-
-    /// Waits until the lock is observed free, like the
-    /// `while (lock_is_held) pause;` loop in real elision code. Bounded
-    /// spin, then `yield_now`. This is a plain pre-start wait, **not** a
-    /// subscription — the software TM's begin-time subscription (which
-    /// must re-sample `rv` after each observation of this word) lives in
-    /// `Txn::optimistic`; only the native-RTM elision path, where the
-    /// in-transaction `is_held` read is the real subscription, uses this.
-    #[inline]
-    pub fn wait_until_free(&self) {
-        let mut spins = 0u32;
-        while self.is_held() {
-            spins += 1;
-            if spins >= SPIN_LIMIT {
-                spins = 0;
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
 }
 
 /// RAII guard for [`FallbackLock`].

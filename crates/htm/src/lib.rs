@@ -43,11 +43,6 @@
 //! the `nvm` arena, which is how slot arrays are both transactional and
 //! persistent.
 //!
-//! With the `rtm-native` cargo feature on a TSX-capable CPU, the
-//! `native` module exposes thin wrappers over the real
-//! `core::arch::x86_64` RTM intrinsics for comparison runs. The software TM
-//! is the default and the only path exercised by tests.
-//!
 //! ## Example
 //!
 //! ```
@@ -75,8 +70,6 @@ mod domain;
 mod fallback;
 mod gate;
 mod global;
-#[cfg(feature = "rtm-native")]
-pub mod native;
 mod smallset;
 mod stats;
 mod txn;

@@ -61,14 +61,9 @@ pub(crate) struct FpTable {
 }
 
 impl FpTable {
-    /// Table covering `block`-sized leaf blocks in `[base, pool_len)`. With
-    /// `enabled` false an empty table is built (no memory, no probes).
-    pub(crate) fn new(base: u64, pool_len: u64, block: u64, enabled: bool) -> FpTable {
-        let blocks = if enabled {
-            ((pool_len - base) / block) as usize
-        } else {
-            0
-        };
+    /// Table covering `block`-sized leaf blocks in `[base, pool_len)`.
+    pub(crate) fn new(base: u64, pool_len: u64, block: u64) -> FpTable {
+        let blocks = ((pool_len - base) / block) as usize;
         let mut v = Vec::with_capacity(blocks * LEAF_CAPACITY);
         v.resize_with(blocks * LEAF_CAPACITY, || AtomicU8::new(0));
         FpTable {
@@ -124,13 +119,9 @@ impl FpTable {
     }
 
     /// Single-entry filter for the hash-leaf directory probe: `true` when
-    /// `entry`'s recorded fingerprint matches `want` (or the table is
-    /// disabled, in which case the caller falls through to a key compare).
+    /// `entry`'s recorded fingerprint matches `want`.
     #[inline]
     pub(crate) fn check(&self, leaf_off: u64, entry: usize, want: u8) -> bool {
-        if self.bytes.is_empty() {
-            return true;
-        }
         self.bytes[self.idx(leaf_off, entry)].load(Ordering::Relaxed) == want
     }
 
@@ -140,9 +131,6 @@ impl FpTable {
     /// the probe's first byte load a miss worth overlapping.
     #[inline]
     pub(crate) fn prefetch_stripe(&self, leaf_off: u64) {
-        if self.bytes.is_empty() {
-            return;
-        }
         #[cfg(target_arch = "x86_64")]
         unsafe {
             use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
@@ -153,17 +141,9 @@ impl FpTable {
         let _ = leaf_off;
     }
 
-    /// True when the table was built disabled.
-    pub(crate) fn is_disabled(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
     /// Re-derives the fingerprints of the given live entries (recovery
     /// path: the table is transient and starts zeroed).
     pub(crate) fn rebuild_leaf<F: LeafFormat>(&self, leaf: Leaf<'_>, entries: impl Iterator<Item = usize>) {
-        if self.is_disabled() {
-            return;
-        }
         for e in entries {
             self.set(leaf.off(), e, F::fp(std::borrow::Borrow::borrow(&F::read_key(leaf, e))));
         }
@@ -200,7 +180,7 @@ mod tests {
         slot.insert_at(0, 2);
         slot.insert_at(1, 0);
         slot.insert_at(2, 1);
-        let t = FpTable::new(0, 1 << 16, LEAF_BLOCK, true);
+        let t = FpTable::new(0, 1 << 16, LEAF_BLOCK);
         let ties = obs::Counter::new();
         t.rebuild_leaf::<U64Format>(leaf, slot.iter());
         assert_eq!(t.probe::<U64Format>(leaf, &slot, &10, &ties), Some(0));
@@ -222,7 +202,7 @@ mod tests {
             leaf.write_kv(i, *k, k * 10);
             slot.insert_at(i, i);
         }
-        let t = FpTable::new(0, 1 << 16, LEAF_BLOCK, true);
+        let t = FpTable::new(0, 1 << 16, LEAF_BLOCK);
         let ties = obs::Counter::new();
         let clash = fp_hash(7);
         for e in 0..3 {
@@ -230,12 +210,6 @@ mod tests {
         }
         assert_eq!(t.probe::<U64Format>(leaf, &slot, &7, &ties), Some(1));
         assert_eq!(t.probe::<U64Format>(leaf, &slot, &6, &ties), None);
-    }
-
-    #[test]
-    fn disabled_table_is_empty() {
-        let t = FpTable::new(0, 1 << 20, LEAF_BLOCK, false);
-        assert!(t.is_disabled());
     }
 
     #[test]

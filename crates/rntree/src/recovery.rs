@@ -164,10 +164,9 @@ impl RnTree {
         Ok(Self::assemble(pool, cfg, alloc, journal, fps, index, first))
     }
 
-    /// The transient fingerprint table, empty (and unallocated) when the
-    /// config disables fingerprints.
+    /// The transient fingerprint table, covering the pool's leaf region.
     fn make_fps(pool: &PmemPool, cfg: &RnConfig) -> FpTable {
-        FpTable::new(Self::leaf_region_start(cfg), pool.len(), Self::leaf_block(cfg), cfg.fingerprints)
+        FpTable::new(Self::leaf_region_start(cfg), pool.len(), Self::leaf_block(cfg))
     }
 
     /// A fresh inner index over `F`'s separators, bulk-built from `routes`

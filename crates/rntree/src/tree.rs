@@ -140,12 +140,6 @@ pub struct RnConfig {
     pub seq_traversal: bool,
     /// Split-journal slots (≥ the number of concurrent writer threads).
     pub journal_slots: usize,
-    /// Keep a DRAM-side 1-byte fingerprint per leaf entry and probe it
-    /// before key compares in point lookups (see `fingerprint.rs`). Purely
-    /// transient: the persistence layout and persist counts are unchanged,
-    /// and recovery rebuilds the table. Off reproduces the paper's plain
-    /// binary-search leaves (useful as an ablation baseline).
-    pub fingerprints: bool,
     /// Frame budget of the DRAM page cache over the inner index (each
     /// frame caches one inner node, 512 B of payload). With a cache
     /// attached, the concurrent descent walks version-validated cached
@@ -180,7 +174,6 @@ impl Default for RnConfig {
             dual_slot: true,
             seq_traversal: false,
             journal_slots: 64,
-            fingerprints: true,
             cache_frames: 1024,
             varlen_leaves: false,
             leaf_policy: LeafPolicy::default(),
@@ -502,9 +495,7 @@ impl RnTree {
                 self.note_retry();
                 continue;
             };
-            if self.cfg.fingerprints {
-                self.fps.set(leaf.off(), entry, F::fp(key));
-            }
+            self.fps.set(leaf.off(), entry, F::fp(key));
             // Persistent instruction #1. Where the record is one line,
             // §4.2's flush/work overlap applies literally: issue the CLWB
             // now and let the lock acquisition and slot search run while
@@ -663,8 +654,8 @@ impl RnTree {
 
     /// The slot-line edit of a modify. `hashed` is the leaf's layout tag,
     /// read once under the lock (a morph needs the lock, so the tag cannot
-    /// change while an edit runs). With fingerprints the hit/miss question
-    /// is answered by the probe (no key reads on a miss); the sorted
+    /// change while an edit runs). The fingerprint probe answers the
+    /// hit/miss question (no key reads on a miss); the sorted
     /// insertion position is only computed when an insert actually
     /// happens. Strict inserts skip the probe: they need the binary search
     /// for the insertion point anyway, and its duplicate check rides along
@@ -679,7 +670,7 @@ impl RnTree {
         mode: WriteMode,
         hashed: bool,
     ) -> Decision {
-        let probe = self.cfg.fingerprints && mode != WriteMode::InsertStrict;
+        let probe = mode != WriteMode::InsertStrict;
         match self.locate::<F>(leaf, slot, key, hashed, probe) {
             Ok(spot) => {
                 if mode == WriteMode::InsertStrict {
@@ -706,8 +697,8 @@ impl RnTree {
     // layout tag; these helpers are the only code that tells them apart.
     // A *spot* is a sorted position or a directory bucket.
 
-    /// Hash-directory probe for `key`: the fingerprint table (when
-    /// enabled) filters candidate buckets before the key compare.
+    /// Hash-directory probe for `key`: the fingerprint table filters
+    /// candidate buckets before the key compare.
     fn probe_dir<F: LeafFormat>(&self, leaf: Leaf<'_>, slot: &SlotBuf, key: &F::Key, steps: &mut u32) -> Option<Probe> {
         let fp = F::fp(key);
         HashDir::from_slot(*slot).find(
@@ -718,8 +709,7 @@ impl RnTree {
     }
 
     /// Read-path lookup: `(spot, entry)` of `key` in `slot`. Sorted images
-    /// take the fingerprint probe when enabled and a binary search
-    /// otherwise; hash probes record their length.
+    /// take the fingerprint probe; hash probes record their length.
     #[inline]
     fn lookup<F: LeafFormat>(&self, leaf: Leaf<'_>, slot: &SlotBuf, key: &F::Key, hashed: bool) -> Option<(usize, usize)> {
         if hashed {
@@ -728,12 +718,9 @@ impl RnTree {
             self.probe_hist.record(steps as u64);
             hit.map(|p| (p.bucket, p.entry))
         } else {
-            let pos = if self.cfg.fingerprints {
-                self.fps.probe::<F>(leaf, slot, key, &self.leaf_head_ties)
-            } else {
-                F::search(leaf, slot, key, &self.leaf_head_ties).ok()
-            };
-            pos.map(|p| (p, slot.entry(p)))
+            self.fps
+                .probe::<F>(leaf, slot, key, &self.leaf_head_ties)
+                .map(|p| (p, slot.entry(p)))
         }
     }
 
@@ -802,9 +789,7 @@ impl RnTree {
         if hashed {
             let mut dir = HashDir::from_slot(*slot);
             // Home buckets for the backward shift come from rehashing the
-            // stored keys — correct even with the fingerprint table
-            // disabled (the directory always hashes, only the *filter* is
-            // optional).
+            // stored keys.
             dir.remove_at(spot, |e| HashDir::home(F::fp(F::read_key(leaf, e).borrow())));
             *slot = dir.to_slot();
         } else {
@@ -990,10 +975,8 @@ impl RnTree {
 
     /// Fingerprints for pairs stored densely at entries `0..n`.
     fn set_fps<F: LeafFormat>(&self, leaf: Leaf<'_>, pairs: &[(F::Owned, Value)]) {
-        if self.cfg.fingerprints {
-            for (i, (k, _)) in pairs.iter().enumerate() {
-                self.fps.set(leaf.off(), i, F::fp(k.borrow()));
-            }
+        for (i, (k, _)) in pairs.iter().enumerate() {
+            self.fps.set(leaf.off(), i, F::fp(k.borrow()));
         }
     }
 
@@ -1041,10 +1024,10 @@ impl RnTree {
             }
             // htmLeafSnapshot: only the slot line is read transactionally;
             // the search stays outside the HTM section to keep the read set
-            // (and abort probability) small (§5.2.2). With fingerprints the
-            // search is a DRAM byte-probe that touches at most a handful of
-            // keys; validity of whatever it reads is established by the
-            // version re-check below, exactly as for the binary search.
+            // (and abort probability) small (§5.2.2). The search is a DRAM
+            // fingerprint probe that touches at most a handful of keys;
+            // validity of whatever it reads is established by the version
+            // re-check below.
             let layout = F::layout(leaf);
             let slot = self.snapshot_slot(leaf, self.read_slot_kind());
             // Adaptive pools only: a morph may have committed between the
@@ -1569,9 +1552,7 @@ impl RnTree {
                         self.wasted.fetch_add(1, Ordering::Relaxed);
                         break;
                     };
-                    if self.cfg.fingerprints {
-                        self.fps.set(leaf.off(), entry, F::fp(key));
-                    }
+                    self.fps.set(leaf.off(), entry, F::fp(key));
                     dirty.extend_from_slice(extent.as_ref());
                     match spot {
                         Ok(spot) => Self::set_at(&mut slot, hashed, spot, entry),
@@ -1666,8 +1647,7 @@ impl RnTree {
                 let found = if hashed {
                     self.probe_dir::<F>(leaf, &slot, k.borrow(), &mut 0).map(|p| p.entry) == Some(e)
                 } else {
-                    !self.cfg.fingerprints
-                        || self.fps.probe::<F>(leaf, &slot, k.borrow(), &self.leaf_head_ties) == Some(pos)
+                    self.fps.probe::<F>(leaf, &slot, k.borrow(), &self.leaf_head_ties) == Some(pos)
                 };
                 if !found {
                     return Err(format!("leaf {off}: probe misses live key {k:?}"));

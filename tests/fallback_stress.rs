@@ -46,10 +46,7 @@ fn mixed_transactional_and_fallback_updates_stay_atomic() {
 
     let domain = HtmDomain::with_options(
         TxnOptions::default(),
-        RetryPolicy {
-            max_retries: 2,
-            adaptive: true,
-        },
+        RetryPolicy { max_retries: 2 },
     );
     let done = AtomicBool::new(false);
     let pair_reads = AtomicU64::new(0);

@@ -135,10 +135,7 @@ fn fallback_heavy_execution_is_still_atomic() {
             read_cap_lines: 2,
             write_cap_lines: 2,
         },
-        RetryPolicy {
-            max_retries: 1,
-            ..RetryPolicy::default()
-        },
+        RetryPolicy { max_retries: 1 },
     ));
     let words: Arc<Vec<TmWord>> = Arc::new((0..N).map(|_| TmWord::new(0)).collect());
 

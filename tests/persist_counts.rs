@@ -1,11 +1,10 @@
 //! Table 1 regression tests: RNTree's modify operations must keep their
 //! exact persistent-instruction counts — insert 2, update 2, remove 1,
-//! find 0 — with the fingerprint probe enabled or disabled, in both slot
-//! variants, and with the DRAM page cache enabled or disabled. The
-//! fingerprint table and the page cache are DRAM-only and the overlapped
-//! KV flush still ends in exactly one fence, so all of them must be
-//! invisible to the persist counters; these tests pin that down op-by-op
-//! (the Table 1 experiment only reports batch minima).
+//! find 0 — in both slot variants, and with the DRAM page cache enabled
+//! or disabled. The fingerprint table and the page cache are DRAM-only
+//! and the overlapped KV flush still ends in exactly one fence, so all of
+//! them must be invisible to the persist counters; these tests pin that
+//! down op-by-op (the Table 1 experiment only reports batch minima).
 //!
 //! Also covers the transient-rebuild rule: after a crash or a clean
 //! reopen, the fingerprint table must be re-derived from the persistent
@@ -24,45 +23,42 @@ fn persists(pool: &PmemPool) -> u64 {
 
 #[test]
 fn modify_persist_counts_are_exact_in_every_variant() {
-    for fingerprints in [true, false] {
-        for dual in [true, false] {
-            for cache_frames in [0usize, 64] {
-                let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
-                let cfg = RnConfig {
-                    dual_slot: dual,
-                    fingerprints,
-                    journal_slots: 2,
-                    cache_frames,
-                    ..RnConfig::default()
-                };
-                let tree = RnTree::create(Arc::clone(&pool), cfg);
-                let tag = format!("dual={dual} fp={fingerprints} cache={cache_frames}");
+    for dual in [true, false] {
+        for cache_frames in [0usize, 64] {
+            let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
+            let cfg = RnConfig {
+                dual_slot: dual,
+                journal_slots: 2,
+                cache_frames,
+                ..RnConfig::default()
+            };
+            let tree = RnTree::create(Arc::clone(&pool), cfg);
+            let tag = format!("dual={dual} cache={cache_frames}");
 
-                // 20 inserts + 10 updates + 5 removes allocate 30 log entries
-                // in one 63-entry leaf: no split/compaction can fire, so every
-                // op must show its exact steady-state cost.
-                for k in 1..=20u64 {
-                    let before = persists(&pool);
-                    tree.insert(k, k * 3).unwrap();
-                    assert_eq!(persists(&pool) - before, 2, "insert {k} ({tag})");
-                }
-                for k in 1..=10u64 {
-                    let before = persists(&pool);
-                    tree.update(k, k * 3 + 1).unwrap();
-                    assert_eq!(persists(&pool) - before, 2, "update {k} ({tag})");
-                }
-                for k in 16..=20u64 {
-                    let before = persists(&pool);
-                    tree.remove(k).unwrap();
-                    assert_eq!(persists(&pool) - before, 1, "remove {k} ({tag})");
-                }
+            // 20 inserts + 10 updates + 5 removes allocate 30 log entries
+            // in one 63-entry leaf: no split/compaction can fire, so every
+            // op must show its exact steady-state cost.
+            for k in 1..=20u64 {
                 let before = persists(&pool);
-                assert_eq!(tree.find(5), Some(16));
-                assert_eq!(tree.find(12), Some(36));
-                assert_eq!(tree.find(18), None);
-                assert_eq!(persists(&pool) - before, 0, "find persisted ({tag})");
-                tree.verify_invariants().unwrap();
+                tree.insert(k, k * 3).unwrap();
+                assert_eq!(persists(&pool) - before, 2, "insert {k} ({tag})");
             }
+            for k in 1..=10u64 {
+                let before = persists(&pool);
+                tree.update(k, k * 3 + 1).unwrap();
+                assert_eq!(persists(&pool) - before, 2, "update {k} ({tag})");
+            }
+            for k in 16..=20u64 {
+                let before = persists(&pool);
+                tree.remove(k).unwrap();
+                assert_eq!(persists(&pool) - before, 1, "remove {k} ({tag})");
+            }
+            let before = persists(&pool);
+            assert_eq!(tree.find(5), Some(16));
+            assert_eq!(tree.find(12), Some(36));
+            assert_eq!(tree.find(18), None);
+            assert_eq!(persists(&pool) - before, 0, "find persisted ({tag})");
+            tree.verify_invariants().unwrap();
         }
     }
 }
@@ -197,43 +193,40 @@ fn fingerprints_are_rebuilt_by_clean_reopen() {
 #[test]
 fn hash_and_adaptive_persist_counts_match_sorted_exactly() {
     for policy in [LeafPolicy::Hash, LeafPolicy::Adaptive] {
-        for fingerprints in [true, false] {
-            for dual in [true, false] {
-                let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
-                let cfg = RnConfig {
-                    leaf_policy: policy,
-                    dual_slot: dual,
-                    fingerprints,
-                    journal_slots: 2,
-                    ..RnConfig::default()
-                };
-                let tree = RnTree::create(Arc::clone(&pool), cfg);
-                let tag = format!("policy={policy:?} dual={dual} fp={fingerprints}");
+        for dual in [true, false] {
+            let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
+            let cfg = RnConfig {
+                leaf_policy: policy,
+                dual_slot: dual,
+                journal_slots: 2,
+                ..RnConfig::default()
+            };
+            let tree = RnTree::create(Arc::clone(&pool), cfg);
+            let tag = format!("policy={policy:?} dual={dual}");
 
-                for k in 1..=20u64 {
-                    let before = persists(&pool);
-                    tree.insert(k, k * 3).unwrap();
-                    assert_eq!(persists(&pool) - before, 2, "insert {k} ({tag})");
-                }
-                for k in 1..=10u64 {
-                    let before = persists(&pool);
-                    tree.update(k, k * 3 + 1).unwrap();
-                    assert_eq!(persists(&pool) - before, 2, "update {k} ({tag})");
-                }
-                for k in 16..=20u64 {
-                    let before = persists(&pool);
-                    tree.remove(k).unwrap();
-                    assert_eq!(persists(&pool) - before, 1, "remove {k} ({tag})");
-                }
+            for k in 1..=20u64 {
                 let before = persists(&pool);
-                assert_eq!(tree.find(5), Some(16));
-                assert_eq!(tree.find(12), Some(36));
-                assert_eq!(tree.find(18), None);
-                let mut out = Vec::new();
-                assert_eq!(tree.scan_n(1, 10, &mut out), 10);
-                assert_eq!(persists(&pool) - before, 0, "read ops persisted ({tag})");
-                tree.verify_invariants().unwrap();
+                tree.insert(k, k * 3).unwrap();
+                assert_eq!(persists(&pool) - before, 2, "insert {k} ({tag})");
             }
+            for k in 1..=10u64 {
+                let before = persists(&pool);
+                tree.update(k, k * 3 + 1).unwrap();
+                assert_eq!(persists(&pool) - before, 2, "update {k} ({tag})");
+            }
+            for k in 16..=20u64 {
+                let before = persists(&pool);
+                tree.remove(k).unwrap();
+                assert_eq!(persists(&pool) - before, 1, "remove {k} ({tag})");
+            }
+            let before = persists(&pool);
+            assert_eq!(tree.find(5), Some(16));
+            assert_eq!(tree.find(12), Some(36));
+            assert_eq!(tree.find(18), None);
+            let mut out = Vec::new();
+            assert_eq!(tree.scan_n(1, 10, &mut out), 10);
+            assert_eq!(persists(&pool) - before, 0, "read ops persisted ({tag})");
+            tree.verify_invariants().unwrap();
         }
     }
 }
@@ -317,50 +310,47 @@ fn morph_is_a_journaled_rewrite_with_constant_persist_cost() {
 /// leaf coalesces its record + directory-word flush into ONE
 /// `persist_many`, so every `*_k` modify op must cost exactly what the
 /// u64 op costs — insert 2, update 2, remove 1, find 0 — across the
-/// fingerprint, slot-variant, and page-cache dimensions.
+/// slot-variant and page-cache dimensions.
 #[test]
 fn varlen_modify_persist_counts_are_exact_in_every_variant() {
-    for fingerprints in [true, false] {
-        for dual in [true, false] {
-            for cache_frames in [0usize, 64] {
-                let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
-                let cfg = RnConfig {
-                    varlen_leaves: true,
-                    dual_slot: dual,
-                    fingerprints,
-                    journal_slots: 2,
-                    cache_frames,
-                    ..RnConfig::default()
-                };
-                let tree = RnTree::create(Arc::clone(&pool), cfg);
-                let tag = format!("varlen dual={dual} fp={fingerprints} cache={cache_frames}");
-                let key = |k: u64| format!("user/{k:04}").into_bytes();
+    for dual in [true, false] {
+        for cache_frames in [0usize, 64] {
+            let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
+            let cfg = RnConfig {
+                varlen_leaves: true,
+                dual_slot: dual,
+                journal_slots: 2,
+                cache_frames,
+                ..RnConfig::default()
+            };
+            let tree = RnTree::create(Arc::clone(&pool), cfg);
+            let tag = format!("varlen dual={dual} cache={cache_frames}");
+            let key = |k: u64| format!("user/{k:04}").into_bytes();
 
-                // 20 inserts + 10 updates + 5 removes allocate 30 log
-                // entries and ~480 heap bytes in one leaf: no split or
-                // compaction can fire, so every op shows its exact cost.
-                for k in 1..=20u64 {
-                    let before = persists(&pool);
-                    tree.insert_k(&key(k), k * 3).unwrap();
-                    assert_eq!(persists(&pool) - before, 2, "insert_k {k} ({tag})");
-                }
-                for k in 1..=10u64 {
-                    let before = persists(&pool);
-                    tree.update_k(&key(k), k * 3 + 1).unwrap();
-                    assert_eq!(persists(&pool) - before, 2, "update_k {k} ({tag})");
-                }
-                for k in 16..=20u64 {
-                    let before = persists(&pool);
-                    tree.remove_k(&key(k)).unwrap();
-                    assert_eq!(persists(&pool) - before, 1, "remove_k {k} ({tag})");
-                }
+            // 20 inserts + 10 updates + 5 removes allocate 30 log
+            // entries and ~480 heap bytes in one leaf: no split or
+            // compaction can fire, so every op shows its exact cost.
+            for k in 1..=20u64 {
                 let before = persists(&pool);
-                assert_eq!(tree.find_k(&key(5)), Some(16));
-                assert_eq!(tree.find_k(&key(12)), Some(36));
-                assert_eq!(tree.find_k(&key(18)), None);
-                assert_eq!(persists(&pool) - before, 0, "find_k persisted ({tag})");
-                tree.verify_invariants().unwrap();
+                tree.insert_k(&key(k), k * 3).unwrap();
+                assert_eq!(persists(&pool) - before, 2, "insert_k {k} ({tag})");
             }
+            for k in 1..=10u64 {
+                let before = persists(&pool);
+                tree.update_k(&key(k), k * 3 + 1).unwrap();
+                assert_eq!(persists(&pool) - before, 2, "update_k {k} ({tag})");
+            }
+            for k in 16..=20u64 {
+                let before = persists(&pool);
+                tree.remove_k(&key(k)).unwrap();
+                assert_eq!(persists(&pool) - before, 1, "remove_k {k} ({tag})");
+            }
+            let before = persists(&pool);
+            assert_eq!(tree.find_k(&key(5)), Some(16));
+            assert_eq!(tree.find_k(&key(12)), Some(36));
+            assert_eq!(tree.find_k(&key(18)), None);
+            assert_eq!(persists(&pool) - before, 0, "find_k persisted ({tag})");
+            tree.verify_invariants().unwrap();
         }
     }
 }
