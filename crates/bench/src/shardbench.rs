@@ -6,9 +6,12 @@
 //!
 //! 1. **Throughput** — YCSB-A (50/50 read/update, uniform keys) over a
 //!    shard-count × thread-count grid. Each shard is a full RNTree on its
-//!    own pool region with its own allocator and HTM fallback domain, so
-//!    adding shards should never cost throughput at ≥2 threads and buys
-//!    headroom once the per-leaf HTM sections start conflicting.
+//!    own pool region with its own allocator, so adding shards should
+//!    never cost throughput at ≥2 threads and buys headroom once the
+//!    per-leaf HTM sections start conflicting. The shards share the
+//!    process-wide STM and its one fallback lock, which couples them only
+//!    while a fallback runs; point-op workloads rarely take one (a few
+//!    per million ops on a skewed YCSB-A mix).
 //! 2. **Recovery** — warm a set, crash every region of the `PoolSet` at
 //!    once, then time [`ShardedIndex::recover_timed`]: recovery runs one
 //!    rebuild thread per shard, so the wall-clock should track the

@@ -1,13 +1,28 @@
-//! The fallback lock for the lock-elision pattern: one global lock per
-//! [`crate::HtmDomain`].
+//! The fallback lock for the lock-elision pattern: one lock for the
+//! whole process, [`crate::global::FALLBACK`], beside the clock and the
+//! version-lock table.
 //!
 //! Real RTM code cannot retry forever: after a few aborts it acquires a
 //! fallback mutex and runs the critical section non-transactionally. For
 //! that to be safe, every hardware transaction *subscribes* to the mutex —
 //! reads its state inside the transaction — so acquiring it aborts them.
-//! A fallback run (*G*) takes [`FallbackLock`], runs the body irrevocably
-//! with its writes landing in place, and holds the version-lock entry of
-//! every word it reads or writes until the body ends.
+//! A fallback run (*G*) takes the lock with [`acquire`], runs the body
+//! irrevocably with its writes landing in place, and holds the
+//! version-lock entry of every word it reads or writes until the body
+//! ends.
+//!
+//! # Why one lock per process
+//!
+//! The entries a fallback holds live in the process-wide lock table, and
+//! a fallback waits for each entry without a bound (it cannot abort). So
+//! fallbacks must exclude each other wherever their entries can meet,
+//! which is everywhere: with one lock per [`crate::HtmDomain`], two
+//! domains' fallbacks that take two entries in opposite orders wait for
+//! each other forever. One lock also matches the hardware path the paper
+//! describes, a single global fallback lock. The cost is that a fallback
+//! in one domain pauses optimistic begins and aborts writing commits in
+//! every domain; the trees reach the fallback only on capacity, flush and
+//! exhausted-retry aborts, which is rare.
 //!
 //! # Subscription safety argument
 //!
@@ -46,8 +61,8 @@
 //!   entries then loads the global word; *G* CASes the global word then
 //!   loads lock entries before its first data access), so both sides
 //!   carry a **`SeqCst` fence** — *O* between phase-1 acquisition and the
-//!   check, *G* in [`FallbackLock::acquire`] between acquisition and the
-//!   body — guaranteeing at least one side observes the other's store on
+//!   check, *G* in [`acquire`] between acquisition and the body —
+//!   guaranteeing at least one side observes the other's store on
 //!   non-TSO hardware too.
 //! * *G* ended before *O*'s read validation → *G*'s release bumped
 //!   versions, so any read overlap aborts *O*; pure write-into-*G*-reads
@@ -64,7 +79,8 @@
 //! therefore skips the commit-time check entirely; with `rv` sampled
 //! mid-window it could commit a torn slice of an atomic fallback section.
 //!
-//! **G vs G.** The global lock excludes them.
+//! **G vs G.** The global lock excludes them, in every domain of the
+//! process.
 //!
 //! **G vs non-transactional stores.** `TmWord::store_nontx` and
 //! `cas_nontx` take only the word's version-lock entry, never the global
@@ -81,121 +97,110 @@
 
 use std::sync::atomic::Ordering;
 
-use crate::word::TmWord;
+use crate::global::FALLBACK;
 
-/// Bounded spin iterations before yielding to the OS while waiting on a
+/// Bounded spin iterations before yielding to the OS while waiting on the
 /// fallback word. Oversubscribed thread counts (threads > cores, the
 /// common CI case) would otherwise livelock-degrade on pure `spin_loop`.
 const SPIN_LIMIT: u32 = 64;
 
-/// The per-domain fallback mutex with transaction subscription.
-#[derive(Debug, Default)]
-pub struct FallbackLock {
-    pub(crate) word: TmWord,
+/// True while some thread holds the fallback lock.
+#[inline]
+pub(crate) fn is_held() -> bool {
+    FALLBACK.load_direct() % 2 == 1
 }
 
-impl FallbackLock {
-    /// Creates a free lock.
-    pub fn new() -> Self {
-        FallbackLock {
-            word: TmWord::new(0),
+/// Acquires the fallback lock (bounded spin, then `yield_now`). Returns a
+/// guard that releases on drop (panic-safe: a poisoned fallback would
+/// otherwise wedge every transaction in the process forever).
+pub(crate) fn acquire() -> FallbackGuard {
+    let mut spins = 0u32;
+    loop {
+        let cur = FALLBACK.load_direct();
+        if cur.is_multiple_of(2) && FALLBACK.cas_nontx(cur, cur + 1).is_ok() {
+            // Ordering: SeqCst fence between acquiring the fallback word
+            // and the fallback's first data access. Pairs with the fence
+            // in optimistic commit (between its phase-1 lock stores and
+            // its fallback-word load): the two sides form a
+            // store-buffering pattern, and without a total order both
+            // could read stale — the committer seeing this word free
+            // while this fallback sees the commit's word locks free and
+            // reads pre-commit data. x86's locked RMWs mask this; on
+            // weaker architectures the fence is required. See the proof
+            // in the module docs.
+            std::sync::atomic::fence(Ordering::SeqCst);
+            return FallbackGuard(());
         }
-    }
-
-    /// True while some thread holds the fallback lock.
-    #[inline]
-    pub fn is_held(&self) -> bool {
-        self.word.load_direct() % 2 == 1
-    }
-
-    /// Acquires the lock (bounded spin, then `yield_now`). Returns a guard
-    /// that releases on drop (panic-safe: a poisoned fallback would
-    /// otherwise wedge every transaction in the domain forever).
-    pub fn acquire(&self) -> FallbackGuard<'_> {
-        let mut spins = 0u32;
-        loop {
-            let cur = self.word.load_direct();
-            if cur.is_multiple_of(2) && self.word.cas_nontx(cur, cur + 1).is_ok() {
-                // Ordering: SeqCst fence between acquiring the fallback word
-                // and the fallback's first data access. Pairs with the fence
-                // in optimistic commit (between its phase-1 lock stores and
-                // its fallback-word load): the two sides form a
-                // store-buffering pattern, and without a total order both
-                // could read stale — the committer seeing this word free
-                // while this fallback sees the commit's word locks free and
-                // reads pre-commit data. x86's locked RMWs mask this; on
-                // weaker architectures the fence is required. See the proof
-                // in the module docs.
-                std::sync::atomic::fence(Ordering::SeqCst);
-                return FallbackGuard { lock: self };
-            }
-            spins += 1;
-            if spins >= SPIN_LIMIT {
-                spins = 0;
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+        spins += 1;
+        if spins >= SPIN_LIMIT {
+            spins = 0;
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
         }
     }
 }
 
-/// RAII guard for [`FallbackLock`].
-pub struct FallbackGuard<'l> {
-    lock: &'l FallbackLock,
-}
+/// RAII guard for the fallback lock.
+pub(crate) struct FallbackGuard(());
 
-impl Drop for FallbackGuard<'_> {
+impl Drop for FallbackGuard {
     fn drop(&mut self) {
-        let word = &self.lock.word;
-        let cur = word.load_direct();
+        let cur = FALLBACK.load_direct();
         debug_assert_eq!(cur % 2, 1, "releasing a free fallback lock");
-        word.store_nontx(cur + 1);
+        FALLBACK.store_nontx(cur + 1);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! The lock is process-wide, so other tests of this crate take it
+    //! concurrently: a release shows as the word moving past the value
+    //! its holder saw, never as the lock reading free.
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     #[test]
     fn acquire_release_counts_transitions() {
-        let l = FallbackLock::new();
-        assert!(!l.is_held());
-        {
-            let _g = l.acquire();
-            assert!(l.is_held());
-        }
-        assert!(!l.is_held());
-        assert_eq!(l.word.load_direct(), 2);
+        let before = FALLBACK.load_direct();
+        let held = {
+            let _g = acquire();
+            assert!(is_held());
+            FALLBACK.load_direct()
+        };
+        assert_eq!(held % 2, 1, "a held lock reads odd");
+        assert!(held > before, "acquisition must advance the word");
+        assert!(FALLBACK.load_direct() > held, "release must advance the word");
     }
 
     #[test]
     fn guard_releases_on_panic() {
-        let l = Arc::new(FallbackLock::new());
-        let l2 = Arc::clone(&l);
+        let held = Arc::new(AtomicU64::new(0));
+        let held2 = Arc::clone(&held);
         let res = std::thread::spawn(move || {
-            let _g = l2.acquire();
+            let _g = acquire();
+            held2.store(FALLBACK.load_direct(), Ordering::Relaxed);
             panic!("boom");
         })
         .join();
         assert!(res.is_err());
-        assert!(!l.is_held(), "lock must be released by unwinding");
+        let held = held.load(Ordering::Relaxed);
+        assert_eq!(held % 2, 1);
+        // Only the holder moves an odd word on, so the panicking thread
+        // released it while unwinding.
+        assert!(FALLBACK.load_direct() > held, "lock must be released by unwinding");
     }
 
     #[test]
     fn mutual_exclusion() {
-        let l = Arc::new(FallbackLock::new());
         let counter = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         for _ in 0..4 {
-            let l = Arc::clone(&l);
             let c = Arc::clone(&counter);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..500 {
-                    let _g = l.acquire();
+                    let _g = acquire();
                     // Non-atomic-looking RMW under the lock.
                     let v = c.load(Ordering::Relaxed);
                     c.store(v + 1, Ordering::Relaxed);

@@ -1,8 +1,12 @@
-//! Global STM metadata: the version clock and the striped version-lock
-//! table.
+//! Global STM metadata: the version clock, the striped version-lock
+//! table and the fallback lock word.
 //!
 //! Like the hardware it emulates, the STM is a process-global facility: any
-//! [`crate::TmWord`] anywhere in memory is covered. Each word hashes to one
+//! [`crate::TmWord`] anywhere in memory is covered, whichever
+//! [`crate::HtmDomain`] runs the section. The fallback lock is process-wide
+//! for the same reason: a fallback holds lock-table entries until its body
+//! ends, so two fallbacks running at once could each wait on an entry the
+//! other holds (see [`crate::fallback`]). Each word hashes to one
 //! entry of a fixed table of *versioned write-locks* (TL2). An entry is
 //! either
 //!
@@ -50,6 +54,8 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::word::TmWord;
+
 /// log2 of the lock-table size.
 const LOCK_TABLE_BITS: usize = 16;
 /// Number of versioned-lock entries.
@@ -59,6 +65,10 @@ pub(crate) const LOCK_TABLE_SIZE: usize = 1 << LOCK_TABLE_BITS;
 pub(crate) const LOCKED: u64 = 1 << 63;
 
 static CLOCK: AtomicU64 = AtomicU64::new(0);
+
+/// The fallback lock word: even = free, odd = held. Only
+/// [`crate::fallback`] changes it.
+pub(crate) static FALLBACK: TmWord = TmWord::new(0);
 
 /// The block source for owner tickets: the first ticket of the next
 /// unissued block (never zero). See the module docs.

@@ -23,20 +23,22 @@
 //! * **Conflict aborts.** Per-word version validation detects concurrent
 //!   writers; the loser aborts with [`AbortCode::Conflict`].
 //! * **Capacity aborts.** Transactions track the distinct cache lines they
-//!   touch and abort with [`AbortCode::Capacity`] past the configured L1
-//!   budget (default 512 lines = 32 KiB, the paper's machine).
+//!   touch and abort with [`AbortCode::Capacity`] past a fixed L1 budget
+//!   of 512 lines read and 512 written (32 KiB, the paper's machine).
 //! * **Flush-in-transaction aborts.** `CLWB`/`CLFLUSH` abort real RTM
 //!   transactions; [`Txn::flush_attempt`] models the same rule.
 //! * **Explicit aborts** (`XABORT`), used e.g. by FPTree's `find` when it
 //!   sees a locked leaf.
 //! * **The fallback lock.** Real RTM code retries a few times and then takes
 //!   a fallback mutex whose acquisition aborts the transactions it races.
-//!   [`HtmDomain::atomic`] implements that loop with one global
-//!   [`FallbackLock`] per domain: a fallback run holds it, runs the body
-//!   irrevocably and holds every touched word's version lock until the
-//!   body ends. The retry policy is adaptive, fed by the abort taxonomy.
-//!   See the [`fallback`](crate::FallbackLock) module docs for the safety
-//!   proof.
+//!   [`HtmDomain::atomic`] implements that loop with one fallback lock for
+//!   the whole process, as the paper's hardware path has one global lock:
+//!   a fallback run holds it, runs the body irrevocably and holds every
+//!   touched word's version lock until the body ends. The version-lock
+//!   table is process-wide, so the lock must be too: two fallbacks running
+//!   at once could each wait forever for an entry the other holds. The
+//!   retry policy is adaptive, fed by the abort taxonomy. An
+//!   [`HtmDomain`] only scopes the [`HtmStats`] counters.
 //!
 //! Transactionally-shared words are [`TmWord`]s (a `repr(transparent)`
 //! wrapper over `AtomicU64`), so they can live anywhere — including inside
@@ -75,11 +77,10 @@ mod stats;
 mod txn;
 mod word;
 
-pub use domain::{HtmDomain, RetryPolicy};
-pub use fallback::FallbackLock;
+pub use domain::HtmDomain;
 pub use gate::OptimisticGate;
 pub use stats::{HtmStats, HtmStatsSnapshot};
-pub use txn::{Abort, AbortCode, Txn, TxnOptions};
+pub use txn::{Abort, AbortCode, Txn};
 pub use word::TmWord;
 
 use std::cell::Cell;

@@ -35,7 +35,7 @@ pub struct HtmStats {
     /// [`HtmStats::retries_to_commit`].
     pub retries: AtomicHistogram,
     /// Adaptive-policy state: the *effective* per-thread retry budget in
-    /// force at each conflict abort (the streak-shrunk `max_retries`).
+    /// force at each conflict abort (the streak-shrunk retry base).
     /// A mass at low values means sustained contention has collapsed the
     /// optimistic budget. Read via [`HtmStats::retry_budget`].
     pub retry_budget: AtomicHistogram,

@@ -6,7 +6,7 @@
 //! 64-bit words:
 //!
 //! * `begin`: sample the global clock into the read version `rv`, then
-//!   subscribe to the domain's fallback word: re-sample until the word is
+//!   subscribe to the process-wide fallback word: re-sample until the word is
 //!   observed free *after* `rv` was taken, so no optimistic section can
 //!   start with an `rv` from inside an irrevocable fallback's write
 //!   window.
@@ -37,7 +37,7 @@
 //! the phase-1 lock stores before the subscription load (a
 //! store-buffering pattern on non-TSO hardware otherwise).
 //!
-//! The fallback runs **irrevocably** under the domain's fallback lock:
+//! The fallback runs **irrevocably** under the process-wide fallback lock:
 //! every word read or written has its version-lock entry held until the
 //! body ends (two-phase locking, so non-transactional stores cannot
 //! interleave), and writes land in place at once; mutual exclusion is
@@ -46,6 +46,7 @@
 
 use std::marker::PhantomData;
 
+use crate::fallback;
 use crate::global;
 use crate::smallset::{SmallLineSet, SmallPairSet};
 use crate::word::TmWord;
@@ -92,24 +93,10 @@ impl Abort {
     }
 }
 
-/// Per-transaction tunables: the capacity model.
-#[derive(Debug, Clone, Copy)]
-pub struct TxnOptions {
-    /// Maximum distinct cache lines readable in one transaction.
-    /// Default 512 (= 32 KiB L1, the paper's machine).
-    pub read_cap_lines: usize,
-    /// Maximum distinct cache lines writable in one transaction.
-    pub write_cap_lines: usize,
-}
-
-impl Default for TxnOptions {
-    fn default() -> Self {
-        TxnOptions {
-            read_cap_lines: 512,
-            write_cap_lines: 512,
-        }
-    }
-}
+/// The capacity model: distinct cache lines one transaction may read, and
+/// separately write, before it aborts with [`AbortCode::Capacity`]. 512
+/// lines are the 32 KiB L1 of the paper's machine.
+pub(crate) const CAP_LINES: usize = 512;
 
 /// Bounded spin iterations when acquiring a write-set lock at commit.
 const COMMIT_LOCK_SPINS: u32 = 128;
@@ -164,8 +151,9 @@ impl IrrevocableState {
     /// Acquires entry `idx` unless this transaction already holds it.
     /// Spins out its current holder: an optimistic committer (bounded,
     /// it aborts) or a non-transactional store (one word, never waits
-    /// while holding) — no other fallback can run, so this cannot
-    /// deadlock.
+    /// while holding) — no other fallback can run anywhere in the
+    /// process (the fallback lock is process-wide, like this table), so
+    /// this cannot deadlock.
     fn hold(&mut self, idx: usize) {
         let mine = global::LOCKED | self.owner;
         let mut spins = 0u32;
@@ -214,16 +202,12 @@ enum Mode {
 /// A running transaction. Obtained from [`crate::HtmDomain::atomic`].
 pub struct Txn<'t> {
     mode: Mode,
-    opts: TxnOptions,
-    /// The domain's fallback word; begin and commit check it for freedom
-    /// (`None` only in unit tests).
-    global: Option<&'t TmWord>,
     /// Write-set addresses borrow `'t` words; see [`OptState::write_set`].
     _words: PhantomData<&'t TmWord>,
 }
 
 impl<'t> Txn<'t> {
-    pub(crate) fn optimistic(opts: TxnOptions, global: Option<&'t TmWord>) -> Self {
+    pub(crate) fn optimistic() -> Self {
         // Begin-time subscription: take `rv`, *then* observe the fallback
         // word free; if an irrevocable fallback is (or might still be) in
         // its write window, re-sample. Order matters —
@@ -239,17 +223,15 @@ impl<'t> Txn<'t> {
             let mut spins = 0u32;
             loop {
                 let rv = global::clock_read();
-                match global {
-                    Some(g) if g.load_direct() % 2 == 1 => {
-                        spins += 1;
-                        if spins >= WAIT_SPIN_LIMIT {
-                            spins = 0;
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                    }
-                    _ => break rv,
+                if !fallback::is_held() {
+                    break rv;
+                }
+                spins += 1;
+                if spins >= WAIT_SPIN_LIMIT {
+                    spins = 0;
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
                 }
             }
         };
@@ -263,34 +245,29 @@ impl<'t> Txn<'t> {
                 read_lines: SmallLineSet::new(),
                 write_lines: SmallLineSet::new(),
             }),
-            opts,
-            global,
             _words: PhantomData,
         }
     }
 
-    pub(crate) fn irrevocable(opts: TxnOptions) -> Self {
+    pub(crate) fn irrevocable() -> Self {
         Txn {
             mode: Mode::Irrevocable(IrrevocableState {
                 owner: global::next_ticket(),
                 held: SmallPairSet::new(),
                 wrote: false,
             }),
-            opts,
-            global: None,
             _words: PhantomData,
         }
     }
 
     /// True on the fallback path: the body runs irrevocably under the
-    /// domain's fallback lock, not optimistically.
+    /// fallback lock, not optimistically.
     pub fn is_fallback(&self) -> bool {
         matches!(self.mode, Mode::Irrevocable(_))
     }
 
     /// Transactionally reads a word.
     pub fn read(&mut self, w: &'t TmWord) -> TxResult<u64> {
-        let opts = self.opts;
         match &mut self.mode {
             Mode::Irrevocable(st) => {
                 // Holding the entry waits out any committing optimistic
@@ -325,7 +302,7 @@ impl<'t> Txn<'t> {
                 }
                 let line = addr >> 6;
                 if !st.read_lines.contains(line) {
-                    if st.read_lines.len() >= opts.read_cap_lines {
+                    if st.read_lines.len() >= CAP_LINES {
                         return Err(Abort::CAPACITY);
                     }
                     st.read_lines.push(line);
@@ -338,7 +315,6 @@ impl<'t> Txn<'t> {
     /// Transactionally writes a word. The store is buffered until commit in
     /// optimistic mode; conflict-visible immediately in irrevocable mode.
     pub fn write(&mut self, w: &'t TmWord, val: u64) -> TxResult<()> {
-        let opts = self.opts;
         match &mut self.mode {
             Mode::Irrevocable(st) => {
                 st.hold(w.lock_idx());
@@ -360,7 +336,7 @@ impl<'t> Txn<'t> {
                 }
                 let line = addr >> 6;
                 if !st.write_lines.contains(line) {
-                    if st.write_lines.len() >= opts.write_cap_lines {
+                    if st.write_lines.len() >= CAP_LINES {
                         return Err(Abort::CAPACITY);
                     }
                     st.write_lines.push(line);
@@ -406,7 +382,6 @@ impl<'t> Txn<'t> {
 
     /// Two-phase commit. Consumes the transaction.
     pub(crate) fn commit(self) -> TxResult<()> {
-        let global = self.global;
         let mut st = match self.mode {
             // Dropping the state releases the held entries.
             Mode::Irrevocable(_) => return Ok(()),
@@ -458,7 +433,8 @@ impl<'t> Txn<'t> {
         }
 
         // Commit-time fallback subscription: with the write locks held,
-        // the fallback word must be free (even). A fallback in flight right now may have read words
+        // the fallback word must be free (even). A fallback in flight right
+        // now — in any domain — may have read words
         // this transaction is about to overwrite — and fallback reads are
         // never validated, so committing into its window would hand it a
         // stale snapshot. A fallback that starts *after* this check
@@ -473,10 +449,10 @@ impl<'t> Txn<'t> {
         // Acquire/Release both sides may read stale ("both see free") on
         // non-TSO hardware, letting this commit land inside the fallback's
         // read window. This fence pairs with the one in
-        // `FallbackLock::acquire` (after a successful acquisition): in
+        // `fallback::acquire` (after a successful acquisition): in
         // any execution at least one side observes the other's store.
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-        if global.is_some_and(|g| g.load_direct() % 2 == 1) {
+        if fallback::is_held() {
             release_all(acquired.as_slice());
             return Err(Abort::CONFLICT);
         }
@@ -519,17 +495,53 @@ fn release_all(acquired: &[(usize, u64)]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    //! The fallback lock is process-wide, so another test's fallback in
+    //! flight aborts a writing commit here; [`commit_past_fallbacks`]
+    //! retries exactly those aborts.
     use super::*;
+
+    /// One word per cache line, so `CAP_LINES + 1` of them overflow the
+    /// capacity model.
+    #[repr(align(64))]
+    #[derive(Default)]
+    pub(crate) struct Line(pub(crate) TmWord);
+
+    pub(crate) fn over_capacity() -> Vec<Line> {
+        (0..=CAP_LINES).map(|_| Line::default()).collect()
+    }
+
+    /// Commits the transaction `run` builds, building it again while the
+    /// commit aborts. Each abort must be a conflict that a fallback in
+    /// flight explains: the fallback word was held when sampled just
+    /// before the commit, or it has moved since.
+    fn commit_past_fallbacks<'t>(mut run: impl FnMut() -> Txn<'t>) {
+        loop {
+            let txn = run();
+            let seen = global::FALLBACK.load_direct();
+            match txn.commit() {
+                Ok(()) => return,
+                Err(a) => {
+                    assert_eq!(a, Abort::CONFLICT);
+                    assert!(
+                        seen % 2 == 1 || global::FALLBACK.load_direct() != seen,
+                        "a commit aborted with no fallback in flight"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn buffered_write_is_invisible_until_commit() {
         let w = TmWord::new(1);
-        let mut txn = Txn::optimistic(TxnOptions::default(), None);
-        txn.write(&w, 2).unwrap();
-        assert_eq!(w.load_direct(), 1, "store must stay buffered");
-        assert_eq!(txn.read(&w).unwrap(), 2, "read-own-write");
-        txn.commit().unwrap();
+        commit_past_fallbacks(|| {
+            let mut txn = Txn::optimistic();
+            txn.write(&w, 2).unwrap();
+            assert_eq!(w.load_direct(), 1, "store must stay buffered");
+            assert_eq!(txn.read(&w).unwrap(), 2, "read-own-write");
+            txn
+        });
         assert_eq!(w.load_direct(), 2);
     }
 
@@ -537,7 +549,7 @@ mod tests {
     fn dropped_txn_discards_writes() {
         let w = TmWord::new(1);
         {
-            let mut txn = Txn::optimistic(TxnOptions::default(), None);
+            let mut txn = Txn::optimistic();
             txn.write(&w, 99).unwrap();
         }
         assert_eq!(w.load_direct(), 1);
@@ -545,45 +557,47 @@ mod tests {
 
     #[test]
     fn read_capacity_abort() {
-        let words: Vec<TmWord> = (0..100).map(TmWord::new).collect();
-        let opts = TxnOptions {
-            read_cap_lines: 4,
-            write_cap_lines: 4,
-        };
-        let mut txn = Txn::optimistic(opts, None);
-        let mut aborted = None;
-        for w in &words {
-            if let Err(a) = txn.read(w) {
-                aborted = Some(a);
-                break;
+        let lines = over_capacity();
+        let (reads, abort) = loop {
+            let mut txn = Txn::optimistic();
+            let mut reads = 0;
+            let abort = lines.iter().find_map(|l| match txn.read(&l.0) {
+                Ok(_) => {
+                    reads += 1;
+                    None
+                }
+                Err(a) => Some(a.code),
+            });
+            // A conflict is another test's commit on a shared lock-table
+            // entry; only the capacity model is under test.
+            if abort != Some(AbortCode::Conflict) {
+                break (reads, abort);
             }
-        }
-        // 100 contiguous words = 800 B ≥ 13 lines, far past the 4-line cap.
-        assert_eq!(aborted.map(|a| a.code), Some(AbortCode::Capacity));
+        };
+        assert_eq!(abort, Some(AbortCode::Capacity));
+        assert_eq!(reads, CAP_LINES, "the cap admits exactly CAP_LINES lines");
     }
 
     #[test]
     fn write_capacity_abort() {
-        let words: Vec<TmWord> = (0..100).map(TmWord::new).collect();
-        let opts = TxnOptions {
-            read_cap_lines: 512,
-            write_cap_lines: 2,
-        };
-        let mut txn = Txn::optimistic(opts, None);
-        let mut aborted = None;
-        for w in &words {
-            if let Err(a) = txn.write(w, 0) {
-                aborted = Some(a);
-                break;
+        let lines = over_capacity();
+        let mut txn = Txn::optimistic();
+        let mut writes = 0;
+        let abort = lines.iter().find_map(|l| match txn.write(&l.0, 0) {
+            Ok(()) => {
+                writes += 1;
+                None
             }
-        }
-        assert_eq!(aborted.map(|a| a.code), Some(AbortCode::Capacity));
+            Err(a) => Some(a.code),
+        });
+        assert_eq!(abort, Some(AbortCode::Capacity));
+        assert_eq!(writes, CAP_LINES, "the cap admits exactly CAP_LINES lines");
     }
 
     #[test]
     fn nontx_store_conflicts_reader() {
         let w = TmWord::new(0);
-        let mut txn = Txn::optimistic(TxnOptions::default(), None);
+        let mut txn = Txn::optimistic();
         let _ = txn.read(&w).unwrap();
         w.store_nontx(1); // concurrent plain store, conflict-visible
         // Reading again must observe a version bump and abort.
@@ -595,7 +609,7 @@ mod tests {
     fn writer_validation_catches_interleaved_commit() {
         let a = TmWord::new(0);
         let b = TmWord::new(0);
-        let mut t1 = Txn::optimistic(TxnOptions::default(), None);
+        let mut t1 = Txn::optimistic();
         let va = t1.read(&a).unwrap();
         t1.write(&b, va + 1).unwrap();
         // Another thread commits a write to `a` in between.
@@ -606,19 +620,19 @@ mod tests {
 
     #[test]
     fn flush_attempt_aborts_optimistic_only() {
-        let t = Txn::optimistic(TxnOptions::default(), None);
+        let t = Txn::optimistic();
         assert_eq!(
             t.flush_attempt().unwrap_err().code,
             AbortCode::FlushInTxn
         );
-        let t = Txn::irrevocable(TxnOptions::default());
+        let t = Txn::irrevocable();
         assert!(t.flush_attempt().is_ok());
     }
 
     #[test]
     fn irrevocable_rw_is_immediate() {
         let w = TmWord::new(3);
-        let mut t = Txn::irrevocable(TxnOptions::default());
+        let mut t = Txn::irrevocable();
         assert_eq!(t.read(&w).unwrap(), 3);
         t.write(&w, 4).unwrap();
         assert_eq!(w.load_direct(), 4, "irrevocable writes publish at once");
@@ -627,7 +641,7 @@ mod tests {
 
     #[test]
     fn explicit_abort_carries_code() {
-        let t = Txn::optimistic(TxnOptions::default(), None);
+        let t = Txn::optimistic();
         assert_eq!(t.abort(0xAB).code, AbortCode::Explicit(0xAB));
     }
 
@@ -635,7 +649,7 @@ mod tests {
     fn read_only_commit_is_free_and_consistent() {
         let a = TmWord::new(10);
         let b = TmWord::new(20);
-        let mut t = Txn::optimistic(TxnOptions::default(), None);
+        let mut t = Txn::optimistic();
         let x = t.read(&a).unwrap();
         let y = t.read(&b).unwrap();
         assert_eq!(x + y, 30);
@@ -647,13 +661,15 @@ mod tests {
         // Drive the write set far past INLINE_CAP so commit exercises the
         // spilled path: sorted multi-lock acquisition, validation, apply.
         let words: Vec<TmWord> = (0..200).map(TmWord::new).collect();
-        let mut txn = Txn::optimistic(TxnOptions::default(), None);
-        for (i, w) in words.iter().enumerate() {
-            let v = txn.read(w).unwrap();
-            txn.write(w, v + i as u64 + 1).unwrap();
-        }
-        assert_eq!(txn.write_set_len(), 200);
-        txn.commit().unwrap();
+        commit_past_fallbacks(|| {
+            let mut txn = Txn::optimistic();
+            for (i, w) in words.iter().enumerate() {
+                let v = txn.read(w).unwrap();
+                txn.write(w, v + i as u64 + 1).unwrap();
+            }
+            assert_eq!(txn.write_set_len(), 200);
+            txn
+        });
         for (i, w) in words.iter().enumerate() {
             assert_eq!(w.load_direct(), 2 * i as u64 + 1);
         }
@@ -662,18 +678,20 @@ mod tests {
     #[test]
     fn bloom_lets_reads_see_own_writes_in_spilled_sets() {
         let words: Vec<TmWord> = (0..64).map(|_| TmWord::new(0)).collect();
-        let mut txn = Txn::optimistic(TxnOptions::default(), None);
-        for (i, w) in words.iter().enumerate() {
-            txn.write(w, i as u64).unwrap();
-        }
-        // Every buffered value must be readable back (no bloom false
-        // negatives) and overwrites must dedup, not duplicate.
-        for (i, w) in words.iter().enumerate() {
-            assert_eq!(txn.read(w).unwrap(), i as u64);
-            txn.write(w, i as u64 + 100).unwrap();
-        }
-        assert_eq!(txn.write_set_len(), 64, "overwrite must not re-push");
-        txn.commit().unwrap();
+        commit_past_fallbacks(|| {
+            let mut txn = Txn::optimistic();
+            for (i, w) in words.iter().enumerate() {
+                txn.write(w, i as u64).unwrap();
+            }
+            // Every buffered value must be readable back (no bloom false
+            // negatives) and overwrites must dedup, not duplicate.
+            for (i, w) in words.iter().enumerate() {
+                assert_eq!(txn.read(w).unwrap(), i as u64);
+                txn.write(w, i as u64 + 100).unwrap();
+            }
+            assert_eq!(txn.write_set_len(), 64, "overwrite must not re-push");
+            txn
+        });
         for (i, w) in words.iter().enumerate() {
             assert_eq!(w.load_direct(), i as u64 + 100);
         }
@@ -681,17 +699,18 @@ mod tests {
 
     #[test]
     fn commit_aborts_while_global_fallback_word_is_held() {
-        let lock = crate::fallback::FallbackLock::new();
         let w = TmWord::new(1);
-        let mut txn = Txn::optimistic(TxnOptions::default(), Some(&lock.word));
+        let mut txn = Txn::optimistic();
         txn.write(&w, 2).unwrap();
-        let g = lock.acquire();
+        let g = fallback::acquire();
         assert_eq!(txn.commit(), Err(Abort::CONFLICT));
         assert_eq!(w.load_direct(), 1);
         drop(g);
-        let mut txn = Txn::optimistic(TxnOptions::default(), Some(&lock.word));
-        txn.write(&w, 2).unwrap();
-        txn.commit().unwrap();
+        commit_past_fallbacks(|| {
+            let mut txn = Txn::optimistic();
+            txn.write(&w, 2).unwrap();
+            txn
+        });
         assert_eq!(w.load_direct(), 2);
     }
 
@@ -701,14 +720,17 @@ mod tests {
         // lasting mark: lazy subscription only cares about fallbacks in
         // flight at commit time (a completed fallback serialises before
         // this txn via its published versions, which read validation
-        // checks).
-        let lock = crate::fallback::FallbackLock::new();
+        // checks). The helper samples the word after this release, so
+        // only a later fallback can excuse an abort.
         let w = TmWord::new(5);
-        let mut txn = Txn::optimistic(TxnOptions::default(), Some(&lock.word));
-        assert_eq!(txn.read(&w).unwrap(), 5);
-        txn.write(&w, 6).unwrap();
-        drop(lock.acquire());
-        txn.commit().unwrap();
+        commit_past_fallbacks(|| {
+            let mut txn = Txn::optimistic();
+            let v = txn.read(&w).unwrap();
+            assert_eq!(v, 5);
+            txn.write(&w, v + 1).unwrap();
+            drop(fallback::acquire());
+            txn
+        });
         assert_eq!(w.load_direct(), 6);
     }
 
@@ -718,7 +740,7 @@ mod tests {
         // a read must keep the word's entry locked until the txn drops.
         let w = TmWord::new(1);
         let idx = w.lock_idx();
-        let mut txn = Txn::irrevocable(TxnOptions::default());
+        let mut txn = Txn::irrevocable();
         let v = txn.read(&w).unwrap();
         assert!(global::is_locked(global::lock_load(idx)), "a read must hold the entry");
         txn.write(&w, v + 1).unwrap();

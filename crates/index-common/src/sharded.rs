@@ -8,11 +8,14 @@
 //! shard, and stitches range scans back together with a merge so the
 //! output is globally key-ordered.
 //!
-//! Because every shard is a complete tree with its own persistent pool, its
-//! own allocator, and its own HTM fallback domain, shards interact through
-//! **no** shared persistent or lock state — the only cross-shard coupling
-//! left is false sharing in the process-wide TL2 lock table, which is
-//! probabilistic and read-mostly. That independence is what makes recovery
+//! Because every shard is a complete tree with its own persistent pool and
+//! its own allocator, shards share **no** persistent state. They do share
+//! the process-wide STM, as cores share the hardware: false sharing in the
+//! TL2 lock table (probabilistic and read-mostly), and the one fallback
+//! lock, so a fallback in one shard pauses optimistic sections in every
+//! shard until it ends. Fallbacks are rare (a few per million ops on a
+//! skewed YCSB-A mix), and neither coupling orders one shard's persists
+//! against another's. That independence is what makes recovery
 //! embarrassingly parallel: [`ShardedIndex::recover`] runs one rebuild
 //! thread per shard (the sharded analogue of the paper's §5.4 leaf-chain
 //! rebuild).
@@ -528,9 +531,9 @@ impl<T: PersistentIndex> PersistentIndex for ShardedIndex<T> {
         total
     }
 
-    /// Mean of the per-shard abort ratios (each shard's HTM domain is
-    /// independent, so an unweighted mean is the honest summary absent
-    /// per-shard attempt counts). `None` if no shard reports one.
+    /// Mean of the per-shard abort ratios (each shard's HTM domain keeps
+    /// its own counters, so an unweighted mean is the honest summary
+    /// absent per-shard attempt counts). `None` if no shard reports one.
     fn htm_abort_ratio(&self) -> Option<f64> {
         let ratios: Vec<f64> = self.shards.iter().filter_map(|s| s.htm_abort_ratio()).collect();
         if ratios.is_empty() {

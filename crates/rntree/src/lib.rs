@@ -57,7 +57,6 @@
 mod fingerprint;
 mod format;
 mod hashleaf;
-mod journal;
 mod layout;
 mod leaf;
 mod recovery;
@@ -68,7 +67,6 @@ mod varleaf;
 mod version;
 
 pub use hashleaf::HashDir;
-pub use journal::SplitJournal;
 pub use report::SpaceReport;
 pub use layout::{LAYOUT_HASH, LAYOUT_SORTED, LEAF_BLOCK, LEAF_CAPACITY, MAX_LIVE};
 pub use recovery::ConfigError;

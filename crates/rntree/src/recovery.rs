@@ -21,12 +21,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
 
 use index_common::{leaf_ref, InnerIndex};
-use nvm::{BlockAllocator, PageCache, PmemPool, RootTable};
+use nvm::{BlockAllocator, PageCache, PmemPool, RootTable, UndoJournal};
 use obs::{EventKind, PhaseTimers};
 
 use crate::fingerprint::FpTable;
 use crate::format::{live_entries, LeafFormat, U64Format};
-use crate::journal::SplitJournal;
 use crate::layout::{LAYOUT_HASH, LEAF_CAPACITY};
 use crate::leaf::{Leaf, WhichSlot};
 use crate::tree::{roots, LeafPolicy, OpMix, RnConfig, RnTree, MAGIC};
@@ -195,7 +194,7 @@ impl RnTree {
         pool: Arc<PmemPool>,
         cfg: RnConfig,
         alloc: BlockAllocator,
-        journal: SplitJournal,
+        journal: UndoJournal,
         fps: FpTable,
         index: InnerIndex,
         leftmost: u64,
@@ -322,7 +321,7 @@ impl RnTree {
     /// DRAM state, then the allocator and the inner index. `crashed`
     /// distrusts the leaf headers (crash recovery); otherwise they were
     /// persisted by [`RnTree::close`].
-    fn open(pool: Arc<PmemPool>, cfg: RnConfig, alloc: BlockAllocator, journal: SplitJournal, crashed: bool) -> RnTree {
+    fn open(pool: Arc<PmemPool>, cfg: RnConfig, alloc: BlockAllocator, journal: UndoJournal, crashed: bool) -> RnTree {
         if cfg.varlen_leaves {
             Self::open_chain::<VarFormat>(pool, cfg, alloc, journal, crashed)
         } else {
@@ -334,7 +333,7 @@ impl RnTree {
         pool: Arc<PmemPool>,
         cfg: RnConfig,
         alloc: BlockAllocator,
-        journal: SplitJournal,
+        journal: UndoJournal,
         crashed: bool,
     ) -> RnTree {
         let fps = Self::make_fps(&pool, &cfg);

@@ -39,13 +39,12 @@ use index_common::{
     leaf_ref, AnyKey, InnerIndex, Key, KeyBuf, KeyCodec, KeyRef, OpError, PersistentIndex,
     TreeStats, U64Key, Value, WriteOp, MAX_KEY_LEN,
 };
-use nvm::{BlockAllocator, PmemPool, RootTable};
+use nvm::{BlockAllocator, PmemPool, RootTable, UndoJournal};
 use obs::{EventKind, HeatSketch, ObsSource, Phase, PhaseTimers, Section};
 
 use crate::fingerprint::FpTable;
 use crate::format::{init_from_pairs, live_entries, slot_image, sorted_pairs, LeafFormat, U64Format};
 use crate::hashleaf::{HashDir, Probe};
-use crate::journal::SplitJournal;
 use crate::layout::{LAYOUT_HASH, LAYOUT_SORTED, LEAF_CAPACITY, MAX_LIVE};
 use crate::leaf::{Leaf, WhichSlot};
 use crate::slots::SlotBuf;
@@ -291,7 +290,10 @@ pub struct RnTree {
     pub(crate) pool: Arc<PmemPool>,
     pub(crate) alloc: BlockAllocator,
     pub(crate) index: InnerIndex,
-    pub(crate) journal: SplitJournal,
+    /// The split undo journal (paper §5.2.1: "we first log the whole
+    /// leaf node in ... undo logs"): whole-leaf pre-images, one slot per
+    /// concurrent splitter, images the size of the config's leaf block.
+    pub(crate) journal: UndoJournal,
     pub(crate) cfg: RnConfig,
     pub(crate) fps: FpTable,
     pub(crate) leftmost: u64,
@@ -2004,10 +2006,10 @@ impl RnTree {
     /// images and the leaf region are both sized by the config's leaf
     /// block, so the two layouts never mix on one pool.
     pub(crate) fn leaf_region_start(cfg: &RnConfig) -> u64 {
-        RootTable::END + SplitJournal::region_bytes_sized(cfg.journal_slots, Self::leaf_block(cfg))
+        RootTable::END + UndoJournal::region_bytes(cfg.journal_slots, Self::leaf_block(cfg))
     }
 
-    pub(crate) fn make_parts(pool: &Arc<PmemPool>, cfg: &RnConfig) -> (BlockAllocator, SplitJournal) {
+    pub(crate) fn make_parts(pool: &Arc<PmemPool>, cfg: &RnConfig) -> (BlockAllocator, UndoJournal) {
         let block = Self::leaf_block(cfg);
         let leaf_region = Self::leaf_region_start(cfg);
         assert!(
@@ -2015,7 +2017,7 @@ impl RnTree {
             "pool too small for journal + one leaf"
         );
         let alloc = BlockAllocator::new(leaf_region, pool.len(), block);
-        let journal = SplitJournal::new_sized(RootTable::END, cfg.journal_slots, block);
+        let journal = UndoJournal::new(RootTable::END, cfg.journal_slots, block);
         (alloc, journal)
     }
 }

@@ -16,8 +16,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use index_common::PersistentIndex;
-use nvm::{PmemConfig, PmemPool, RootTable};
-use rntree::{RnConfig, RnTree};
+use nvm::{PmemConfig, PmemPool, RootTable, UndoJournal};
+use rntree::{RnConfig, RnTree, LEAF_BLOCK};
 
 fn main() {
     let cfg = RnConfig::default();
@@ -64,14 +64,14 @@ fn main() {
     // --- 4: the split undo journal. Simulate a crash in the middle of a
     // split by hand: journal a leaf image, corrupt the leaf as a split
     // would mid-rewrite, crash, and let recovery restore it.
-    let journal = rntree::SplitJournal::new(64, cfg.journal_slots);
+    let journal = UndoJournal::new(64, cfg.journal_slots, LEAF_BLOCK);
     let leftmost = tree.leftmost();
     let slot = journal.acquire(&pool);
     journal.log(&pool, slot, leftmost);
     for w in 0..16u64 {
         pool.store_u64(leftmost + 192 + w * 8, 0xBAD0_BAD0); // torn KV area
     }
-    pool.persist(leftmost, rntree::LEAF_BLOCK);
+    pool.persist(leftmost, LEAF_BLOCK);
     drop(tree);
     pool.simulate_crash();
     let t0 = Instant::now();

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use index_common::PersistentIndex;
-use nvm::{PmemConfig, PmemPool};
-use rntree::{RnConfig, RnTree, SplitJournal, LEAF_BLOCK};
+use nvm::{PmemConfig, PmemPool, UndoJournal};
+use rntree::{RnConfig, RnTree, LEAF_BLOCK};
 
 fn cfg() -> RnConfig {
     RnConfig {
@@ -58,7 +58,7 @@ fn torn_split_rolls_back_through_journal() {
     // Forge a crash in the middle of a split: journal the pre-image, then
     // shred the leaf's KV area and slot line (persisted, as a partially
     // executed split rewrite would be).
-    let journal = SplitJournal::new(64, 4);
+    let journal = UndoJournal::new(64, 4, LEAF_BLOCK);
     let slot = journal.acquire(&p);
     journal.log(&p, slot, victim);
     for w in 0..(LEAF_BLOCK / 8) {
