@@ -356,8 +356,8 @@ impl InnerIndex {
     }
 
     /// The HTM domain shared by this tree (leaf-level HTM functions of the
-    /// owning tree run in the same domain, sharing one fallback lock per
-    /// tree as real per-structure elision code would).
+    /// owning tree run in the same domain, so one set of statistics counts
+    /// the tree's sections; the fallback lock is process-wide).
     pub fn domain(&self) -> &HtmDomain {
         &self.domain
     }
