@@ -41,6 +41,8 @@
 //! `--assert-overhead PCT` for the CI gate), and `bench-index`
 //! (cross-PR trend table harvested from every committed
 //! `BENCH_PR*.json`, written to `BENCH_TRAJECTORY.md` or `--out PATH`).
+//! `open-loop` checks one unloaded open-loop latency bound (read p50
+//! under 2 ms at 2 x 500 req/s) and exits non-zero if it does not hold.
 //! `BENCH_PR1.json` and `BENCH_PR5.json` have no subcommand: they are
 //! the kept records of the fingerprint-off-vs-on leaf search and the
 //! striped-vs-global fallback comparisons, whose "before" arms no longer
@@ -58,7 +60,7 @@ use bench::{Gates, Scale};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|breakdown|shard-scale|batch-scale|obs-report|cache-scale|varkey-scale|leaf-scale|trace-scale|trace-report|group-scale|bench-index|all> \
+        "usage: repro <table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|breakdown|shard-scale|batch-scale|obs-report|cache-scale|varkey-scale|leaf-scale|trace-scale|trace-report|group-scale|bench-index|open-loop|all> \
          [--quick] [--warm N] [--duration-ms N] [--threads a,b,c] \
          [--latency-ns N] [--workers N] [--seed N] [--out PATH] [--assert-overhead PCT]"
     );
@@ -169,6 +171,7 @@ fn main() {
         }
         "trace-report" => bench::tracebench::trace_report(&scale, assert_overhead),
         "group-scale" => bench::combench::group_scale(&scale, &out_path, Gates::Enforce),
+        "open-loop" => experiments::open_loop_gate(Gates::Enforce),
         "bench-index" => {
             bench::trendbench::bench_index(std::path::Path::new("."), &out_path)
         }

@@ -8,7 +8,7 @@ use nvm::{PmemConfig, SplitMix64};
 use rntree::{RnConfig, RnTree};
 use ycsb::{run_closed_loop, run_open_loop, KeyDist, WorkloadSpec};
 
-use crate::harness::{build_tree, pool_for, warm, Scale, TreeKind};
+use crate::harness::{build_tree, pool_for, warm, Gates, Scale, TreeKind};
 use crate::report::{fmt_ns, fmt_tput, Table};
 
 /// Runs `f(i)` for `d`, returning ops/sec.
@@ -441,6 +441,24 @@ pub fn fig9(scale: &Scale) {
     println!("(paper: FPTree read ≤15 µs / update ≈5 µs; RNTree read ≈6 µs / update <2 µs; RNTree+DS read <1 µs)");
 }
 
+/// `repro open-loop`: the unloaded open-loop latency bound. Two workers
+/// offer 500 req/s each for 400 ms (YCSB-A, scrambled Zipfian θ 0.8) to a
+/// 5,000-key RNTree filled by inserts; the median read latency from the
+/// scheduled arrival, queueing included, must stay under 2 ms. Fixed
+/// scenario: the scale options do not apply.
+pub fn open_loop_gate(gates: Gates) {
+    let tree = RnTree::create(Arc::new(nvm::PmemPool::new(PmemConfig::fast(1 << 26))), RnConfig::default());
+    for k in 1..=5_000 {
+        tree.insert(k, k).expect("fill insert");
+    }
+    let tree: Arc<dyn PersistentIndex> = Arc::new(tree);
+    let spec = WorkloadSpec::ycsb_a(KeyDist::ScrambledZipfian { n: 5_000, theta: 0.8 });
+    let r = run_open_loop(&tree, &spec, 2, 500.0, Duration::from_millis(400), 17);
+    let (p50, p99) = (r.read_lat.quantile(0.5), r.read_lat.quantile(0.99));
+    println!("\n## open-loop latency gate\n\n{} ops; read p50 {} (bound 2 ms), p99 {}", r.ops, fmt_ns(p50), fmt_ns(p99));
+    gates.check(p50 < 2_000_000, || format!("unloaded read p50 {p50} ns is not under 2 ms"));
+}
+
 // ---------------------------------------------------------------- Figure 10
 
 /// Figure 10: YCSB-A throughput at fixed threads while sweeping the
@@ -594,3 +612,4 @@ pub fn ablation_latency(scale: &Scale) {
     println!("\nRNTree+DS / wB+Tree per latency: {}", ratios.join(", "));
     println!("(expected: ratio grows with persist latency — 2 persists vs 4)");
 }
+

@@ -12,6 +12,9 @@
 //!    process-wide STM and its one fallback lock, which couples them only
 //!    while a fallback runs; point-op workloads rarely take one (a few
 //!    per million ops on a skewed YCSB-A mix).
+//!    Each row also shows the set's entries per shard and their largest
+//!    ÷ mean ([`ShardedIndex::entry_skew`]): range routing keeps the skew
+//!    of the inserted keys, so this is where imbalance shows.
 //! 2. **Recovery** — warm a set, crash every region of the `PoolSet` at
 //!    once, then time [`ShardedIndex::recover_timed`]: recovery runs one
 //!    rebuild thread per shard, so the wall-clock should track the
@@ -62,12 +65,11 @@ pub fn shard_scale(scale: &Scale, out_path: &str) {
     // (frequency scaling, noisy neighbours) cannot systematically favour
     // whichever shard count happened to run first.
     const ROUNDS: usize = 5;
-    let warmed: Vec<(usize, Arc<dyn PersistentIndex>)> = shard_counts
+    let warmed: Vec<(usize, Arc<ShardedIndex<RnTree>>)> = shard_counts
         .iter()
         .map(|&shards| {
             let set = poolset_for(scale, shards, scale.bench_pool_cfg());
-            let tree: Arc<dyn PersistentIndex> =
-                Arc::new(ShardedIndex::<RnTree>::create(&set.handles(), cfg));
+            let tree = Arc::new(ShardedIndex::<RnTree>::create(&set.handles(), cfg));
             warm(&*tree, scale.warm_n, scale.seed);
             (shards, tree)
         })
@@ -76,8 +78,9 @@ pub fn shard_scale(scale: &Scale, out_path: &str) {
     let mut peak = vec![vec![(0f64, 0u64); scale.threads.len()]; warmed.len()];
     for _ in 0..ROUNDS {
         for (si, (_, tree)) in warmed.iter().enumerate() {
+            let tree: Arc<dyn PersistentIndex> = Arc::clone(tree) as Arc<dyn PersistentIndex>;
             for (ti, &threads) in scale.threads.iter().enumerate() {
-                let r = run_closed_loop(tree, &spec, threads, scale.duration, scale.seed);
+                let r = run_closed_loop(&tree, &spec, threads, scale.duration, scale.seed);
                 if r.throughput() > peak[si][ti].0 {
                     peak[si][ti] = (r.throughput(), r.pool_exhausted);
                 }
@@ -86,6 +89,7 @@ pub fn shard_scale(scale: &Scale, out_path: &str) {
     }
     let mut header = vec!["shards".to_string()];
     header.extend(scale.threads.iter().map(|t| format!("{t} thr")));
+    header.extend(["entries per shard".into(), "max / mean".into()]);
     let mut table = Table::new(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
     let mut tput_rows: Vec<String> = Vec::new();
     for (si, (shards, tree)) in warmed.iter().enumerate() {
@@ -100,9 +104,11 @@ pub fn shard_scale(scale: &Scale, out_path: &str) {
             ));
         }
         assert!(!tree.stats().pool_exhausted, "sweep must not exhaust its pools");
+        let (entries, skew) = tree.entry_skew();
+        row.extend([entries.iter().map(u64::to_string).collect::<Vec<_>>().join(" / "), format!("{skew:.2}")]);
         table.row(row);
         tput_rows.push(format!(
-            "    {{\"shards\": {shards}, \"points\": [{}]}}",
+            "    {{\"shards\": {shards}, \"points\": [{}], \"entries\": {entries:?}, \"entries_max_over_mean\": {skew:.4}}}",
             cells.join(", ")
         ));
     }
@@ -196,6 +202,7 @@ mod tests {
         assert!(body.contains("\"bench\": \"pr2-shard-scale\""));
         assert!(body.contains("\"throughput\""));
         assert!(body.contains("\"recovery\""));
+        assert!(body.contains("\"entries_max_over_mean\": 1.0000"), "a bulk load splits evenly: {body}");
         std::fs::remove_file(path).ok();
     }
 }

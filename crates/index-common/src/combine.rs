@@ -99,9 +99,19 @@ use std::time::{Duration, Instant};
 
 use obs::{AtomicHistogram, ObsSource, Section, Timeline};
 
-use crate::{
-    shard_of, AnyKey, Key, KeyBuf, KeyRef, OpError, PersistentIndex, TreeStats, Value, WriteOp,
-};
+use crate::{AnyKey, Key, KeyBuf, KeyRef, OpError, PersistentIndex, TreeStats, Value, WriteOp};
+
+/// A key's combining shard among `shards`: the SplitMix64 finalizer
+/// (Steele et al.), whose every output bit depends on every input bit, so
+/// sequential keys spread evenly whatever the shard count's factors.
+#[inline]
+fn shard_of(key: Key, shards: usize) -> usize {
+    let mut x = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    (x % shards as u64) as usize
+}
 
 /// Submission slots per shard. Bounds one epoch's gather scan and the
 /// number of writers a shard can park; beyond it writers degrade to
@@ -220,11 +230,11 @@ impl Drop for Occupant<'_> {
 /// Tuning knobs for [`GroupCommit`].
 #[derive(Debug, Clone, Copy)]
 pub struct GroupCommitConfig {
-    /// Number of combining shards. Routing uses [`shard_of`], the same
-    /// SplitMix64 partition as [`crate::ShardedIndex`] — give both layers
-    /// the same count and every epoch lands wholly inside one tree shard,
-    /// so epochs execute in parallel across shards without cross-shard
-    /// partitioning work.
+    /// Number of combining shards. A key's combining shard is a
+    /// SplitMix64 hash of it, which spreads adjacent hot keys over the
+    /// shards; it is independent of how an inner [`crate::ShardedIndex`]
+    /// partitions keys, so an epoch may span its tree shards, and the
+    /// inner `write_batch` partitions it.
     pub shards: usize,
     /// Epoch size cap: a leader stops gathering at this many ops, which
     /// bounds epoch execution time and therefore every waiter's delay
@@ -720,6 +730,29 @@ mod tests {
     use crate::{KeyCodec, U64Key};
     use std::collections::BTreeMap;
     use std::sync::Arc;
+
+    #[test]
+    fn shard_of_is_stable_and_in_range() {
+        for shards in [1usize, 2, 3, 5, 8] {
+            for key in 0..1000u64 {
+                let s = shard_of(key, shards);
+                assert!(s < shards);
+                assert_eq!(s, shard_of(key, shards), "routing must be deterministic");
+            }
+        }
+    }
+
+    #[test]
+    fn shard_of_spreads_sequential_keys() {
+        let mut counts = [0usize; 4];
+        for key in 0..4000u64 {
+            counts[shard_of(key, 4)] += 1;
+        }
+        for &c in &counts {
+            // Perfectly uniform would be 1000 per shard; accept ±25%.
+            assert!((750..=1250).contains(&c), "skewed shard histogram: {counts:?}");
+        }
+    }
 
     /// The reference index, counting the ops that reach it through
     /// `write_batch`, so the tests can see coalescing happen.

@@ -40,7 +40,7 @@ pub use combine::{CommitStats, GroupCommit, GroupCommitConfig, SLOTS_PER_SHARD};
 pub use inner::{DescentStats, InnerIndex, INNER_FANOUT};
 pub use instrument::Instrumented;
 pub use key::{key_head, lcp, AnyKey, KeyBuf, KeyCodec, KeyRef, U64Key, MAX_KEY_LEN};
-pub use sharded::{shard_of, shard_of_bytes, ShardedIndex};
+pub use sharded::ShardedIndex;
 pub use traits::{OpError, PersistentIndex, RecoverableIndex, TreeStats, WriteOp};
 
 /// Key type: 64-bit, as in the paper's YCSB-style evaluation.

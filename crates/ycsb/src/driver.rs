@@ -113,6 +113,11 @@ impl WorkerOut {
     }
 }
 
+/// The next fresh id an insert takes. It is process-wide, so no driver
+/// call re-inserts an id that an earlier call took (on the same tree or
+/// any other); each call first lifts it to at least `n + 1`.
+static FRESH: AtomicU64 = AtomicU64::new(0);
+
 /// How a worker spells the ids it samples: as `u64` keys, or rendered
 /// through a [`KeyShape`] as byte strings.
 #[derive(Clone, Copy)]
@@ -153,7 +158,6 @@ fn execute(
     id: u64,
     scan_len: usize,
     scans: &mut ScanBufs,
-    fresh: &AtomicU64,
 ) -> Result<(), OpError> {
     let mut buf = KeyBuf::MIN;
     let key = keys.of(id, &mut buf);
@@ -164,7 +168,7 @@ fn execute(
         }
         OpKind::Update => tree.apply(key, id ^ 0x5555, WriteOp::Upsert),
         OpKind::Insert => {
-            let f = fresh.fetch_add(1, Ordering::Relaxed);
+            let f = FRESH.fetch_add(1, Ordering::Relaxed);
             let mut fbuf = KeyBuf::MIN;
             tree.apply(keys.of(f, &mut fbuf), f, WriteOp::Upsert)
         }
@@ -221,7 +225,7 @@ fn closed_loop(
 ) -> LoopResult {
     assert!(threads > 0);
     let keygen = spec.build_keygen();
-    let fresh = AtomicU64::new(spec.dist.n() + 1);
+    FRESH.fetch_max(spec.dist.n() + 1, Ordering::Relaxed);
     let start = Instant::now();
     let deadline = start + duration;
 
@@ -229,7 +233,6 @@ fn closed_loop(
         let handles: Vec<_> = (0..threads)
             .map(|tid| {
                 let keygen = keygen.clone();
-                let fresh = &fresh;
                 let tree = Arc::clone(tree);
                 scope.spawn(move || {
                     let tree = &*tree;
@@ -243,7 +246,7 @@ fn closed_loop(
                         }
                         let kind = spec.mix.sample(&mut rng);
                         let id = keygen.next_key(&mut rng);
-                        if execute(tree, kind, keys, id, spec.scan_len, &mut scans, fresh).is_err() {
+                        if execute(tree, kind, keys, id, spec.scan_len, &mut scans).is_err() {
                             out.pool_exhausted += 1;
                         }
                         out.record(kind, t0.elapsed().as_nanos() as u64);
@@ -290,7 +293,7 @@ pub fn run_open_loop_arrivals(
 ) -> LoopResult {
     assert!(threads > 0 && rate_per_worker > 0.0);
     let keygen = spec.build_keygen();
-    let fresh = AtomicU64::new(spec.dist.n() + 1);
+    FRESH.fetch_max(spec.dist.n() + 1, Ordering::Relaxed);
     let interval = Duration::from_secs_f64(1.0 / rate_per_worker);
     let start = Instant::now();
     let deadline = start + duration;
@@ -299,7 +302,6 @@ pub fn run_open_loop_arrivals(
         let handles: Vec<_> = (0..threads)
             .map(|tid| {
                 let keygen = keygen.clone();
-                let fresh = &fresh;
                 let tree = Arc::clone(tree);
                 scope.spawn(move || {
                     let tree = &*tree;
@@ -330,7 +332,7 @@ pub fn run_open_loop_arrivals(
                         out.queue_wait.record((issue - scheduled).as_nanos() as u64);
                         let kind = spec.mix.sample(&mut rng);
                         let key = keygen.next_key(&mut rng);
-                        if execute(tree, kind, Keys::U64, key, spec.scan_len, &mut scans, fresh).is_err() {
+                        if execute(tree, kind, Keys::U64, key, spec.scan_len, &mut scans).is_err() {
                             out.pool_exhausted += 1;
                         }
                         out.record(kind, (Instant::now() - scheduled).as_nanos() as u64);
@@ -445,6 +447,26 @@ mod tests {
         // keeps the median wait tiny.
         assert_eq!(r.queue_wait.count(), r.ops);
         assert!(r.queue_wait.quantile(0.5) < 1_000_000, "{:?}", r.queue_wait);
+    }
+
+    #[test]
+    fn consecutive_loops_insert_disjoint_fresh_keys() {
+        let idx = loaded(100);
+        let spec = WorkloadSpec {
+            mix: crate::Mix { read: 0, update: 0, insert: 1, remove: 0, scan: 0 },
+            dist: KeyDist::Uniform { n: 100 },
+            scan_len: 1,
+        };
+        // Every op upserts a fresh id, so the tree grows by one per op
+        // unless a call re-inserts an id that an earlier call took.
+        let mut entries = 100;
+        for call in 0..3 {
+            let r = run_closed_loop(&idx, &spec, 2, Duration::from_millis(5), call);
+            entries += r.ops;
+            assert_eq!(idx.stats().entries, entries, "call {call} re-inserted earlier keys");
+        }
+        let r = run_open_loop(&idx, &spec, 1, 2_000.0, Duration::from_millis(5), 9);
+        assert_eq!(idx.stats().entries, entries + r.ops, "the open loop re-inserted earlier keys");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use index_common::{OpError, PersistentIndex, ShardedIndex};
+use index_common::{KeyCodec, OpError, PersistentIndex, ShardedIndex, U64Key};
 use nvm::{PmemConfig, PmemPool, PoolSet, SplitMix64};
 use rntree::{RnConfig, RnTree};
 
@@ -185,13 +185,15 @@ fn load_sorted_matches_upsert_replay_oracle() {
 fn sharded_insert_batch_spans_shards_and_matches_oracle() {
     for shards in [1usize, 3, 4] {
         let set = PoolSet::new(PmemConfig::for_testing(shards << 22), shards);
-        let idx = ShardedIndex::<RnTree>::create(&set.handles(), RnConfig::default());
+        // Even splits over the keys below 6,000.
+        let splits = (1..shards as u64).map(|i| U64Key::encode(i * 6_000 / shards as u64)).collect();
+        let idx = ShardedIndex::<RnTree>::create(&set.handles(), RnConfig::default()).with_splits(splits);
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         let mut rng = SplitMix64::new(0x5AD ^ shards as u64);
 
         for round in 0..20u64 {
-            // Dense sequential spans hash-scatter across every shard, plus
-            // random repeats for duplicate coverage.
+            // Dense sequential spans, some across a split, plus random
+            // repeats for duplicate coverage.
             let base = rng.next_below(5_000);
             let mut batch: Vec<(u64, u64)> =
                 (0..200u64).map(|i| (base + i, round * 1_000 + i)).collect();
@@ -233,6 +235,7 @@ fn sharded_insert_batch_spans_shards_and_matches_oracle() {
         assert_matches_model(&idx, &model, &format!("shards={shards}"));
         for i in 0..idx.shard_count() {
             idx.shard(i).verify_invariants().unwrap_or_else(|e| panic!("shard {i}: {e}"));
+            assert!(idx.shard(i).stats().entries > 0, "shards={shards}: shard {i} got no key");
         }
     }
 }
@@ -255,6 +258,7 @@ fn sharded_load_sorted_partitions_and_matches_oracle() {
         assert_matches_model(&idx, &model, &format!("sharded load, {shards} shards"));
         for i in 0..idx.shard_count() {
             idx.shard(i).verify_invariants().unwrap_or_else(|e| panic!("shard {i}: {e}"));
+            assert!(idx.shard(i).stats().entries > 0, "{shards} shards: shard {i} got no key");
         }
     }
 }

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
-use index_common::{GroupCommit, GroupCommitConfig, OpError, PersistentIndex, ShardedIndex};
+use index_common::{GroupCommit, GroupCommitConfig, KeyCodec, OpError, PersistentIndex, ShardedIndex, U64Key};
 use nvm::{PmemConfig, PmemPool, PoolSet};
 use rntree::{RnConfig, RnTree};
 
@@ -23,7 +23,7 @@ fn writers_past_cpus(shards: u64) -> u64 {
 }
 
 /// At least eight concurrent writers over `GroupCommit<ShardedIndex<RnTree>>`
-/// (combining shards aligned with the tree shards) must end in exactly
+/// (two combining shards over two tree shards) must end in exactly
 /// the state a `BTreeMap` oracle predicts, and contended same-key strict
 /// inserts must resolve to exactly one winner whose value is the one
 /// stored — the in-epoch first-dup-wins contract as callers see it. The
@@ -44,7 +44,9 @@ fn eight_writers_match_oracle_and_contended_inserts_have_one_winner() {
         },
         SHARDS,
     );
-    let inner = ShardedIndex::<RnTree>::create(&set.handles(), RnConfig::default());
+    // The tree shards split the writers' key ranges in half.
+    let split = U64Key::encode(1_000_000 + threads / 2 * PER);
+    let inner = ShardedIndex::<RnTree>::create(&set.handles(), RnConfig::default()).with_splits(vec![split]);
     let gc = Arc::new(GroupCommit::new(
         inner,
         GroupCommitConfig {

@@ -1,15 +1,14 @@
 //! Steady-state range scans through the deployed stack allocate nothing.
 //!
 //! `GroupCommit<ShardedIndex<RnTree>>` passes scans through to the sharded
-//! layer. It asks each shard for about its share of the pairs, stages the
-//! runs in reused per-thread buffers, and merges them front to back into
-//! the caller's `out`, stopping at `n`; each leaf appends straight into
-//! the buffer it is given. A scan whose first round comes up short (one
-//! shard held more than its share) resumes in a second round from the
-//! same buffers. Once `out` and the staging buffers have grown, neither
+//! layer. It scans the shard that owns the start straight into the
+//! caller's `out`; each leaf appends straight into the buffer it is
+//! given. A scan whose home shard runs out before `n` pairs continues in
+//! the next shard through one reused per-thread `run` buffer and appends
+//! that to `out`. Once `out` and the `run` buffer have grown, neither
 //! path may touch the heap. A counting global allocator checks that, and
-//! the layer's refill counter shows the second path ran. The test lives
-//! in its own binary so the counter never sees another test's
+//! the set's split key shows that some scans took the second path. The
+//! test lives in its own binary so the counter never sees another test's
 //! allocations, and it counts per thread so the harness's own threads
 //! cannot leak into the figure.
 
@@ -17,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use index_common::{GroupCommit, GroupCommitConfig, PersistentIndex, ShardedIndex};
+use index_common::{AnyKey, GroupCommit, GroupCommitConfig, KeyCodec, PersistentIndex, ShardedIndex, U64Key};
 use nvm::{PmemConfig, PoolSet, SplitMix64};
 use rntree::{RnConfig, RnTree};
 
@@ -77,18 +76,27 @@ fn warmed_scans_through_the_deployed_stack_allocate_nothing() {
     let load: Vec<(u64, u64)> = (1..=KEYS).map(|k| (k, k * 3)).collect();
     index.load_sorted(&load).unwrap();
 
+    // The load split the keys evenly: shard 1 starts at KEYS / 2 + 1. The
+    // first starts are the SCAN_LEN - 1 below it, so that every pair
+    // count the `run` buffer can take is both warmed and measured; the
+    // rest are random.
+    let split = U64Key::decode(index.inner().splits()[0].as_slice()).unwrap();
+    assert_eq!(split, KEYS / 2 + 1);
     let starts: Vec<u64> = {
         let mut rng = SplitMix64::new(0x5CA9);
-        (0..SCANS).map(|_| 1 + rng.next_below(KEYS - SCAN_LEN as u64)).collect()
+        let below = (1..SCAN_LEN as u64).map(|d| split - d);
+        below.chain((SCAN_LEN - 1..SCANS).map(|_| 1 + rng.next_below(KEYS - SCAN_LEN as u64))).collect()
     };
+    let home = |k: u64| index.inner().home(AnyKey::U64(k));
+    let crossing = starts.iter().filter(|&&s| home(s) != home(s + SCAN_LEN as u64 - 1)).count();
+    assert!(crossing >= SCAN_LEN - 1, "only {crossing} scans cross the split");
     let mut out = Vec::new();
-    // Warm-up: grows `out`, the staging buffers and every lazily built
+    // Warm-up: grows `out`, the `run` buffer and every lazily built
     // per-thread structure below the index.
     for &start in starts.iter().take(100) {
         index.scan_n(start, SCAN_LEN, &mut out);
     }
 
-    let refills_before = index.inner().scan_refills();
     let before = allocs();
     for &start in &starts {
         assert_eq!(index.scan_n(start, SCAN_LEN, &mut out), SCAN_LEN);
@@ -98,7 +106,8 @@ fn warmed_scans_through_the_deployed_stack_allocate_nothing() {
         }
     }
     let during = allocs() - before;
-    let refills = index.inner().scan_refills() - refills_before;
-    assert_eq!(during, 0, "{during} heap allocations over {SCANS} warmed {SCAN_LEN}-pair scans");
-    assert!(refills >= 1, "no scan needed a second round, so the refill path went unchecked");
+    assert_eq!(
+        during, 0,
+        "{during} heap allocations over {SCANS} warmed {SCAN_LEN}-pair scans, {crossing} of them across the split"
+    );
 }

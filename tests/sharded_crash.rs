@@ -14,11 +14,16 @@
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 
-use index_common::{shard_of, PersistentIndex, ShardedIndex};
+use index_common::{AnyKey, KeyCodec, PersistentIndex, ShardedIndex, U64Key};
 use nvm::{PmemConfig, PoolSet, SplitMix64};
 use rntree::{RnConfig, RnTree};
 
 const SHARDS: usize = 3;
+
+/// An empty set whose shards split the script's keys `3..=720` evenly.
+fn create(set: &PoolSet, cfg: RnConfig) -> ShardedIndex<RnTree> {
+    ShardedIndex::<RnTree>::create(&set.handles(), cfg).with_splits(vec![U64Key::encode(243), U64Key::encode(483)])
+}
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -90,7 +95,7 @@ fn single_shard_trap_leaves_other_shards_untouched() {
         // stream: early (first leaf writes), mid (splits/journal), late.
         for trap_at in [1u64, 5, 23, 60, 121, 240] {
             let set = PoolSet::new(PmemConfig::for_testing(SHARDS << 22), SHARDS);
-            let idx = ShardedIndex::<RnTree>::create(&set.handles(), cfg);
+            let idx = create(&set, cfg);
             set.shard(target).arm_persist_trap(trap_at);
 
             let mut model = BTreeMap::new();
@@ -102,7 +107,7 @@ fn single_shard_trap_leaves_other_shards_untouched() {
                 panic!("trap {trap_at}@shard{target} never fired — script too small")
             });
             assert_eq!(
-                shard_of(in_flight.key(), SHARDS),
+                idx.home(AnyKey::U64(in_flight.key())),
                 target,
                 "trap fired on an op homed elsewhere"
             );
@@ -127,7 +132,7 @@ fn single_shard_trap_leaves_other_shards_untouched() {
                     idx.find(*k),
                     Some(*v),
                     "trap {trap_at}@shard{target}: acked key {k} (shard {}) wrong",
-                    shard_of(*k, SHARDS)
+                    idx.home(AnyKey::U64(*k))
                 );
             }
             let k = in_flight.key();
@@ -152,11 +157,18 @@ fn single_shard_trap_leaves_other_shards_untouched() {
                 );
             }
 
-            // The recovered composite keeps serving writes on every shard.
-            for probe in 0..(SHARDS as u64 * 4) {
-                idx.upsert(1_000_000 + probe, probe).unwrap_or_else(|e| {
-                    panic!("trap {trap_at}@shard{target}: post-recovery write: {e}")
-                });
+            // The recovered composite keeps serving writes on every shard
+            // that holds keys: a probe just above a shard's first key stays
+            // in its range, and no script key is `3m + 1`.
+            for i in 0..SHARDS {
+                let mut first = Vec::new();
+                if idx.shard(i).scan_n(0, 1, &mut first) == 1 {
+                    let probe = first[0].0 + 1;
+                    assert_eq!(idx.home(AnyKey::U64(probe)), i, "trap {trap_at}@shard{target}");
+                    idx.upsert(probe, probe).unwrap_or_else(|e| {
+                        panic!("trap {trap_at}@shard{target}: post-recovery write to shard {i}: {e}")
+                    });
+                }
             }
         }
     }
@@ -170,7 +182,7 @@ fn quiescent_poolset_crash_recovers_everything() {
     // key must survive parallel recovery bit-exact.
     let cfg = RnConfig::default();
     let set = PoolSet::new(PmemConfig::for_testing(SHARDS << 22), SHARDS);
-    let idx = ShardedIndex::<RnTree>::create(&set.handles(), cfg);
+    let idx = create(&set, cfg);
     let mut model = BTreeMap::new();
     assert!(apply(&idx, &script(), &mut model).is_none());
     drop(idx);
@@ -179,6 +191,7 @@ fn quiescent_poolset_crash_recovers_everything() {
     let (idx, times) = ShardedIndex::<RnTree>::recover_timed(&set.handles(), cfg);
     assert_eq!(times.len(), SHARDS);
     assert_eq!(idx.stats().entries, model.len() as u64);
+    assert_eq!(idx.entry_skew().0.iter().filter(|&&e| e > 0).count(), SHARDS, "every shard kept keys");
     for (k, v) in &model {
         assert_eq!(idx.find(*k), Some(*v), "key {k}");
     }

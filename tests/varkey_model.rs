@@ -252,7 +252,10 @@ fn both_split_triggers_match_oracle_and_reopen() {
 fn sharded_byte_key_routing_matches_oracle() {
     for shards in [1usize, 4] {
         let set = PoolSet::new(PmemConfig::for_testing(shards << 23), shards);
-        let idx = ShardedIndex::<RnTree>::create(&set.handles(), var_cfg());
+        // Splits between the key prefixes: "", zeros and "a" | com and
+        // items | users | 0xFF.
+        let splits = [&b"b"[..], b"https://example.com/users/", b"\xF0"].map(KeyBuf::from_slice);
+        let idx = ShardedIndex::<RnTree>::create(&set.handles(), var_cfg()).with_splits(splits[..shards - 1].to_vec());
         let mut oracle: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
         let mut rng = SplitMix64::new(0x54A2D ^ shards as u64);
 
@@ -274,9 +277,12 @@ fn sharded_byte_key_routing_matches_oracle() {
             }
         }
 
-        // Cross-shard merge must come back globally byte-ordered even
-        // though hash routing scatters neighbouring keys across shards.
+        // Scans concatenated across the splits must come back globally
+        // byte-ordered, and every shard must hold keys.
         assert_full_scan_matches(&idx, &oracle, &format!("sharded x{shards}"));
+        for i in 0..shards {
+            assert!(idx.shard(i).stats().entries > 0, "sharded x{shards}: shard {i} got no key");
+        }
         let mut out = Vec::new();
         for _ in 0..8 {
             let start = gen_key(&mut rng, &prefixes);

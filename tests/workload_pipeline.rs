@@ -58,17 +58,20 @@ fn closed_loop_zipfian_on_fptree() {
 
 #[test]
 fn open_loop_latency_includes_queueing() {
+    // The timing bound (read p50 under 2 ms at this low offered load) is
+    // a `repro open-loop` gate; here only what does not depend on the
+    // host: the schedule's every arrival was issued, completed, and
+    // recorded with its queue wait.
     let n = 5_000;
     let tree = rn_tree(n);
     let spec = WorkloadSpec::ycsb_a(KeyDist::ScrambledZipfian { n, theta: 0.8 });
-    // Low offered load: latency must be far below the inter-arrival time.
+    // 2 workers, one arrival every 2 ms each over 400 ms: 200 apiece.
     let r = run_open_loop(&driver_handle(&tree), &spec, 2, 500.0, Duration::from_millis(400), 17);
-    assert!(r.ops > 100);
-    assert!(
-        r.read_lat.quantile(0.5) < 2_000_000,
-        "unloaded p50 {} ns too high",
-        r.read_lat.quantile(0.5)
-    );
+    assert_eq!(r.ops, 400);
+    assert_eq!(r.read_lat.count() + r.update_lat.count(), r.ops, "every op completed as a read or update");
+    assert_eq!(r.queue_wait.count(), r.ops, "every op recorded its queue wait");
+    assert_eq!(r.pool_exhausted, 0);
+    tree.verify_invariants().unwrap();
 }
 
 #[test]
