@@ -22,10 +22,6 @@
 //! `U64Key` codec path is not detectably slower than the native u64 API,
 //! and reports oracle-checked string-cell throughput with head-tie
 //! counters; written to `BENCH_PR7.json` or `--out PATH`), and
-//! `leaf-scale` (hash-leaf layout and adaptive morphing: asserts the
-//! hash leaf beats the sorted leaf on YCSB-C point lookups and that the
-//! adaptive policy tracks the best static layout on point-heavy and
-//! scan-heavy mixes; written to `BENCH_PR8.json` or `--out PATH`), and
 //! `group-scale` (flat-combining group commit vs direct per-op writes on
 //! a write-heavy plain-Zipfian mix at 2/4/8 writer threads, with the
 //! persists/op reduction and the open-loop p99-under-flush-deadline
@@ -43,10 +39,10 @@
 //! `BENCH_PR*.json`, written to `BENCH_TRAJECTORY.md` or `--out PATH`).
 //! `open-loop` checks one unloaded open-loop latency bound (read p50
 //! under 2 ms at 2 x 500 req/s) and exits non-zero if it does not hold.
-//! `BENCH_PR1.json` and `BENCH_PR5.json` have no subcommand: they are
-//! the kept records of the fingerprint-off-vs-on leaf search and the
-//! striped-vs-global fallback comparisons, whose "before" arms no longer
-//! exist.
+//! `BENCH_PR1.json`, `BENCH_PR5.json` and `BENCH_PR8.json` have no
+//! subcommand: they are the kept records of the fingerprint-off-vs-on
+//! leaf search, the striped-vs-global fallback and the hash-leaf and
+//! adaptive-layout comparisons, whose arms no longer exist.
 //! Options: `--quick` (small smoke run), `--warm N`, `--duration-ms N`,
 //! `--threads a,b,c`, `--latency-ns N`, `--workers N`, `--seed N`,
 //! `--out PATH`, `--assert-overhead PCT` (obs-report, trace-scale and
@@ -60,7 +56,7 @@ use bench::{Gates, Scale};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|breakdown|shard-scale|batch-scale|obs-report|cache-scale|varkey-scale|leaf-scale|trace-scale|trace-report|group-scale|bench-index|open-loop|all> \
+        "usage: repro <table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|breakdown|shard-scale|batch-scale|obs-report|cache-scale|varkey-scale|trace-scale|trace-report|group-scale|bench-index|open-loop|all> \
          [--quick] [--warm N] [--duration-ms N] [--threads a,b,c] \
          [--latency-ns N] [--workers N] [--seed N] [--out PATH] [--assert-overhead PCT]"
     );
@@ -80,7 +76,6 @@ fn main() {
         "obs-report" => "BENCH_PR4.json",
         "cache-scale" => "BENCH_PR6.json",
         "varkey-scale" => "BENCH_PR7.json",
-        "leaf-scale" => "BENCH_PR8.json",
         "trace-scale" => "BENCH_PR9.json",
         "group-scale" => "BENCH_PR10.json",
         "bench-index" => "BENCH_TRAJECTORY.md",
@@ -165,7 +160,6 @@ fn main() {
         "obs-report" => bench::obsbench::obs_report(&scale, &out_path, assert_overhead),
         "cache-scale" => bench::cachebench::cache_scale(&scale, &out_path, Gates::Enforce),
         "varkey-scale" => bench::varbench::varkey_scale(&scale, &out_path, Gates::Enforce),
-        "leaf-scale" => bench::leafbench::leaf_scale(&scale, &out_path, Gates::Enforce),
         "trace-scale" => {
             bench::tracebench::trace_scale(&scale, &out_path, assert_overhead, Gates::Enforce)
         }

@@ -27,7 +27,6 @@ pub mod cachebench;
 pub mod combench;
 pub mod experiments;
 pub mod harness;
-pub mod leafbench;
 pub mod microbench;
 pub mod obsbench;
 pub mod paired;

@@ -295,23 +295,6 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
             "retries_to_commit",
             "p99_ns",
         ])?;
-        // Leaf-layout census and morph counters (PR 8): present on every
-        // shard regardless of policy — a static-sorted tree reports a
-        // non-zero sorted census and all-zero morph counters.
-        for k in ["sorted_leaves", "hash_leaves", "morphs_to_hash", "morphs_to_sorted", "morphs_skipped"] {
-            let v = need(doc, &["snapshot", "sources", "sharded", &format!("{shard}.leaf"), k])?;
-            if v.as_u64().is_none() {
-                return Err(format!("{shard}.leaf.{k} is not a u64"));
-            }
-        }
-        need(doc, &[
-            "snapshot",
-            "sources",
-            "sharded",
-            &format!("{shard}.leaf_probes"),
-            "probe_len",
-            "p99_ns",
-        ])?;
     }
     // Phase breakdown: all four phases, each with a share.
     let phases = need(doc, &["phases"])?
@@ -421,9 +404,6 @@ mod tests {
         let prom = std::fs::read_to_string(&prom_path).unwrap();
         assert!(prom.contains("rn_shard0_pmem_persists{source=\"sharded\"}"));
         assert!(prom.contains("rn_ops_ns{source=\"index\",item=\"update\",quantile=\"0.5\"}"));
-        assert!(prom.contains("rn_shard0_leaf_sorted_leaves{source=\"sharded\"}"));
-        assert!(prom.contains("rn_shard0_leaf_morphs_to_hash{source=\"sharded\"}"));
-        assert!(prom.contains("rn_shard0_leaf_probes_ns{source=\"sharded\",item=\"probe_len\""));
         std::fs::remove_file(path).ok();
         std::fs::remove_file(&prom_path).ok();
     }

@@ -197,7 +197,6 @@ struct CellRun {
     timeline: Vec<obs::TimelineWindow>,
     conflicts: Vec<HeatEntry>,
     splits: Vec<HeatEntry>,
-    morphs: Vec<HeatEntry>,
     decayed: u64,
     digest: TraceDigest,
 }
@@ -256,7 +255,6 @@ fn run_cell(scale: &Scale, name: &'static str, dist: KeyDist, threads: usize) ->
         timeline: timeline.windows(),
         conflicts: heat.conflicts.top_k(HEAT_TOP_K),
         splits: heat.splits.top_k(HEAT_TOP_K),
-        morphs: heat.morphs.top_k(HEAT_TOP_K),
         decayed: heat.conflicts.decayed(),
         digest: digest(&before, &after, r.ops),
     };
@@ -375,7 +373,6 @@ fn cell_json(run: &CellRun, hot: &BTreeSet<u64>) -> Json {
     let mut heat = Json::obj();
     heat.set("leaf_conflicts", heat_json(&run.conflicts));
     heat.set("leaf_splits", heat_json(&run.splits));
-    heat.set("leaf_morphs", heat_json(&run.morphs));
     heat.set("leaf_conflicts_decayed", Json::U64(run.decayed));
     o.set("heat", heat);
     let hot_hits = run.conflicts.iter().filter(|e| hot.contains(&e.key)).count();
@@ -483,11 +480,10 @@ fn heat_ranking_holds(adv: &[HeatEntry], uni: &CellRun, hot: &BTreeSet<u64>, mar
 /// Rank-1 attribution (the hottest conflict leaf must be a planted
 /// hot-window leaf) is asserted at every scale. The *domination* half
 /// (planted heat > the control's cold max) applies only at committed
-/// scale (`OVERHEAD_GATE_WARM_N`+ warmed keys), the PR-8 leafbench
-/// convention: below that the control's whole keyspace is nearly as
-/// cache-resident as the planted window, so its leaves accrue
-/// legitimate conflict heat and stop being a noise floor — the margin
-/// is then reported without assertion.
+/// scale (`OVERHEAD_GATE_WARM_N`+ warmed keys): below that the
+/// control's whole keyspace is nearly as cache-resident as the planted
+/// window, so its leaves accrue legitimate conflict heat and stop being
+/// a noise floor — the margin is then reported without assertion.
 fn check_heat_ranking(
     adv: &CellRun,
     uni: &CellRun,

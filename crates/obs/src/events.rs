@@ -56,9 +56,6 @@ pub enum EventKind {
     /// Recovery: volatile inner index rebuilt: `a` = leaves indexed,
     /// `b` = 0.
     RecoveryIndex = 10,
-    /// A leaf morphed between layouts in place: `a` = leaf offset,
-    /// `b` = target layout tag (0 = sorted, 1 = hash).
-    Morph = 13,
 }
 
 impl EventKind {
@@ -77,7 +74,6 @@ impl EventKind {
             EventKind::RecoveryIndex => "recovery_index",
             EventKind::CacheEvict => "cache_evict",
             EventKind::CacheInvalidate => "cache_invalidate",
-            EventKind::Morph => "morph",
         }
     }
 
@@ -95,7 +91,6 @@ impl EventKind {
             10 => EventKind::RecoveryIndex,
             11 => EventKind::CacheEvict,
             12 => EventKind::CacheInvalidate,
-            13 => EventKind::Morph,
             _ => None?,
         })
     }

@@ -18,7 +18,7 @@
 //!   steps, pool exhaustion).
 //! - [`heat`] — a lock-free striped top-K [`HeatSketch`]
 //!   (space-saving style) attributing contention to *structures*: which
-//!   leaves abort, split and morph, which cache sets thrash.
+//!   leaves abort and split, which cache sets thrash.
 //! - [`trace`] — the always-on per-thread HTM section marks
 //!   ([`section_mark`]) that feed leaf-conflict heat: abort/fallback
 //!   counters the htm domain bumps, read as a delta around a leaf's

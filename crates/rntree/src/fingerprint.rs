@@ -118,13 +118,6 @@ impl FpTable {
         None
     }
 
-    /// Single-entry filter for the hash-leaf directory probe: `true` when
-    /// `entry`'s recorded fingerprint matches `want`.
-    #[inline]
-    pub(crate) fn check(&self, leaf_off: u64, entry: usize, want: u8) -> bool {
-        self.bytes[self.idx(leaf_off, entry)].load(Ordering::Relaxed) == want
-    }
-
     /// Prefetch hint for this leaf's fingerprint stripe (one cache line).
     /// The table is sized in whole-stripe units, so the stripe is
     /// contiguous; at bench scale it is too large to stay cached, making

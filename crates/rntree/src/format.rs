@@ -5,9 +5,9 @@
 //! check → HTM edit of the 64-byte slot line → slot-line persist (#2) →
 //! transient-slot publish → decide the entry, splitting only on a
 //! quiescent log. The lock/version word, the allocation counter, `plogs`,
-//! `next`, the layout tag and both slot lines sit at the same offsets in
-//! every leaf block (const-asserted in `layout.rs`), so [`Leaf`] serves
-//! that protocol for every encoding.
+//! `next` and both slot lines sit at the same offsets in every leaf block
+//! (const-asserted in `layout.rs`), so [`Leaf`] serves that protocol for
+//! every encoding.
 //!
 //! What differs is how a log entry holds its key and value, and how a
 //! leaf stores its key range. That is this trait: the key type and its
@@ -15,9 +15,9 @@
 //! record and naming what persist #1 must cover, the split trigger,
 //! dense rewrites for splits and bulk loads, and the DRAM rebuild at
 //! recovery. `tree.rs` and `recovery.rs` run one generic path over it,
-//! monomorphised per format: [`U64Format`] here (the paper's fixed
-//! 16-byte entries, sorted or hash slot line per the layout tag) and
-//! [`crate::varleaf::VarFormat`] (variable-length keys).
+//! compiled once per format: [`U64Format`] here (the paper's fixed
+//! 16-byte entries) and [`crate::varleaf::VarFormat`] (variable-length
+//! keys). Both keep the slot line a sorted array.
 
 use std::borrow::Borrow;
 use std::fmt::Debug;
@@ -25,8 +25,7 @@ use std::fmt::Debug;
 use index_common::{InnerIndex, Key, Value};
 
 use crate::fingerprint::fp_hash;
-use crate::hashleaf::{HashDir, N_BUCKETS};
-use crate::layout::{field, kv_off, LAYOUT_HASH, LEAF_BLOCK, MAX_LIVE};
+use crate::layout::{field, kv_off, LEAF_BLOCK, MAX_LIVE};
 use crate::leaf::{Leaf, WhichSlot};
 use crate::slots::SlotBuf;
 
@@ -102,11 +101,6 @@ pub(crate) trait LeafFormat {
     /// Prefetch hints for what an op on this leaf is about to touch
     /// (log entries `0..entries` where the encoding keeps them inline).
     fn prefetch(leaf: Leaf<'_>, entries: usize);
-    /// The slot-line layout tag. Formats without a hash encoding read
-    /// nothing and answer sorted.
-    fn layout(_leaf: Leaf<'_>) -> u64 {
-        crate::layout::LAYOUT_SORTED
-    }
 
     /// Rewrites the leaf's records densely in key order at entries
     /// `0..pairs.len()` under the range `(low, high]`. The leaf must be
@@ -133,61 +127,27 @@ pub(crate) trait LeafFormat {
     fn check_key(leaf: Leaf<'_>, k: &Self::Owned, high: &Self::Fence) -> Result<(), String>;
 }
 
-/// The live entries of a slot image in slot order: sorted positions, or
-/// occupied hash buckets (no key order).
-pub(crate) fn live_entries(slot: &SlotBuf, hashed: bool) -> impl Iterator<Item = usize> {
-    let s = *slot;
-    let dir = HashDir::from_slot(s);
-    (0..N_BUCKETS).filter_map(move |i| {
-        if hashed {
-            dir.bucket(i)
-        } else {
-            (i < s.len()).then(|| s.entry(i))
-        }
-    })
-}
-
-/// Live `(key, value)` pairs of the leaf in key order, whatever the
-/// layout (hash leaves gather and sort). Lock held or quiescent.
-pub(crate) fn sorted_pairs<F: LeafFormat>(leaf: Leaf<'_>, layout: u64) -> Vec<(F::Owned, Value)> {
+/// Live `(key, value)` pairs of the leaf in key order. Lock held or
+/// quiescent.
+pub(crate) fn sorted_pairs<F: LeafFormat>(leaf: Leaf<'_>) -> Vec<(F::Owned, Value)> {
     let slot = leaf.read_slot_seq(WhichSlot::Persistent);
-    let hashed = layout == LAYOUT_HASH;
-    let mut v: Vec<(F::Owned, Value)> = live_entries(&slot, hashed)
-        .map(|e| (F::read_key(leaf, e), F::read_value(leaf, e)))
-        .collect();
-    if hashed {
-        v.sort_unstable_by_key(|p| p.0);
-    }
-    v
+    slot.iter().map(|e| (F::read_key(leaf, e), F::read_value(leaf, e))).collect()
 }
 
-/// Slot-line image for `pairs` stored densely at entries `0..n` in key
-/// order: the identity array, or a rebuilt hash directory.
-pub(crate) fn slot_image<F: LeafFormat>(pairs: &[(F::Owned, Value)], layout: u64) -> SlotBuf {
-    if layout == LAYOUT_HASH {
-        let fps: Vec<u8> = pairs.iter().map(|(k, _)| F::fp(k.borrow())).collect();
-        HashDir::build(&fps).to_slot()
-    } else {
-        SlotBuf::identity(pairs.len())
-    }
-}
-
-/// Formats a private block with `pairs` under `(low, high]` in the given
-/// layout and persists the whole node (the right half of a split). The
-/// caller sets the fingerprints.
+/// Formats a private block with `pairs` under `(low, high]` and persists
+/// the whole node (the right half of a split). The caller sets the
+/// fingerprints.
 pub(crate) fn init_from_pairs<F: LeafFormat>(
     leaf: Leaf<'_>,
     pairs: &[(F::Owned, Value)],
     low: &F::Owned,
     high: &F::Fence,
     next: u64,
-    layout: u64,
 ) {
     debug_assert!(pairs.len() <= MAX_LIVE);
     leaf.reset_lockver();
     F::write_pairs(leaf, pairs, low, high);
-    leaf.set_layout(layout);
-    let slot = slot_image::<F>(pairs, layout);
+    let slot = SlotBuf::identity(pairs.len());
     leaf.write_slot_seq(WhichSlot::Persistent, &slot);
     leaf.write_slot_seq(WhichSlot::Transient, &slot);
     leaf.set_nlogs(pairs.len() as u64);
@@ -197,8 +157,7 @@ pub(crate) fn init_from_pairs<F: LeafFormat>(
 }
 
 /// The paper's fixed leaf: 16-byte `(u64 key, u64 value)` log entries
-/// and a single u64 fence. The slot line is a sorted array or a hash
-/// directory, chosen per leaf by the layout tag.
+/// and a single u64 fence.
 pub(crate) struct U64Format;
 
 impl LeafFormat for U64Format {
@@ -294,11 +253,6 @@ impl LeafFormat for U64Format {
     #[inline]
     fn prefetch(leaf: Leaf<'_>, entries: usize) {
         leaf.prefetch_hot(entries);
-    }
-
-    #[inline]
-    fn layout(leaf: Leaf<'_>) -> u64 {
-        leaf.layout()
     }
 
     fn write_pairs(leaf: Leaf<'_>, pairs: &[(Key, Value)], _low: &Key, high: &Key) {

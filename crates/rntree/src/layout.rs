@@ -39,11 +39,11 @@ pub mod field {
     /// Inclusive upper bound of this leaf's key range (`u64::MAX` for the
     /// rightmost leaf). Only changes inside the journaled split.
     pub const FENCE: u64 = 32;
-    /// Per-leaf layout tag ([`super::LAYOUT_SORTED`] / [`super::LAYOUT_HASH`]):
-    /// how the 64-byte slot line is organised. Sits in the reserved tail of
-    /// the header line — the *same* offset in the u64 and var layouts — and
-    /// changes only inside a journaled rewrite (split, compaction, morph),
-    /// so it is crash-consistent with the slot line it describes.
+    /// Reserved header word, at the *same* offset in the u64 and var
+    /// layouts. Older builds kept a per-leaf slot-line layout tag here (a
+    /// sorted array or a hash directory); this build writes and reads
+    /// nothing at this offset, and refuses pools whose leaves may carry a
+    /// non-zero tag (see `tree::roots::LEAF_POLICY`).
     pub const LAYOUT: u64 = 40;
     /// Persistent slot array (one cache line).
     pub const PSLOT: u64 = 64;
@@ -52,15 +52,6 @@ pub mod field {
     /// First KV log entry.
     pub const KV: u64 = 192;
 }
-
-/// Layout tag value: the slot line is a sorted slot array (`slots.rs`).
-/// This is the all-zeroes default, so pools created before the tag existed
-/// read back as sorted.
-pub const LAYOUT_SORTED: u64 = 0;
-
-/// Layout tag value: the slot line is a fingerprint-bucketed hash directory
-/// (`hashleaf.rs`) — O(1) expected point ops, no sorted order maintained.
-pub const LAYOUT_HASH: u64 = 1;
 
 /// Byte offset of log entry `i`'s key within the leaf block.
 #[inline]
@@ -125,11 +116,8 @@ pub mod varlen {
         /// (bits 31..16), `hf_len` (bits 47..32, `0xFFFF` = +∞ fence).
         /// Changes only inside the journaled split.
         pub const META: u64 = 32;
-        /// Per-leaf layout tag — same offset as the u64 leaf so generic
-        /// header handling (recovery, morph dispatch) reads one place.
-        /// Var leaves are always [`crate::layout::LAYOUT_SORTED`]: the
-        /// 4096-byte block family cannot morph into the 1216-byte one
-        /// under a fixed-stride allocator.
+        /// Reserved header word, at the same offset as the u64 leaf's
+        /// (see [`crate::layout::field::LAYOUT`]).
         pub const LAYOUT: u64 = 40;
         /// Persistent slot array (one cache line).
         pub const PSLOT: u64 = 64;
@@ -202,13 +190,12 @@ mod tests {
 
     #[test]
     fn layout_tag_lives_in_header_line() {
-        // The tag must share the header line so split/compact/morph can
-        // change it crash-consistently under the existing journal image,
-        // and must stay clear of every named header field.
+        // The reserved word that once held the layout tag stays in the
+        // header line, clear of every named header field, in both leaf
+        // families.
         const { assert!(field::LAYOUT < 64) };
         const { assert!(field::LAYOUT >= field::FENCE + 8) };
-        assert_ne!(LAYOUT_SORTED, LAYOUT_HASH);
-        assert_eq!(LAYOUT_SORTED, 0, "all-zero blocks must read as sorted");
+        const { assert!(varlen::vfield::LAYOUT >= varlen::vfield::META + 8) };
     }
 
     #[test]

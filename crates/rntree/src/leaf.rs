@@ -68,19 +68,6 @@ impl<'p> Leaf<'p> {
         self.pool.atomic_u64(self.off + field::LOCKVER)
     }
 
-    /// Single-shot lock attempt (no spin): used by the opportunistic morph
-    /// trigger, which would rather skip a morph than serialize behind a
-    /// writer on the read path.
-    pub(crate) fn try_lock(&self) -> bool {
-        use std::sync::atomic::Ordering;
-        let cur = self.lockver().load(Ordering::Acquire);
-        !LeafVersion::locked(cur)
-            && self
-                .lockver()
-                .compare_exchange(cur, cur | LeafVersion::LOCK, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-    }
-
     /// Acquires the leaf spin lock. Panics instead of spinning forever if
     /// the pool dies meanwhile: the holder may be a thread a persist trap
     /// killed ([`PmemPool::check_alive`]).
@@ -209,20 +196,6 @@ impl<'p> Leaf<'p> {
         self.pool.store_u64_release(self.off + field::FENCE, v);
     }
 
-    /// Per-leaf layout tag (`LAYOUT_SORTED` / `LAYOUT_HASH`). Readers load
-    /// it after `stable_version` and revalidate, so a tag mid-morph is
-    /// discarded the same way a torn slot snapshot is.
-    pub(crate) fn layout(&self) -> u64 {
-        self.pool.load_u64_acquire(self.off + field::LAYOUT)
-    }
-
-    /// Rewrites the layout tag. Only called inside journaled rewrites
-    /// (morph, split, bulk load) with the leaf private or lock+split held,
-    /// and made durable by the rewrite's own header/block persist.
-    pub(crate) fn set_layout(&self, v: u64) {
-        self.pool.store_u64_release(self.off + field::LAYOUT, v);
-    }
-
     // ---- log-entry allocation (Algorithm 2) ------------------------------
 
     /// Lock-free log-entry allocation: CAS-bumps the `nlogs` field of the
@@ -332,7 +305,7 @@ impl<'p> Leaf<'p> {
     }
 
     /// Persists the first `len` bytes of the block: the whole node for a
-    /// split, compaction or morph tail (`len` is the format's block size).
+    /// split or compaction tail (`len` is the format's block size).
     pub(crate) fn persist_block(&self, len: u64) {
         self.pool.persist(self.off, len);
     }
@@ -377,15 +350,12 @@ impl<'p> Leaf<'p> {
 
     // ---- initialisation ------------------------------------------------------
 
-    /// Formats this block as an empty leaf and persists it. The layout tag
-    /// is explicitly cleared to `LAYOUT_SORTED`: blocks can be recycled and
-    /// must not inherit a stale hash tag.
+    /// Formats this block as an empty leaf and persists it.
     pub(crate) fn init_empty(&self, fence: u64, next: u64) {
         self.reset_lockver();
         self.set_plogs(0);
         self.set_next(next);
         self.set_fence(fence);
-        self.set_layout(crate::layout::LAYOUT_SORTED);
         self.write_slot_seq(WhichSlot::Persistent, &SlotBuf::new());
         self.write_slot_seq(WhichSlot::Transient, &SlotBuf::new());
         self.pool.persist(self.off, field::TSLOT); // header + pslot lines
@@ -396,7 +366,6 @@ impl<'p> Leaf<'p> {
 mod tests {
     use super::*;
     use crate::format::{init_from_pairs, sorted_pairs, U64Format};
-    use crate::layout::{LAYOUT_HASH, LAYOUT_SORTED};
     use nvm::PmemConfig;
 
     fn pool() -> PmemPool {
@@ -473,7 +442,7 @@ mod tests {
         assert_eq!(l.search(&r, 15), Err(1));
         assert_eq!(l.search(&r, 35), Err(3));
         assert_eq!(l.search(&r, 5), Err(0));
-        assert_eq!(sorted_pairs::<U64Format>(l, LAYOUT_SORTED), vec![(10, 1), (20, 2), (30, 3)]);
+        assert_eq!(sorted_pairs::<U64Format>(l), vec![(10, 1), (20, 2), (30, 3)]);
     }
 
     #[test]
@@ -506,10 +475,10 @@ mod tests {
         let p = pool();
         let l = Leaf::at(&p, 2048);
         let pairs: Vec<(u64, u64)> = (0..10).map(|i| (i * 5 + 5, i)).collect();
-        init_from_pairs::<U64Format>(l, &pairs, &0, &999, 4096, LAYOUT_SORTED);
+        init_from_pairs::<U64Format>(l, &pairs, &0, &999, 4096);
         let s = l.read_slot_seq(WhichSlot::Persistent);
         assert_eq!(s.len(), 10);
-        assert_eq!(sorted_pairs::<U64Format>(l, LAYOUT_SORTED), pairs);
+        assert_eq!(sorted_pairs::<U64Format>(l), pairs);
         assert_eq!(l.fence(), 999);
         assert_eq!(l.next(), 4096);
         assert_eq!(l.nlogs(), 10);
@@ -517,29 +486,6 @@ mod tests {
         p.simulate_crash();
         let s = l.read_slot_seq(WhichSlot::Persistent);
         assert_eq!(s.len(), pairs.len());
-        assert_eq!(sorted_pairs::<U64Format>(l, LAYOUT_SORTED), pairs);
-    }
-
-    #[test]
-    fn init_from_pairs_hash_layout_builds_directory() {
-        use crate::hashleaf::HashDir;
-        let p = pool();
-        let l = Leaf::at(&p, 2048);
-        let pairs: Vec<(u64, u64)> = (0..10).map(|i| (i * 5 + 5, i)).collect();
-        init_from_pairs::<U64Format>(l, &pairs, &0, &999, 4096, LAYOUT_HASH);
-        assert_eq!(l.layout(), LAYOUT_HASH);
-        let d = HashDir::from_slot(l.read_slot_seq(WhichSlot::Persistent));
-        assert_eq!(d.len(), 10);
-        for (e, &(k, v)) in pairs.iter().enumerate() {
-            let mut steps = 0;
-            let hit = d
-                .find(crate::fingerprint::fp_hash(k), |c| l.read_key(c) == k, &mut steps)
-                .expect("key present");
-            assert_eq!(hit.entry, e);
-            assert_eq!(l.read_value(hit.entry), v);
-        }
-        // Tag survives a crash (it sits in the persisted header line).
-        p.simulate_crash();
-        assert_eq!(l.layout(), LAYOUT_HASH);
+        assert_eq!(sorted_pairs::<U64Format>(l), pairs);
     }
 }

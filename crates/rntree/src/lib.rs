@@ -56,7 +56,6 @@
 
 mod fingerprint;
 mod format;
-mod hashleaf;
 mod layout;
 mod leaf;
 mod recovery;
@@ -66,10 +65,9 @@ mod tree;
 mod varleaf;
 mod version;
 
-pub use hashleaf::HashDir;
 pub use report::SpaceReport;
-pub use layout::{LAYOUT_HASH, LAYOUT_SORTED, LEAF_BLOCK, LEAF_CAPACITY, MAX_LIVE};
+pub use layout::{LEAF_BLOCK, LEAF_CAPACITY, MAX_LIVE};
 pub use recovery::ConfigError;
 pub use slots::SlotBuf;
-pub use tree::{LeafHeat, LeafPolicy, RnConfig, RnStats, RnTree};
+pub use tree::{LeafHeat, RnConfig, RnStats, RnTree};
 pub use version::LeafVersion;

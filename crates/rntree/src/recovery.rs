@@ -25,10 +25,10 @@ use nvm::{BlockAllocator, PageCache, PmemPool, RootTable, UndoJournal};
 use obs::{EventKind, PhaseTimers};
 
 use crate::fingerprint::FpTable;
-use crate::format::{live_entries, LeafFormat, U64Format};
-use crate::layout::{LAYOUT_HASH, LEAF_CAPACITY};
+use crate::format::{LeafFormat, U64Format};
+use crate::layout::LEAF_CAPACITY;
 use crate::leaf::{Leaf, WhichSlot};
-use crate::tree::{roots, LeafPolicy, OpMix, RnConfig, RnTree, MAGIC};
+use crate::tree::{roots, RnConfig, RnTree, MAGIC};
 use crate::varleaf::{VarFormat, VarLeaf};
 
 /// A pool/config disagreement detected while opening or formatting a
@@ -61,21 +61,13 @@ pub enum ConfigError {
         /// The config's `varlen_leaves` flag.
         cfg: bool,
     },
-    /// The pool's recorded [`LeafPolicy`] differs from the config's (or is
-    /// a word this build does not know). The policy decides how much
-    /// defensive revalidation readers perform, so create and open must
-    /// agree exactly.
-    LeafPolicyMismatch {
+    /// The pool's reserved leaf-policy root word is non-zero: an older
+    /// build formatted it with hash-directory or adaptive leaves (word 1
+    /// or 2), whose slot lines this build cannot read. The pool is
+    /// refused rather than misread.
+    LegacyLeafLayout {
         /// Raw root word recorded in the pool.
-        pool: u64,
-        /// Policy the config asked for.
-        cfg: LeafPolicy,
-    },
-    /// The requested flag combination has no on-pool representation:
-    /// variable-length leaves exist only in the sorted layout.
-    PolicyUnsupported {
-        /// The offending policy.
-        policy: LeafPolicy,
+        word: u64,
     },
     /// `reopen_clean` on a pool whose clean-shutdown flag is unset.
     NotCleanlyClosed,
@@ -95,13 +87,10 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "varlen_leaves mismatch with on-pool layout (pool {pool}, config {cfg})"
             ),
-            ConfigError::LeafPolicyMismatch { pool, cfg } => write!(
+            ConfigError::LegacyLeafLayout { word } => write!(
                 f,
-                "leaf_policy mismatch with on-pool layout (pool word {pool}, config {cfg:?})"
-            ),
-            ConfigError::PolicyUnsupported { policy } => write!(
-                f,
-                "leaf_policy {policy:?} requires the u64 leaf family (varlen_leaves = false)"
+                "pool was written with leaf policy word {word} (hash or adaptive leaves), \
+                 which this build cannot read"
             ),
             ConfigError::NotCleanlyClosed => {
                 write!(f, "pool not cleanly closed; use RnTree::recover")
@@ -114,18 +103,13 @@ impl std::error::Error for ConfigError {}
 
 impl RnTree {
     /// Formats `pool` with a fresh, empty RNTree.
-    ///
-    /// # Panics
-    /// Panics on an unrepresentable flag combination (see
-    /// [`RnTree::try_create`] for the typed-error variant).
     pub fn create(pool: Arc<PmemPool>, cfg: RnConfig) -> RnTree {
         Self::try_create(pool, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// As [`RnTree::create`], returning configuration errors instead of
-    /// panicking.
+    /// As [`RnTree::create`], in the `Result` shape of the other
+    /// constructors (no config is refused at create).
     pub fn try_create(pool: Arc<PmemPool>, cfg: RnConfig) -> Result<RnTree, ConfigError> {
-        Self::validate_policy(&cfg)?;
         let (alloc, journal) = Self::make_parts(&pool, &cfg);
         journal.format(&pool);
 
@@ -134,15 +118,7 @@ impl RnTree {
             // Empty low fence, +∞ high fence: the leaf covers everything.
             VarLeaf::at(&pool, first).init_empty(&[], None, 0);
         } else {
-            let leaf = Leaf::at(&pool, first);
-            leaf.init_empty(u64::MAX, 0);
-            if cfg.leaf_policy == LeafPolicy::Hash {
-                // Hash-policy pools are born hashed. An empty directory is
-                // bit-identical to an empty slot array, so only the header
-                // tag changes; re-persist the header line that carries it.
-                leaf.set_layout(LAYOUT_HASH);
-                leaf.persist_header();
-            }
+            Leaf::at(&pool, first).init_empty(u64::MAX, 0);
         }
 
         RootTable::set_volatile(&pool, roots::LEFTMOST, first);
@@ -150,7 +126,7 @@ impl RnTree {
         RootTable::set_volatile(&pool, roots::JOURNAL_SLOTS, cfg.journal_slots as u64);
         RootTable::set_volatile(&pool, roots::LEAF_REGION, Self::leaf_region_start(&cfg));
         RootTable::set_volatile(&pool, roots::VARLEN, cfg.varlen_leaves as u64);
-        RootTable::set_volatile(&pool, roots::LEAF_POLICY, cfg.leaf_policy.as_root_word());
+        RootTable::set_volatile(&pool, roots::LEAF_POLICY, 0);
         RootTable::set_volatile(&pool, roots::CLEAN, 0);
         RootTable::persist(&pool);
 
@@ -199,7 +175,6 @@ impl RnTree {
         index: InnerIndex,
         leftmost: u64,
     ) -> RnTree {
-        let opmix = Self::make_opmix(&pool, &cfg);
         RnTree {
             pool,
             alloc,
@@ -214,40 +189,14 @@ impl RnTree {
             wasted: AtomicU64::new(0),
             pool_exhausted: AtomicBool::new(false),
             leaf_head_ties: obs::Counter::new(),
-            opmix,
-            morphs_to_hash: AtomicU64::new(0),
-            morphs_to_sorted: AtomicU64::new(0),
-            morphs_skipped: AtomicU64::new(0),
-            probe_hist: obs::AtomicHistogram::new(),
             timers: PhaseTimers::new(),
             heat: crate::tree::LeafHeat::default(),
         }
     }
 
-    /// Flag combinations with no on-pool representation: the 4096-byte
-    /// variable-length block family exists only in the sorted layout.
-    fn validate_policy(cfg: &RnConfig) -> Result<(), ConfigError> {
-        if cfg.varlen_leaves && cfg.leaf_policy != LeafPolicy::Sorted {
-            return Err(ConfigError::PolicyUnsupported { policy: cfg.leaf_policy });
-        }
-        Ok(())
-    }
-
-    /// The adaptive policy's op-mix table; empty (no memory, record calls
-    /// no-op) under every other policy.
-    fn make_opmix(pool: &PmemPool, cfg: &RnConfig) -> OpMix {
-        OpMix::new(
-            Self::leaf_region_start(cfg),
-            pool.len(),
-            Self::leaf_block(cfg),
-            cfg.leaf_policy == LeafPolicy::Adaptive && !cfg.varlen_leaves,
-        )
-    }
-
     /// Validates every layout-affecting config flag against the root words
     /// the pool was formatted with.
     fn check_config(pool: &PmemPool, cfg: &RnConfig) -> Result<(), ConfigError> {
-        Self::validate_policy(cfg)?;
         let magic = RootTable::get(pool, roots::MAGIC);
         if magic != MAGIC {
             return Err(ConfigError::BadMagic { found: magic });
@@ -260,11 +209,11 @@ impl RnTree {
         if varlen != cfg.varlen_leaves as u64 {
             return Err(ConfigError::VarlenMismatch { pool: varlen != 0, cfg: cfg.varlen_leaves });
         }
-        // Old pools predate the policy word and read 0 = Sorted, exactly
-        // the layout their leaves have.
-        let policy = RootTable::get(pool, roots::LEAF_POLICY);
-        if LeafPolicy::from_root_word(policy) != Some(cfg.leaf_policy) {
-            return Err(ConfigError::LeafPolicyMismatch { pool: policy, cfg: cfg.leaf_policy });
+        // 0 is a sorted-leaf pool (also every pool older than the word);
+        // anything else may hold leaves this build cannot read.
+        let word = RootTable::get(pool, roots::LEAF_POLICY);
+        if word != 0 {
+            return Err(ConfigError::LegacyLeafLayout { word });
         }
         Ok(())
     }
@@ -377,23 +326,16 @@ impl RnTree {
             leaf.reset_lockver();
         }
         let slot = leaf.read_slot_seq(WhichSlot::Persistent);
-        let hashed = F::layout(leaf) == LAYOUT_HASH;
-        fps.rebuild_leaf::<F>(leaf, live_entries(&slot, hashed));
+        fps.rebuild_leaf::<F>(leaf, slot.iter());
         if crashed {
-            let nlogs = live_entries(&slot, hashed).map(|e| e as u64 + 1).max().unwrap_or(0);
+            let nlogs = slot.iter().map(|e| e as u64 + 1).max().unwrap_or(0);
             debug_assert!(nlogs <= LEAF_CAPACITY as u64);
             leaf.set_nlogs(nlogs);
             leaf.set_plogs(nlogs);
             F::recover_scratch(leaf, &slot);
         }
         leaf.write_slot_seq(WhichSlot::Transient, &slot);
-        F::route(leaf, || {
-            if hashed {
-                live_entries(&slot, true).map(|e| F::read_key(leaf, e)).max()
-            } else {
-                (!slot.is_empty()).then(|| F::read_key(leaf, slot.entry(slot.len() - 1)))
-            }
-        })
+        F::route(leaf, || (!slot.is_empty()).then(|| F::read_key(leaf, slot.entry(slot.len() - 1))))
     }
 
     /// Clean shutdown: persists every leaf's header line (making `nlogs`,
@@ -562,9 +504,8 @@ mod tests {
 
     /// A 300-key tree (even keys 2..=600, several leaves) per leaf encoding.
     fn trees_of_every_encoding() -> Vec<RnTree> {
-        let hash = RnConfig { leaf_policy: LeafPolicy::Hash, ..cfg() };
         let var = RnConfig { varlen_leaves: true, ..cfg() };
-        [cfg(), hash, var]
+        [cfg(), var]
             .into_iter()
             .map(|c| {
                 let tree = RnTree::create(new_pool(1 << 22), c);
@@ -714,62 +655,41 @@ mod tests {
         tree.verify_invariants().unwrap();
     }
 
-    #[test]
-    fn hash_policy_pool_survives_crash_and_clean_reopen() {
+    /// A pool whose reserved leaf-policy word reads `word`, written by
+    /// this build and closed cleanly, so both open paths can be tried.
+    fn pool_with_policy_word(word: u64) -> Arc<PmemPool> {
         let pool = new_pool(1 << 22);
-        let c = RnConfig {
-            leaf_policy: LeafPolicy::Hash,
-            ..cfg()
-        };
-        let tree = RnTree::create(Arc::clone(&pool), c);
-        for k in 1..=300u64 {
-            tree.insert(k, k * 3).unwrap();
-        }
-        drop(tree);
-        pool.simulate_crash();
-        let tree = RnTree::recover(Arc::clone(&pool), c);
-        for k in 1..=300u64 {
-            assert_eq!(tree.find(k), Some(k * 3), "key {k} lost in crash");
-        }
-        tree.verify_invariants().unwrap();
+        let tree = RnTree::create(Arc::clone(&pool), cfg());
+        tree.insert(1, 1).unwrap();
         tree.close();
         drop(tree);
-        let tree = RnTree::reopen_clean(pool, c);
-        for k in 1..=300u64 {
-            assert_eq!(tree.find(k), Some(k * 3));
-        }
-        tree.verify_invariants().unwrap();
+        RootTable::set(&pool, roots::LEAF_POLICY, word);
+        pool
     }
 
     #[test]
     fn leaf_policy_mismatch_is_a_typed_error() {
-        let pool = new_pool(1 << 22);
-        let c = RnConfig {
-            leaf_policy: LeafPolicy::Hash,
-            ..cfg()
-        };
-        let tree = RnTree::create(Arc::clone(&pool), c);
-        tree.insert(1, 1).unwrap();
-        drop(tree);
-        pool.simulate_crash();
-        let err = RnTree::try_recover(pool, cfg()).unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::LeafPolicyMismatch { pool: 1, cfg: LeafPolicy::Sorted }
-        );
+        // Words 1 and 2 are what older builds wrote for hash and adaptive
+        // leaves: both open paths refuse them before touching a leaf.
+        for word in [1, 2] {
+            let want = ConfigError::LegacyLeafLayout { word };
+            let err = RnTree::try_reopen_clean(pool_with_policy_word(word), cfg()).unwrap_err();
+            assert_eq!(err, want);
+            let pool = pool_with_policy_word(word);
+            pool.simulate_crash();
+            assert_eq!(RnTree::try_recover(pool, cfg()).unwrap_err(), want);
+        }
     }
 
     #[test]
-    fn varlen_pools_reject_hash_policies() {
-        for policy in [LeafPolicy::Hash, LeafPolicy::Adaptive] {
-            let c = RnConfig {
-                varlen_leaves: true,
-                leaf_policy: policy,
-                ..cfg()
-            };
-            let err = RnTree::try_create(new_pool(1 << 22), c).unwrap_err();
-            assert_eq!(err, ConfigError::PolicyUnsupported { policy });
-        }
+    fn a_zero_leaf_policy_word_still_opens() {
+        let tree = RnTree::try_reopen_clean(pool_with_policy_word(0), cfg()).unwrap();
+        assert_eq!(tree.find(1), Some(1));
+        let pool = pool_with_policy_word(0);
+        pool.simulate_crash();
+        let tree = RnTree::try_recover(pool, cfg()).unwrap();
+        assert_eq!(tree.find(1), Some(1));
+        tree.verify_invariants().unwrap();
     }
 
     #[test]

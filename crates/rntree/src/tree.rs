@@ -27,7 +27,7 @@
 //!
 //! This protocol exists once. Every operation below is generic over a
 //! [`LeafFormat`] (`format.rs`) — the fixed u64 leaf or the var-key leaf —
-//! and monomorphised per format; the `PersistentIndex` methods pick the
+//! and compiled once per format; the `PersistentIndex` methods pick the
 //! format from `RnConfig::varlen_leaves`.
 
 use std::borrow::Borrow;
@@ -43,9 +43,8 @@ use nvm::{BlockAllocator, PmemPool, RootTable, UndoJournal};
 use obs::{EventKind, HeatSketch, ObsSource, Phase, PhaseTimers, Section};
 
 use crate::fingerprint::FpTable;
-use crate::format::{init_from_pairs, live_entries, slot_image, sorted_pairs, LeafFormat, U64Format};
-use crate::hashleaf::{HashDir, Probe};
-use crate::layout::{LAYOUT_HASH, LAYOUT_SORTED, LEAF_CAPACITY, MAX_LIVE};
+use crate::format::{init_from_pairs, sorted_pairs, LeafFormat, U64Format};
+use crate::layout::{LEAF_CAPACITY, MAX_LIVE};
 use crate::leaf::{Leaf, WhichSlot};
 use crate::slots::SlotBuf;
 use crate::varleaf::VarFormat;
@@ -69,59 +68,13 @@ pub(crate) mod roots {
     /// blocks), 0 = fixed u64 leaves. Written at create, checked on every
     /// open — the two layouts are not interchangeable on one pool.
     pub const VARLEN: usize = 5;
-    /// Leaf-policy selector ([`super::LeafPolicy`] as a root word: 0 =
-    /// sorted, 1 = hash, 2 = adaptive). Written at create, checked on
-    /// every open: the policy decides how readers must defend against
-    /// concurrent layout changes, so create and open must agree.
+    /// Reserved, always 0 in a pool this build formats. Older builds
+    /// recorded a leaf-layout policy here: 1 and 2 meant leaves that may
+    /// hold hash-directory slot lines, which this build cannot read, so
+    /// an open refuses any non-zero word
+    /// ([`crate::ConfigError::LegacyLeafLayout`]) instead of misreading
+    /// the pool.
     pub const LEAF_POLICY: usize = 6;
-}
-
-/// Per-pool leaf layout policy: which slot-line organisation leaves use
-/// and whether they may change it at runtime.
-///
-/// The policy is a pool-wide contract recorded in the root table (see
-/// `roots::LEAF_POLICY`): it decides how much defensive revalidation
-/// readers need. Under [`LeafPolicy::Sorted`] and [`LeafPolicy::Hash`] a
-/// leaf's layout tag never changes after the leaf is built, so readers
-/// interpret snapshots with no extra checks; under
-/// [`LeafPolicy::Adaptive`] any leaf may morph between the sorted array
-/// and the hash directory at any time, and readers revalidate the leaf
-/// version between snapshotting the slot line and interpreting it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LeafPolicy {
-    /// Every leaf keeps the paper's sorted slot array (the default; every
-    /// pre-existing pool reads back as this).
-    #[default]
-    Sorted,
-    /// Every leaf uses the hash directory (`hashleaf.rs`) from creation:
-    /// O(1) expected point ops, scans materialize-and-sort per leaf.
-    Hash,
-    /// Leaves start sorted and morph per node between sorted and hash,
-    /// driven by that leaf's decayed point:scan mix. Requires the u64
-    /// leaf family (`varlen_leaves` must be off).
-    Adaptive,
-}
-
-impl LeafPolicy {
-    /// Root-table encoding (stable across versions; 0 keeps old pools
-    /// valid as `Sorted`).
-    pub(crate) fn as_root_word(self) -> u64 {
-        match self {
-            LeafPolicy::Sorted => 0,
-            LeafPolicy::Hash => 1,
-            LeafPolicy::Adaptive => 2,
-        }
-    }
-
-    /// Decodes a root word written by [`Self::as_root_word`].
-    pub(crate) fn from_root_word(w: u64) -> Option<LeafPolicy> {
-        match w {
-            0 => Some(LeafPolicy::Sorted),
-            1 => Some(LeafPolicy::Hash),
-            2 => Some(LeafPolicy::Adaptive),
-            _ => None,
-        }
-    }
 }
 
 /// RNTree construction options.
@@ -158,13 +111,6 @@ pub struct RnConfig {
     /// [`index_common::U64Key`] codec. The flag is recorded in the pool's
     /// root table; create and open must agree.
     pub varlen_leaves: bool,
-    /// Leaf layout policy (see [`LeafPolicy`]): pool-wide sorted (the
-    /// default), pool-wide hash, or per-node adaptive morphing between
-    /// the two driven by the decayed point:scan mix. Recorded in the
-    /// pool's root table; create and open must agree. Incompatible with
-    /// `varlen_leaves` except as `Sorted` — the 4096-byte var block
-    /// family has no hash representation.
-    pub leaf_policy: LeafPolicy,
 }
 
 impl Default for RnConfig {
@@ -175,7 +121,6 @@ impl Default for RnConfig {
             journal_slots: 64,
             cache_frames: 1024,
             varlen_leaves: false,
-            leaf_policy: LeafPolicy::default(),
         }
     }
 }
@@ -209,81 +154,6 @@ pub struct RnStats {
     pub wasted_entries: u64,
 }
 
-/// Ops observed per leaf before the adaptive policy re-evaluates that
-/// leaf's layout.
-const OPMIX_WINDOW: u64 = 256;
-
-/// DRAM-side per-leaf operation-mix counters for [`LeafPolicy::Adaptive`]:
-/// one atomic word per leaf block packing point ops (high 32 bits) and
-/// scan visits (low 32 bits). Purely transient, like the fingerprint
-/// table: recovery starts it zeroed and leaves re-earn their layout.
-///
-/// Every [`OPMIX_WINDOW`] ops the deciding thread halves both counters
-/// (an exponentially-decayed window, so a leaf whose workload shifts
-/// re-converges instead of being pinned by ancient history) and returns a
-/// layout wish. The thresholds are deliberately asymmetric (point-heavy
-/// ≥ 15/16 points for hash, scan share ≥ 1/4 for sorted) so a leaf
-/// oscillating near one boundary does not thrash between layouts.
-pub(crate) struct OpMix {
-    base: u64,
-    block: u64,
-    words: Box<[AtomicU64]>,
-}
-
-impl OpMix {
-    /// Table covering `block`-sized leaf blocks in `[base, pool_len)`;
-    /// with `enabled` false an empty table is built (no memory, and every
-    /// record call is a no-op returning no wish).
-    pub(crate) fn new(base: u64, pool_len: u64, block: u64, enabled: bool) -> OpMix {
-        let blocks = if enabled { ((pool_len - base) / block) as usize } else { 0 };
-        let mut v = Vec::with_capacity(blocks);
-        v.resize_with(blocks, || AtomicU64::new(0));
-        OpMix { base, block, words: v.into_boxed_slice() }
-    }
-
-    /// Counts one point op (lookup or write) on the leaf; returns the
-    /// layout this leaf should now have, if a window just closed.
-    #[inline]
-    pub(crate) fn record_point(&self, leaf_off: u64) -> Option<u64> {
-        self.record(leaf_off, 1 << 32)
-    }
-
-    /// Counts one scan visit of the leaf.
-    #[inline]
-    pub(crate) fn record_scan(&self, leaf_off: u64) -> Option<u64> {
-        self.record(leaf_off, 1)
-    }
-
-    #[inline]
-    fn record(&self, leaf_off: u64, delta: u64) -> Option<u64> {
-        if self.words.is_empty() {
-            return None;
-        }
-        debug_assert!(leaf_off >= self.base && (leaf_off - self.base).is_multiple_of(self.block));
-        let w = &self.words[((leaf_off - self.base) / self.block) as usize];
-        let cur = w.fetch_add(delta, Ordering::Relaxed).wrapping_add(delta);
-        let (points, scans) = (cur >> 32, cur & 0xFFFF_FFFF);
-        let total = points + scans;
-        if total < OPMIX_WINDOW {
-            return None;
-        }
-        // One thread wins the decay CAS and carries the wish; losers just
-        // keep counting (the next window closes soon enough).
-        if w.compare_exchange(cur, (points / 2) << 32 | (scans / 2), Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
-        {
-            return None;
-        }
-        if scans * 16 <= total {
-            Some(LAYOUT_HASH)
-        } else if scans * 4 >= total {
-            Some(LAYOUT_SORTED)
-        } else {
-            None // hysteresis band: keep whatever layout the leaf has
-        }
-    }
-}
-
 /// The RNTree (see crate docs). Construct with [`RnTree::create`],
 /// [`RnTree::recover`] or [`RnTree::reopen_clean`].
 pub struct RnTree {
@@ -306,26 +176,13 @@ pub struct RnTree {
     /// fall back from the 4-byte key head to a full byte compare. Always 0
     /// in u64 mode (obs "keys" section).
     pub(crate) leaf_head_ties: obs::Counter,
-    /// Per-leaf op-mix counters driving adaptive morphing (empty unless
-    /// `leaf_policy == Adaptive`).
-    pub(crate) opmix: OpMix,
-    /// Morphs that rewrote a leaf into the hash layout.
-    pub(crate) morphs_to_hash: AtomicU64,
-    /// Morphs that rewrote a leaf back into the sorted layout.
-    pub(crate) morphs_to_sorted: AtomicU64,
-    /// Morph wishes dropped because the leaf lock was contended or the log
-    /// area was not quiescent (the trigger is strictly opportunistic).
-    pub(crate) morphs_skipped: AtomicU64,
-    /// Hash-directory probe lengths on the read path (buckets inspected
-    /// per point lookup in a hash leaf; obs "leaf_probes" section).
-    pub(crate) probe_hist: obs::AtomicHistogram,
     /// Phase-breakdown timers (obs). Off by default; the modify path pays
     /// one relaxed load per op until [`RnTree::phase_timers`] enables them.
     pub(crate) timers: PhaseTimers,
     /// Structural heat attribution (obs): which *leaves* draw HTM
-    /// aborts/fallbacks, splits and morphs. Fixed-capacity top-K
-    /// sketches, fed only on the already-slow paths (abort deltas,
-    /// splits, morphs) — never on a clean op.
+    /// aborts/fallbacks and splits. Fixed-capacity top-K sketches, fed
+    /// only on the already-slow paths (abort deltas, splits) — never on
+    /// a clean op.
     pub(crate) heat: LeafHeat,
 }
 
@@ -338,8 +195,6 @@ pub struct LeafHeat {
     pub conflicts: HeatSketch,
     /// Splits, keyed by the left (splitting) leaf.
     pub splits: HeatSketch,
-    /// Layout morphs (either direction), keyed by the rewritten leaf.
-    pub morphs: HeatSketch,
 }
 
 /// Decision taken for an allocated log entry under the leaf lock.
@@ -406,8 +261,7 @@ impl RnTree {
         self.index.page_cache().map(|c| c.stats())
     }
 
-    /// The per-leaf heat sketches (conflict / split / morph
-    /// attribution).
+    /// The per-leaf heat sketches (conflict and split attribution).
     pub fn leaf_heat(&self) -> &LeafHeat {
         &self.heat
     }
@@ -536,16 +390,13 @@ impl RnTree {
             }
 
             // htmLeafUpdate: the slot line is edited inside a hardware
-            // transaction — as a sorted array or a hash directory per the
-            // leaf's layout tag (stable under the lock we hold).
-            // Conditional-write checks ride along for free either way.
+            // transaction; conditional-write checks ride along for free.
             // Heat attribution: the thread-local abort/fallback counters
             // are read before and after the slot-line sections; any delta
             // happened while this op held *this* leaf, so the leaf gets
             // the blame. Free on the no-abort path (two TLS reads).
             let sm = obs::section_mark();
-            let hashed = F::layout(leaf) == LAYOUT_HASH;
-            let decision = self.update_pslot(leaf, |slot| self.edit::<F>(leaf, slot, key, entry, mode, hashed));
+            let decision = self.update_pslot(leaf, |slot| self.edit::<F>(leaf, slot, key, entry, mode));
 
             // The fence for persistent instruction #1: the record must be
             // durable before the slot line can be (publication order). On
@@ -583,10 +434,7 @@ impl RnTree {
             cs.lap(&self.timers, Phase::LeafCs);
 
             match decision {
-                Decision::Applied(_) => {
-                    self.note_point::<F>(leaf);
-                    return Ok(());
-                }
+                Decision::Applied(_) => return Ok(()),
                 Decision::Exists => return Err(OpError::AlreadyExists),
                 Decision::Missing => return Err(OpError::NotFound),
                 Decision::Overfull => {
@@ -654,15 +502,12 @@ impl RnTree {
         }
     }
 
-    /// The slot-line edit of a modify. `hashed` is the leaf's layout tag,
-    /// read once under the lock (a morph needs the lock, so the tag cannot
-    /// change while an edit runs). The fingerprint probe answers the
-    /// hit/miss question (no key reads on a miss); the sorted
-    /// insertion position is only computed when an insert actually
-    /// happens. Strict inserts skip the probe: they need the binary search
-    /// for the insertion point anyway, and its duplicate check rides along
-    /// for free (§3.3). A full directory reports `Overfull` exactly like a
-    /// full sorted array — the split trigger is shared.
+    /// The slot-line edit of a modify. The fingerprint probe answers the
+    /// hit/miss question (no key reads on a miss); the sorted insertion
+    /// position is only computed when an insert actually happens. Strict
+    /// inserts skip the probe: they need the binary search for the
+    /// insertion point anyway, and its duplicate check rides along for
+    /// free (§3.3).
     fn edit<F: LeafFormat>(
         &self,
         leaf: Leaf<'_>,
@@ -670,15 +515,14 @@ impl RnTree {
         key: &F::Key,
         entry: usize,
         mode: WriteMode,
-        hashed: bool,
     ) -> Decision {
         let probe = mode != WriteMode::InsertStrict;
-        match self.locate::<F>(leaf, slot, key, hashed, probe) {
-            Ok(spot) => {
+        match self.locate::<F>(leaf, slot, key, probe) {
+            Ok(pos) => {
                 if mode == WriteMode::InsertStrict {
                     return Decision::Exists;
                 }
-                Self::set_at(slot, hashed, spot, entry);
+                slot.set_entry(pos, entry);
             }
             Err(pos) => {
                 if mode == WriteMode::UpdateStrict {
@@ -687,48 +531,15 @@ impl RnTree {
                 if slot.len() == MAX_LIVE {
                     return Decision::Overfull;
                 }
-                self.insert_at::<F>(leaf, slot, hashed, key, pos, entry);
+                self.insert_at::<F>(leaf, slot, key, pos, entry);
             }
         }
         Decision::Applied(*slot)
     }
 
-    // ------------------------------------------------------ slot images
-    //
-    // A slot line is a sorted array or a hash directory per the leaf's
-    // layout tag; these helpers are the only code that tells them apart.
-    // A *spot* is a sorted position or a directory bucket.
-
-    /// Hash-directory probe for `key`: the fingerprint table filters
-    /// candidate buckets before the key compare.
-    fn probe_dir<F: LeafFormat>(&self, leaf: Leaf<'_>, slot: &SlotBuf, key: &F::Key, steps: &mut u32) -> Option<Probe> {
-        let fp = F::fp(key);
-        HashDir::from_slot(*slot).find(
-            fp,
-            |e| self.fps.check(leaf.off(), e, fp) && F::key_eq(leaf, e, key, &self.leaf_head_ties),
-            steps,
-        )
-    }
-
-    /// Read-path lookup: `(spot, entry)` of `key` in `slot`. Sorted images
-    /// take the fingerprint probe; hash probes record their length.
-    #[inline]
-    fn lookup<F: LeafFormat>(&self, leaf: Leaf<'_>, slot: &SlotBuf, key: &F::Key, hashed: bool) -> Option<(usize, usize)> {
-        if hashed {
-            let mut steps = 0u32;
-            let hit = self.probe_dir::<F>(leaf, slot, key, &mut steps);
-            self.probe_hist.record(steps as u64);
-            hit.map(|p| (p.bucket, p.entry))
-        } else {
-            self.fps
-                .probe::<F>(leaf, slot, key, &self.leaf_head_ties)
-                .map(|p| (p, slot.entry(p)))
-        }
-    }
-
-    /// Write-path locate: `Ok(spot)` when `key` is present, else `Err`
+    /// Write-path locate: `Ok(pos)` when `key` is present, else `Err`
     /// carrying its sorted insertion position when already known. With
-    /// `probe`, sorted hit/miss comes from the fingerprint table and the
+    /// `probe`, hit/miss comes from the fingerprint table and the
     /// position is left to [`Self::insert_at`].
     #[inline]
     fn locate<F: LeafFormat>(
@@ -736,67 +547,30 @@ impl RnTree {
         leaf: Leaf<'_>,
         slot: &SlotBuf,
         key: &F::Key,
-        hashed: bool,
         probe: bool,
     ) -> Result<usize, Option<usize>> {
-        if hashed {
-            self.probe_dir::<F>(leaf, slot, key, &mut 0).map(|p| p.bucket).ok_or(None)
-        } else if probe {
+        if probe {
             self.fps.probe::<F>(leaf, slot, key, &self.leaf_head_ties).ok_or(None)
         } else {
             F::search(leaf, slot, key, &self.leaf_head_ties).map_err(Some)
         }
     }
 
-    /// Points a present key's spot at a fresh log entry (the old entry
-    /// becomes garbage the next compaction reclaims).
-    fn set_at(slot: &mut SlotBuf, hashed: bool, spot: usize, entry: usize) {
-        if hashed {
-            let mut dir = HashDir::from_slot(*slot);
-            dir.redirect(spot, entry);
-            *slot = dir.to_slot();
-        } else {
-            slot.set_entry(spot, entry);
-        }
-    }
-
-    /// Adds an absent key's entry; the caller has checked the image is not
+    /// Adds an absent key's entry at its sorted position (searched for
+    /// when `pos` is unknown); the caller has checked the image is not
     /// full.
     fn insert_at<F: LeafFormat>(
         &self,
         leaf: Leaf<'_>,
         slot: &mut SlotBuf,
-        hashed: bool,
         key: &F::Key,
         pos: Option<usize>,
         entry: usize,
     ) {
-        if hashed {
-            let mut dir = HashDir::from_slot(*slot);
-            let ok = dir.insert(F::fp(key), entry);
-            debug_assert!(ok, "directory had room");
-            *slot = dir.to_slot();
-        } else {
-            let pos = pos.unwrap_or_else(|| match F::search(leaf, slot, key, &self.leaf_head_ties) {
-                Ok(p) | Err(p) => p,
-            });
-            slot.insert_at(pos, entry);
-        }
-    }
-
-    /// Drops a present key's spot. Remove edits only the slot line
-    /// (§5.2.3) — in both layouts, since the directory's backward shift
-    /// stays inside the same 64-byte line.
-    fn remove_at<F: LeafFormat>(leaf: Leaf<'_>, slot: &mut SlotBuf, hashed: bool, spot: usize) {
-        if hashed {
-            let mut dir = HashDir::from_slot(*slot);
-            // Home buckets for the backward shift come from rehashing the
-            // stored keys.
-            dir.remove_at(spot, |e| HashDir::home(F::fp(F::read_key(leaf, e).borrow())));
-            *slot = dir.to_slot();
-        } else {
-            slot.remove_at(spot);
-        }
+        let pos = pos.unwrap_or_else(|| match F::search(leaf, slot, key, &self.leaf_head_ties) {
+            Ok(p) | Err(p) => p,
+        });
+        slot.insert_at(pos, entry);
     }
 
     // ---------------------------------------------------------------- split
@@ -856,17 +630,6 @@ impl RnTree {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Layout a newly built leaf is born with: the pool-wide hash policy
-    /// starts every leaf hashed; sorted and adaptive start sorted (an
-    /// adaptive leaf earns its hash tag through the op-mix window).
-    pub(crate) fn natal_layout(&self) -> u64 {
-        if self.cfg.leaf_policy == LeafPolicy::Hash {
-            LAYOUT_HASH
-        } else {
-            LAYOUT_SORTED
-        }
-    }
-
     /// Full-leaf retry accounting. Returns true when retrying cannot ever
     /// succeed: a split has already failed for lack of blocks, no block has
     /// been freed since, and the condition has held for several consecutive
@@ -888,12 +651,8 @@ impl RnTree {
         // Undo-log the whole node (Algorithm 3 line 2).
         self.journal.log(&self.pool, jslot, leaf.off());
 
-        // Both slot layouts split through this one path: gather the live
-        // pairs in key order (hash leaves sort on gather), rewrite densely,
-        // and rebuild the slot line in the leaf's own layout — splits and
-        // compactions preserve the tag, only morphs change it.
-        let layout = F::layout(leaf);
-        let pairs = sorted_pairs::<F>(leaf, layout);
+        // Gather the live pairs in key order and rewrite them densely.
+        let pairs = sorted_pairs::<F>(leaf);
         let live = pairs.len();
         let (low, high) = (F::low_fence(leaf), F::high_fence(leaf));
 
@@ -902,7 +661,7 @@ impl RnTree {
             // log area by compacting in place under the same fences
             // (§5.2.3's special-purpose split), journal-protected like a
             // real split.
-            let img = self.rewrite::<F>(leaf, &pairs, &low, &high, layout);
+            let img = self.rewrite::<F>(leaf, &pairs, &low, &high);
             self.install_slots(leaf, &img);
             leaf.persist_block(F::BLOCK);
             leaf.set_nlogs(live as u64);
@@ -933,14 +692,14 @@ impl RnTree {
 
         // Build and persist the new right sibling first (it is private
         // until linked; a crash before the link leaks only the block,
-        // which allocator rebuild reclaims). It inherits the layout tag.
+        // which allocator rebuild reclaims).
         let right = self.leaf(right_off);
-        init_from_pairs::<F>(right, &pairs[mid..], &sep, &high, leaf.next(), layout);
+        init_from_pairs::<F>(right, &pairs[mid..], &sep, &high, leaf.next());
         self.set_fps::<F>(right, &pairs[mid..]);
 
         // Rewrite the left half in place, then link and persist. A crash
         // anywhere in here is undone by the journal image.
-        let img = self.rewrite::<F>(leaf, &pairs[..mid], &low, &F::fence_at(sep), layout);
+        let img = self.rewrite::<F>(leaf, &pairs[..mid], &low, &F::fence_at(sep));
         self.install_slots(leaf, &img);
         leaf.set_next(right_off);
         leaf.persist_block(F::BLOCK);
@@ -959,20 +718,18 @@ impl RnTree {
     }
 
     /// Dense rewrite of a private or split-frozen leaf: records at entries
-    /// `0..n` under `(low, high]`, the layout tag and the fingerprints.
-    /// Returns the slot-line image for the caller to install.
+    /// `0..n` under `(low, high]` and their fingerprints. Returns the
+    /// slot-line image (the identity array) for the caller to install.
     fn rewrite<F: LeafFormat>(
         &self,
         leaf: Leaf<'_>,
         pairs: &[(F::Owned, Value)],
         low: &F::Owned,
         high: &F::Fence,
-        layout: u64,
     ) -> SlotBuf {
         F::write_pairs(leaf, pairs, low, high);
-        leaf.set_layout(layout);
         self.set_fps::<F>(leaf, pairs);
-        slot_image::<F>(pairs, layout)
+        SlotBuf::identity(pairs.len())
     }
 
     /// Fingerprints for pairs stored densely at entries `0..n`.
@@ -1030,28 +787,15 @@ impl RnTree {
             // fingerprint probe that touches at most a handful of keys;
             // validity of whatever it reads is established by the version
             // re-check below.
-            let layout = F::layout(leaf);
             let slot = self.snapshot_slot(leaf, self.read_slot_kind());
-            // Adaptive pools only: a morph may have committed between the
-            // tag load above and the snapshot, leaving a line whose
-            // encoding disagrees with `layout` — decoding it could chase a
-            // nonsense entry index. Revalidate *before* interpreting (both
-            // reads happened after `v1`, so an unchanged version proves
-            // they agree). Static policies never change tags: no check.
-            if self.cfg.leaf_policy == LeafPolicy::Adaptive
-                && leaf.stable_version(self.reader_waits_lock()) != v1
-            {
-                self.note_retry();
-                continue;
-            }
             let result = self
-                .lookup::<F>(leaf, &slot, key, layout == LAYOUT_HASH)
-                .map(|(_, e)| F::read_value(leaf, e));
+                .fps
+                .probe::<F>(leaf, &slot, key, &self.leaf_head_ties)
+                .map(|pos| F::read_value(leaf, slot.entry(pos)));
             if leaf.stable_version(self.reader_waits_lock()) != v1 {
                 self.note_retry();
                 continue;
             }
-            self.note_point::<F>(leaf);
             return result;
         }
     }
@@ -1074,51 +818,24 @@ impl RnTree {
                     continue 'traverse;
                 }
                 let next = leaf.next();
-                let layout = F::layout(leaf);
                 let slot = self.snapshot_slot(leaf, self.read_slot_kind());
-                // Same pre-interpretation revalidation as `find_impl`:
-                // only adaptive pools can have the tag and the snapshot
-                // disagree, and only until the version moves.
-                if self.cfg.leaf_policy == LeafPolicy::Adaptive
-                    && leaf.stable_version(self.reader_waits_lock()) != v1
-                {
-                    self.note_retry();
-                    continue 'traverse;
-                }
                 // The leaf's pairs are appended straight into `out` and
                 // cut back to `mark` if the version re-check fails, so a
                 // scan through a reused `out` never allocates.
                 let mark = out.len();
-                if layout == LAYOUT_HASH {
-                    // The directory keeps no order: materialize the whole
-                    // leaf's in-range entries, validate, then sort (pure
-                    // DRAM work on an already-validated snapshot).
-                    for e in HashDir::from_slot(slot).iter() {
-                        let k = F::read_key(leaf, e);
-                        if k >= cursor {
-                            out.push((k, F::read_value(leaf, e)));
-                        }
-                    }
-                } else {
-                    let from = match F::search(leaf, &slot, cursor.borrow(), &self.leaf_head_ties) {
-                        Ok(p) | Err(p) => p,
-                    };
-                    let to = slot.len().min(from + (n - mark));
-                    for pos in from..to {
-                        let e = slot.entry(pos);
-                        out.push((F::read_key(leaf, e), F::read_value(leaf, e)));
-                    }
+                let from = match F::search(leaf, &slot, cursor.borrow(), &self.leaf_head_ties) {
+                    Ok(p) | Err(p) => p,
+                };
+                let to = slot.len().min(from + (n - mark));
+                for pos in from..to {
+                    let e = slot.entry(pos);
+                    out.push((F::read_key(leaf, e), F::read_value(leaf, e)));
                 }
                 if leaf.stable_version(self.reader_waits_lock()) != v1 {
                     self.note_retry();
                     out.truncate(mark);
                     continue 'traverse;
                 }
-                if layout == LAYOUT_HASH {
-                    out[mark..].sort_unstable_by_key(|p| p.0);
-                    out.truncate(n);
-                }
-                self.note_scan::<F>(leaf);
                 if out.len() == n || next == 0 {
                     return out.len();
                 }
@@ -1149,12 +866,13 @@ impl RnTree {
             }
             // Remove only edits the slot array (§5.2.3): one persistent
             // instruction.
-            let hashed = F::layout(leaf) == LAYOUT_HASH;
-            let decision = self.update_pslot(leaf, |slot| match self.lookup::<F>(leaf, slot, key, hashed) {
-                None => Decision::Missing,
-                Some((spot, _)) => {
-                    Self::remove_at::<F>(leaf, slot, hashed, spot);
-                    Decision::Applied(*slot)
+            let decision = self.update_pslot(leaf, |slot| {
+                match self.fps.probe::<F>(leaf, slot, key, &self.leaf_head_ties) {
+                    None => Decision::Missing,
+                    Some(pos) => {
+                        slot.remove_at(pos);
+                        Decision::Applied(*slot)
+                    }
                 }
             });
             let Decision::Applied(slot) = decision else {
@@ -1164,121 +882,8 @@ impl RnTree {
             leaf.persist_pslot();
             self.publish(leaf, &slot);
             leaf.unlock(!self.cfg.dual_slot);
-            self.note_point::<F>(leaf);
             return Ok(());
         }
-    }
-
-    // ---------------------------------------------------------------- morph
-
-    /// Counts a point op for the adaptive policy and opportunistically
-    /// morphs the leaf when a window closes on a different layout wish.
-    /// No-op (one empty-table check) outside `LeafPolicy::Adaptive`.
-    #[inline]
-    fn note_point<F: LeafFormat>(&self, leaf: Leaf<'_>) {
-        if let Some(target) = self.opmix.record_point(leaf.off()) {
-            self.maybe_morph::<F>(leaf, target);
-        }
-    }
-
-    /// Scan twin of [`Self::note_point`], counted once per leaf visited.
-    #[inline]
-    fn note_scan<F: LeafFormat>(&self, leaf: Leaf<'_>) {
-        if let Some(target) = self.opmix.record_scan(leaf.off()) {
-            self.maybe_morph::<F>(leaf, target);
-        }
-    }
-
-    /// Opportunistic morph trigger: a single `try_lock` attempt, never a
-    /// spin — a read-path caller would rather skip the morph than queue
-    /// behind a writer. Skips (and counts the skip) on contention.
-    fn maybe_morph<F: LeafFormat>(&self, leaf: Leaf<'_>, target: u64) {
-        if leaf.layout() == target {
-            return;
-        }
-        if !leaf.try_lock() {
-            self.morphs_skipped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        self.morph_locked::<F>(leaf, target);
-        leaf.unlock(false);
-    }
-
-    /// Forces the leaf covering `key` into the given layout (testing and
-    /// diagnostics — the production trigger is the op-mix window). Returns
-    /// whether a rewrite ran. Only meaningful under
-    /// [`LeafPolicy::Adaptive`]; static policies keep their tags immutable
-    /// and readers rely on that.
-    ///
-    /// # Panics
-    /// Panics when the pool's policy is not `Adaptive`.
-    pub fn force_morph(&self, key: Key, to_hash: bool) -> bool {
-        assert!(
-            self.cfg.leaf_policy == LeafPolicy::Adaptive,
-            "force_morph requires LeafPolicy::Adaptive"
-        );
-        let target = if to_hash { LAYOUT_HASH } else { LAYOUT_SORTED };
-        loop {
-            let leaf = self.descend::<U64Format>(&key);
-            leaf.lock();
-            if key > leaf.fence() {
-                leaf.unlock(false);
-                self.note_retry();
-                continue;
-            }
-            let did = self.morph_locked::<U64Format>(leaf, target);
-            leaf.unlock(false);
-            return did;
-        }
-    }
-
-    /// Rewrites the leaf into `target` layout as a crash-atomic journaled
-    /// rewrite — the same undo-journal discipline as a split: journal the
-    /// whole node, rewrite records densely in key order, swap both slot
-    /// lines transactionally, flip the tag, persist the block, clear the
-    /// journal. Caller holds the lock; requires log-area quiescence
-    /// (`nlogs == plogs`), else the morph is skipped (counted), exactly
-    /// like a deferred split. Clears the splitting bit (with a version
-    /// bump, invalidating every in-flight reader snapshot) when it ran.
-    fn morph_locked<F: LeafFormat>(&self, leaf: Leaf<'_>, target: u64) -> bool {
-        let source = F::layout(leaf);
-        if source == target {
-            return false;
-        }
-        // Freeze allocation first; the quiescence re-check under the
-        // frozen word is then exact (same argument as the split path).
-        leaf.set_split();
-        if leaf.nlogs() != leaf.plogs() {
-            leaf.unset_split_nobump();
-            self.morphs_skipped.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let jslot = self.journal.acquire(&self.pool);
-        self.journal.log(&self.pool, jslot, leaf.off());
-
-        let pairs = sorted_pairs::<F>(leaf, source);
-        let live = pairs.len();
-        let img = self.rewrite::<F>(leaf, &pairs, &F::low_fence(leaf), &F::high_fence(leaf), target);
-        // A whole-node rewrite touches both slot lines plus the staged
-        // buffers: a capacity-class body that an optimistic HTM attempt
-        // cannot commit — go straight to the serialized fallback.
-        self.index.domain().atomic_capacity(|txn| {
-            leaf.write_slot_in(txn, WhichSlot::Persistent, &img)?;
-            leaf.write_slot_in(txn, WhichSlot::Transient, &img)
-        });
-        leaf.persist_block(F::BLOCK);
-        leaf.set_nlogs(live as u64);
-        leaf.set_plogs(live as u64);
-        self.journal.clear(&self.pool, jslot);
-        if target == LAYOUT_HASH {
-            self.morphs_to_hash.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.morphs_to_sorted.fetch_add(1, Ordering::Relaxed);
-        }
-        self.heat.morphs.record(leaf.off(), 1);
-        self.pool.events().record(EventKind::Morph, leaf.off(), target);
-        leaf.unset_split_bump();
-        true
     }
 
     // ---------------------------------------------------------------- batch
@@ -1398,12 +1003,12 @@ impl RnTree {
     ) {
         debug_assert!(!pairs.is_empty() && pairs.len() <= MAX_LIVE);
         leaf.reset_lockver();
-        let slot = self.rewrite::<F>(leaf, pairs, low, high, self.natal_layout());
+        let slot = self.rewrite::<F>(leaf, pairs, low, high);
         leaf.set_nlogs(pairs.len() as u64);
         leaf.set_plogs(pairs.len() as u64);
         leaf.set_next(next);
         // Persistent instruction #1: one CLWB batch + one fence covering
-        // the header line (layout tag included) and every written record.
+        // the header line and every written record.
         F::persist_image(leaf, pairs.len());
         leaf.write_slot_seq(WhichSlot::Persistent, &slot);
         leaf.write_slot_seq(WhichSlot::Transient, &slot);
@@ -1502,9 +1107,8 @@ impl RnTree {
         run: &[(F::Owned, Value, WriteOp)],
         results: &mut [Result<(), OpError>],
     ) -> usize {
-        // The layout tag is stable under the lock, and so is whatever
-        // fence metadata record writes read.
-        let hashed = F::layout(leaf) == LAYOUT_HASH;
+        // Whatever fence metadata record writes read is stable under the
+        // lock.
         let mut slot = leaf.read_slot_seq(WhichSlot::Persistent);
         let mut dirty: Vec<(u64, u64)> = Vec::with_capacity(run.len());
         let mut decided = 0u64;
@@ -1515,12 +1119,12 @@ impl RnTree {
             // Locate `k` in the in-register image. Edits land in that image
             // before the next element is examined, so elements sharing a
             // key compose in submission (stable-sort) order.
-            let spot = self.locate::<F>(leaf, &slot, key, hashed, false);
+            let spot = self.locate::<F>(leaf, &slot, key, false);
             match (op, spot) {
-                (WriteOp::Remove, Ok(spot)) => {
+                (WriteOp::Remove, Ok(pos)) => {
                     // Slot-image-only edit: no log entry, no record. A run
                     // of removes shares the single slot-line persist below.
-                    Self::remove_at::<F>(leaf, &mut slot, hashed, spot);
+                    slot.remove_at(pos);
                     changed = true;
                 }
                 (WriteOp::Remove | WriteOp::Update, Err(_)) => results[ri] = Err(OpError::NotFound),
@@ -1557,8 +1161,8 @@ impl RnTree {
                     self.fps.set(leaf.off(), entry, F::fp(key));
                     dirty.extend_from_slice(extent.as_ref());
                     match spot {
-                        Ok(spot) => Self::set_at(&mut slot, hashed, spot, entry),
-                        Err(pos) => self.insert_at::<F>(leaf, &mut slot, hashed, key, pos, entry),
+                        Ok(pos) => slot.set_entry(pos, entry),
+                        Err(pos) => self.insert_at::<F>(leaf, &mut slot, key, pos, entry),
                     }
                     changed = true;
                 }
@@ -1612,14 +1216,9 @@ impl RnTree {
             }
             F::check_leaf(leaf, &mut prev_fence, !slot.is_empty())?;
             let high = F::high_fence(leaf);
-            // A hash leaf keeps no intra-leaf order: its keys need only sit
-            // above the previous leaf's maximum.
-            let hashed = F::layout(leaf) == LAYOUT_HASH;
-            let prev_leaf_max = last_key;
             let mut seen = [false; LEAF_CAPACITY];
-            let mut count = 0usize;
-            for (pos, e) in live_entries(&slot, hashed).enumerate() {
-                count += 1;
+            for pos in 0..slot.len() {
+                let e = slot.entry(pos);
                 if e >= LEAF_CAPACITY {
                     return Err(format!("leaf {off}: slot entry {e} out of range"));
                 }
@@ -1634,24 +1233,16 @@ impl RnTree {
                     ));
                 }
                 let k = F::read_key(leaf, e);
-                let floor = if hashed { prev_leaf_max } else { last_key };
-                if let Some(prev) = floor {
+                if let Some(prev) = last_key {
                     if k <= prev {
                         return Err(format!("leaf {off}: key {k:?} not > previous {prev:?}"));
                     }
                 }
                 F::check_key(leaf, &k, &high)?;
-                if last_key.is_none_or(|m| k > m) {
-                    last_key = Some(k);
-                }
+                last_key = Some(k);
                 // A probe may never produce a false negative for a live key
                 // (fingerprint collisions only cost extra compares).
-                let found = if hashed {
-                    self.probe_dir::<F>(leaf, &slot, k.borrow(), &mut 0).map(|p| p.entry) == Some(e)
-                } else {
-                    self.fps.probe::<F>(leaf, &slot, k.borrow(), &self.leaf_head_ties) == Some(pos)
-                };
-                if !found {
+                if self.fps.probe::<F>(leaf, &slot, k.borrow(), &self.leaf_head_ties) != Some(pos) {
                     return Err(format!("leaf {off}: probe misses live key {k:?}"));
                 }
                 // The volatile index must route this key here.
@@ -1659,9 +1250,6 @@ impl RnTree {
                 if routed != off {
                     return Err(format!("index routes key {k:?} to {routed}, expected {off}"));
                 }
-            }
-            if count != slot.len() {
-                return Err(format!("leaf {off}: count byte {} != live entries {count}", slot.len()));
             }
             if self.cfg.dual_slot && leaf.read_slot_seq(WhichSlot::Transient) != slot {
                 return Err(format!("leaf {off}: transient slot diverges from persistent"));
@@ -1789,10 +1377,6 @@ impl PersistentIndex for RnTree {
     fn name(&self) -> &'static str {
         if self.cfg.varlen_leaves {
             "RNTree+VK"
-        } else if self.cfg.leaf_policy == LeafPolicy::Hash {
-            "RNTree+HL"
-        } else if self.cfg.leaf_policy == LeafPolicy::Adaptive {
-            "RNTree+AD"
         } else if self.cfg.dual_slot {
             "RNTree+DS"
         } else {
@@ -1845,17 +1429,15 @@ impl ObsSource for RnTree {
     /// are enabled), `cache` (page-cache hit/miss/eviction counters plus
     /// the optimistic-descent restart taxonomy, present only with a cache
     /// attached), `keys` (head-tie fallback counters, present only in
-    /// byte-keyed mode), `leaf` (per-layout leaf census plus morph
-    /// counters) with `leaf_probes` (the hash-directory probe-length
-    /// distribution), and `events` (the pool's crash-forensics ring)
+    /// byte-keyed mode), and `events` (the pool's crash-forensics ring)
     /// with `events_meta` (recorded/dropped totals — a non-zero
     /// `events_dropped` means the dump is a suffix of the timeline).
     ///
     /// Heat attribution adds `heat.leaf_conflicts` (HTM aborts +
-    /// fallbacks per leaf), `heat.leaf_splits`, `heat.leaf_morphs`,
-    /// `heat.cache_sets` (evictions + failed validations per cache set,
-    /// with a cache attached), and `heat_meta` (each sketch's decayed
-    /// error budget — how much count mass fell off the top-K tables).
+    /// fallbacks per leaf), `heat.leaf_splits`, `heat.cache_sets`
+    /// (evictions + failed validations per cache set, with a cache
+    /// attached), and `heat_meta` (each sketch's decayed error budget —
+    /// how much count mass fell off the top-K tables).
     fn obs_sections(&self) -> Vec<(String, Section)> {
         let mut tree = self.stats().counters();
         let rn = self.rn_stats();
@@ -1920,35 +1502,6 @@ impl ObsSource for RnTree {
                 ]),
             ));
         }
-        // Per-layout leaf census plus the morph engine's counters
-        // (DESIGN.md §5i). The census re-walks the chain; obs reporting is
-        // off the hot path, and the header tag read is layout-agnostic.
-        let mut sorted_leaves = 0u64;
-        let mut hash_leaves = 0u64;
-        let mut off = self.leftmost;
-        while off != 0 {
-            let leaf = Leaf::at(&self.pool, off);
-            if leaf.layout() == LAYOUT_HASH {
-                hash_leaves += 1;
-            } else {
-                sorted_leaves += 1;
-            }
-            off = leaf.next();
-        }
-        out.push((
-            "leaf".to_string(),
-            Section::Counters(vec![
-                ("sorted_leaves".into(), sorted_leaves),
-                ("hash_leaves".into(), hash_leaves),
-                ("morphs_to_hash".into(), self.morphs_to_hash.load(Ordering::Relaxed)),
-                ("morphs_to_sorted".into(), self.morphs_to_sorted.load(Ordering::Relaxed)),
-                ("morphs_skipped".into(), self.morphs_skipped.load(Ordering::Relaxed)),
-            ]),
-        ));
-        out.push((
-            "leaf_probes".to_string(),
-            Section::Latencies(vec![("probe_len".to_string(), self.probe_hist.snapshot())]),
-        ));
         let ring = self.pool.events();
         out.push(("events".to_string(), Section::Events(ring.dump())));
         out.push((
@@ -1969,14 +1522,9 @@ impl ObsSource for RnTree {
             "heat.leaf_splits".to_string(),
             Section::Heat(self.heat.splits.top_k(HEAT_TOP_K)),
         ));
-        out.push((
-            "heat.leaf_morphs".to_string(),
-            Section::Heat(self.heat.morphs.top_k(HEAT_TOP_K)),
-        ));
         let mut heat_meta = vec![
             ("leaf_conflicts_decayed".into(), self.heat.conflicts.decayed()),
             ("leaf_splits_decayed".into(), self.heat.splits.decayed()),
-            ("leaf_morphs_decayed".into(), self.heat.morphs.decayed()),
         ];
         if let Some(cache) = self.index.page_cache() {
             out.push((

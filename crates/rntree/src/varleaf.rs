@@ -3,11 +3,11 @@
 //! [`VarFormat`] impl of [`LeafFormat`].
 //!
 //! `VarLeaf` wraps [`Leaf`] — the lock/version word, log-entry
-//! allocation, `plogs`, `next`, the layout tag and the dual slot arrays
-//! all sit at the same offsets in both block families, so every shared
-//! protocol method is reached through `Deref` — and adds the
-//! var-specific pieces: the fence/prefix metadata word, the packed record
-//! directory, and the in-leaf key heap.
+//! allocation, `plogs`, `next` and the dual slot arrays all sit at the
+//! same offsets in both block families, so every shared protocol method
+//! is reached through `Deref` — and adds the var-specific pieces: the
+//! fence/prefix metadata word, the packed record directory, and the
+//! in-leaf key heap.
 //!
 //! ## The prefix-truncation lemma
 //!
@@ -84,7 +84,6 @@ use crate::layout::varlen::{
     dir_off, round8, vfield, HF_INF, VAR_FENCE_RESERVE, VAR_HEAP_CAP, VAR_LEAF_BLOCK, VAR_LEAF_CAPACITY,
     VAR_MAX_LIVE, VAR_SPLIT_RESERVE,
 };
-use crate::layout::LAYOUT_SORTED;
 use crate::leaf::{Leaf, WhichSlot};
 use crate::slots::SlotBuf;
 
@@ -589,11 +588,6 @@ impl LeafFormat for VarFormat {
 
     fn check_leaf(leaf: Leaf<'_>, prev: &mut Option<Option<KeyBuf>>, _live: bool) -> Result<(), String> {
         let off = leaf.off();
-        // Var leaves never morph: the config rejects hash policies for the
-        // var block family, so any non-sorted tag here is corruption.
-        if leaf.layout() != LAYOUT_SORTED {
-            return Err(format!("var leaf {off}: layout tag {} != sorted", leaf.layout()));
-        }
         let v = VarLeaf::of(leaf);
         let (lf, hf) = (v.low_fence(), v.high_fence());
         match prev {
@@ -746,11 +740,11 @@ mod tests {
             .map(|i| (KeyBuf::from_slice(format!("user{i:04}").as_bytes()), i))
             .collect();
         let (lf, hf) = (KeyBuf::from_slice(b"user0000"), Some(KeyBuf::from_slice(b"user0009")));
-        init_from_pairs::<VarFormat>(*l, &pairs, &lf, &hf, 8192, LAYOUT_SORTED);
+        init_from_pairs::<VarFormat>(*l, &pairs, &lf, &hf, 8192);
         p.simulate_crash();
         let slot = l.read_slot_seq(WhichSlot::Persistent);
         assert_eq!(slot.len(), 10);
-        assert_eq!(sorted_pairs::<VarFormat>(*l, LAYOUT_SORTED), pairs);
+        assert_eq!(sorted_pairs::<VarFormat>(*l), pairs);
         assert_eq!(l.next(), 8192);
         assert_eq!(l.nlogs(), 10);
     }

@@ -42,6 +42,30 @@ pub enum Arrivals {
     Poisson,
 }
 
+impl Arrivals {
+    /// The gap from one scheduled arrival to the next: `interval`, or an
+    /// exponential draw with mean `interval`.
+    fn gap(self, interval: Duration, rng: &mut SplitMix64) -> Duration {
+        match self {
+            Arrivals::Fixed => interval,
+            Arrivals::Poisson => {
+                // -ln(1-u)/rate, u ∈ [0,1). Clamp the tail at 20× the
+                // mean so one extreme draw can't idle a worker for the
+                // rest of the run.
+                let u = rng.next_f64();
+                let gap = -(1.0 - u).ln();
+                interval.mul_f64(gap.clamp(0.0, 20.0))
+            }
+        }
+    }
+}
+
+/// Open-loop worker `tid`'s generator: it draws each op's kind, then its
+/// key, then the gap to the next arrival.
+fn open_loop_rng(seed: u64, tid: usize) -> SplitMix64 {
+    SplitMix64::new(seed ^ (tid as u64 + 1).wrapping_mul(0x517C_C1B7))
+}
+
 /// Result of a driver run.
 #[derive(Debug)]
 pub struct LoopResult {
@@ -305,7 +329,7 @@ pub fn run_open_loop_arrivals(
                 let tree = Arc::clone(tree);
                 scope.spawn(move || {
                     let tree = &*tree;
-                    let mut rng = SplitMix64::new(seed ^ (tid as u64 + 1).wrapping_mul(0x517C_C1B7));
+                    let mut rng = open_loop_rng(seed, tid);
                     let mut out = WorkerOut::new();
                     let mut scans = ScanBufs::default();
                     // Desynchronise workers' schedules.
@@ -336,18 +360,7 @@ pub fn run_open_loop_arrivals(
                             out.pool_exhausted += 1;
                         }
                         out.record(kind, (Instant::now() - scheduled).as_nanos() as u64);
-                        scheduled += match arrivals {
-                            Arrivals::Fixed => interval,
-                            Arrivals::Poisson => {
-                                // Exponential gap with mean `interval`:
-                                // -ln(1-u)/rate, u ∈ [0,1). Clamp the tail
-                                // at 20× the mean so one extreme draw can't
-                                // idle a worker for the rest of the run.
-                                let u = rng.next_f64();
-                                let gap = -(1.0 - u).ln();
-                                interval.mul_f64(gap.clamp(0.0, 20.0))
-                            }
-                        };
+                        scheduled += arrivals.gap(interval, &mut rng);
                     }
                     out
                 })
@@ -407,46 +420,63 @@ mod tests {
         assert_eq!(r.pool_exhausted, 0);
     }
 
+    /// Arrivals the open-loop driver schedules before `duration`, replayed
+    /// from each worker's generator (kind, key, gap per arrival). The
+    /// schedule never looks at the clock, so this is what a run must issue
+    /// on any host.
+    fn scheduled_arrivals(
+        spec: &WorkloadSpec,
+        threads: usize,
+        rate: f64,
+        arrivals: Arrivals,
+        duration: Duration,
+        seed: u64,
+    ) -> u64 {
+        let keygen = spec.build_keygen();
+        let interval = Duration::from_secs_f64(1.0 / rate);
+        let mut total = 0;
+        for tid in 0..threads {
+            let mut rng = open_loop_rng(seed, tid);
+            let mut at = interval.mul_f64(tid as f64 / threads as f64);
+            while at < duration {
+                spec.mix.sample(&mut rng);
+                keygen.next_key(&mut rng);
+                at += arrivals.gap(interval, &mut rng);
+                total += 1;
+            }
+        }
+        total
+    }
+
+    // The open-loop tests check counts only: every scheduled arrival is
+    // issued and recorded. The latency bound is a `repro open-loop` gate.
+
     #[test]
     fn open_loop_respects_schedule_roughly() {
         let idx = loaded(100);
         let spec = WorkloadSpec::ycsb_c(KeyDist::Uniform { n: 100 });
-        // 2 workers × 500 req/s × 0.3 s ≈ 300 ops.
+        // 2 workers, one arrival every 2 ms each over 300 ms: 150 apiece.
         let r = run_open_loop(&idx, &spec, 2, 500.0, Duration::from_millis(300), 7);
-        assert!(
-            (200..=400).contains(&(r.ops as i64)),
-            "open loop issued {} ops",
-            r.ops
-        );
-        // An unloaded in-memory map must answer far faster than the
-        // inter-arrival time.
-        assert!(r.read_lat.quantile(0.5) < 1_000_000, "{:?}", r.read_lat);
+        assert_eq!(r.ops, 300);
+        assert_eq!(scheduled_arrivals(&spec, 2, 500.0, Arrivals::Fixed, Duration::from_millis(300), 7), 300);
+        assert_eq!(r.read_lat.count(), r.ops, "every op completed as a read");
+        assert_eq!(r.queue_wait.count(), r.ops, "every op recorded its queue wait");
     }
 
     #[test]
     fn poisson_arrivals_hit_the_mean_rate_and_record_queue_wait() {
         let idx = loaded(100);
         let spec = WorkloadSpec::ycsb_c(KeyDist::Uniform { n: 100 });
-        // 2 workers × 500 req/s × 0.3 s ≈ 300 ops on average; the Poisson
-        // process has the same mean, so a generous band still holds.
-        let r = run_open_loop_arrivals(
-            &idx,
-            &spec,
-            2,
-            500.0,
-            Arrivals::Poisson,
-            Duration::from_millis(300),
-            7,
-        );
-        assert!(
-            (120..=520).contains(&(r.ops as i64)),
-            "poisson open loop issued {} ops",
-            r.ops
-        );
-        // Every issued op records its queue wait, and an unloaded map
-        // keeps the median wait tiny.
-        assert_eq!(r.queue_wait.count(), r.ops);
-        assert!(r.queue_wait.quantile(0.5) < 1_000_000, "{:?}", r.queue_wait);
+        let window = Duration::from_millis(300);
+        let r = run_open_loop_arrivals(&idx, &spec, 2, 500.0, Arrivals::Poisson, window, 7);
+        let want = scheduled_arrivals(&spec, 2, 500.0, Arrivals::Poisson, window, 7);
+        assert_eq!(r.ops, want, "every scheduled arrival is issued");
+        // The schedule itself has the mean rate: ~300 arrivals (2 workers
+        // × 500 req/s × 0.3 s). A fixed seed makes this a property of
+        // the generator, not of the host.
+        assert!((200..=400).contains(&want), "{want} arrivals scheduled");
+        assert_eq!(r.read_lat.count(), r.ops, "every op completed as a read");
+        assert_eq!(r.queue_wait.count(), r.ops, "every op recorded its queue wait");
     }
 
     #[test]

@@ -131,23 +131,6 @@ pub enum KeyDist {
         /// Skew coefficient θ.
         theta: f64,
     },
-    /// Hotspot over the *newest* keys: `hot_pct`% of draws land
-    /// uniformly in the window of the `window` highest keys (the most
-    /// recently loaded ids — in a loaded tree, the right-most leaves);
-    /// the remaining draws are uniform over the whole space.
-    ///
-    /// Unlike (scrambled) zipfian, whose hot set is spread across the
-    /// tree, this concentrates point traffic on a handful of adjacent
-    /// leaves — the distribution the adaptive leaf policy is meant to
-    /// detect and morph to the hash layout.
-    HotWindow {
-        /// Key-space size.
-        n: u64,
-        /// Hot-window size in keys (`1..=n`).
-        window: u64,
-        /// Percentage of draws that hit the window (`0..=100`).
-        hot_pct: u32,
-    },
 }
 
 impl KeyDist {
@@ -156,8 +139,7 @@ impl KeyDist {
         match *self {
             KeyDist::Uniform { n }
             | KeyDist::Zipfian { n, .. }
-            | KeyDist::ScrambledZipfian { n, .. }
-            | KeyDist::HotWindow { n, .. } => n,
+            | KeyDist::ScrambledZipfian { n, .. } => n,
         }
     }
 
@@ -170,12 +152,6 @@ impl KeyDist {
             }
             KeyDist::Zipfian { n, theta } => KeyGen::Zipfian(Zipf::new(n, theta, false)),
             KeyDist::ScrambledZipfian { n, theta } => KeyGen::Zipfian(Zipf::new(n, theta, true)),
-            KeyDist::HotWindow { n, window, hot_pct } => {
-                assert!(n > 0);
-                assert!((1..=n).contains(&window), "window {window} not in 1..={n}");
-                assert!(hot_pct <= 100, "hot_pct {hot_pct} > 100");
-                KeyGen::HotWindow { n, window, hot_pct }
-            }
         }
     }
 }
@@ -190,15 +166,6 @@ pub enum KeyGen {
     },
     /// (Scrambled) zipfian sampler.
     Zipfian(Zipf),
-    /// Hot-window sampler (see [`KeyDist::HotWindow`]).
-    HotWindow {
-        /// Key-space size.
-        n: u64,
-        /// Hot-window size in keys.
-        window: u64,
-        /// Percentage of draws that hit the window.
-        hot_pct: u32,
-    },
 }
 
 impl KeyGen {
@@ -208,14 +175,6 @@ impl KeyGen {
         match self {
             KeyGen::Uniform { n } => rng.next_key(*n),
             KeyGen::Zipfian(z) => z.sample(rng),
-            KeyGen::HotWindow { n, window, hot_pct } => {
-                if rng.next_below(100) < u64::from(*hot_pct) {
-                    // Uniform over the `window` highest keys: n-window+1..=n.
-                    n - window + rng.next_key(*window)
-                } else {
-                    rng.next_key(*n)
-                }
-            }
         }
     }
 }
@@ -502,48 +461,6 @@ mod tests {
         let k = KeyShape::Url.render(0xABC);
         assert_eq!(k.as_slice(), b"https://example.com/u/0000000000000abc");
         assert!(std::panic::catch_unwind(|| KeyShape::Decimal { width: 3 }.render(1234)).is_err());
-    }
-
-    #[test]
-    fn hot_window_concentrates_on_the_newest_keys() {
-        let (n, window) = (100_000u64, 512u64);
-        let g = KeyDist::HotWindow { n, window, hot_pct: 90 }.build();
-        let mut rng = SplitMix64::new(8);
-        let total = 50_000u64;
-        let mut hot = 0u64;
-        for _ in 0..total {
-            let k = g.next_key(&mut rng);
-            assert!((1..=n).contains(&k));
-            if k > n - window {
-                hot += 1;
-            }
-        }
-        // 90% targeted + ~0.5% of the cold draws landing there by chance.
-        let share = hot as f64 / total as f64;
-        assert!((0.87..0.94).contains(&share), "hot share {share}");
-    }
-
-    #[test]
-    fn hot_window_cold_tail_still_covers_the_space() {
-        let g = KeyDist::HotWindow { n: 1_000, window: 10, hot_pct: 50 }.build();
-        let mut rng = SplitMix64::new(9);
-        let mut below_half = 0;
-        for _ in 0..20_000 {
-            if g.next_key(&mut rng) <= 500 {
-                below_half += 1;
-            }
-        }
-        // The cold 50% is uniform, so ~25% of all draws land in the lower
-        // half of the key space.
-        assert!((4_000..6_000).contains(&below_half), "{below_half}");
-    }
-
-    #[test]
-    fn hot_window_validates_its_parameters() {
-        assert!(std::panic::catch_unwind(|| KeyDist::HotWindow { n: 10, window: 11, hot_pct: 90 }.build()).is_err());
-        assert!(std::panic::catch_unwind(|| KeyDist::HotWindow { n: 10, window: 0, hot_pct: 90 }.build()).is_err());
-        assert!(std::panic::catch_unwind(|| KeyDist::HotWindow { n: 10, window: 5, hot_pct: 101 }.build()).is_err());
-        assert_eq!(KeyDist::HotWindow { n: 10, window: 5, hot_pct: 90 }.n(), 10);
     }
 
     #[test]

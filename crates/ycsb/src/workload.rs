@@ -137,21 +137,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// Hot-window point lookups: 100% reads, 90% of them uniform over
-    /// the `window` newest keys. Concentrates point traffic on a few
-    /// adjacent leaves — the workload the adaptive leaf policy morphs
-    /// to the hash layout for (leaf-scale bench, DESIGN.md §5i).
-    pub fn point_hot_window(n: u64, window: u64) -> WorkloadSpec {
-        WorkloadSpec {
-            mix: Mix {
-                read: 100,
-                ..Default::default()
-            },
-            dist: KeyDist::HotWindow { n, window, hot_pct: 90 },
-            scan_len: 0,
-        }
-    }
-
     /// Custom read/update split (e.g. Figure 8's variants).
     pub fn read_update(read: u32, update: u32, dist: KeyDist) -> WorkloadSpec {
         WorkloadSpec {
@@ -204,13 +189,6 @@ mod tests {
         let e = WorkloadSpec::ycsb_e(d, 50);
         assert_eq!(e.mix.scan, 95);
         assert_eq!(e.scan_len, 50);
-        let h = WorkloadSpec::point_hot_window(1_000, 64);
-        assert_eq!(h.mix.read, 100);
-        assert_eq!(h.mix.total(), 100);
-        assert!(matches!(
-            h.dist,
-            KeyDist::HotWindow { n: 1_000, window: 64, hot_pct: 90 }
-        ));
     }
 
     #[test]

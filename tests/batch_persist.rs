@@ -16,9 +16,9 @@
 //!   an **empty** tree (all-or-nothing: the journaled head-leaf pre-image
 //!   rolls the whole load back).
 //!
-//! The crash sweeps run over every leaf encoding — sorted u64 leaves,
-//! hash-directory leaves and variable-length leaves — through the same
-//! u64 API, which routes var trees into their byte-key batch paths.
+//! The crash sweeps run over both leaf encodings — u64 leaves and
+//! variable-length leaves — through the same u64 API, which routes var
+//! trees into their byte-key batch paths.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use index_common::PersistentIndex;
 use nvm::{PmemConfig, PmemPool};
-use rntree::{LeafPolicy, RnConfig, RnTree};
+use rntree::{RnConfig, RnTree};
 
 /// Keys per leaf built by the bulk loader (layout MAX_LIVE).
 const LEAF_FILL: u64 = 63;
@@ -39,13 +39,9 @@ fn seq_pairs(lo: u64, hi: u64) -> Vec<(u64, u64)> {
     (lo..=hi).map(|k| (k, k * 10 + 1)).collect()
 }
 
-/// One config per leaf encoding: sorted u64, hash directory, var keys.
-fn every_encoding() -> [RnConfig; 3] {
-    [
-        RnConfig::default(),
-        RnConfig { leaf_policy: LeafPolicy::Hash, ..RnConfig::default() },
-        RnConfig { varlen_leaves: true, ..RnConfig::default() },
-    ]
+/// One config per leaf encoding: u64 keys, var keys.
+fn every_encoding() -> [RnConfig; 2] {
+    [RnConfig::default(), RnConfig { varlen_leaves: true, ..RnConfig::default() }]
 }
 
 #[test]
@@ -146,7 +142,7 @@ fn crash_mid_insert_batch_recovers_a_sorted_prefix() {
     sorted_batch.sort_by_key(|p| p.0);
 
     for cfg in every_encoding() {
-        let tag = format!("varlen={} policy={:?}", cfg.varlen_leaves, cfg.leaf_policy);
+        let tag = format!("varlen={}", cfg.varlen_leaves);
         // How many persists does the whole batch take, uninterrupted?
         let total = {
             let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 23)));
@@ -214,7 +210,7 @@ fn crash_mid_insert_batch_recovers_a_sorted_prefix() {
 fn crash_mid_load_sorted_recovers_empty() {
     let pairs = seq_pairs(1, 150); // 3 leaves -> 2*3+3 = 9 persists
     for cfg in every_encoding() {
-        let tag = format!("varlen={} policy={:?}", cfg.varlen_leaves, cfg.leaf_policy);
+        let tag = format!("varlen={}", cfg.varlen_leaves);
         let total = {
             let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 23)));
             let tree = RnTree::create(Arc::clone(&pool), cfg);
@@ -285,13 +281,7 @@ fn batched_and_per_op_trees_recover_identically() {
 
     for cfg in every_encoding() {
         let batched = recover_set(cfg, true);
-        assert_eq!(batched.len(), keys.len(), "varlen={} policy={:?}", cfg.varlen_leaves, cfg.leaf_policy);
-        assert_eq!(
-            batched,
-            recover_set(cfg, false),
-            "varlen={} policy={:?}",
-            cfg.varlen_leaves,
-            cfg.leaf_policy
-        );
+        assert_eq!(batched.len(), keys.len(), "varlen={}", cfg.varlen_leaves);
+        assert_eq!(batched, recover_set(cfg, false), "varlen={}", cfg.varlen_leaves);
     }
 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use index_common::PersistentIndex;
 use nvm::{PmemConfig, PmemPool};
-use rntree::{LeafPolicy, RnConfig, RnTree};
+use rntree::{RnConfig, RnTree};
 
 fn persists(pool: &PmemPool) -> u64 {
     pool.stats().snapshot().persists
@@ -183,129 +183,6 @@ fn fingerprints_are_rebuilt_by_clean_reopen() {
     tree.verify_invariants().unwrap();
 }
 
-/// Hash-leaf twin of the exact-count matrix: the hash directory is just a
-/// different encoding of the same 64-byte slot line — read it, mutate the
-/// DRAM copy, write it back transactionally, persist it — so every modify
-/// op must keep its Table 1 cost bit-for-bit (insert 2, update 2,
-/// remove 1, find 0, scan 0) under both the pool-wide hash policy and the
-/// adaptive policy (whose leaves are born sorted; 35 ops stay far below
-/// the 256-op morph window, so no rewrite can sneak into the counts).
-#[test]
-fn hash_and_adaptive_persist_counts_match_sorted_exactly() {
-    for policy in [LeafPolicy::Hash, LeafPolicy::Adaptive] {
-        for dual in [true, false] {
-            let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
-            let cfg = RnConfig {
-                leaf_policy: policy,
-                dual_slot: dual,
-                journal_slots: 2,
-                ..RnConfig::default()
-            };
-            let tree = RnTree::create(Arc::clone(&pool), cfg);
-            let tag = format!("policy={policy:?} dual={dual}");
-
-            for k in 1..=20u64 {
-                let before = persists(&pool);
-                tree.insert(k, k * 3).unwrap();
-                assert_eq!(persists(&pool) - before, 2, "insert {k} ({tag})");
-            }
-            for k in 1..=10u64 {
-                let before = persists(&pool);
-                tree.update(k, k * 3 + 1).unwrap();
-                assert_eq!(persists(&pool) - before, 2, "update {k} ({tag})");
-            }
-            for k in 16..=20u64 {
-                let before = persists(&pool);
-                tree.remove(k).unwrap();
-                assert_eq!(persists(&pool) - before, 1, "remove {k} ({tag})");
-            }
-            let before = persists(&pool);
-            assert_eq!(tree.find(5), Some(16));
-            assert_eq!(tree.find(12), Some(36));
-            assert_eq!(tree.find(18), None);
-            let mut out = Vec::new();
-            assert_eq!(tree.scan_n(1, 10, &mut out), 10);
-            assert_eq!(persists(&pool) - before, 0, "read ops persisted ({tag})");
-            tree.verify_invariants().unwrap();
-        }
-    }
-}
-
-/// Hash-leaf failed conditionals mirror the sorted contract: a rejected
-/// insert/update has already flushed its log entry (1 persist) but must
-/// not flush the directory line; a missed remove persists nothing.
-#[test]
-fn hash_failed_conditionals_do_not_touch_the_directory_line() {
-    let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
-    let cfg = RnConfig {
-        leaf_policy: LeafPolicy::Hash,
-        journal_slots: 2,
-        ..RnConfig::default()
-    };
-    let tree = RnTree::create(Arc::clone(&pool), cfg);
-    tree.insert(1, 1).unwrap();
-    let before = persists(&pool);
-    assert!(tree.insert(1, 2).is_err());
-    assert_eq!(persists(&pool) - before, 1, "duplicate insert");
-    let before = persists(&pool);
-    assert!(tree.update(9, 9).is_err());
-    assert_eq!(persists(&pool) - before, 1, "missing update");
-    let before = persists(&pool);
-    assert!(tree.remove(9).is_err());
-    assert_eq!(persists(&pool) - before, 0, "missing remove");
-}
-
-/// A morph is a journaled whole-node rewrite with a constant persist
-/// cost, independent of direction and of how many keys live in the leaf:
-/// the undo journal's 3 (image + valid mark, then clear) plus one
-/// coalesced whole-block persist. A wish for the layout the leaf already
-/// has persists nothing, and the per-op Table 1 costs hold unchanged on
-/// the rewritten leaf.
-#[test]
-fn morph_is_a_journaled_rewrite_with_constant_persist_cost() {
-    let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
-    let cfg = RnConfig {
-        leaf_policy: LeafPolicy::Adaptive,
-        journal_slots: 2,
-        ..RnConfig::default()
-    };
-    let tree = RnTree::create(Arc::clone(&pool), cfg);
-    for k in 1..=40u64 {
-        tree.insert(k, k * 11).unwrap();
-    }
-
-    let before = persists(&pool);
-    assert!(tree.force_morph(10, true), "sorted -> hash must rewrite");
-    let to_hash = persists(&pool) - before;
-    let before = persists(&pool);
-    assert!(tree.force_morph(10, false), "hash -> sorted must rewrite");
-    let to_sorted = persists(&pool) - before;
-    assert_eq!(to_hash, to_sorted, "morph cost must not depend on direction");
-    assert_eq!(to_hash, 4, "journal (3) + whole-block persist (1)");
-
-    // Already in the target layout: no rewrite, no persists.
-    let before = persists(&pool);
-    assert!(!tree.force_morph(10, false));
-    assert_eq!(persists(&pool) - before, 0, "no-op morph persisted");
-
-    // The rewrite preserved every pair, and per-op costs are unchanged on
-    // a morphed (hash) leaf.
-    assert!(tree.force_morph(10, true));
-    for k in 1..=40u64 {
-        assert_eq!(tree.find(k), Some(k * 11), "key {k} after morphs");
-    }
-    let before = persists(&pool);
-    tree.insert(100, 1).unwrap();
-    assert_eq!(persists(&pool) - before, 2, "insert on morphed leaf");
-    let before = persists(&pool);
-    tree.update(100, 2).unwrap();
-    assert_eq!(persists(&pool) - before, 2, "update on morphed leaf");
-    let before = persists(&pool);
-    tree.remove(100).unwrap();
-    assert_eq!(persists(&pool) - before, 1, "remove on morphed leaf");
-    tree.verify_invariants().unwrap();
-}
-
 /// Var-key (byte-key) twin of the exact-count matrix: the heap-slotted
 /// leaf coalesces its record + directory-word flush into ONE
 /// `persist_many`, so every `*_k` modify op must cost exactly what the
@@ -380,8 +257,7 @@ fn varlen_failed_conditionals_do_not_touch_the_slot_line() {
 }
 
 /// Mixed-class batch runs (`write_batch`) keep the coalesced contract in
-/// every leaf encoding (sorted, hash, variable-length) and both slot
-/// variants:
+/// both leaf encodings (u64, variable-length) and both slot variants:
 ///
 /// * a **pure-remove run** edits only the slot image — no log entries, no
 ///   dirty KV lines — so it costs exactly **1 persist per touched leaf**;
@@ -393,19 +269,17 @@ fn varlen_failed_conditionals_do_not_touch_the_slot_line() {
 #[test]
 fn write_batch_remove_runs_cost_one_persist_per_leaf() {
     use index_common::WriteOp;
-    let encodings = [(LeafPolicy::Sorted, false), (LeafPolicy::Hash, false), (LeafPolicy::Sorted, true)];
-    for (policy, varlen_leaves) in encodings {
+    for varlen_leaves in [false, true] {
         for dual in [true, false] {
             let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 22)));
             let cfg = RnConfig {
-                leaf_policy: policy,
                 varlen_leaves,
                 dual_slot: dual,
                 journal_slots: 2,
                 ..RnConfig::default()
             };
             let tree = RnTree::create(Arc::clone(&pool), cfg);
-            let tag = format!("policy={policy:?} varlen={varlen_leaves} dual={dual}");
+            let tag = format!("varlen={varlen_leaves} dual={dual}");
             // Seed one leaf well below capacity so no split can fire.
             for k in 1..=30u64 {
                 tree.insert(k, k * 2).unwrap();

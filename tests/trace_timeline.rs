@@ -114,7 +114,6 @@ fn obs_sections_export_heat_and_event_overflow() {
     for want in [
         "heat.leaf_conflicts",
         "heat.leaf_splits",
-        "heat.leaf_morphs",
         "heat_meta",
         "events_meta",
     ] {
