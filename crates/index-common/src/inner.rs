@@ -210,8 +210,8 @@ pub struct InnerIndex {
     registry: Mutex<Vec<*mut Inner>>,
     /// Optional DRAM page cache over the inner nodes; when attached,
     /// [`InnerIndex::traverse_cached`] serves descents from cached frames
-    /// with optimistic version validation instead of running the whole
-    /// walk inside the software TM.
+    /// (or gate-validated direct reads of nodes the cache did not admit)
+    /// instead of running the whole walk inside the software TM.
     cache: OnceLock<Arc<PageCache>>,
     /// Writer-presence seqlock bracketing every structure modification, so
     /// cache fills and direct reads can validate that their
@@ -441,8 +441,10 @@ impl InnerIndex {
     }
 
     /// Optimistic descent over the DRAM page cache: each inner level is
-    /// resolved from a version-validated cached frame (or a gate-validated
-    /// direct read on a miss), and the software TM is entered only by the
+    /// resolved from a version-validated cached frame, or on a miss from a
+    /// gate-validated snapshot of the node itself — copied into a free
+    /// frame when its set has one, read in place when it does not (the
+    /// cache admits, never evicts). The software TM is entered only by the
     /// caller at the leaf. Falls back to [`InnerIndex::traverse_tm`] when
     /// no cache is attached or the restart budget is exhausted.
     ///
@@ -501,10 +503,12 @@ impl InnerIndex {
     }
 
     /// Resolves one descent step through the cache: hit → route from the
-    /// validated frame; miss → fill a frame from a gate-validated node
-    /// snapshot (serving the step from the same snapshot); no frame
-    /// available → gate-validated direct read. `None` means validation
-    /// failed somewhere and the descent must restart from the root.
+    /// validated frame; miss with a free frame in the node's set → fill it
+    /// from a gate-validated node snapshot (serving the step from the same
+    /// snapshot); miss with the set full, or the node being filled by
+    /// another thread → gate-validated direct read, with no frame written.
+    /// `None` means validation failed somewhere and the descent must
+    /// restart from the root.
     fn cached_child(&self, cache: &PageCache, node_ref: u64, c: Cmp<'_>) -> Option<u64> {
         if let Some(child) =
             cache.optimistic_read(node_ref, |v: &FrameView<'_>| route_words(|i| v.word(i), |w| self.cmp_le(c, w)))
@@ -531,9 +535,9 @@ impl InnerIndex {
             guard.abandon();
             return None;
         }
-        // Cache full of busy frames: read the authoritative node directly
-        // under the gate. Cheaper than a TM descent and keeps the miss
-        // path non-blocking.
+        // Not admitted (set full, or another thread is filling this node):
+        // read the authoritative node directly under the gate. Cheaper
+        // than a TM descent, about as cheap as a hit, and never blocks.
         let token = self.gate.begin_read()?;
         let cnt = (inner.count.load_direct() as usize).min(MAX_KEYS);
         let (mut lo, mut hi) = (0usize, cnt);
@@ -1155,7 +1159,7 @@ mod tests {
     fn concurrent_cached_traversals_during_updates_route_validly() {
         use std::sync::atomic::{AtomicBool, Ordering};
         let idx = Arc::new(InnerIndex::new(leaf_ref(1000)));
-        // Tiny cache: eviction, refill and invalidation all race the
+        // Tiny cache: admission, refill and invalidation all race the
         // readers below.
         idx.attach_cache(Arc::new(PageCache::new(8, None)));
         let stop = Arc::new(AtomicBool::new(false));

@@ -46,9 +46,6 @@ pub enum EventKind {
     /// Recovery: allocator free-list rebuilt: `a` = blocks in use,
     /// `b` = 0.
     RecoveryAlloc = 9,
-    /// DRAM page cache evicted a frame: `a` = evicted node tag,
-    /// `b` = frame version at eviction.
-    CacheEvict = 11,
     /// DRAM page cache invalidated cached copies after a structure
     /// modification: `a` = node tag (0 for a full flush), `b` = frames
     /// dropped.
@@ -72,7 +69,6 @@ impl EventKind {
             EventKind::RecoveryLeafChain => "recovery_leaf_chain",
             EventKind::RecoveryAlloc => "recovery_alloc",
             EventKind::RecoveryIndex => "recovery_index",
-            EventKind::CacheEvict => "cache_evict",
             EventKind::CacheInvalidate => "cache_invalidate",
         }
     }
@@ -89,7 +85,6 @@ impl EventKind {
             8 => EventKind::RecoveryLeafChain,
             9 => EventKind::RecoveryAlloc,
             10 => EventKind::RecoveryIndex,
-            11 => EventKind::CacheEvict,
             12 => EventKind::CacheInvalidate,
             _ => None?,
         })

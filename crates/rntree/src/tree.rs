@@ -95,10 +95,14 @@ pub struct RnConfig {
     /// Frame budget of the DRAM page cache over the inner index (each
     /// frame caches one inner node, 512 B of payload). With a cache
     /// attached, the concurrent descent walks version-validated cached
-    /// frames and enters the HTM machinery only at the leaf; `0` disables
-    /// the cache and restores the all-transactional descent (the before
-    /// side of `repro cache-scale`). The cache is transient DRAM: crashes
-    /// ignore it and recovery starts cold.
+    /// frames and enters the HTM machinery only at the leaf. The cache
+    /// admits nodes into free frames and never evicts: once a frame set
+    /// is full, its other nodes are read in place under the index's
+    /// optimistic gate, so an index larger than the budget costs no
+    /// frame churn. `0` disables the cache and restores the
+    /// all-transactional descent (the before side of `repro
+    /// cache-scale`). The cache is transient DRAM: crashes ignore it and
+    /// recovery starts cold.
     pub cache_frames: usize,
     /// Store variable-length byte-comparable keys natively: leaves become
     /// 4096-byte heap-slotted nodes (slot entries carry a 4-byte key head
@@ -1426,7 +1430,7 @@ impl ObsSource for RnTree {
     /// fallback count), `htm_retries` (the retries-to-commit distribution plus
     /// the adaptive policy's effective-retry-budget distribution),
     /// `phases` (the modify-path breakdown, present only while the timers
-    /// are enabled), `cache` (page-cache hit/miss/eviction counters plus
+    /// are enabled), `cache` (page-cache hit/miss/fill/invalidation counters plus
     /// the optimistic-descent restart taxonomy, present only with a cache
     /// attached), `keys` (head-tie fallback counters, present only in
     /// byte-keyed mode), and `events` (the pool's crash-forensics ring)
@@ -1435,7 +1439,7 @@ impl ObsSource for RnTree {
     ///
     /// Heat attribution adds `heat.leaf_conflicts` (HTM aborts +
     /// fallbacks per leaf), `heat.leaf_splits`, `heat.cache_sets`
-    /// (evictions + failed validations per cache set, with a cache
+    /// (failed frame validations per cache set, with a cache
     /// attached), and `heat_meta` (each sketch's decayed error budget —
     /// how much count mass fell off the top-K tables).
     fn obs_sections(&self) -> Vec<(String, Section)> {
@@ -1479,7 +1483,6 @@ impl ObsSource for RnTree {
                     ("hits".into(), cs.hits),
                     ("misses".into(), cs.misses),
                     ("fills".into(), cs.fills),
-                    ("evictions".into(), cs.evictions),
                     ("invalidations".into(), cs.invalidations),
                     ("read_restarts".into(), cs.read_restarts),
                     ("descent_restarts".into(), ds.restarts),

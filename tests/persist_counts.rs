@@ -64,8 +64,8 @@ fn modify_persist_counts_are_exact_in_every_variant() {
 }
 
 /// Whole-stream version of the cache dimension above: a split-heavy
-/// insert stream (plenty of fills, evictions, and invalidations on the
-/// cached side) must cost exactly the same persists with and without
+/// insert stream (plenty of fills, refused admissions, and invalidations
+/// on the cached side) must cost exactly the same persists with and without
 /// the DRAM page cache, including the finds that fault it in.
 #[test]
 fn cache_churn_adds_zero_persists_across_a_split_heavy_stream() {
@@ -81,7 +81,8 @@ fn cache_churn_adds_zero_persists_across_a_split_heavy_stream() {
             let tree = RnTree::create(Arc::clone(&pool), cfg);
             let base = persists(&pool);
             // 30 k ascending keys build ~1 k leaves and a two-level inner
-            // index of well over 8 nodes, so the 8-frame cache must evict.
+            // index of well over 8 nodes, so the 8-frame cache fills up
+            // and serves the rest of its misses without a fill.
             for k in 1..=30_000u64 {
                 tree.insert(k, k).unwrap();
                 if k % 5 == 0 {
@@ -91,7 +92,7 @@ fn cache_churn_adds_zero_persists_across_a_split_heavy_stream() {
             if cache_frames > 0 {
                 let s = tree.cache_stats().unwrap();
                 assert!(
-                    s.fills > 0 && s.evictions > 0 && s.invalidations > 0,
+                    s.fills > 0 && s.invalidations > 0 && s.misses > s.fills,
                     "stream did not churn the cache: {s:?}"
                 );
             }
