@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the software-HTM substrate: transaction
-//! begin/commit costs at various footprints, read-only vs writing, plus
-//! the non-transactional conflict-visible store. These quantify the
-//! emulation overhead that EXPERIMENTS.md discusses when comparing
-//! absolute numbers against the paper's real-RTM testbed.
+//! begin/commit costs at various footprints, read-only vs writing, the
+//! double-collect snapshot, plus the non-transactional conflict-visible
+//! store. These quantify the emulation overhead that EXPERIMENTS.md
+//! discusses when comparing absolute numbers against the paper's
+//! real-RTM testbed.
 
 use bench::microbench::{bench, group};
 use htm::{HtmDomain, TmWord};
@@ -23,6 +24,13 @@ fn main() {
             });
         });
     }
+
+    // The leaf-snapshot shape: one slot line read by a double collect of
+    // its version locks, beside the 8-read section it replaces.
+    group("snapshot");
+    bench("snapshot/8_words", || {
+        std::hint::black_box(domain.snapshot(std::array::from_fn::<_, 8, _>(|i| &words[i])));
+    });
 
     group("txn_read_write");
     for n in [1usize, 8, 16] {

@@ -45,8 +45,10 @@
 use std::cell::{Cell, RefCell};
 
 use crate::fallback;
+use crate::global;
 use crate::stats::HtmStats;
 use crate::txn::{AbortCode, Txn};
+use crate::word::TmWord;
 use crate::TxResult;
 
 /// Base optimistic retries of conflict aborts before falling back; a
@@ -316,6 +318,91 @@ impl HtmDomain {
             backoff(retries as u32, 0);
         }
     }
+
+    /// Reads `words` as one atomic snapshot: a read-only section over a
+    /// fixed handful of words, the emulation of RNTree's
+    /// `htmLeafSnapshot` (a reader copying one slot line inside a tiny
+    /// hardware transaction). It costs a double collect of the words'
+    /// version-lock entries instead of an [`HtmDomain::atomic`] section:
+    /// no [`Txn`], read set, ticket or begin-time subscription.
+    ///
+    /// One try loads every word's entry (it must be unlocked), then every
+    /// value, then every entry again (it must be unchanged) — the
+    /// sandwich of [`Txn::read`], applied to all N words at once. A try
+    /// counts one attempt and ends in one commit or one conflict abort
+    /// (also reported to [`obs::section_mark`]). After a failed try the
+    /// snapshot waits, with backoff that yields after a few spins, until
+    /// the entry that failed is unlocked, so a writer is met once per
+    /// encounter and a long fallback holder is waited out. Snapshots add
+    /// nothing to the retries-to-commit histogram.
+    ///
+    /// **Why a successful try is atomic.** Every writer of a [`TmWord`]
+    /// holds the word's entry locked while it stores, and releases it at
+    /// a fresh clock value, greater than any version the entry held
+    /// before: optimistic commit phase 3, a fallback body (its entries
+    /// stay held until the body ends) and `store_nontx`/`cas_nontx`. Only
+    /// a writer that stored nothing restores the old version. So if word
+    /// i's entry read the same unlocked version v before and after its
+    /// value load, no store to word i happened between the two entry
+    /// loads, and the value loaded is the word's value throughout that
+    /// interval (the Acquire entry load that saw v synchronizes-with the
+    /// release that published it). Every first load precedes every
+    /// second load, so all N intervals contain the instant between the
+    /// two collects, and the N values coexisted at that instant. A
+    /// fallback that has stored into any of the words holds that entry
+    /// until its body ends, so the collect fails rather than seeing part
+    /// of the fallback's writes; no begin-time subscription is needed.
+    ///
+    /// # Panics
+    /// Panics inside an [`HtmDomain::atomic`] section on the same thread:
+    /// the values would sit outside the section's read set, and a
+    /// fallback body would wait forever on the entries it holds itself.
+    pub fn snapshot<const N: usize>(&self, words: [&TmWord; N]) -> [u64; N] {
+        IN_ATOMIC.with(|f| assert!(!f.get(), "nested HtmDomain::snapshot inside HtmDomain::atomic"));
+        let idx = words.map(TmWord::lock_idx);
+        loop {
+            self.stats.attempts.add(1);
+            let failed = match double_collect(words, &idx) {
+                Ok(vals) => {
+                    self.stats.commits.add(1);
+                    return vals;
+                }
+                Err(failed) => failed,
+            };
+            self.stats.aborts_conflict.add(1);
+            obs::bump_section_aborts();
+            // Wait out the writer before the next try: retrying while it
+            // still holds the entry would only fail again.
+            let mut waits = 0u32;
+            while global::is_locked(global::lock_load(failed)) {
+                waits += 1;
+                backoff(waits, 0);
+            }
+        }
+    }
+}
+
+/// One try of [`HtmDomain::snapshot`]: the values of `words` if every
+/// entry `idx` read unlocked and unchanged around the value loads, else
+/// the entry that failed.
+#[inline]
+fn double_collect<const N: usize>(words: [&TmWord; N], idx: &[usize; N]) -> Result<[u64; N], usize> {
+    let mut before = [0u64; N];
+    for (b, &i) in before.iter_mut().zip(idx) {
+        *b = global::lock_load(i);
+        if global::is_locked(*b) {
+            return Err(i);
+        }
+    }
+    let vals = words.map(TmWord::load_direct);
+    // Ordering: the value loads are Acquire, so the second collect cannot
+    // be satisfied before them (the same argument as `Txn::read`).
+    for (&b, &i) in before.iter().zip(idx) {
+        if global::lock_load(i) != b {
+            return Err(i);
+        }
+    }
+    Ok(vals)
 }
 
 struct ResetOnDrop;
@@ -351,7 +438,6 @@ mod tests {
     use super::*;
     use crate::txn::tests::over_capacity;
     use crate::txn::Abort;
-    use crate::word::TmWord;
     use std::sync::Arc;
 
     #[test]
@@ -523,6 +609,78 @@ mod tests {
             d.atomic(|t| t.read(&w));
             Ok(())
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "nested HtmDomain::snapshot")]
+    fn snapshot_inside_atomic_panics() {
+        let d = HtmDomain::new();
+        let w = TmWord::new(0);
+        d.atomic(|_| {
+            d.snapshot([&w]);
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn clean_snapshot_counts_one_attempt_and_one_commit() {
+        let d = HtmDomain::new();
+        let words: Vec<TmWord> = (0..8).map(|i| TmWord::new(10 + i)).collect();
+        let vals = d.snapshot(std::array::from_fn::<_, 8, _>(|i| &words[i]));
+        assert_eq!(vals, std::array::from_fn(|i| 10 + i as u64));
+        let s = d.stats().snapshot();
+        // Another test's commit can hold an entry these words share;
+        // each such collect is one more attempt and one conflict abort.
+        assert_eq!(s.commits, 1);
+        assert_eq!(s.attempts, 1 + s.aborts_conflict);
+        assert_eq!((s.aborts_capacity, s.aborts_explicit, s.aborts_flush, s.fallbacks), (0, 0, 0, 0));
+        assert_eq!(d.stats().retries_to_commit().count(), 0, "snapshots record no retries");
+    }
+
+    #[test]
+    fn snapshot_meeting_a_held_entry_counts_conflict_aborts() {
+        // The test holds the word's entry as a committing writer would,
+        // stores a new value under it and releases it once the reader
+        // has failed a collect: the reader must wait the holder out
+        // without retrying, see the new value, and its section mark must
+        // see every failed collect.
+        let w = TmWord::new(1);
+        let idx = w.lock_idx();
+        let owner = global::next_ticket();
+        loop {
+            let cur = global::lock_load(idx);
+            if !global::is_locked(cur) && global::lock_try_acquire(idx, cur, owner) {
+                break;
+            }
+            std::hint::spin_loop();
+        }
+        let d = HtmDomain::new();
+        let (val, delta) = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mark = obs::section_mark();
+                let [v] = d.snapshot([&w]);
+                (v, mark.since())
+            });
+            while d.stats().snapshot().aborts_conflict == 0 {
+                std::thread::yield_now();
+            }
+            for _ in 0..100 {
+                std::thread::yield_now();
+            }
+            let while_held = d.stats().snapshot().aborts_conflict;
+            w.0.store(2, std::sync::atomic::Ordering::Release);
+            global::lock_release(idx, global::clock_bump());
+            let (val, delta) = reader.join().unwrap();
+            assert_eq!(while_held, 1, "a held entry costs one abort, not one per retry");
+            (val, delta)
+        });
+        assert_eq!(val, 2, "the snapshot must see the store made under the entry");
+        let s = d.stats().snapshot();
+        assert!(s.aborts_conflict >= 1);
+        assert_eq!(s.commits, 1);
+        assert_eq!(s.attempts, s.commits + s.aborts_conflict);
+        assert_eq!(delta.aborts, s.aborts_conflict, "section marks see every failed collect");
+        assert_eq!(delta.fallbacks, 0);
     }
 
     #[test]

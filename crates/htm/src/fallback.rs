@@ -79,6 +79,17 @@
 //! therefore skips the commit-time check entirely; with `rv` sampled
 //! mid-window it could commit a torn slice of an atomic fallback section.
 //!
+//! **Snapshot vs G.** [`crate::HtmDomain::snapshot`] reads a few words
+//! by a double collect of their entries and never looks at the global
+//! word. It needs no subscription: every word *G* has written keeps its
+//! entry held until the body ends and then releases at a fresh version,
+//! so a collect that overlaps *G*'s write to any of its words sees the
+//! entry held or changed and retries. A collect that succeeds saw, for
+//! each word, either the value from before *G* wrote it or the value
+//! after *G* ended — never a word *G* wrote while *G* still ran, so
+//! never a torn slice of *G*'s writes. A snapshot writes nothing, so it
+//! cannot disturb *G*'s reads either.
+//!
 //! **G vs G.** The global lock excludes them, in every domain of the
 //! process.
 //!

@@ -9,7 +9,11 @@
 //!    persistent-instruction count of a sorted-leaf modify from 4 (wB+Tree)
 //!    to 2.
 //! 2. **Cheap short critical sections** for internal-node traversal and
-//!    slot-array snapshots.
+//!    slot-array snapshots. The snapshot, a read-only section over one
+//!    64-byte line, is [`HtmDomain::snapshot`]: a double collect of the
+//!    words' version locks, which keeps it cheap here too, where a full
+//!    [`HtmDomain::atomic`] section would pay for a read set and a
+//!    begin-time subscription that eight reads do not need.
 //!
 //! TSX is not available here (and is fused off on current CPUs), so this
 //! crate provides a faithful software emulation: a TL2-style word-based

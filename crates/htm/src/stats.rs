@@ -15,9 +15,10 @@ use obs::{AtomicHistogram, Counter, Histogram, Json, ToJson};
 /// Live counters attached to an [`crate::HtmDomain`].
 #[derive(Debug, Default)]
 pub struct HtmStats {
-    /// Optimistic transaction attempts started.
+    /// Optimistic transaction attempts started (a
+    /// [`crate::HtmDomain::snapshot`] try counts as one).
     pub attempts: Counter,
-    /// Optimistic commits.
+    /// Optimistic commits (a successful snapshot counts as one).
     pub commits: Counter,
     /// Aborts due to data conflicts.
     pub aborts_conflict: Counter,
@@ -29,8 +30,9 @@ pub struct HtmStats {
     pub aborts_flush: Counter,
     /// Times the fallback lock was taken.
     pub fallbacks: Counter,
-    /// Aborts suffered before each successful section (0 = clean first
-    /// try; fallback completions count the aborts that drove them there).
+    /// Aborts suffered before each successful `atomic` section (0 =
+    /// clean first try; fallback completions count the aborts that drove
+    /// them there). Snapshots record nothing here.
     /// Kept out of [`HtmStatsSnapshot`] so that stays `Copy`; read it via
     /// [`HtmStats::retries_to_commit`].
     pub retries: AtomicHistogram,

@@ -256,7 +256,13 @@ impl<'p> Leaf<'p> {
         TmWord::from_atomic(self.pool.atomic_u64(self.off + which.base() + (i as u64) * 8))
     }
 
-    /// Transactional slot-array read (`htmLeafSnapshot` body).
+    /// The eight words of one slot line, for `HtmDomain::snapshot`
+    /// (`htmLeafSnapshot`).
+    pub(crate) fn slot_words(&self, which: WhichSlot) -> [&'p TmWord; 8] {
+        std::array::from_fn(|i| self.slot_word(which, i))
+    }
+
+    /// Transactional slot-array read, inside a write section.
     pub(crate) fn read_slot_in<'t>(&self, txn: &mut Txn<'t>, which: WhichSlot) -> TxResult<SlotBuf>
     where
         'p: 't,

@@ -753,8 +753,9 @@ impl RnTree {
 
     // ---------------------------------------------------------------- read
 
-    /// `htmLeafSnapshot`, with the sequential-mode fast path (see
-    /// `update_pslot` for the rationale).
+    /// `htmLeafSnapshot`: one `HtmDomain::snapshot` of the slot line,
+    /// with the sequential-mode fast path (see `update_pslot` for the
+    /// rationale).
     fn snapshot_slot(&self, leaf: Leaf<'_>, kind: WhichSlot) -> SlotBuf {
         if self.cfg.seq_traversal {
             leaf.read_slot_seq(kind)
@@ -762,7 +763,7 @@ impl RnTree {
             // Reads aborting against a locked/contended leaf are the
             // paper's headline pathology: attribute them like writes.
             let sm = obs::section_mark();
-            let slot = self.index.domain().atomic(|txn| leaf.read_slot_in(txn, kind));
+            let slot = SlotBuf::from_words(self.index.domain().snapshot(leaf.slot_words(kind)));
             let d = sm.since();
             if d.aborts + d.fallbacks > 0 {
                 self.heat.conflicts.record(leaf.off(), d.aborts + d.fallbacks);

@@ -467,3 +467,100 @@ fn spilled_transactions_recycle_scratch_buffers() {
         assert_eq!(w.load_direct(), i as u64 + 204);
     }
 }
+
+/// `HtmDomain::snapshot` (the double collect behind RNTree's leaf
+/// snapshot) never returns a torn view. Eight words are kept equal by
+/// three kinds of writer: optimistic commits, fallback bodies (a flush
+/// aborts the optimistic attempt, so the body runs in place), and
+/// word-by-word non-transactional increments under a lock word that the
+/// transactional writers read and the readers snapshot with the eight. A
+/// reader that sees the lock word free must see all eight words equal.
+#[test]
+fn snapshots_never_tear_across_every_kind_of_writer() {
+    const ITERS: u64 = 20_000;
+    let writers_domain = HtmDomain::new();
+    let readers_domain = HtmDomain::new();
+    let lock = TmWord::new(0);
+    let words: Vec<TmWord> = (0..8).map(|_| TmWord::new(0)).collect();
+    let stop = AtomicBool::new(false);
+
+    // The transactional writers' body: wait out the lock word, then
+    // increment all eight words. Explicit aborts retry (under the
+    // fallback too), so a held lock word is waited out on either path.
+    let increment_all = |forced_fallback: bool| {
+        writers_domain.atomic(|txn| {
+            if forced_fallback {
+                txn.flush_attempt()?;
+            }
+            if txn.read(&lock)? % 2 == 1 {
+                return Err(txn.abort(1));
+            }
+            for w in &words {
+                let v = txn.read(w)?;
+                txn.write(w, v + 1)?;
+            }
+            Ok(())
+        })
+    };
+
+    let (snapshots, free_snapshots) = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let view: [&TmWord; 9] =
+                        std::array::from_fn(|i| if i == 0 { &lock } else { &words[i - 1] });
+                    let (mut last, mut snapshots, mut free) = (0u64, 0u64, 0u64);
+                    while !stop.load(Ordering::Relaxed) || snapshots < 2_000 {
+                        let vals = readers_domain.snapshot(view);
+                        snapshots += 1;
+                        if vals[0] % 2 == 1 {
+                            continue; // a word-by-word update is in flight
+                        }
+                        free += 1;
+                        assert!(vals[1..].iter().all(|&v| v == vals[1]), "torn snapshot: {vals:?}");
+                        assert!(vals[1] >= last, "snapshot went backwards");
+                        last = vals[1];
+                    }
+                    (snapshots, free)
+                })
+            })
+            .collect();
+        let writers = [
+            s.spawn(|| (0..ITERS).for_each(|_| increment_all(false))),
+            s.spawn(|| (0..ITERS).for_each(|_| increment_all(true))),
+            s.spawn(|| {
+                for _ in 0..ITERS {
+                    let l = loop {
+                        let l = lock.load_direct();
+                        if l.is_multiple_of(2) && lock.cas_nontx(l, l + 1).is_ok() {
+                            break l;
+                        }
+                        std::thread::yield_now();
+                    };
+                    // An atomic increment per word: a transactional
+                    // commit validated before the lock word moved may
+                    // still be storing, and a plain load-then-store
+                    // would lose its increment.
+                    for w in &words {
+                        w.fetch_add_nontx(1);
+                    }
+                    lock.store_nontx(l + 2);
+                }
+            }),
+        ];
+        for w in writers {
+            w.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        readers.into_iter().map(|r| r.join().unwrap()).fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    });
+    for w in &words {
+        assert_eq!(w.load_direct(), 3 * ITERS, "lost increment");
+    }
+    assert!(free_snapshots > 0, "no snapshot saw the lock word free ({snapshots} taken)");
+    let s = writers_domain.stats().snapshot();
+    assert!(s.fallbacks >= ITERS && s.commits > 0, "both transactional paths must have run: {s:?}");
+    let r = readers_domain.stats().snapshot();
+    assert_eq!(r.commits, snapshots, "one commit per snapshot");
+    assert_eq!(r.attempts, r.commits + r.aborts_conflict, "every failed collect is a conflict abort");
+}
