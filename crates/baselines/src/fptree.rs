@@ -190,7 +190,7 @@ impl FpTree {
         if self.s.seq {
             return self.s.traverse(key);
         }
-        self.s.index.domain().atomic(|txn| {
+        htm::atomic(self.s.index.htm(), |txn| {
             let off = self.s.index.traverse_in(txn, key)?;
             let lw = FpLeaf::at(&self.s.pool, off).word(F_LOCK);
             let lv = txn.read(lw)?;
@@ -315,7 +315,7 @@ impl FpTree {
 
     /// HTM counters (explicit aborts ≈ finds knocked down by leaf locks).
     pub fn htm_stats(&self) -> htm::HtmStatsSnapshot {
-        self.s.index.domain().stats().snapshot()
+        self.s.index.htm().snapshot()
     }
 }
 
@@ -359,7 +359,7 @@ impl PersistentIndex for FpTree {
             return leaf.locate(key).map(|i| leaf.read_value(i));
         }
         let fp = fingerprint(key);
-        self.s.index.domain().atomic(|txn| {
+        htm::atomic(self.s.index.htm(), |txn| {
             let off = self.s.index.traverse_in(txn, key)?;
             let leaf = FpLeaf::at(&self.s.pool, off);
             let lw = leaf.word(F_LOCK);
@@ -400,7 +400,7 @@ impl PersistentIndex for FpTree {
             let (pairs, next) = if self.s.seq {
                 (leaf.live_pairs_sorted(), leaf.next())
             } else {
-                self.s.index.domain().atomic(|txn| {
+                htm::atomic(self.s.index.htm(), |txn| {
                     let lw = leaf.word(F_LOCK);
                     if txn.read(lw)? & 1 == 1 {
                         return Err(txn.abort(ABORT_LOCKED));
@@ -464,7 +464,7 @@ impl PersistentIndex for FpTree {
 impl obs::ObsSource for FpTree {
     /// The shared baseline sections plus FPTree's HTM abort taxonomy
     /// and retries-to-commit distribution (it is the only baseline with
-    /// an HTM domain of its own).
+    /// HTM counters of its own).
     fn obs_sections(&self) -> Vec<(String, obs::Section)> {
         let mut out = crate::common::substrate_sections(self, &self.s);
         out.push(("htm".to_string(), obs::Section::Counters(self.htm_stats().counters())));
@@ -472,7 +472,7 @@ impl obs::ObsSource for FpTree {
             "htm_retries".to_string(),
             obs::Section::Latencies(vec![(
                 "retries_to_commit".to_string(),
-                self.s.index.domain().stats().retries_to_commit(),
+                self.s.index.htm().retries_to_commit(),
             )]),
         ));
         out

@@ -6,16 +6,16 @@
 //! real-RTM testbed.
 
 use bench::microbench::{bench, group};
-use htm::{HtmDomain, TmWord};
+use htm::{HtmStats, TmWord};
 
 fn main() {
-    let domain = HtmDomain::new();
+    let stats = HtmStats::default();
     let words: Vec<TmWord> = (0..64).map(TmWord::new).collect();
 
     group("txn_read_only");
     for n in [1usize, 8, 32] {
         bench(&format!("txn_read_only/{n}_reads"), || {
-            domain.atomic(|t| {
+            htm::atomic(&stats, |t| {
                 let mut acc = 0;
                 for w in &words[..n] {
                     acc += t.read(w)?;
@@ -29,13 +29,13 @@ fn main() {
     // its version locks, beside the 8-read section it replaces.
     group("snapshot");
     bench("snapshot/8_words", || {
-        std::hint::black_box(domain.snapshot(std::array::from_fn::<_, 8, _>(|i| &words[i])));
+        std::hint::black_box(htm::snapshot(&stats, std::array::from_fn::<_, 8, _>(|i| &words[i])));
     });
 
     group("txn_read_write");
     for n in [1usize, 8, 16] {
         bench(&format!("txn_read_write/{n}_rw"), || {
-            domain.atomic(|t| {
+            htm::atomic(&stats, |t| {
                 for w in &words[..n] {
                     let v = t.read(w)?;
                     t.write(w, v + 1)?;
@@ -59,7 +59,7 @@ fn main() {
     // exact footprint of htmLeafUpdate.
     group("slot_array_txn_shape");
     bench("slot_array_txn_shape/8r8w", || {
-        domain.atomic(|t| {
+        htm::atomic(&stats, |t| {
             for w in &words[..8] {
                 let v = t.read(w)?;
                 t.write(w, v)?;

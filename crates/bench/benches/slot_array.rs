@@ -4,7 +4,7 @@
 //! but unsorted finds). Also benches the pure SlotBuf editing operations.
 
 use bench::microbench::{bench, group};
-use htm::HtmDomain;
+use htm::HtmStats;
 use nvm::{PmemConfig, PmemPool};
 use rntree::SlotBuf;
 
@@ -27,7 +27,7 @@ fn main() {
         write_latency_ns: 140,
         shadow: false,
     });
-    let domain = HtmDomain::new();
+    let stats = HtmStats::default();
     let kv_off = 8192u64;
     let slot_off = 4096u64;
     let valid_off = 2048u64;
@@ -39,7 +39,7 @@ fn main() {
         pool.store_u64(kv_off, 1);
         pool.store_u64(kv_off + 8, 2);
         pool.persist(kv_off, 16);
-        domain.atomic(|t| {
+        htm::atomic(&stats, |t| {
             for i in 0..8u64 {
                 let w = htm::TmWord::from_atomic(pool.atomic_u64(slot_off + i * 8));
                 let v = t.read(w)?;

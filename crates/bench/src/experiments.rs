@@ -507,7 +507,7 @@ pub fn fig10(scale: &Scale) {
 pub fn breakdown(scale: &Scale) {
     println!("\n## §4.2 — where a modify operation's time goes (measured)\n");
     let pool = pool_for(TreeKind::RnTreeDs, 1_000, 0, scale.bench_pool_cfg());
-    let domain = htm::HtmDomain::new();
+    let stats = htm::HtmStats::default();
     let counter = pool.atomic_u64(4096);
     let kv = 8192u64;
     let slot_base = 12_288u64;
@@ -539,7 +539,7 @@ pub fn breakdown(scale: &Scale) {
         .map(|i| htm::TmWord::from_atomic(pool.atomic_u64(slot_base + i * 8)))
         .collect();
     let meta_txn = time(&mut || {
-        domain.atomic(|txn| {
+        htm::atomic(&stats, |txn| {
             for w in &words {
                 let x = txn.read(w)?;
                 txn.write(w, x.wrapping_add(1))?;

@@ -16,13 +16,13 @@
 //! The entries a fallback holds live in the process-wide lock table, and
 //! a fallback waits for each entry without a bound (it cannot abort). So
 //! fallbacks must exclude each other wherever their entries can meet,
-//! which is everywhere: with one lock per [`crate::HtmDomain`], two
-//! domains' fallbacks that take two entries in opposite orders wait for
-//! each other forever. One lock also matches the hardware path the paper
-//! describes, a single global fallback lock. The cost is that a fallback
-//! in one domain pauses optimistic begins and aborts writing commits in
-//! every domain; the trees reach the fallback only on capacity, flush and
-//! exhausted-retry aborts, which is rare.
+//! which is everywhere: with one lock per tree, two trees' fallbacks
+//! that take two entries in opposite orders would wait for each other
+//! forever. One lock also matches the hardware path the paper describes,
+//! a single global fallback lock. The cost is that a fallback in one tree
+//! pauses optimistic begins and aborts writing commits in every tree; the
+//! trees reach the fallback only on capacity, flush and exhausted-retry
+//! aborts, which is rare.
 //!
 //! # Subscription safety argument
 //!
@@ -79,7 +79,7 @@
 //! therefore skips the commit-time check entirely; with `rv` sampled
 //! mid-window it could commit a torn slice of an atomic fallback section.
 //!
-//! **Snapshot vs G.** [`crate::HtmDomain::snapshot`] reads a few words
+//! **Snapshot vs G.** [`crate::snapshot`] reads a few words
 //! by a double collect of their entries and never looks at the global
 //! word. It needs no subscription: every word *G* has written keeps its
 //! entry held until the body ends and then releases at a fresh version,
@@ -90,8 +90,8 @@
 //! never a torn slice of *G*'s writes. A snapshot writes nothing, so it
 //! cannot disturb *G*'s reads either.
 //!
-//! **G vs G.** The global lock excludes them, in every domain of the
-//! process.
+//! **G vs G.** The global lock excludes them, whichever caller runs
+//! them.
 //!
 //! **G vs non-transactional stores.** `TmWord::store_nontx` and
 //! `cas_nontx` take only the word's version-lock entry, never the global

@@ -115,8 +115,9 @@ impl OptimisticGate {
         self.gen.load(Ordering::SeqCst) == token
     }
 
-    /// Number of completed writer sections (for stats/tests).
-    pub fn generation(&self) -> u64 {
+    /// Number of completed writer sections.
+    #[cfg(test)]
+    pub(crate) fn generation(&self) -> u64 {
         self.gen.load(Ordering::SeqCst)
     }
 }

@@ -2,8 +2,8 @@
 //! table and the fallback lock word.
 //!
 //! Like the hardware it emulates, the STM is a process-global facility: any
-//! [`crate::TmWord`] anywhere in memory is covered, whichever
-//! [`crate::HtmDomain`] runs the section. The fallback lock is process-wide
+//! [`crate::TmWord`] anywhere in memory is covered, whichever caller's
+//! [`crate::HtmStats`] count the section. The fallback lock is process-wide
 //! for the same reason: a fallback holds lock-table entries until its body
 //! ends, so two fallbacks running at once could each wait on an entry the
 //! other holds (see [`crate::fallback`]). Each word hashes to one

@@ -10,10 +10,10 @@
 //!    to 2.
 //! 2. **Cheap short critical sections** for internal-node traversal and
 //!    slot-array snapshots. The snapshot, a read-only section over one
-//!    64-byte line, is [`HtmDomain::snapshot`]: a double collect of the
-//!    words' version locks, which keeps it cheap here too, where a full
-//!    [`HtmDomain::atomic`] section would pay for a read set and a
-//!    begin-time subscription that eight reads do not need.
+//!    64-byte line, is [`snapshot`]: a double collect of the words'
+//!    version locks, which keeps it cheap here too, where a full
+//!    [`atomic`] section would pay for a read set and a begin-time
+//!    subscription that eight reads do not need.
 //!
 //! TSX is not available here (and is fused off on current CPUs), so this
 //! crate provides a faithful software emulation: a TL2-style word-based
@@ -35,14 +35,18 @@
 //!   sees a locked leaf.
 //! * **The fallback lock.** Real RTM code retries a few times and then takes
 //!   a fallback mutex whose acquisition aborts the transactions it races.
-//!   [`HtmDomain::atomic`] implements that loop with one fallback lock for
-//!   the whole process, as the paper's hardware path has one global lock:
-//!   a fallback run holds it, runs the body irrevocably and holds every
+//!   [`atomic`] implements that loop with one fallback lock for the whole
+//!   process, as the paper's hardware path has one global lock: a
+//!   fallback run holds it, runs the body irrevocably and holds every
 //!   touched word's version lock until the body ends. The version-lock
 //!   table is process-wide, so the lock must be too: two fallbacks running
 //!   at once could each wait forever for an entry the other holds. The
-//!   retry policy is adaptive, fed by the abort taxonomy. An
-//!   [`HtmDomain`] only scopes the [`HtmStats`] counters.
+//!   retry policy is fixed: a bounded number of conflict retries, then the
+//!   fallback; capacity and flush aborts fall back at once.
+//!
+//! The whole STM is process-wide: the clock, the version-lock table and
+//! the fallback lock. A caller brings only its [`HtmStats`], the counters
+//! each section is counted into.
 //!
 //! Transactionally-shared words are [`TmWord`]s (a `repr(transparent)`
 //! wrapper over `AtomicU64`), so they can live anywhere — including inside
@@ -52,13 +56,13 @@
 //! ## Example
 //!
 //! ```
-//! use htm::{HtmDomain, TmWord};
+//! use htm::{HtmStats, TmWord};
 //!
-//! let domain = HtmDomain::default();
+//! let stats = HtmStats::default();
 //! let a = TmWord::new(1);
 //! let b = TmWord::new(2);
 //! // Swap a and b atomically: no other transaction can see a torn state.
-//! let (x, y) = domain.atomic(|txn| {
+//! let (x, y) = htm::atomic(&stats, |txn| {
 //!     let x = txn.read(&a)?;
 //!     let y = txn.read(&b)?;
 //!     txn.write(&a, y)?;
@@ -68,6 +72,8 @@
 //! assert_eq!((x, y), (1, 2));
 //! assert_eq!(a.load_direct(), 2);
 //! assert_eq!(b.load_direct(), 1);
+//! // The section was counted into the caller's stats.
+//! assert_eq!(stats.snapshot().commits, 1);
 //! ```
 
 #![deny(missing_docs)]
@@ -81,7 +87,7 @@ mod stats;
 mod txn;
 mod word;
 
-pub use domain::HtmDomain;
+pub use domain::{atomic, snapshot};
 pub use gate::OptimisticGate;
 pub use stats::{HtmStats, HtmStatsSnapshot};
 pub use txn::{Abort, AbortCode, Txn};

@@ -12,11 +12,12 @@
 
 use obs::{AtomicHistogram, Counter, Histogram, Json, ToJson};
 
-/// Live counters attached to an [`crate::HtmDomain`].
+/// Live counters of the sections run by [`crate::atomic`] and
+/// [`crate::snapshot`]; each tree owns one.
 #[derive(Debug, Default)]
 pub struct HtmStats {
-    /// Optimistic transaction attempts started (a
-    /// [`crate::HtmDomain::snapshot`] try counts as one).
+    /// Optimistic transaction attempts started (a [`crate::snapshot`]
+    /// try counts as one).
     pub attempts: Counter,
     /// Optimistic commits (a successful snapshot counts as one).
     pub commits: Counter,
@@ -36,11 +37,6 @@ pub struct HtmStats {
     /// Kept out of [`HtmStatsSnapshot`] so that stays `Copy`; read it via
     /// [`HtmStats::retries_to_commit`].
     pub retries: AtomicHistogram,
-    /// Adaptive-policy state: the *effective* per-thread retry budget in
-    /// force at each conflict abort (the streak-shrunk retry base).
-    /// A mass at low values means sustained contention has collapsed the
-    /// optimistic budget. Read via [`HtmStats::retry_budget`].
-    pub retry_budget: AtomicHistogram,
 }
 
 impl HtmStats {
@@ -63,12 +59,6 @@ impl HtmStats {
         self.retries.snapshot()
     }
 
-    /// Snapshot of the effective-retry-budget distribution (adaptive
-    /// policy state observed at each conflict abort).
-    pub fn retry_budget(&self) -> Histogram {
-        self.retry_budget.snapshot()
-    }
-
     /// Resets every counter to zero.
     pub fn reset(&self) {
         self.attempts.reset();
@@ -79,7 +69,6 @@ impl HtmStats {
         self.aborts_flush.reset();
         self.fallbacks.reset();
         self.retries.reset();
-        self.retry_budget.reset();
     }
 }
 

@@ -97,7 +97,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use obs::{AtomicHistogram, ObsSource, Section, Timeline};
+use obs::{AtomicHistogram, ObsSource, Section};
 
 use crate::{AnyKey, Key, KeyBuf, KeyRef, OpError, PersistentIndex, TreeStats, Value, WriteOp};
 
@@ -311,9 +311,6 @@ pub struct GroupCommit<T> {
     epoch_size: AtomicHistogram,
     epoch_wait_ns: AtomicHistogram,
     queue_depth: AtomicHistogram,
-    timeline: Timeline,
-    epoch_start: Instant,
-    last_tick_ms: AtomicU64,
     /// Set when any inner-index call panicked (a simulated crash in the
     /// persist-trap tests). Like mutex poisoning: the inner index may be
     /// left holding leaf locks, so every subsequent write panics
@@ -326,9 +323,6 @@ pub struct GroupCommit<T> {
     #[cfg(test)]
     before_election: Option<Box<dyn Fn() + Send + Sync>>,
 }
-
-/// Timeline tick granularity for the queue-depth series.
-const TICK_MS: u64 = 100;
 
 impl<T: PersistentIndex> GroupCommit<T> {
     /// Wraps `inner` with a combining front-end.
@@ -353,9 +347,6 @@ impl<T: PersistentIndex> GroupCommit<T> {
             epoch_size: AtomicHistogram::new(),
             epoch_wait_ns: AtomicHistogram::new(),
             queue_depth: AtomicHistogram::new(),
-            timeline: Timeline::new(256),
-            epoch_start: Instant::now(),
-            last_tick_ms: AtomicU64::new(0),
             crashed: AtomicBool::new(false),
             #[cfg(test)]
             before_election: None,
@@ -400,12 +391,6 @@ impl<T: PersistentIndex> GroupCommit<T> {
     /// Distribution of epoch sizes (ops per executed epoch).
     pub fn epoch_histogram(&self) -> obs::Histogram {
         self.epoch_size.snapshot()
-    }
-
-    /// The queue-depth-over-time series as JSON (windowed p50/p99 of the
-    /// per-epoch drained depth, 100 ms windows).
-    pub fn depth_timeline_json(&self) -> obs::Json {
-        self.timeline.series_json()
     }
 
     /// Runs `f` directly on the inner index, behind the poison guard
@@ -632,20 +617,6 @@ impl<T: PersistentIndex> GroupCommit<T> {
         self.ops_coalesced.fetch_add(n, Ordering::Relaxed);
         self.epoch_size.record(n);
         self.queue_depth.record(n);
-        let t_ms = self.epoch_start.elapsed().as_millis() as u64;
-        let last = self.last_tick_ms.load(Ordering::Relaxed);
-        if t_ms.saturating_sub(last) >= TICK_MS
-            && self
-                .last_tick_ms
-                .compare_exchange(last, t_ms, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            self.timeline.tick(
-                t_ms,
-                &self.queue_depth.snapshot(),
-                self.ops_coalesced.load(Ordering::Relaxed),
-            );
-        }
     }
 }
 
@@ -692,10 +663,7 @@ impl<T: PersistentIndex> PersistentIndex for GroupCommit<T> {
 impl<T: PersistentIndex> ObsSource for GroupCommit<T> {
     /// A `commit` counter section (epochs, elections, coalesced/direct/
     /// reclaimed ops) and a `commit_hist` section with the epoch-size,
-    /// queue-wait and queue-depth distributions. The queue-depth-over-
-    /// time series is exposed separately via
-    /// [`GroupCommit::depth_timeline_json`] (timelines are rendered by
-    /// benches, not the registry — same split as PR 9's `trace-scale`).
+    /// queue-wait and queue-depth distributions.
     fn obs_sections(&self) -> Vec<(String, Section)> {
         let s = self.commit_stats();
         vec![

@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use htm::{HtmDomain, OptimisticGate, TmWord, TxResult, Txn};
+use htm::{HtmStats, OptimisticGate, TmWord, TxResult, Txn};
 use nvm::{FrameView, PageCache, FRAME_WORDS};
 
 use crate::{is_leaf_ref, key_head, Key, KeyBuf};
@@ -204,7 +204,7 @@ fn snapshot_node(inner: &Inner) -> [u64; FRAME_WORDS] {
 /// offsets. See the module docs for structure and invariants.
 pub struct InnerIndex {
     root: TmWord,
-    domain: HtmDomain,
+    htm: HtmStats,
     /// Every inner node ever allocated (including nodes orphaned by aborted
     /// transactions or recovery rebuilds); freed on drop.
     registry: Mutex<Vec<*mut Inner>>,
@@ -277,7 +277,7 @@ impl InnerIndex {
         assert!(is_leaf_ref(initial_child), "root must start as a leaf");
         InnerIndex {
             root: TmWord::new(initial_child),
-            domain: HtmDomain::new(),
+            htm: HtmStats::default(),
             registry: Mutex::new(Vec::new()),
             cache: OnceLock::new(),
             gate: OptimisticGate::new(),
@@ -355,11 +355,11 @@ impl InnerIndex {
         }
     }
 
-    /// The HTM domain shared by this tree (leaf-level HTM functions of the
-    /// owning tree run in the same domain, so one set of statistics counts
-    /// the tree's sections; the fallback lock is process-wide).
-    pub fn domain(&self) -> &HtmDomain {
-        &self.domain
+    /// The HTM counters of this tree: the leaf-level sections of the
+    /// owning tree count into them too, so one set of statistics covers
+    /// the tree's sections (the STM itself is process-wide).
+    pub fn htm(&self) -> &HtmStats {
+        &self.htm
     }
 
     /// Allocates an inner node owned by the registry.
@@ -432,12 +432,12 @@ impl InnerIndex {
     /// `htmTreeTraverse` as a standalone HTM function (paper Table 2).
     pub fn traverse_tm(&self, key: Key) -> u64 {
         debug_assert!(!self.is_byte_keyed(), "u64 traverse on a byte-keyed index");
-        self.domain.atomic(|txn| self.traverse_in(txn, key))
+        htm::atomic(&self.htm, |txn| self.traverse_in(txn, key))
     }
 
     /// [`InnerIndex::traverse_tm`] over a byte-string key (byte mode).
     pub fn traverse_tm_k(&self, key: &[u8]) -> u64 {
-        self.domain.atomic(|txn| self.traverse_in_k(txn, key))
+        htm::atomic(&self.htm, |txn| self.traverse_in_k(txn, key))
     }
 
     /// Optimistic descent over the DRAM page cache: each inner level is
@@ -477,7 +477,7 @@ impl InnerIndex {
 
     fn traverse_cached_c(&self, c: Cmp<'_>) -> u64 {
         let Some(cache) = self.cache.get() else {
-            return self.domain.atomic(|txn| self.traverse_in_c(txn, c));
+            return htm::atomic(&self.htm, |txn| self.traverse_in_c(txn, c));
         };
         'restart: for attempt in 0..MAX_DESCENT_RESTARTS {
             if attempt > 0 {
@@ -499,7 +499,7 @@ impl InnerIndex {
             return crate::leaf_off(node_ref);
         }
         self.descent_tm_fallbacks.fetch_add(1, Ordering::Relaxed);
-        self.domain.atomic(|txn| self.traverse_in_c(txn, c))
+        htm::atomic(&self.htm, |txn| self.traverse_in_c(txn, c))
     }
 
     /// Resolves one descent step through the cache: hit → route from the
@@ -614,7 +614,7 @@ impl InnerIndex {
 
     fn tree_update_word(&self, sep_word: u64, new_child: u64) {
         self.gate.writer_enter();
-        let touched = self.domain.atomic(|txn| self.tree_update_in(txn, sep_word, new_child));
+        let touched = htm::atomic(&self.htm, |txn| self.tree_update_in(txn, sep_word, new_child));
         self.gate.writer_exit();
         // Invalidate after the writer bracket closes: the scan's SeqCst tag
         // loads then see (or provably post-date) every in-flight fill, so
@@ -753,7 +753,7 @@ impl InnerIndex {
 
     fn replace_child_c(&self, c: Cmp<'_>, old_child: u64, new_child: u64) -> bool {
         self.gate.writer_enter();
-        let swapped_in = self.domain.atomic(|txn| {
+        let swapped_in = htm::atomic(&self.htm, |txn| {
             let mut parent: Option<(&Inner, usize)> = None;
             let mut node_ref = txn.read(&self.root)?;
             while !is_leaf_ref(node_ref) {

@@ -408,8 +408,8 @@ impl<T: PersistentIndex> PersistentIndex for ShardedIndex<T> {
         total
     }
 
-    /// Mean of the per-shard abort ratios (each shard's HTM domain keeps
-    /// its own counters, so an unweighted mean is the honest summary
+    /// Mean of the per-shard abort ratios (each shard's tree keeps its
+    /// own HTM counters, so an unweighted mean is the honest summary
     /// absent per-shard attempt counts). `None` if no shard reports one.
     fn htm_abort_ratio(&self) -> Option<f64> {
         let ratios: Vec<f64> = self.shards.iter().filter_map(|s| s.htm_abort_ratio()).collect();

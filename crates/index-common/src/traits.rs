@@ -333,8 +333,8 @@ pub trait PersistentIndex: Send + Sync {
     /// Structural statistics.
     fn stats(&self) -> TreeStats;
 
-    /// HTM abort ratio (aborts/attempts) of the tree's transaction domain,
-    /// when the tree uses one. `None` for non-HTM trees.
+    /// HTM abort ratio (aborts/attempts) of the tree's HTM sections, when
+    /// the tree runs any. `None` for non-HTM trees.
     fn htm_abort_ratio(&self) -> Option<f64> {
         None
     }

@@ -30,7 +30,7 @@ pub fn bump_section_aborts() {
     SECTION_ABORTS.with(|c| c.set(c.get() + 1));
 }
 
-/// Counts one fallback acquisition (either tier) on the calling thread,
+/// Counts one fallback acquisition on the calling thread,
 /// for [`section_mark`] readers.
 #[inline]
 pub fn bump_section_fallbacks() {
@@ -51,7 +51,7 @@ pub struct SectionMark {
 pub struct SectionDelta {
     /// HTM aborts (any cause) suffered inside the section.
     pub aborts: u64,
-    /// Fallback acquisitions (either tier) inside the section.
+    /// Fallback acquisitions inside the section.
     pub fallbacks: u64,
 }
 

@@ -256,7 +256,7 @@ impl<'p> Leaf<'p> {
         TmWord::from_atomic(self.pool.atomic_u64(self.off + which.base() + (i as u64) * 8))
     }
 
-    /// The eight words of one slot line, for `HtmDomain::snapshot`
+    /// The eight words of one slot line, for `htm::snapshot`
     /// (`htmLeafSnapshot`).
     pub(crate) fn slot_words(&self, which: WhichSlot) -> [&'p TmWord; 8] {
         std::array::from_fn(|i| self.slot_word(which, i))
@@ -456,8 +456,8 @@ mod tests {
         let p = pool();
         let l = Leaf::at(&p, 1024);
         l.init_empty(u64::MAX, 0);
-        let domain = htm::HtmDomain::new();
-        domain.atomic(|txn| {
+        let stats = htm::HtmStats::default();
+        htm::atomic(&stats, |txn| {
             let mut s = l.read_slot_in(txn, WhichSlot::Persistent)?;
             s.insert_at(0, 7);
             l.write_slot_in(txn, WhichSlot::Persistent, &s)
@@ -466,7 +466,7 @@ mod tests {
         p.simulate_crash();
         assert_eq!(l.read_slot_seq(WhichSlot::Persistent).len(), 0);
         // Again, with the flush.
-        domain.atomic(|txn| {
+        htm::atomic(&stats, |txn| {
             let mut s = l.read_slot_in(txn, WhichSlot::Persistent)?;
             s.insert_at(0, 7);
             l.write_slot_in(txn, WhichSlot::Persistent, &s)

@@ -232,9 +232,9 @@ impl RnTree {
         &self.pool
     }
 
-    /// HTM counters of this tree's domain.
+    /// HTM counters of this tree's sections.
     pub fn htm_stats(&self) -> HtmStatsSnapshot {
-        self.index.domain().stats().snapshot()
+        self.index.htm().snapshot()
     }
 
     /// Operation counters.
@@ -475,7 +475,7 @@ impl RnTree {
             }
             d
         } else {
-            self.index.domain().atomic(|txn| {
+            htm::atomic(self.index.htm(), |txn| {
                 let mut slot = leaf.read_slot_in(txn, WhichSlot::Persistent)?;
                 let d = edit(&mut slot);
                 if let Decision::Applied(s) = &d {
@@ -493,7 +493,7 @@ impl RnTree {
         if self.cfg.seq_traversal {
             leaf.write_slot_seq(which, slot);
         } else {
-            self.index.domain().atomic(|txn| leaf.write_slot_in(txn, which, slot));
+            htm::atomic(self.index.htm(), |txn| leaf.write_slot_in(txn, which, slot));
         }
     }
 
@@ -745,7 +745,7 @@ impl RnTree {
 
     /// Installs a rewritten image in both slot lines in one transaction.
     fn install_slots(&self, leaf: Leaf<'_>, img: &SlotBuf) {
-        self.index.domain().atomic(|txn| {
+        htm::atomic(self.index.htm(), |txn| {
             leaf.write_slot_in(txn, WhichSlot::Persistent, img)?;
             leaf.write_slot_in(txn, WhichSlot::Transient, img)
         });
@@ -753,7 +753,7 @@ impl RnTree {
 
     // ---------------------------------------------------------------- read
 
-    /// `htmLeafSnapshot`: one `HtmDomain::snapshot` of the slot line,
+    /// `htmLeafSnapshot`: one `htm::snapshot` of the slot line,
     /// with the sequential-mode fast path (see `update_pslot` for the
     /// rationale).
     fn snapshot_slot(&self, leaf: Leaf<'_>, kind: WhichSlot) -> SlotBuf {
@@ -763,7 +763,7 @@ impl RnTree {
             // Reads aborting against a locked/contended leaf are the
             // paper's headline pathology: attribute them like writes.
             let sm = obs::section_mark();
-            let slot = SlotBuf::from_words(self.index.domain().snapshot(leaf.slot_words(kind)));
+            let slot = SlotBuf::from_words(htm::snapshot(self.index.htm(), leaf.slot_words(kind)));
             let d = sm.since();
             if d.aborts + d.fallbacks > 0 {
                 self.heat.conflicts.record(leaf.off(), d.aborts + d.fallbacks);
@@ -1457,16 +1457,10 @@ impl ObsSource for RnTree {
             ("htm".to_string(), Section::Counters(htm.counters())),
             (
                 "htm_retries".to_string(),
-                Section::Latencies(vec![
-                    (
-                        "retries_to_commit".to_string(),
-                        self.index.domain().stats().retries_to_commit(),
-                    ),
-                    (
-                        "retry_budget".to_string(),
-                        self.index.domain().stats().retry_budget(),
-                    ),
-                ]),
+                Section::Latencies(vec![(
+                    "retries_to_commit".to_string(),
+                    self.index.htm().retries_to_commit(),
+                )]),
             ),
         ];
         if self.timers.is_enabled() {

@@ -3,11 +3,12 @@
 //! A mixed optimistic + forced-fallback workload over paired words stays
 //! atomic against a sequential replay oracle while concurrent snapshot
 //! readers observe the pair invariant, and the abort-taxonomy counters
-//! account for every section exactly once. Fallbacks in two domains that
-//! take two words in opposite orders finish instead of deadlocking.
+//! account for every section exactly once. Fallbacks counted into two
+//! `HtmStats` that take two words in opposite orders finish instead of
+//! deadlocking.
 //!
 //! Forced fallbacks use one trick: the body calls `flush_attempt`, which
-//! aborts the optimistic attempt, and `HtmDomain::atomic` runs the body
+//! aborts the optimistic attempt, and `htm::atomic` runs the body
 //! again under the process-wide fallback lock, where flushing is legal.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -15,7 +16,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use htm::{HtmDomain, TmWord};
+use htm::{HtmStats, TmWord};
 
 const THREADS: usize = 8;
 
@@ -46,7 +47,7 @@ fn mixed_transactional_and_fallback_updates_stay_atomic() {
     const READERS: usize = 2;
     let pool: Vec<Line> = (0..2 * PAIRS).map(|_| Line::default()).collect();
 
-    let domain = HtmDomain::new();
+    let stats = HtmStats::default();
     let done = AtomicBool::new(false);
     let pair_reads = AtomicU64::new(0);
     let forced_ops = AtomicU64::new(0);
@@ -54,7 +55,7 @@ fn mixed_transactional_and_fallback_updates_stay_atomic() {
     thread::scope(|s| {
         let mut writers = Vec::new();
         for t in 0..THREADS {
-            let (domain, pool, forced_ops) = (&domain, &pool, &forced_ops);
+            let (stats, pool, forced_ops) = (&stats, &pool, &forced_ops);
             writers.push(s.spawn(move || {
                 let mut rng = 0x9E37_79B9 ^ (t as u64 + 1);
                 for step in 0..OPS {
@@ -65,7 +66,7 @@ fn mixed_transactional_and_fallback_updates_stay_atomic() {
                         forced_ops.fetch_add(1, Ordering::Relaxed);
                     }
                     let (lo, hi) = (&pool[k].w, &pool[k + PAIRS].w);
-                    domain.atomic(|txn| {
+                    htm::atomic(stats, |txn| {
                         let a = txn.read(lo)?;
                         let b = txn.read(hi)?;
                         assert_eq!(a, b, "pair invariant broken inside a transaction");
@@ -79,12 +80,12 @@ fn mixed_transactional_and_fallback_updates_stay_atomic() {
             }));
         }
         for r in 0..READERS {
-            let (domain, pool, done, pair_reads) = (&domain, &pool, &done, &pair_reads);
+            let (stats, pool, done, pair_reads) = (&stats, &pool, &done, &pair_reads);
             s.spawn(move || {
                 let mut k = r;
                 while !done.load(Ordering::Relaxed) {
                     let (lo, hi) = (&pool[k % PAIRS].w, &pool[k % PAIRS + PAIRS].w);
-                    let (a, b) = domain.atomic(|txn| Ok((txn.read(lo)?, txn.read(hi)?)));
+                    let (a, b) = htm::atomic(stats, |txn| Ok((txn.read(lo)?, txn.read(hi)?)));
                     assert_eq!(a, b, "snapshot reader saw a torn pair");
                     pair_reads.fetch_add(1, Ordering::Relaxed);
                     k += 1;
@@ -115,7 +116,7 @@ fn mixed_transactional_and_fallback_updates_stay_atomic() {
     }
 
     assert!(pair_reads.load(Ordering::Relaxed) > 0, "readers never ran");
-    let snap = domain.stats().snapshot();
+    let snap = stats.snapshot();
     // Forced ops reach the fallback, and real conflicts only add to it.
     assert!(snap.fallbacks >= forced_ops.load(Ordering::Relaxed));
     assert!(snap.commits > 0, "no section committed optimistically");
@@ -126,12 +127,14 @@ fn mixed_transactional_and_fallback_updates_stay_atomic() {
     );
 }
 
-/// Two fallbacks in two domains take words `a` and `b` in opposite
-/// orders. Thread 1's fallback writes `a`, waits up to 500 ms for thread
-/// 2's fallback to write `b`, then writes `b`; thread 2 starts once `a` is
-/// written and writes `b`, then `a`. A fallback holds each word's
+/// Two fallbacks in two "domains" take words `a` and `b` in opposite
+/// orders. The domains are two stats scopes: each thread counts its
+/// section into an `HtmStats` of its own, as two trees do. Thread 1's
+/// fallback writes `a`, waits up to 500 ms for thread 2's fallback to
+/// write `b`, then writes `b`; thread 2 starts once `a` is written and
+/// writes `b`, then `a`. A fallback holds each word's
 /// version-lock entry until its body ends, so with a fallback lock per
-/// domain each thread would wait forever for the entry the other holds.
+/// scope each thread would wait forever for the entry the other holds.
 /// The lock is process-wide, so thread 2 cannot enter its body until
 /// thread 1 is done. A watchdog fails the test instead of hanging it.
 #[test]
@@ -150,8 +153,8 @@ fn fallbacks_in_two_domains_taking_words_in_opposite_orders_finish() {
 
     let (sh, tx) = (Arc::clone(&shared), done.clone());
     let first = thread::spawn(move || {
-        let domain = HtmDomain::new();
-        domain.atomic(|txn| {
+        let stats = HtmStats::default();
+        htm::atomic(&stats, |txn| {
             txn.flush_attempt()?;
             txn.write(&sh.a.w, 1)?;
             sh.a_written.store(true, Ordering::Release);
@@ -163,21 +166,21 @@ fn fallbacks_in_two_domains_taking_words_in_opposite_orders_finish() {
                 .store(sh.b_written.load(Ordering::Acquire), Ordering::Relaxed);
             txn.write(&sh.b.w, 1)
         });
-        tx.send(domain.stats().snapshot().fallbacks).unwrap();
+        tx.send(stats.snapshot().fallbacks).unwrap();
     });
     let (sh, tx) = (Arc::clone(&shared), done);
     let second = thread::spawn(move || {
         while !sh.a_written.load(Ordering::Acquire) {
             thread::yield_now();
         }
-        let domain = HtmDomain::new();
-        domain.atomic(|txn| {
+        let stats = HtmStats::default();
+        htm::atomic(&stats, |txn| {
             txn.flush_attempt()?;
             txn.write(&sh.b.w, 2)?;
             sh.b_written.store(true, Ordering::Release);
             txn.write(&sh.a.w, 2)
         });
-        tx.send(domain.stats().snapshot().fallbacks).unwrap();
+        tx.send(stats.snapshot().fallbacks).unwrap();
     });
 
     for _ in 0..2 {

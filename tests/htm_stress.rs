@@ -8,7 +8,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use htm::{HtmDomain, TmWord};
+use htm::{HtmStats, TmWord};
 
 // ------------------------------------------------------------------------
 // Counting allocator: lets tests assert that a code path performs zero
@@ -57,7 +57,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn transfers_preserve_total_under_contention() {
     const ACCOUNTS: usize = 32;
     const TOTAL: u64 = 32_000;
-    let domain = Arc::new(HtmDomain::new());
+    let stats = Arc::new(HtmStats::default());
     let accounts: Arc<Vec<TmWord>> =
         Arc::new((0..ACCOUNTS).map(|_| TmWord::new(TOTAL / ACCOUNTS as u64)).collect());
     let stop = Arc::new(AtomicBool::new(false));
@@ -67,7 +67,7 @@ fn transfers_preserve_total_under_contention() {
 
     let mut writers = Vec::new();
     for t in 0..3u64 {
-        let domain = Arc::clone(&domain);
+        let stats = Arc::clone(&stats);
         let accounts = Arc::clone(&accounts);
         let stop = Arc::clone(&stop);
         let transfers = Arc::clone(&transfers);
@@ -82,7 +82,7 @@ fn transfers_preserve_total_under_contention() {
                     continue;
                 }
                 let amount = x % 10;
-                domain.atomic(|txn| {
+                htm::atomic(&stats, |txn| {
                     let f = txn.read(&accounts[from])?;
                     if f < amount {
                         return Ok(());
@@ -107,7 +107,7 @@ fn transfers_preserve_total_under_contention() {
             std::time::Instant::now() < deadline,
             "no writer completed a transfer within 60 s ({snapshots} snapshots done)"
         );
-        let sum = domain.atomic(|txn| {
+        let sum = htm::atomic(&stats, |txn| {
             let mut s = 0u64;
             for a in accounts.iter() {
                 s += txn.read(a)?;
@@ -139,17 +139,17 @@ fn fallback_heavy_execution_is_still_atomic() {
     const N: usize = 513;
     const THREADS: u64 = 3;
     const ROUNDS: u64 = 250;
-    let domain = Arc::new(HtmDomain::new());
+    let stats = Arc::new(HtmStats::default());
     let words: Arc<Vec<Line>> = Arc::new((0..N).map(|_| Line::default()).collect());
 
     let mut handles = Vec::new();
     for _ in 0..THREADS {
-        let domain = Arc::clone(&domain);
+        let stats = Arc::clone(&stats);
         let words = Arc::clone(&words);
         handles.push(std::thread::spawn(move || {
             for _ in 0..ROUNDS {
                 // Oversized txn: always capacity-aborts → fallback.
-                domain.atomic(|txn| {
+                htm::atomic(&stats, |txn| {
                     for w in words.iter() {
                         let v = txn.read(&w.0)?;
                         txn.write(&w.0, v + 1)?;
@@ -157,7 +157,7 @@ fn fallback_heavy_execution_is_still_atomic() {
                     Ok(())
                 });
                 // Two lines: commits optimistically unless it conflicts.
-                domain.atomic(|txn| {
+                htm::atomic(&stats, |txn| {
                     for w in [&words[0], &words[N - 1]] {
                         let v = txn.read(&w.0)?;
                         txn.write(&w.0, v + 1)?;
@@ -174,7 +174,7 @@ fn fallback_heavy_execution_is_still_atomic() {
         let small = if i == 0 || i == N - 1 { THREADS * ROUNDS } else { 0 };
         assert_eq!(w.0.load_direct(), THREADS * ROUNDS + small, "lost increment at word {i}");
     }
-    let s = domain.stats().snapshot();
+    let s = stats.snapshot();
     assert!(s.fallbacks >= THREADS * ROUNDS, "every oversized section falls back: {s:?}");
     assert!(s.commits > 0, "no small section committed optimistically: {s:?}");
     assert_eq!(
@@ -188,18 +188,18 @@ fn fallback_heavy_execution_is_still_atomic() {
 /// the version-lock bumps must keep both sides conflict-coherent.
 #[test]
 fn mixed_tx_and_nontx_counters_are_exact() {
-    let domain = Arc::new(HtmDomain::new());
+    let stats = Arc::new(HtmStats::default());
     let word = Arc::new(TmWord::new(0));
     let mut handles = Vec::new();
     for t in 0..4u64 {
-        let domain = Arc::clone(&domain);
+        let stats = Arc::clone(&stats);
         let word = Arc::clone(&word);
         handles.push(std::thread::spawn(move || {
             for _ in 0..2_000 {
                 if t % 2 == 0 {
                     word.fetch_add_nontx(1);
                 } else {
-                    domain.atomic(|txn| {
+                    htm::atomic(&stats, |txn| {
                         let v = txn.read(&word)?;
                         txn.write(&word, v + 1)
                     });
@@ -217,16 +217,16 @@ fn mixed_tx_and_nontx_counters_are_exact() {
 /// words in lockstep through the fallback path.
 #[test]
 fn read_only_snapshots_respect_fallback_writers() {
-    let domain = Arc::new(HtmDomain::new());
+    let stats = Arc::new(HtmStats::default());
     let a = Arc::new(TmWord::new(0));
     let b = Arc::new(TmWord::new(0));
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
-        let (domain, a, b, stop) =
-            (Arc::clone(&domain), Arc::clone(&a), Arc::clone(&b), Arc::clone(&stop));
+        let (stats, a, b, stop) =
+            (Arc::clone(&stats), Arc::clone(&a), Arc::clone(&b), Arc::clone(&stop));
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                domain.atomic(|txn| {
+                htm::atomic(&stats, |txn| {
                     txn.flush_attempt()?; // aborts optimistic ⇒ irrevocable
                     let x = txn.read(&a)?;
                     txn.write(&a, x + 1)?;
@@ -240,12 +240,12 @@ fn read_only_snapshots_respect_fallback_writers() {
     // reads could all finish before it is scheduled.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     let mut reads = 0u32;
-    while reads < 2_000 || domain.stats().snapshot().fallbacks == 0 {
+    while reads < 2_000 || stats.snapshot().fallbacks == 0 {
         assert!(
             std::time::Instant::now() < deadline,
             "the writer reached no fallback within 60 s ({reads} reads done)"
         );
-        let (x, y) = domain.atomic(|txn| {
+        let (x, y) = htm::atomic(&stats, |txn| {
             let x = txn.read(&a)?;
             let y = txn.read(&b)?;
             Ok((x, y))
@@ -255,17 +255,17 @@ fn read_only_snapshots_respect_fallback_writers() {
     }
     stop.store(true, Ordering::Relaxed);
     writer.join().unwrap();
-    let s = domain.stats().snapshot();
+    let s = stats.snapshot();
     assert!(s.fallbacks > 0 && s.commits > 0, "both paths must have run: {s:?}");
 }
 
 /// Explicit aborts never leak partial writes, from either execution mode.
 #[test]
 fn explicit_abort_discards_buffered_state() {
-    let domain = HtmDomain::new();
+    let stats = HtmStats::default();
     let w = TmWord::new(10);
     let mut attempts = 0u64;
-    let out = domain.atomic(|txn| {
+    let out = htm::atomic(&stats, |txn| {
         attempts += 1;
         txn.write(&w, 99)?;
         if attempts < 4 {
@@ -278,7 +278,7 @@ fn explicit_abort_discards_buffered_state() {
     // Three explicit aborts, then one success. The fallback lock is
     // process-wide, so another test's fallback can abort the writing
     // commit; each such conflict costs exactly one more run.
-    let s = domain.stats().snapshot();
+    let s = stats.snapshot();
     assert_eq!(s.aborts_explicit, 3);
     assert_eq!(attempts, 3 + s.aborts_conflict + 1);
 }
@@ -289,17 +289,17 @@ fn explicit_abort_discards_buffered_state() {
 fn pmem_resident_words_are_transactional() {
     use nvm::{PmemConfig, PmemPool};
     let pool = Arc::new(PmemPool::new(PmemConfig::for_testing(1 << 16)));
-    let domain = Arc::new(HtmDomain::new());
+    let stats = Arc::new(HtmStats::default());
     let offs: Vec<u64> = (0..8u64).map(|i| 4096 + i * 8).collect();
 
     let mut handles = Vec::new();
     for _ in 0..3 {
         let pool = Arc::clone(&pool);
-        let domain = Arc::clone(&domain);
+        let stats = Arc::clone(&stats);
         let offs = offs.clone();
         handles.push(std::thread::spawn(move || {
             for _ in 0..2_000 {
-                domain.atomic(|txn| {
+                htm::atomic(&stats, |txn| {
                     // Increment all 8 words atomically.
                     for &o in &offs {
                         let w = TmWord::from_atomic(pool.atomic_u64(o));
@@ -335,20 +335,20 @@ fn weakened_orderings_survive_concurrent_increments_and_snapshots() {
     const WRITERS: usize = 4;
     const ITERS: u64 = 15_000;
     const WORDS: usize = 16;
-    let domain = Arc::new(HtmDomain::new());
+    let stats = Arc::new(HtmStats::default());
     let words: Arc<Vec<TmWord>> = Arc::new((0..WORDS).map(|_| TmWord::new(0)).collect());
     let stop = Arc::new(AtomicBool::new(false));
 
     let mut readers = Vec::new();
     for _ in 0..2 {
-        let domain = Arc::clone(&domain);
+        let stats = Arc::clone(&stats);
         let words = Arc::clone(&words);
         let stop = Arc::clone(&stop);
         readers.push(std::thread::spawn(move || {
             let mut last = 0u64;
             let mut snapshots = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                let vals = domain.atomic(|txn| {
+                let vals = htm::atomic(&stats, |txn| {
                     let mut v = [0u64; WORDS];
                     for (slot, w) in v.iter_mut().zip(words.iter()) {
                         *slot = txn.read(w)?;
@@ -371,11 +371,11 @@ fn weakened_orderings_survive_concurrent_increments_and_snapshots() {
 
     let mut writers = Vec::new();
     for _ in 0..WRITERS {
-        let domain = Arc::clone(&domain);
+        let stats = Arc::clone(&stats);
         let words = Arc::clone(&words);
         writers.push(std::thread::spawn(move || {
             for _ in 0..ITERS {
-                domain.atomic(|txn| {
+                htm::atomic(&stats, |txn| {
                     for w in words.iter() {
                         let v = txn.read(w)?;
                         txn.write(w, v + 1)?;
@@ -402,19 +402,19 @@ fn weakened_orderings_survive_concurrent_increments_and_snapshots() {
 /// acquired-locks set all live on the stack.
 #[test]
 fn small_transactions_do_not_heap_allocate() {
-    let domain = HtmDomain::new();
+    let stats = HtmStats::default();
     let words: Vec<TmWord> = (0..8).map(TmWord::new).collect();
     // Warm up: first use faults in the global lock table and any lazy
     // thread-local state.
     for _ in 0..8 {
-        domain.atomic(|txn| {
+        htm::atomic(&stats, |txn| {
             let v = txn.read(&words[0])?;
             txn.write(&words[0], v)
         });
     }
     let before = thread_allocs();
     for round in 0..1_000u64 {
-        let sum = domain.atomic(|txn| {
+        let sum = htm::atomic(&stats, |txn| {
             let mut s = 0u64;
             for w in words.iter() {
                 s += txn.read(w)?;
@@ -439,10 +439,10 @@ fn small_transactions_do_not_heap_allocate() {
 /// large transactions are also allocation-free.
 #[test]
 fn spilled_transactions_recycle_scratch_buffers() {
-    let domain = HtmDomain::new();
+    let stats = HtmStats::default();
     let words: Vec<TmWord> = (0..64).map(TmWord::new).collect();
-    let touch_all = |domain: &HtmDomain| {
-        domain.atomic(|txn| {
+    let touch_all = |stats: &HtmStats| {
+        htm::atomic(stats, |txn| {
             for w in words.iter() {
                 let v = txn.read(w)?;
                 txn.write(w, v + 1)?;
@@ -452,11 +452,11 @@ fn spilled_transactions_recycle_scratch_buffers() {
     };
     // First spill allocates the scratch buffers and grows them to size.
     for _ in 0..4 {
-        touch_all(&domain);
+        touch_all(&stats);
     }
     let before = thread_allocs();
     for _ in 0..200 {
-        touch_all(&domain);
+        touch_all(&stats);
     }
     assert_eq!(
         thread_allocs() - before,
@@ -468,7 +468,7 @@ fn spilled_transactions_recycle_scratch_buffers() {
     }
 }
 
-/// `HtmDomain::snapshot` (the double collect behind RNTree's leaf
+/// `htm::snapshot` (the double collect behind RNTree's leaf
 /// snapshot) never returns a torn view. Eight words are kept equal by
 /// three kinds of writer: optimistic commits, fallback bodies (a flush
 /// aborts the optimistic attempt, so the body runs in place), and
@@ -478,8 +478,8 @@ fn spilled_transactions_recycle_scratch_buffers() {
 #[test]
 fn snapshots_never_tear_across_every_kind_of_writer() {
     const ITERS: u64 = 20_000;
-    let writers_domain = HtmDomain::new();
-    let readers_domain = HtmDomain::new();
+    let writer_stats = HtmStats::default();
+    let reader_stats = HtmStats::default();
     let lock = TmWord::new(0);
     let words: Vec<TmWord> = (0..8).map(|_| TmWord::new(0)).collect();
     let stop = AtomicBool::new(false);
@@ -488,7 +488,7 @@ fn snapshots_never_tear_across_every_kind_of_writer() {
     // increment all eight words. Explicit aborts retry (under the
     // fallback too), so a held lock word is waited out on either path.
     let increment_all = |forced_fallback: bool| {
-        writers_domain.atomic(|txn| {
+        htm::atomic(&writer_stats, |txn| {
             if forced_fallback {
                 txn.flush_attempt()?;
             }
@@ -511,7 +511,7 @@ fn snapshots_never_tear_across_every_kind_of_writer() {
                         std::array::from_fn(|i| if i == 0 { &lock } else { &words[i - 1] });
                     let (mut last, mut snapshots, mut free) = (0u64, 0u64, 0u64);
                     while !stop.load(Ordering::Relaxed) || snapshots < 2_000 {
-                        let vals = readers_domain.snapshot(view);
+                        let vals = htm::snapshot(&reader_stats, view);
                         snapshots += 1;
                         if vals[0] % 2 == 1 {
                             continue; // a word-by-word update is in flight
@@ -558,9 +558,9 @@ fn snapshots_never_tear_across_every_kind_of_writer() {
         assert_eq!(w.load_direct(), 3 * ITERS, "lost increment");
     }
     assert!(free_snapshots > 0, "no snapshot saw the lock word free ({snapshots} taken)");
-    let s = writers_domain.stats().snapshot();
+    let s = writer_stats.snapshot();
     assert!(s.fallbacks >= ITERS && s.commits > 0, "both transactional paths must have run: {s:?}");
-    let r = readers_domain.stats().snapshot();
+    let r = reader_stats.snapshot();
     assert_eq!(r.commits, snapshots, "one commit per snapshot");
     assert_eq!(r.attempts, r.commits + r.aborts_conflict, "every failed collect is a conflict abort");
 }
